@@ -11,8 +11,9 @@
 // across 1/2/4/8 worker threads (URBANE_BENCH_THREADS sets the thread
 // count for the main sweep; default 1 = serial), or --obs-overhead to
 // measure the observability subsystem's cost on the hot splat path
-// (bounded raster with metrics+tracing off vs on; the default sweep
-// always runs with obs disabled so baselines stay comparable).
+// (bounded raster with everything off vs metrics on plus an attached query
+// profile; the default sweep always runs with obs disabled so baselines
+// stay comparable).
 // Pass --store to run the out-of-core variant: each scale is converted to
 // a UST1 block store, re-opened in pread mode behind a block cache bounded
 // by URBANE_BENCH_STORE_BUDGET_MB (default 8 MB — far below the raw column
@@ -32,7 +33,7 @@
 #include "data/region_generator.h"
 #include "data/taxi_generator.h"
 #include "obs/obs.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 #include "store/block_cache.h"
 #include "store/store_reader.h"
 #include "store/store_scan_join.h"
@@ -276,13 +277,12 @@ int main(int argc, char** argv) {
     double off_seconds = 0.0;
     for (const bool enabled : {false, true}) {
       obs::SetMetricsEnabled(enabled);
-      obs::SetTracingEnabled(enabled);
-      obs::QueryTrace trace;
-      core::AggregationQuery traced = query;
-      traced.trace = enabled ? &trace : nullptr;
+      obs::QueryProfile profile;
+      core::AggregationQuery observed = query;
+      observed.profile = enabled ? &profile : nullptr;
       const double q = bench::MeasureSeconds([&] {
-        trace.Clear();
-        (void)engine.Execute(traced, core::ExecutionMethod::kBoundedRaster);
+        profile = obs::QueryProfile();  // one fresh profile per request
+        (void)engine.Execute(observed, core::ExecutionMethod::kBoundedRaster);
       });
       if (!enabled) off_seconds = q;
       ablation.AddRow(
@@ -293,7 +293,6 @@ int main(int argc, char** argv) {
                               : 0.0)});
     }
     obs::SetMetricsEnabled(false);
-    obs::SetTracingEnabled(false);
     ablation.Finish();
   }
   return 0;

@@ -9,11 +9,9 @@
 // BENCH_TRAJECTORY.json without a full fig4/fig8 run.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -22,9 +20,9 @@
 #include "geometry/polygon.h"
 #include "geometry/triangulate.h"
 #include "index/grid_index.h"
-#include "index/zorder.h"
 #include "obs/metrics.h"
 #include "raster/kernels.h"
+#include "raster/morton.h"
 #include "raster/point_splat.h"
 #include "raster/rasterizer.h"
 #include "raster/simd.h"
@@ -93,26 +91,16 @@ void BM_PointSplat(benchmark::State& state) {
   data::PointTable points = testing::MakeUniformPoints(n, 7);
   std::vector<float> xs(points.xs(), points.xs() + n);
   std::vector<float> ys(points.ys(), points.ys() + n);
-  if (zorder_sorted) {
-    const geometry::BoundingBox bounds(0, 0, 100, 100);
-    std::vector<std::uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a,
-                                              std::uint32_t b) {
-      return index::ZOrderKey({xs[a], ys[a]}, bounds) <
-             index::ZOrderKey({xs[b], ys[b]}, bounds);
-    });
-    std::vector<float> sx(n);
-    std::vector<float> sy(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sx[i] = xs[order[i]];
-      sy[i] = ys[order[i]];
-    }
-    xs = std::move(sx);
-    ys = std::move(sy);
-  }
   const raster::Viewport vp(geometry::BoundingBox(0, 0, 100.001, 100.001),
                             1024, 1024);
+  if (zorder_sorted) {
+    // The executors' own splat order: stable sort by the Morton code of
+    // each point's target pixel.
+    const raster::MortonSplatOrder order =
+        raster::MortonSplatOrder::Build(vp, xs.data(), ys.data(), n);
+    xs = order.xs();
+    ys = order.ys();
+  }
   raster::Buffer2D<std::uint32_t> counts(1024, 1024, 0);
   for (auto _ : state) {
     counts.Fill(0);

@@ -69,7 +69,6 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
   stats_.threads_used = exec.EffectiveThreads();
-  obs::TraceSpan exec_span(query.trace, "accurate");
   WallTimer timer;
 
   WallTimer filter_timer;
@@ -77,7 +76,6 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
       FilterSelection selection,
       EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
   stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -93,7 +91,6 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
                                   /*need_abs_sum=*/false, targets,
                                   exec.Splat());
   stats_.splat_seconds = splat_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "splat", stats_.splat_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   stats_.points_scanned = selection.ids.size();
 
@@ -112,10 +109,11 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   const raster::RasterKernels& kernels = raster::ActiveKernels();
   std::vector<ExecutorStats> worker_stats(exec.EffectiveThreads());
   // Refine time (the exact boundary-pixel tests interleaved with the sweep)
-  // is only clocked when someone is observing: the extra clock reads sit
-  // inside the per-region loop, and the disabled fast path must stay free.
+  // is only clocked when someone is observing — metrics on or a profile
+  // attached: the extra clock reads sit inside the per-region loop, and
+  // the disabled fast path must stay free.
   const bool measure_refine =
-      obs::MetricsEnabled() || query.trace != nullptr;
+      obs::MetricsEnabled() || query.profile != nullptr;
   ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
                                           std::size_t end) {
     ExecutorStats& ws = worker_stats[part];
@@ -181,8 +179,6 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
     stats_.refine_seconds = std::max(stats_.refine_seconds, ws.refine_seconds);
   }
   stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "sweep", stats_.sweep_seconds);
-  TracePass(query.trace, exec_span.id(), "refine", stats_.refine_seconds);
   stats_.query_seconds = timer.ElapsedSeconds();
   ObserveExecutorStats("accurate", stats_);
   return result;

@@ -35,14 +35,12 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
   const double build_seconds = stats_.build_seconds;
   stats_.Reset();
   stats_.build_seconds = build_seconds;
-  obs::TraceSpan exec_span(query.trace, "index");
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
   stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const bool trivial_filter = filter.IsTrivial();
 
@@ -126,7 +124,6 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
     stats_.MergeCounters(ws);
   }
   stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "reduce", stats_.reduce_seconds);
 
   stats_.query_seconds = timer.ElapsedSeconds();
   ObserveExecutorStats("index", stats_);

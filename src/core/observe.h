@@ -5,28 +5,17 @@
 //
 // Executors keep their existing WallTimer-based pass timings (those feed
 // `ExecutorStats` unconditionally, exactly as before this layer existed);
-// this header turns the measured numbers into trace spans and registry
-// metrics. Both entry points are no-ops on the disabled fast path, so the
-// query path pays nothing when nobody is observing.
+// this header turns the measured numbers into registry metrics and into
+// the pass-cost section of a query profile. Both entry points are no-ops
+// on the disabled fast path, so the query path pays nothing when nobody
+// is observing.
 
 #include "core/aggregate.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace urbane::core {
-
-/// Records one executor pass as a completed child span of `parent` (the
-/// executor's RAII span). Completed pass spans carry durations only; their
-/// `start_seconds` stays 0 so traces are reproducible from synthetic
-/// timings (see DESIGN.md "Observability").
-inline void TracePass(obs::QueryTrace* trace, int parent, const char* name,
-                      double duration_seconds) {
-  if (trace != nullptr) {
-    trace->AddCompletedSpan(name, duration_seconds, parent);
-  }
-}
 
 /// Publishes one Execute call's stats into the global registry under
 /// `exec.<executor>.*` (see DESIGN.md for the metric naming convention).
@@ -37,31 +26,6 @@ void ObserveExecutorStats(const char* executor, const ExecutorStats& stats);
 /// (obs cannot depend on core, so the field copy lives on this side).
 void FillProfilePassCosts(const ExecutorStats& stats,
                           obs::ProfilePassCosts* out);
-
-/// RAII thread-CPU attribution for a span scope: records the calling
-/// thread's CLOCK_THREAD_CPUTIME_ID delta across its lifetime into
-/// `*sink` (accumulating). A null sink — the unprofiled common case —
-/// makes both ends a pointer test, preserving the obs-off == baseline
-/// contract. Exact for serial scopes (facade dispatch, one shard's pass);
-/// for intra-executor parallelism it attributes the coordinator thread
-/// only, which DESIGN.md §12 documents as the contract.
-class ProfileCpuScope {
- public:
-  explicit ProfileCpuScope(double* sink)
-      : sink_(sink),
-        start_(sink != nullptr ? obs::ThreadCpuSeconds() : 0.0) {}
-  ~ProfileCpuScope() {
-    if (sink_ != nullptr) {
-      *sink_ += obs::ThreadCpuSeconds() - start_;
-    }
-  }
-  ProfileCpuScope(const ProfileCpuScope&) = delete;
-  ProfileCpuScope& operator=(const ProfileCpuScope&) = delete;
-
- private:
-  double* sink_;
-  double start_;
-};
 
 }  // namespace urbane::core
 

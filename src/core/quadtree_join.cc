@@ -36,14 +36,12 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
   const double build_seconds = stats_.build_seconds;
   stats_.Reset();
   stats_.build_seconds = build_seconds;
-  obs::TraceSpan exec_span(query.trace, "quadtree");
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
   stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
   const bool trivial_filter = filter.IsTrivial();
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -103,7 +101,6 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
     result.counts.push_back(acc.count);
   }
   stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "reduce", stats_.reduce_seconds);
   stats_.query_seconds = timer.ElapsedSeconds();
   ObserveExecutorStats("quadtree", stats_);
   return result;

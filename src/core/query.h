@@ -13,7 +13,6 @@
 #include "util/status.h"
 
 namespace urbane::obs {
-class QueryTrace;
 struct QueryProfile;
 }  // namespace urbane::obs
 
@@ -69,22 +68,18 @@ struct AggregationQuery {
   AggregateSpec aggregate;
   FilterSpec filter;
 
-  /// Optional per-query trace sink (not part of the query's identity: the
-  /// cache fingerprint ignores it). Executors emit one span per pass into
-  /// it; null — the common case — makes every span a no-op.
-  obs::QueryTrace* trace = nullptr;
-
   /// Optional deadline/cancellation hook, polled between executor passes;
   /// null (the common case) costs one pointer test per pass. Borrowed —
-  /// the caller keeps it alive for the duration of Execute. Like `trace`,
-  /// not part of the query's identity.
+  /// the caller keeps it alive for the duration of Execute. Not part of the
+  /// query's identity.
   const QueryControl* control = nullptr;
 
-  /// Optional per-request profile (obs/profile.h): the facade attributes
-  /// planner/cache/prune outcomes and executor pass costs to it, and the
-  /// sharded executor appends its per-shard breakdown. Same discipline as
-  /// `trace`: nullable, borrowed, mutated only by the coordinator thread
-  /// of this query, and never part of the query's identity.
+  /// Optional per-request profile (obs/profile.h), the one per-query
+  /// attribution record: the facade attributes planner/cache/prune
+  /// outcomes and executor pass costs to it, and the sharded executor
+  /// appends its per-shard breakdown. Nullable (null — the common case —
+  /// costs one pointer test per site), borrowed, mutated only by the
+  /// coordinator thread of this query, and never part of its identity.
   obs::QueryProfile* profile = nullptr;
 
   /// Optional zone-map pruning output (ZoneMapIndex::Prune over this

@@ -106,7 +106,6 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
   stats_.threads_used = exec.EffectiveThreads();
-  obs::TraceSpan exec_span(query.trace, "raster");
   WallTimer timer;
 
   // --- filter + pass 1: splat the surviving points onto the canvas (pixel
@@ -116,7 +115,6 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
       FilterSelection selection,
       EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
   stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -135,7 +133,6 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
           query.aggregate.kind == AggregateKind::kSum,
       targets, exec.Splat());
   stats_.splat_seconds = splat_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "splat", stats_.splat_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   stats_.points_scanned = selection.ids.size();
 
@@ -197,7 +194,6 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
     stats_.MergeCounters(ws);
   }
   stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "sweep", stats_.sweep_seconds);
   stats_.query_seconds = timer.ElapsedSeconds();
   ObserveExecutorStats("raster", stats_);
   return result;
@@ -252,11 +248,6 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
   const ExecutionContext& exec = options_.exec;
   const raster::SplatParallelism splat_par = exec.Splat();
   stats_.threads_used = exec.EffectiveThreads();
-  // Batch trace convention: the whole shared-splat execution reports into
-  // the front query's trace (the batch is one execution, not N).
-  obs::QueryTrace* trace = queries.front().trace;
-  obs::TraceSpan exec_span(trace, "raster");
-  exec_span.Tag("batch_size", std::to_string(queries.size()));
   WallTimer timer;
 
   WallTimer filter_timer;
@@ -265,7 +256,6 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
       EvaluateFilter(queries.front().filter, points_, exec,
                      queries.front().candidate_ranges));
   stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(trace, exec_span.id(), "filter", stats_.filter_seconds);
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
   stats_.points_scanned = selection.ids.size();
 
@@ -345,7 +335,6 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
     }
   }
   stats_.splat_seconds = splat_timer.ElapsedSeconds();
-  TracePass(trace, exec_span.id(), "splat", stats_.splat_seconds);
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
 
   // Resolve each query's targets once; the sweep reads the map no more.
@@ -452,7 +441,6 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
     stats_.MergeCounters(ws);
   }
   stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  TracePass(trace, exec_span.id(), "sweep", stats_.sweep_seconds);
   stats_.query_seconds = timer.ElapsedSeconds();
   ObserveExecutorStats("raster", stats_);
   return results;

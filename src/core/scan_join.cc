@@ -29,14 +29,12 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
   stats_.Reset();
   stats_.build_seconds = build_seconds;
   stats_.threads_used = exec_.EffectiveThreads();
-  obs::TraceSpan exec_span(query.trace, "scan");
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
   stats_.filter_seconds = filter_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "filter", stats_.filter_seconds);
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
   const float* attr = nullptr;
@@ -93,7 +91,6 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
     stats_.MergeCounters(ws);
   }
   stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  TracePass(query.trace, exec_span.id(), "reduce", stats_.reduce_seconds);
 
   QueryResult result;
   result.values.reserve(regions_.size());

@@ -11,7 +11,6 @@
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/slow_query_log.h"
-#include "obs/trace.h"
 #include "util/timer.h"
 
 namespace urbane::core {
@@ -29,6 +28,34 @@ std::optional<QueryCache::TimeInterval> CacheValidTime(
   }
   return QueryCache::TimeInterval{filter.time_range->begin,
                                   filter.time_range->end};
+}
+
+/// Armed slow-query mode attaches a profile the caller did not ask for, so
+/// a committed record embeds the full breakdown; it inherits the thread's
+/// current trace context (the server request's id), linking the slowlog
+/// entry to the same trace as everything else. Returns null — attaching
+/// nothing — when the query already carries a profile.
+std::unique_ptr<obs::QueryProfile> AttachArmedProfile(
+    AggregationQuery& query) {
+  if (query.profile != nullptr) {
+    return nullptr;
+  }
+  auto profile = std::make_unique<obs::QueryProfile>();
+  obs::CurrentTraceContext(&profile->context.trace_hi,
+                           &profile->context.trace_lo);
+  query.profile = profile.get();
+  return profile;
+}
+
+/// Attributes one finished execution to a profile: the executor that ran,
+/// its thread count and its pass costs. Called under the method lock, so
+/// the stats are this execution's own.
+void ProfileExecution(const SpatialAggregationExecutor& executor,
+                      obs::QueryProfile* profile) {
+  const ExecutorStats& stats = executor.stats();
+  profile->method = executor.name();
+  profile->threads_used = stats.threads_used;
+  FillProfilePassCosts(stats, &profile->totals);
 }
 
 }  // namespace
@@ -158,15 +185,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
     AggregationQuery query, ExecutionMethod method, bool* cache_hit) {
   query.points = &points_;
   query.regions = &regions_;
-  // Facade-level span: the executor's own span nests under it, so a trace
-  // shows cache/serialization overhead as the gap between the two.
-  obs::TraceSpan facade_span(query.trace, "execute");
-  facade_span.Tag("method", ExecutionMethodToString(method));
   const bool use_cache = cache_.enabled();
-  if (query.trace != nullptr) {
-    query.trace->Tag("method", ExecutionMethodToString(method));
-    query.trace->Tag("cache", use_cache ? "miss" : "off");
-  }
   if (query.profile != nullptr) {
     query.profile->method = ExecutionMethodToString(method);
     query.profile->cache = use_cache ? "miss" : "off";
@@ -175,9 +194,6 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
     // Fast path: a hit costs one shard mutex, no executor serialization.
     const std::uint64_t key = Fingerprint(query, method);
     if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
-      if (query.trace != nullptr) {
-        query.trace->Tag("cache", "hit");
-      }
       if (query.profile != nullptr) query.profile->cache = "hit";
       if (cache_hit != nullptr) *cache_hit = true;
       return std::move(*hit);
@@ -192,9 +208,6 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
     key = Fingerprint(query, method);
     if (std::optional<QueryResult> hit =
             cache_.Lookup(key, /*record_miss=*/false)) {
-      if (query.trace != nullptr) {
-        query.trace->Tag("cache", "hit");
-      }
       if (query.profile != nullptr) query.profile->cache = "hit";
       if (cache_hit != nullptr) *cache_hit = true;
       return std::move(*hit);
@@ -223,10 +236,6 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
       registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
       registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
     }
-    if (query.trace != nullptr) {
-      query.trace->Tag("store.blocks_pruned",
-                       std::to_string(prune.blocks_pruned));
-    }
     if (query.profile != nullptr) {
       query.profile->blocks_total = prune.blocks_total;
       query.profile->blocks_pruned = prune.blocks_pruned;
@@ -241,11 +250,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
   URBANE_ASSIGN_OR_RETURN(QueryResult result, executor->Execute(query));
   if (query.profile != nullptr) {
     query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-    // Copied under the method lock, so the stats are this query's own.
-    const ExecutorStats& stats = executor->stats();
-    query.profile->method = executor->name();
-    query.profile->threads_used = stats.threads_used;
-    FillProfilePassCosts(stats, &query.profile->totals);
+    ProfileExecution(*executor, query.profile);
   }
   if (use_cache) {
     cache_.Insert(key, result, CacheValidTime(query.filter));
@@ -259,10 +264,9 @@ StatusOr<QueryResult> SpatialAggregation::Execute(AggregationQuery query,
   const bool journal = obs::JournalEnabled();
   const bool armed = recorder.armed();
   const bool metrics = obs::MetricsEnabled();
-  if (!journal && !armed && !metrics && query.trace == nullptr &&
-      query.profile == nullptr) {
-    // The obs-off == baseline guarantee: three relaxed loads and two
-    // pointer tests, then the unchanged query path.
+  if (!journal && !armed && !metrics && query.profile == nullptr) {
+    // The obs-off == baseline guarantee: three relaxed loads and one
+    // pointer test, then the unchanged query path.
     return ExecuteUnobserved(std::move(query), method, nullptr);
   }
 
@@ -279,24 +283,9 @@ StatusOr<QueryResult> SpatialAggregation::Execute(AggregationQuery query,
     obs::EmitEvent(start);
   }
 
-  // Armed mode: attach a trace the caller did not ask for, so a slow query
-  // retains its per-pass spans. Dropped unless MaybeRecord captures it.
-  std::unique_ptr<obs::QueryTrace> armed_trace;
-  if (armed && query.trace == nullptr) {
-    armed_trace = std::make_unique<obs::QueryTrace>();
-    query.trace = armed_trace.get();
-  }
-  // Armed mode likewise attaches a profile, so a committed slow-query
-  // record embeds the full per-pass/per-shard breakdown. The armed profile
-  // inherits the thread's current trace context (the server request's id),
-  // linking the slowlog entry to the same trace as everything else.
-  std::unique_ptr<obs::QueryProfile> armed_profile;
-  if (armed && query.profile == nullptr) {
-    armed_profile = std::make_unique<obs::QueryProfile>();
-    obs::CurrentTraceContext(&armed_profile->context.trace_hi,
-                             &armed_profile->context.trace_lo);
-    query.profile = armed_profile.get();
-  }
+  // Armed mode's own profile, dropped unless MaybeRecord captures it.
+  const std::unique_ptr<obs::QueryProfile> armed_profile =
+      armed ? AttachArmedProfile(query) : nullptr;
 
   WallTimer timer;
   bool cache_hit = false;
@@ -332,15 +321,9 @@ StatusOr<QueryResult> SpatialAggregation::Execute(AggregationQuery query,
     }
   }
   if (armed) {
-    std::string plan;
-    if (query.trace != nullptr) {
-      for (const auto& [key, value] : query.trace->Tags()) {
-        if (key == "planner.explanation") plan = value;
-      }
-    }
     recorder.MaybeRecord(fingerprint, ExecutionMethodToString(method),
-                         query.ToString(), plan, wall_seconds, query.trace,
-                         query.profile);
+                         query.ToString(), query.profile->planner_explanation,
+                         wall_seconds, query.profile);
   }
   return result;
 }
@@ -406,6 +389,15 @@ StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
         }
         auto batched = raster->ExecuteBatch(pending);
         if (batched.ok()) {
+          // The shared-splat batch is one execution: it reports into the
+          // front pending query's profile.
+          if (obs::QueryProfile* profile = pending.front().profile) {
+            profile->cache = use_cache ? "miss" : "off";
+            profile->blocks_total = prune.blocks_total;
+            profile->blocks_pruned = prune.blocks_pruned;
+            profile->rows_pruned = prune.rows_pruned;
+            ProfileExecution(*raster, profile);
+          }
           for (std::size_t k = 0; k < missing.size(); ++k) {
             if (use_cache) {
               cache_.Insert(keys[missing[k]], (*batched)[k],
@@ -442,6 +434,12 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   query.points = &points_;
   query.regions = &regions_;
   URBANE_RETURN_IF_ERROR(query.Validate());
+  // An armed recorder's profile is attached before planning, so a
+  // committed record carries the planner's choice and explanation;
+  // Execute below reuses it.
+  const std::unique_ptr<obs::QueryProfile> armed_profile =
+      obs::SlowQueryLog::Global().armed() ? AttachArmedProfile(query)
+                                          : nullptr;
 
   WorkloadProfile profile;
   profile.num_points = points_.size();
@@ -459,10 +457,6 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
     profile.has_pixel_index = accurate_ != nullptr;
     plan = PlanQuery(profile, accuracy, raster_options_.resolution);
     last_plan_ = plan;
-  }
-  if (query.trace != nullptr) {
-    query.trace->Tag("planner.choice", ExecutionMethodToString(plan.method));
-    query.trace->Tag("planner.explanation", plan.explanation);
   }
   if (query.profile != nullptr) {
     query.profile->planner_choice = ExecutionMethodToString(plan.method);

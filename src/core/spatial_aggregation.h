@@ -128,21 +128,25 @@ class SpatialAggregation {
   ///
   /// Telemetry: when the event journal is enabled, emits `query.start` /
   /// `query.finish` (and `error`) events; when the slow-query flight
-  /// recorder is armed, attaches a lightweight trace and commits it to the
-  /// recorder if the wall time crosses the threshold; when metrics are
-  /// enabled, feeds the `query.wall_seconds` histogram. With everything
-  /// off the cost is three relaxed loads before the baseline path.
+  /// recorder is armed, attaches a profile (unless the query carries one)
+  /// and commits it to the recorder if the wall time crosses the
+  /// threshold; when metrics are enabled, feeds the `query.wall_seconds`
+  /// histogram. With everything off and no profile attached the cost is
+  /// three relaxed loads and a pointer test before the baseline path.
   StatusOr<QueryResult> Execute(AggregationQuery query,
                                 ExecutionMethod method);
 
   /// Runs several queries. When the method is kBoundedRaster and all
   /// queries share one filter, the cache is probed per query and only the
   /// misses execute as a single shared-splat batch (see
-  /// BoundedRasterJoin::ExecuteBatch); otherwise they run one by one.
+  /// BoundedRasterJoin::ExecuteBatch), which reports into the first
+  /// missing query's profile; otherwise they run one by one.
   StatusOr<std::vector<QueryResult>> ExecuteMany(
       std::vector<AggregationQuery> queries, ExecutionMethod method);
 
-  /// Plans by cost model, then executes. `last_plan()` exposes the choice.
+  /// Plans by cost model, then executes. `last_plan()` exposes the choice,
+  /// and the query's profile (the armed recorder's, if it attaches one)
+  /// records it.
   /// A plan that tightens the bounded-raster resolution rebuilds that
   /// executor and bumps the config epoch (invalidating stale-ε entries).
   StatusOr<QueryResult> ExecuteAuto(AggregationQuery query,

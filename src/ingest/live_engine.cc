@@ -5,6 +5,8 @@
 #include <limits>
 #include <utility>
 
+#include "obs/process_metrics.h"
+#include "obs/profile.h"
 #include "shard/shard_merge.h"
 
 namespace urbane::ingest {
@@ -185,42 +187,52 @@ core::QueryResult LiveEngine::EmptyResult(
 StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
     const core::AggregationQuery& query, core::ExecutionMethod method) {
   const core::AggregateKind kind = query.aggregate.kind;
+  obs::QueryProfile* const profile = query.profile;
   std::vector<core::QueryResult> partials;
   partials.reserve(components_.size());
   for (const auto& component : components_) {
+    // Each component execution fills profiles of its own (the COUNT half
+    // of a bounded-raster AVG batch separately), folded into the caller's
+    // below: one shared profile would keep only the last component's costs.
+    std::vector<obs::QueryProfile> parts(profile != nullptr ? 2 : 0);
     core::AggregationQuery partial_query;
     partial_query.aggregate = query.aggregate;
     partial_query.filter = query.filter;
-    partial_query.trace = query.trace;
     partial_query.control = query.control;
-    partial_query.profile = query.profile;
+    partial_query.profile = parts.empty() ? nullptr : &parts[0];
+    // The shard-merge contract wants SUM partials for AVG (an average of
+    // averages is wrong across unequal components).
     if (kind == core::AggregateKind::kAvg) {
-      // The shard-merge contract wants SUM partials for AVG (an average of
-      // averages is wrong across unequal components). For the bounded
-      // raster the partial additionally needs COUNT-semantics error bounds,
-      // so SUM and COUNT run as one shared-splat batch and the COUNT
-      // bounds are grafted on.
       partial_query.aggregate =
           core::AggregateSpec::Sum(query.aggregate.attribute);
-      if (method == core::ExecutionMethod::kBoundedRaster) {
-        core::AggregationQuery count_query = partial_query;
-        count_query.aggregate = core::AggregateSpec::Count();
-        std::vector<core::AggregationQuery> pair;
-        pair.push_back(std::move(partial_query));
-        pair.push_back(std::move(count_query));
-        URBANE_ASSIGN_OR_RETURN(
-            std::vector<core::QueryResult> results,
-            component->engine->ExecuteMany(std::move(pair), method));
-        core::QueryResult partial = std::move(results[0]);
-        partial.error_bounds = std::move(results[1].error_bounds);
-        partials.push_back(std::move(partial));
-        continue;
-      }
     }
-    URBANE_ASSIGN_OR_RETURN(
-        core::QueryResult partial,
-        component->engine->Execute(std::move(partial_query), method));
+    core::QueryResult partial;
+    if (kind == core::AggregateKind::kAvg &&
+        method == core::ExecutionMethod::kBoundedRaster) {
+      // The bounded raster's AVG partial additionally needs COUNT-semantics
+      // error bounds, so SUM and COUNT run as one shared-splat batch and
+      // the COUNT bounds are grafted on.
+      core::AggregationQuery count_query = partial_query;
+      count_query.aggregate = core::AggregateSpec::Count();
+      count_query.profile = parts.empty() ? nullptr : &parts[1];
+      std::vector<core::AggregationQuery> pair;
+      pair.push_back(std::move(partial_query));
+      pair.push_back(std::move(count_query));
+      URBANE_ASSIGN_OR_RETURN(
+          std::vector<core::QueryResult> results,
+          component->engine->ExecuteMany(std::move(pair), method));
+      partial = std::move(results[0]);
+      partial.error_bounds = std::move(results[1].error_bounds);
+    } else {
+      URBANE_ASSIGN_OR_RETURN(
+          partial,
+          component->engine->Execute(std::move(partial_query), method));
+    }
     partials.push_back(std::move(partial));
+    for (const obs::QueryProfile& part : parts) {
+      if (!part.method.empty()) profile->method = part.method;
+      profile->AddComponent(part);
+    }
   }
   if (partials.empty()) {
     return EmptyResult(kind, method);
@@ -228,22 +240,20 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
   return shard::MergeShardPartials(kind, partials);
 }
 
-StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
-                                                core::ExecutionMethod method,
-                                                std::uint64_t* watermark) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const LiveSnapshot snapshot = table_->Snapshot();
-  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
-  if (watermark != nullptr) {
-    *watermark = snapshot.watermark;
-  }
+StatusOr<core::QueryResult> LiveEngine::ExecuteCachedLocked(
+    const core::AggregationQuery& query, core::ExecutionMethod method) {
   const bool cacheable = cache_.enabled();
+  if (query.profile != nullptr) {
+    query.profile->method = core::ExecutionMethodToString(method);
+    query.profile->cache = cacheable ? "miss" : "off";
+  }
   std::uint64_t key = 0;
   if (cacheable) {
     key = core::QueryCache::Fingerprint(
         query, method,
         CacheResolution(method, options_.raster_options.resolution), epoch_);
     if (std::optional<core::QueryResult> hit = cache_.Lookup(key)) {
+      if (query.profile != nullptr) query.profile->cache = "hit";
       return *std::move(hit);
     }
   }
@@ -255,9 +265,31 @@ StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
   return result;
 }
 
+StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
+                                                core::ExecutionMethod method,
+                                                std::uint64_t* watermark) {
+  // The profile's wall time covers the whole composed run, lock wait and
+  // snapshot refresh included, like the facade's.
+  const double begin =
+      query.profile != nullptr ? obs::ProcessUptimeSeconds() : 0.0;
+  std::lock_guard<std::mutex> lock(mu_);
+  const LiveSnapshot snapshot = table_->Snapshot();
+  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
+  if (watermark != nullptr) {
+    *watermark = snapshot.watermark;
+  }
+  StatusOr<core::QueryResult> result = ExecuteCachedLocked(query, method);
+  if (query.profile != nullptr) {
+    query.profile->wall_seconds = obs::ProcessUptimeSeconds() - begin;
+  }
+  return result;
+}
+
 StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
     core::AggregationQuery query, const core::AccuracyRequirement& accuracy,
     std::uint64_t* watermark, core::QueryPlan* plan) {
+  const double begin =
+      query.profile != nullptr ? obs::ProcessUptimeSeconds() : 0.0;
   std::lock_guard<std::mutex> lock(mu_);
   const LiveSnapshot snapshot = table_->Snapshot();
   URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
@@ -291,22 +323,15 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
   if (plan != nullptr) {
     *plan = chosen;
   }
-
-  const bool cacheable = cache_.enabled();
-  std::uint64_t key = 0;
-  if (cacheable) {
-    key = core::QueryCache::Fingerprint(
-        query, chosen.method,
-        CacheResolution(chosen.method, options_.raster_options.resolution),
-        epoch_);
-    if (std::optional<core::QueryResult> hit = cache_.Lookup(key)) {
-      return *std::move(hit);
-    }
+  if (query.profile != nullptr) {
+    query.profile->planner_choice =
+        core::ExecutionMethodToString(chosen.method);
+    query.profile->planner_explanation = chosen.explanation;
   }
-  URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
-                          ExecuteComposedLocked(query, chosen.method));
-  if (cacheable) {
-    cache_.Insert(key, result, CacheValidTime(query.filter));
+  StatusOr<core::QueryResult> result =
+      ExecuteCachedLocked(query, chosen.method);
+  if (query.profile != nullptr) {
+    query.profile->wall_seconds = obs::ProcessUptimeSeconds() - begin;
   }
   return result;
 }

@@ -71,7 +71,10 @@ class LiveEngine {
   /// Executes against the current snapshot. `watermark` (optional)
   /// receives the snapshot's visible row count — the as-of position the
   /// result is exact for. Safe to call concurrently with appends and
-  /// flushes; concurrent Execute calls serialize on the engine mutex.
+  /// flushes; concurrent Execute calls serialize on the engine mutex. A
+  /// query profile describes the whole composed run: the engine's own
+  /// cache outcome, wall time from entry to answer, and the components'
+  /// costs summed (obs::QueryProfile::AddComponent).
   StatusOr<core::QueryResult> Execute(core::AggregationQuery query,
                                       core::ExecutionMethod method,
                                       std::uint64_t* watermark = nullptr);
@@ -124,6 +127,10 @@ class LiveEngine {
   Status RefreshLocked(const LiveSnapshot& snapshot);
   Status RebuildComponentEngineLocked(Component& component);
   StatusOr<core::QueryResult> ExecuteComposedLocked(
+      const core::AggregationQuery& query, core::ExecutionMethod method);
+  /// Answers from the engine's result cache or composes the components,
+  /// recording the cache outcome on the query's profile.
+  StatusOr<core::QueryResult> ExecuteCachedLocked(
       const core::AggregationQuery& query, core::ExecutionMethod method);
   core::QueryResult EmptyResult(core::AggregateKind kind,
                                 core::ExecutionMethod method) const;

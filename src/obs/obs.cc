@@ -2,11 +2,8 @@
 
 namespace urbane::obs {
 
-#ifndef URBANE_OBS_DISABLED
-
 namespace internal {
 std::atomic<bool> g_metrics_enabled{false};
-std::atomic<bool> g_tracing_enabled{false};
 std::atomic<bool> g_journal_enabled{false};
 }  // namespace internal
 
@@ -14,14 +11,8 @@ void SetMetricsEnabled(bool enabled) {
   internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void SetTracingEnabled(bool enabled) {
-  internal::g_tracing_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void SetJournalEnabled(bool enabled) {
   internal::g_journal_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-#endif  // URBANE_OBS_DISABLED
 
 }  // namespace urbane::obs

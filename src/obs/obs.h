@@ -3,58 +3,33 @@
 
 // Process-wide observability switches.
 //
-// Both metrics and tracing default to OFF so the hot query path pays only a
-// relaxed atomic load (and null-pointer span checks) when nobody is looking.
-// The switches are independent: benchmarks usually want metrics without the
-// per-query trace allocations, while the CLI `trace` command wants a trace
-// for exactly one query.
-//
-// Compiling with -DURBANE_OBS_DISABLED hard-wires both switches off so the
-// compiler can fold every instrumentation site to nothing.
+// Metrics and the event journal default to OFF so the hot query path pays
+// only a relaxed atomic load when nobody is looking. Per-query attribution
+// needs no switch: a caller that wants one attaches a QueryProfile
+// (obs/profile.h) to the query, and a null profile costs a pointer test.
 
 #include <atomic>
 
 namespace urbane::obs {
 
-#ifdef URBANE_OBS_DISABLED
-
-inline constexpr bool MetricsEnabled() { return false; }
-inline constexpr bool TracingEnabled() { return false; }
-inline constexpr bool JournalEnabled() { return false; }
-inline void SetMetricsEnabled(bool) {}
-inline void SetTracingEnabled(bool) {}
-inline void SetJournalEnabled(bool) {}
-
-#else
-
 namespace internal {
 // Defined in obs.cc. Relaxed ordering is sufficient: the flags gate
 // *recording*, not inter-thread data publication.
 extern std::atomic<bool> g_metrics_enabled;
-extern std::atomic<bool> g_tracing_enabled;
 extern std::atomic<bool> g_journal_enabled;
 }  // namespace internal
 
 inline bool MetricsEnabled() {
   return internal::g_metrics_enabled.load(std::memory_order_relaxed);
 }
-inline bool TracingEnabled() {
-  return internal::g_tracing_enabled.load(std::memory_order_relaxed);
-}
 // Gates the structured event journal (obs/event_journal.h). Independent of
-// the other two switches: the journal is the always-on production feed,
-// metrics/tracing are the heavier aggregate/diagnostic layers.
+// the metrics switch: the journal is the always-on production feed, the
+// metrics registry the heavier aggregate layer.
 inline bool JournalEnabled() {
   return internal::g_journal_enabled.load(std::memory_order_relaxed);
 }
 void SetMetricsEnabled(bool enabled);
-void SetTracingEnabled(bool enabled);
 void SetJournalEnabled(bool enabled);
-
-#endif  // URBANE_OBS_DISABLED
-
-// True when neither metrics nor tracing is active: the zero-cost fast path.
-inline bool Disabled() { return !MetricsEnabled() && !TracingEnabled(); }
 
 }  // namespace urbane::obs
 

@@ -1,5 +1,6 @@
 #include "obs/profile.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <ctime>
@@ -129,6 +130,22 @@ double ThreadCpuSeconds() {
 #else
   return 0.0;
 #endif
+}
+
+void ProfilePassCosts::Add(const ProfilePassCosts& other) {
+  points_scanned += other.points_scanned;
+  points_bulk += other.points_bulk;
+  pip_tests += other.pip_tests;
+  pixels_touched += other.pixels_touched;
+  boundary_pixels += other.boundary_pixels;
+  tiles_visited += other.tiles_visited;
+  simd_fragments += other.simd_fragments;
+  filter_seconds += other.filter_seconds;
+  splat_seconds += other.splat_seconds;
+  sweep_seconds += other.sweep_seconds;
+  reduce_seconds += other.reduce_seconds;
+  refine_seconds += other.refine_seconds;
+  query_seconds += other.query_seconds;
 }
 
 data::JsonValue ProfilePassCosts::ToJson() const {
@@ -270,6 +287,25 @@ std::string QueryProfile::ToTable() const {
     }
   }
   return out;
+}
+
+void QueryProfile::AddComponent(const QueryProfile& component) {
+  cpu_seconds += component.cpu_seconds;
+  blocks_total += component.blocks_total;
+  blocks_pruned += component.blocks_pruned;
+  rows_pruned += component.rows_pruned;
+  store_blocks_scanned += component.store_blocks_scanned;
+  store_blocks_read += component.store_blocks_read;
+  store_cache_hits += component.store_cache_hits;
+  store_bytes_read += component.store_bytes_read;
+  threads_used = std::max(threads_used, component.threads_used);
+  totals.Add(component.totals);
+  scatter_seconds += component.scatter_seconds;
+  merge_seconds += component.merge_seconds;
+  for (ShardProfileEntry shard : component.shards) {
+    shard.index = shards.size();
+    shards.push_back(shard);
+  }
 }
 
 void CanonicalizeProfileJson(data::JsonValue* doc) {

@@ -3,8 +3,9 @@
 
 // Per-request query profiles ("EXPLAIN ANALYZE" for the serving path).
 //
-// A QueryProfile rides one request end to end: the server (or the CLI)
-// creates it, the facade attributes planner choice, cache outcome,
+// A QueryProfile is the one per-query attribution record. It rides one
+// request end to end: the server (or the CLI, or the armed slow-query
+// recorder) creates it, the facade attributes planner choice, cache outcome,
 // zone-map pruning, executor pass costs and coordinator thread-CPU time
 // to it, and the sharded executor appends a per-shard breakdown table in
 // shard-index order. The filled profile renders as the stable
@@ -18,12 +19,14 @@
 // context in the response, and stamps the trace id into journal events
 // and slow-query records so one id links every artifact of a request.
 //
-// Cost model: the profile is a nullable pointer on AggregationQuery,
-// exactly like `trace` — a null profile (the default) costs one pointer
-// test per instrumentation site, preserving the obs-off == baseline
-// contract. All mutation happens on the coordinator thread; per-shard
-// measurements are taken on pool workers into per-slot storage and folded
-// in after the gather fence (see shard/sharded_executor.cc).
+// Cost model: the profile is a nullable pointer on AggregationQuery — a
+// null profile (the default) costs one pointer test per instrumentation
+// site, preserving the obs-off == baseline contract. All mutation happens
+// on the coordinator thread; per-shard measurements are taken on pool
+// workers into per-slot storage and folded in after the gather fence (see
+// shard/sharded_executor.cc). A live data set's engine runs one facade per
+// component and folds each component's profile into the caller's with
+// QueryProfile::AddComponent.
 //
 // Determinism contract (DESIGN.md §12): for a fixed (thread count, shard
 // count) every structural and counter field of the profile is bit-stable
@@ -94,6 +97,9 @@ struct ProfilePassCosts {
   double refine_seconds = 0.0;
   double query_seconds = 0.0;
 
+  /// Adds another execution's counters and seconds to this one.
+  void Add(const ProfilePassCosts& other);
+
   data::JsonValue ToJson() const;
 };
 
@@ -122,7 +128,7 @@ struct QueryProfile {
   std::string planner_choice;       // set when the planner picked `method`
   std::string planner_explanation;  // planner cost-model rationale
   std::string cache = "off";        // "hit" | "miss" | "off"
-  double wall_seconds = 0.0;        // facade Execute wall time
+  double wall_seconds = 0.0;        // facade / live-engine Execute wall time
   double cpu_seconds = 0.0;         // coordinator thread-CPU inside Execute
 
   /// Store layer (zone-map pruning; zero when no store is attached).
@@ -153,6 +159,15 @@ struct QueryProfile {
   /// Aligned text rendering for `explain analyze` — same structure as the
   /// JSON: header lines, a totals row, then one row per shard.
   std::string ToTable() const;
+
+  /// Folds one component of a composed execution (a live data set runs
+  /// one engine per base, run and hot component, in order) into this
+  /// profile: CPU time, pruning, store I/O, pass costs, and scatter/merge
+  /// times add up, `threads_used` is the maximum, and per-shard rows
+  /// append with their indexes continued (row ranges stay relative to the
+  /// component). Request, method, planner, cache and wall fields are the
+  /// composing caller's to set.
+  void AddComponent(const QueryProfile& component);
 };
 
 /// Zeroes every measured (`*_seconds`) field of an urbane.profile.v1

@@ -85,7 +85,6 @@ bool SlowQueryLog::MaybeRecord(std::uint64_t fingerprint,
                                const std::string& method,
                                const std::string& query,
                                const std::string& plan, double wall_seconds,
-                               const QueryTrace* trace,
                                const QueryProfile* profile) {
   const double threshold = ThresholdSeconds();
   if (wall_seconds < threshold) return false;
@@ -98,7 +97,6 @@ bool SlowQueryLog::MaybeRecord(std::uint64_t fingerprint,
   record.wall_seconds = wall_seconds;
   record.threshold_seconds = threshold;
   record.timestamp_seconds = ProcessUptimeSeconds();
-  if (trace != nullptr) record.trace = trace->ToJson();
   if (profile != nullptr) {
     record.trace_id = profile->context.TraceIdHex();
     record.profile = profile->ToJson();
@@ -151,7 +149,6 @@ data::JsonValue SlowQueryLog::ToJson() const {
                        data::JsonValue(record.threshold_seconds));
     entry.emplace_back("timestamp_seconds",
                        data::JsonValue(record.timestamp_seconds));
-    entry.emplace_back("trace", record.trace);
     entry.emplace_back("profile", record.profile);
     record_array.emplace_back(std::move(entry));
   }

@@ -3,14 +3,15 @@
 
 // Slow-query flight recorder.
 //
-// Globally enabling per-query tracing is too expensive for production, and
-// switching it on *after* a slow query happened is too late. The flight
-// recorder arms a cheap per-query trace instead: the facade attaches a
-// trace to every query while armed, and after the query finishes asks
-// `MaybeRecord` whether the wall time crossed the threshold. Only then is
-// the full trace (with per-pass spans), the query fingerprint, the query
-// text, and the plan committed to a bounded ring of retained records —
-// tail diagnosis at the cost of one trace allocation per query.
+// Profiling every query is too expensive for production, and switching it
+// on *after* a slow query happened is too late. The flight recorder arms a
+// per-query profile instead: the facade attaches a QueryProfile to every
+// query while armed, and after the query finishes asks `MaybeRecord`
+// whether the wall time crossed the threshold. Only then is the full
+// urbane.profile.v1 breakdown (planner choice, per-pass and per-shard
+// costs), the query fingerprint, the query text, and the plan committed to
+// a bounded ring of retained records — tail diagnosis at the cost of one
+// profile allocation per query.
 //
 // The threshold is either absolute (`threshold_seconds`) or relative: with
 // `p99_multiplier > 0` the threshold is `multiplier * p99` of a registry
@@ -27,7 +28,6 @@
 #include "data/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace urbane::obs {
 
@@ -41,7 +41,6 @@ struct SlowQueryRecord {
   double wall_seconds = 0.0;
   double threshold_seconds = 0.0;   // the threshold in force at capture
   double timestamp_seconds = 0.0;   // process uptime at capture
-  data::JsonValue trace;            // urbane.trace.v1 span tree
   data::JsonValue profile;          // urbane.profile.v1 document (or null)
 };
 
@@ -67,7 +66,7 @@ class SlowQueryLog {
   // The process-wide recorder the facade consults.
   static SlowQueryLog& Global();
 
-  // Armed == the facade should attach a lightweight trace to every query.
+  // Armed == the facade should attach a profile to every query.
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
   void Arm() { armed_.store(true, std::memory_order_relaxed); }
   void Disarm() { armed_.store(false, std::memory_order_relaxed); }
@@ -82,14 +81,13 @@ class SlowQueryLog {
   // registry whose histogram the options name; defaults to the global one.
   void RefreshThreshold(const MetricsRegistry* registry = nullptr);
 
-  // Commits a record iff wall_seconds >= ThresholdSeconds(). The trace and
-  // profile may be null (the record is kept without spans / breakdown); a
-  // non-null profile embeds the full urbane.profile.v1 document and its
-  // trace id in the record. Returns true on capture.
+  // Commits a record iff wall_seconds >= ThresholdSeconds(). The profile
+  // may be null (the record is kept without a breakdown); a non-null
+  // profile embeds the full urbane.profile.v1 document and its trace id in
+  // the record. Returns true on capture.
   bool MaybeRecord(std::uint64_t fingerprint, const std::string& method,
                    const std::string& query, const std::string& plan,
-                   double wall_seconds, const QueryTrace* trace,
-                   const QueryProfile* profile = nullptr);
+                   double wall_seconds, const QueryProfile* profile = nullptr);
 
   // Newest-last copy of the retained records.
   std::vector<SlowQueryRecord> Records() const;

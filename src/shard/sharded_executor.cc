@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "shard/shard_merge.h"
 #include "util/timer.h"
 
@@ -110,7 +109,6 @@ StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
   core::AggregationQuery shard_query = query;
-  shard_query.trace = nullptr;    // spans come from the coordinator
   shard_query.profile = nullptr;  // the coordinator owns the breakdown
   shard_query.candidate_ranges = &candidates;
   shard_query.aggregate.kind = ShardExecutionKind(query.aggregate.kind);
@@ -158,11 +156,6 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
   stats_.build_seconds = build_seconds;
   stats_.threads_used = m;
 
-  obs::TraceSpan exec_span(query.trace, "sharded");
-  if (query.trace != nullptr) {
-    exec_span.Tag("shards", std::to_string(m));
-    exec_span.Tag("method", shards_.empty() ? "?" : shards_.front()->name());
-  }
   const bool metrics = obs::MetricsEnabled();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (metrics) {
@@ -231,7 +224,6 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
     batch.Wait();
   }
   const double scatter_seconds = scatter_timer.ElapsedSeconds();
-  core::TracePass(query.trace, exec_span.id(), "scatter", scatter_seconds);
 
   if (metrics) {
     registry.GetGauge("shard.inflight").Add(-static_cast<double>(m));
@@ -257,7 +249,6 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
     return merged.status();
   }
   stats_.reduce_seconds = merge_timer.ElapsedSeconds();
-  core::TracePass(query.trace, exec_span.id(), "merge", stats_.reduce_seconds);
 
   // Profile breakdown, in shard-index order (never completion order) so the
   // table is reproducible at a fixed shard count. Pass costs come from the

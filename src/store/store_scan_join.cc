@@ -39,7 +39,6 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
   stats_.build_seconds = build_seconds;
   stats_.threads_used = 1;
   store_stats_ = StoreScanStats();
-  obs::TraceSpan exec_span(q.trace, "store_scan");
   // Cache counters are global to the (possibly shared) BlockCache; the
   // before/after delta attributes this query's reads and hits. Exact while
   // no other query runs against the same cache concurrently.

@@ -75,7 +75,6 @@ const char* CommandInterpreter::Help() {
          "  explain analyze [json] SELECT ...\n"
          "  map <points> <regions> <out.ppm> [title...]\n"
          "  stats [on|off|reset|json]\n"
-         "  trace on|off|dump [json]\n"
          "  serve [[start] [port] [sink <path>]|stop|status]\n"
          "  server [[start] [port] [workers N] [queue N] [timeout MS] "
          "[shards N]|stop|status]\n"
@@ -187,9 +186,6 @@ Status CommandInterpreter::Dispatch(const std::string& line,
   }
   if (command == "stats") {
     return CmdStats(tokens, out);
-  }
-  if (command == "trace") {
-    return CmdTrace(tokens, out);
   }
   if (command == "serve") {
     return CmdServe(tokens, out);
@@ -545,15 +541,10 @@ Status CommandInterpreter::CmdSql(const std::string& sql, std::ostream& out) {
                           core::ParseQuerySql(sql));
   URBANE_ASSIGN_OR_RETURN(const data::RegionSet* regions,
                           manager_.RegionLayer(parsed.regions_layer));
-  obs::QueryTrace* trace = nullptr;
-  if (trace_on_) {
-    last_trace_ = std::make_unique<obs::QueryTrace>();
-    trace = last_trace_.get();
-  }
   WallTimer timer;
   std::uint64_t watermark = 0;
   URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
-                          manager_.ExecuteSql(sql, method_, trace, nullptr,
+                          manager_.ExecuteSql(sql, method_, nullptr,
                                               &watermark));
   const double seconds = timer.ElapsedSeconds();
   const bool live = manager_.IsLive(parsed.points_dataset);
@@ -610,8 +601,7 @@ Status CommandInterpreter::CmdExplain(const std::string& args,
   obs::QueryProfile profile;
   profile.context = obs::GenerateTraceContext();
   URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
-                          manager_.ExecuteSql(sql, method_, nullptr,
-                                              &profile));
+                          manager_.ExecuteSql(sql, method_, &profile));
   // Retained like a server-side profile, so `server start` + GET
   // /v1/profiles/<trace_id> can fetch what the shell just measured.
   obs::ProfileStore::Global().Insert(profile);
@@ -705,39 +695,6 @@ Status CommandInterpreter::CmdStats(const std::vector<std::string>& args,
         FormatDuration(histogram.max).c_str());
   }
   return Status::OK();
-}
-
-Status CommandInterpreter::CmdTrace(const std::vector<std::string>& args,
-                                    std::ostream& out) {
-  if (args.size() < 2) {
-    return Status::InvalidArgument("usage: trace on|off|dump [json]");
-  }
-  const std::string action = ToLowerAscii(args[1]);
-  if (action == "on") {
-    trace_on_ = true;
-    obs::SetTracingEnabled(true);
-    out << "tracing on (next 'sql' records a trace; 'trace dump' prints it)\n";
-    return Status::OK();
-  }
-  if (action == "off") {
-    trace_on_ = false;
-    obs::SetTracingEnabled(false);
-    out << "tracing off\n";
-    return Status::OK();
-  }
-  if (action == "dump") {
-    if (last_trace_ == nullptr || last_trace_->Empty()) {
-      out << "no trace recorded (run 'trace on' and then a 'sql' command)\n";
-      return Status::OK();
-    }
-    if (args.size() >= 3 && ToLowerAscii(args[2]) == "json") {
-      out << last_trace_->ToJson().Dump(2) << "\n";
-    } else {
-      out << last_trace_->ToString();
-    }
-    return Status::OK();
-  }
-  return Status::InvalidArgument("trace expects 'on', 'off', or 'dump'");
 }
 
 Status CommandInterpreter::CmdServe(const std::vector<std::string>& args,

@@ -7,7 +7,6 @@
 
 #include "core/planner.h"
 #include "obs/exporter.h"
-#include "obs/trace.h"
 #include "server/query_server.h"
 #include "urbane/dataset_manager.h"
 #include "urbane/server_backend.h"
@@ -36,10 +35,11 @@ namespace urbane::app {
 ///   compact <dataset>                  merge a live data set's store runs
 ///   cache <points> <regions> on [entries]|off|stats
 ///   sql SELECT ...                     run a query (paper dialect)
-///   explain analyze [json] SELECT ...  run + print the resource profile
+///   explain analyze [json] SELECT ...  run + print the per-query profile
+///                                      (planner, cache, pruning, passes,
+///                                      shards; urbane.profile.v1 as json)
 ///   map <points> <regions> <out.ppm> [title...]
 ///   stats [on|off|reset|json]          process-wide metrics registry
-///   trace on|off|dump [json]           per-query span traces for sql
 ///   serve [start [port] [sink <path>]|stop|status]
 ///                                      telemetry exporter (/metrics HTTP)
 ///   server [start [port] [workers N] [queue N] [timeout MS]|stop|status]
@@ -82,7 +82,6 @@ class CommandInterpreter {
   Status CmdExplain(const std::string& args, std::ostream& out);
   Status CmdMap(const std::vector<std::string>& args, std::ostream& out);
   Status CmdStats(const std::vector<std::string>& args, std::ostream& out);
-  Status CmdTrace(const std::vector<std::string>& args, std::ostream& out);
   Status CmdServe(const std::vector<std::string>& args, std::ostream& out);
   Status CmdServer(const std::vector<std::string>& args, std::ostream& out);
   Status CmdEvents(const std::vector<std::string>& args, std::ostream& out);
@@ -100,10 +99,6 @@ class CommandInterpreter {
  private:
   DatasetManager manager_;
   core::ExecutionMethod method_ = core::ExecutionMethod::kAccurateRaster;
-  bool trace_on_ = false;
-  /// Trace of the most recent `sql` command while tracing is on; what
-  /// `trace dump` prints.
-  std::unique_ptr<obs::QueryTrace> last_trace_;
   std::unique_ptr<obs::TelemetryExporter> exporter_;
   std::unique_ptr<DatasetManagerBackend> backend_;
   std::unique_ptr<server::QueryServer> server_;

@@ -183,24 +183,6 @@ std::size_t DatasetManager::engine_shards() const {
   return engine_shards_;
 }
 
-StatusOr<const index::TemporalIndex*> DatasetManager::Temporal(
-    const std::string& dataset) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = temporal_.find(dataset);
-  if (it != temporal_.end()) {
-    return const_cast<const index::TemporalIndex*>(it->second.get());
-  }
-  URBANE_ASSIGN_OR_RETURN(const data::PointTable* table,
-                          PointDatasetLocked(dataset));
-  URBANE_ASSIGN_OR_RETURN(
-      index::TemporalIndex index,
-      index::TemporalIndex::Build(table->ts(), table->size()));
-  auto owned = std::make_unique<index::TemporalIndex>(std::move(index));
-  const index::TemporalIndex* raw = owned.get();
-  temporal_[dataset] = std::move(owned);
-  return raw;
-}
-
 Status DatasetManager::EnableIngest(const std::string& dataset,
                                     const std::string& directory,
                                     std::vector<std::string> attribute_names,
@@ -405,14 +387,12 @@ Status DatasetManager::SaveWorkspace(const std::string& directory) const {
 
 StatusOr<core::QueryResult> DatasetManager::ExecuteSql(
     const std::string& sql, core::ExecutionMethod method,
-    obs::QueryTrace* trace, obs::QueryProfile* profile,
-    std::uint64_t* watermark) {
+    obs::QueryProfile* profile, std::uint64_t* watermark) {
   URBANE_ASSIGN_OR_RETURN(core::ParsedQuery parsed,
                           core::ParseQuerySql(sql));
   core::AggregationQuery query;
   query.aggregate = std::move(parsed.aggregate);
   query.filter = std::move(parsed.filter);
-  query.trace = trace;
   query.profile = profile;
   if (IsLive(parsed.points_dataset)) {
     URBANE_ASSIGN_OR_RETURN(

@@ -10,7 +10,6 @@
 #include "core/spatial_aggregation.h"
 #include "data/point_table.h"
 #include "data/region.h"
-#include "index/temporal_index.h"
 #include "ingest/live_engine.h"
 #include "ingest/live_table.h"
 #include "store/store_reader.h"
@@ -21,16 +20,15 @@ namespace urbane::app {
 
 /// Urbane's data layer: named point data sets (taxi, 311, crime, ...) and
 /// named region layers (boroughs, neighborhoods, tracts), plus lazily-built
-/// query engines for every (data set, region layer) pair and per-data-set
-/// temporal indexes backing the time-brush histogram.
+/// query engines for every (data set, region layer) pair.
 ///
 /// Thread-safety: all methods may be called concurrently (the query server
 /// binds names from N worker threads at once). The registry maps are
 /// guarded by one mutex; registered tables/regions are immutable after
 /// registration and engines are internally thread-safe, so pointers handed
-/// out stay valid and usable without the lock. Lazy builds (first Engine /
-/// Temporal call for a pair) happen under the lock — concurrent first
-/// touches serialize rather than building twice.
+/// out stay valid and usable without the lock. Lazy builds (first Engine
+/// call for a pair) happen under the lock — concurrent first touches
+/// serialize rather than building twice.
 class DatasetManager {
  public:
   DatasetManager() = default;
@@ -73,9 +71,6 @@ class DatasetManager {
   /// SpatialAggregation::set_num_shards for the semantics; 0/1 = unsharded.
   void set_engine_shards(std::size_t num_shards);
   std::size_t engine_shards() const;
-
-  /// Temporal index of a data set (built on first use).
-  StatusOr<const index::TemporalIndex*> Temporal(const std::string& dataset);
 
   /// Makes `dataset` appendable: opens (or crash-recovers) an
   /// ingest::LiveTable rooted at `directory` and layers it over the
@@ -129,12 +124,10 @@ class DatasetManager {
   /// binding the FROM names to registered data sets / region layers; a
   /// live data set routes to its snapshot-composed engine, and a non-null
   /// `watermark` receives the as-of row count the answer is exact for.
-  /// A non-null `trace` collects the query's spans and tags (CLI `trace`);
-  /// a non-null `profile` collects the per-request resource breakdown
-  /// (CLI `explain analyze`, see obs/profile.h).
+  /// A non-null `profile` collects the per-query breakdown (CLI `explain
+  /// analyze`, see obs/profile.h).
   StatusOr<core::QueryResult> ExecuteSql(const std::string& sql,
                                          core::ExecutionMethod method,
-                                         obs::QueryTrace* trace = nullptr,
                                          obs::QueryProfile* profile = nullptr,
                                          std::uint64_t* watermark = nullptr);
 
@@ -154,7 +147,6 @@ class DatasetManager {
   std::map<std::string, std::unique_ptr<data::PointTable>> points_;
   std::map<std::string, std::unique_ptr<data::RegionSet>> regions_;
   std::map<std::string, std::unique_ptr<core::SpatialAggregation>> engines_;
-  std::map<std::string, std::unique_ptr<index::TemporalIndex>> temporal_;
   /// Live (appendable) data sets and their lazily-built engines, keyed
   /// like engines_ ("dataset\x1flayer"). LiveTable and LiveEngine are
   /// internally thread-safe, so both are used outside mu_ once looked up.

@@ -14,8 +14,9 @@
 #include "core/scan_join.h"
 #include "core/spatial_aggregation.h"
 #include "data/region_generator.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 #include "util/thread_pool.h"
 
@@ -155,12 +156,12 @@ INSTANTIATE_TEST_SUITE_P(
       return os.str();
     });
 
-// Observability must be a pure observer: with metrics + tracing enabled and
-// a QueryTrace attached, every executor returns bit-identical results to
+// Observability must be a pure observer: with metrics enabled and a
+// QueryProfile attached, every executor returns bit-identical results to
 // the obs-off run — at 1 and at 4 threads. Guards against instrumentation
 // accidentally perturbing execution (reordered reductions, skipped work,
 // shared state).
-TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithTracingOnAndOff) {
+TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
   const auto points = testing::MakeUniformPoints(12'000, 424242);
   const data::RegionSet regions = testing::MakeRandomRegions(8, 424242 ^ 0xBEEF);
 
@@ -173,7 +174,6 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithTracingOnAndOff) {
       ExecutionMethod::kBoundedRaster, ExecutionMethod::kAccurateRaster};
 
   const bool metrics_was = obs::MetricsEnabled();
-  const bool tracing_was = obs::TracingEnabled();
   ThreadPool pool(4);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ExecutionContext exec;
@@ -186,16 +186,14 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithTracingOnAndOff) {
                               IndexJoinOptions(), exec);
     for (const ExecutionMethod method : methods) {
       obs::SetMetricsEnabled(false);
-      obs::SetTracingEnabled(false);
       const auto baseline = engine.Execute(query, method);
       ASSERT_TRUE(baseline.ok()) << ExecutionMethodToString(method);
 
       obs::SetMetricsEnabled(true);
-      obs::SetTracingEnabled(true);
-      obs::QueryTrace trace;
-      AggregationQuery traced = query;
-      traced.trace = &trace;
-      const auto observed = engine.Execute(traced, method);
+      obs::QueryProfile profile;
+      AggregationQuery profiled = query;
+      profiled.profile = &profile;
+      const auto observed = engine.Execute(profiled, method);
       ASSERT_TRUE(observed.ok()) << ExecutionMethodToString(method);
 
       ASSERT_EQ(observed->size(), baseline->size());
@@ -216,33 +214,31 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithTracingOnAndOff) {
             << " region " << r;
       }
 
-      // The trace actually recorded the execution it observed.
-      EXPECT_FALSE(trace.Empty()) << ExecutionMethodToString(method);
-      bool has_execute_span = false;
-      for (const obs::TraceSpanRecord& span : trace.Spans()) {
-        has_execute_span |= span.name == "execute";
-      }
-      EXPECT_TRUE(has_execute_span) << ExecutionMethodToString(method);
+      // The profile actually recorded the execution it observed.
+      EXPECT_EQ(profile.method, ExecutionMethodToString(method));
+      EXPECT_GT(profile.totals.points_scanned, 0u)
+          << ExecutionMethodToString(method);
     }
   }
-  obs::SetMetricsEnabled(metrics_was);
-  obs::SetTracingEnabled(tracing_was);
 
-  // The serial quadtree executor, which lives outside the facade.
+  // The serial quadtree executor, which lives outside the facade and so
+  // reports through the metrics registry only.
   auto quadtree = QuadtreeJoin::Create(points, regions);
   ASSERT_TRUE(quadtree.ok());
   AggregationQuery direct = query;
   direct.points = &points;
   direct.regions = &regions;
+  obs::SetMetricsEnabled(false);
   const auto baseline = (*quadtree)->Execute(direct);
   ASSERT_TRUE(baseline.ok());
   obs::SetMetricsEnabled(true);
-  obs::SetTracingEnabled(true);
-  obs::QueryTrace trace;
-  direct.trace = &trace;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const std::uint64_t queries_before =
+      registry.GetCounter("exec.quadtree.queries").Value();
+  obs::QueryProfile profile;
+  direct.profile = &profile;
   const auto observed = (*quadtree)->Execute(direct);
   obs::SetMetricsEnabled(metrics_was);
-  obs::SetTracingEnabled(tracing_was);
   ASSERT_TRUE(observed.ok());
   for (std::size_t r = 0; r < baseline->size(); ++r) {
     EXPECT_EQ(observed->counts[r], baseline->counts[r]) << "quadtree " << r;
@@ -250,7 +246,8 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithTracingOnAndOff) {
       EXPECT_EQ(observed->values[r], baseline->values[r]) << "quadtree " << r;
     }
   }
-  EXPECT_FALSE(trace.Empty());
+  EXPECT_EQ(registry.GetCounter("exec.quadtree.queries").Value(),
+            queries_before + 1);
 }
 
 }  // namespace

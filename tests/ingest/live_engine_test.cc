@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/planner.h"
@@ -29,6 +30,7 @@
 #include "data/point_table.h"
 #include "data/schema.h"
 #include "ingest/live_table.h"
+#include "obs/profile.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
@@ -460,6 +462,85 @@ TEST(LiveEngineTest, ConcurrentAppendsAndQueriesStaySane) {
   }
   writer.join();
   EXPECT_EQ((*table)->watermark(), 2000u);
+}
+
+// A live profile describes the whole composed run, not its last component:
+// a query over a store base, one flushed run and hot rows scans exactly the
+// rows the stop-the-world engine scans, and a repeated closed-range query
+// reports the live engine's own cache hit.
+TEST(LiveEngineTest, ProfileSumsComponentsAndReportsCacheHits) {
+  const std::string dir = FreshDir("profile");
+  const data::RegionSet regions = testing::MakeTessellationRegions(3, 0x9F);
+  const std::string store_path = dir + ".base.ust1";
+  std::filesystem::remove(store_path);
+  store::StoreWriterOptions store_options;
+  store_options.block_rows = 256;
+  StatusOr<store::StoreWriter> writer =
+      store::StoreWriter::Create(store_path, VSchema(), store_options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE(writer->Append(testing::MakeDyadicPoints(1200, 0x9A)).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  StatusOr<store::StoreReader> reader = store::StoreReader::Open(store_path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  StatusOr<data::PointTable> base = reader->MappedTable();
+  ASSERT_TRUE(base.ok());
+
+  StatusOr<std::unique_ptr<LiveTable>> table = LiveTable::Open(
+      dir, VSchema(), &*base, &reader->zone_maps());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(500, 0x9B)).ok());
+  ASSERT_TRUE((*table)->Flush().ok());
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(300, 0x9C)).ok());
+  const LiveSnapshot snapshot = (*table)->Snapshot();
+  ASSERT_EQ(snapshot.runs.size(), 1u);
+  ASSERT_GT(snapshot.hot.size(), 0u);
+
+  LiveEngineOptions options;
+  options.raster_options = SmallCanvas();
+  options.cache_entries = 64;
+  LiveEngine live(table->get(), &regions, options);
+  const data::PointTable rebuilt_rows = ConcatSnapshot(snapshot);
+  core::SpatialAggregation rebuilt(rebuilt_rows, regions, SmallCanvas());
+  // The bounded-raster AVG runs each component as a shared-splat SUM+COUNT
+  // batch, which reports through the batch path of ExecuteMany.
+  const std::pair<core::AggregateSpec, core::ExecutionMethod> cases[] = {
+      {core::AggregateSpec::Count(), core::ExecutionMethod::kAccurateRaster},
+      {core::AggregateSpec::Avg("v"), core::ExecutionMethod::kBoundedRaster}};
+  for (const auto& [aggregate, method] : cases) {
+    const std::string what = core::ExecutionMethodToString(method);
+    obs::QueryProfile live_profile;
+    core::AggregationQuery query;
+    query.aggregate = aggregate;
+    query.profile = &live_profile;
+    ASSERT_TRUE(live.Execute(query, method).ok()) << what;
+    obs::QueryProfile rebuilt_profile;
+    query.profile = &rebuilt_profile;
+    ASSERT_TRUE(rebuilt.Execute(query, method).ok()) << what;
+
+    EXPECT_EQ(live_profile.method, what);
+    EXPECT_EQ(live_profile.cache, "miss") << what;
+    EXPECT_EQ(live_profile.totals.points_scanned,
+              rebuilt_profile.totals.points_scanned)
+        << what;
+    EXPECT_EQ(live_profile.totals.points_scanned, snapshot.watermark) << what;
+    EXPECT_GE(live_profile.wall_seconds, live_profile.totals.query_seconds)
+        << what;
+  }
+
+  const auto closed_range = [&](obs::QueryProfile* profile) {
+    core::AggregationQuery closed;
+    closed.aggregate = core::AggregateSpec::Sum("v");
+    closed.filter.WithTime(0, 40000);
+    closed.profile = profile;
+    return live.Execute(closed, core::ExecutionMethod::kScan).ok();
+  };
+  obs::QueryProfile first;
+  ASSERT_TRUE(closed_range(&first));
+  EXPECT_EQ(first.cache, "miss");
+  obs::QueryProfile second;
+  ASSERT_TRUE(closed_range(&second));
+  EXPECT_EQ(second.cache, "hit");
+  EXPECT_EQ(second.method, "scan");
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace urbane::obs {
 namespace {
@@ -150,28 +149,6 @@ TEST(MetricsConcurrencyTest, ResetRacesWithAdds) {
   counter.Reset();
   counter.Add(5);
   EXPECT_EQ(counter.Value(), 5u);
-}
-
-TEST(MetricsConcurrencyTest, SharedTraceAcrossThreads) {
-  // The facade and executors may tag one QueryTrace from different threads;
-  // the trace serializes internally.
-  QueryTrace trace;
-  const int root = trace.BeginSpan("execute");
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&trace, root, t] {
-      for (std::size_t i = 0; i < 500; ++i) {
-        trace.AddCompletedSpan("worker", 0.001, root);
-        trace.Tag("thread." + std::to_string(t), std::to_string(i));
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  trace.EndSpan(root);
-  EXPECT_EQ(trace.Spans().size(), 1 + kThreads * 500);
-  EXPECT_EQ(trace.Tags().size(), kThreads);
 }
 
 }  // namespace

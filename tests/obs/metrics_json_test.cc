@@ -10,7 +10,6 @@
 
 #include "data/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace urbane::obs {
 namespace {
@@ -119,17 +118,6 @@ MetricsSnapshot MakeFixtureSnapshot() {
   return registry.Snapshot();
 }
 
-QueryTrace* MakeFixtureTrace() {
-  auto* trace = new QueryTrace();
-  trace->Tag("method", "scan");
-  trace->Tag("cache", "miss");
-  const int root = trace->AddCompletedSpan("execute", 0.004);
-  trace->AddCompletedSpan("filter", 0.001, root);
-  const int reduce = trace->AddCompletedSpan("reduce", 0.002, root);
-  trace->AddSpanTag(reduce, "threads", "4");
-  return trace;
-}
-
 TEST(MetricsJsonTest, RoundTripsThroughParseJson) {
   const MetricsSnapshot snapshot = MakeFixtureSnapshot();
   const std::string dumped = snapshot.ToJson().Dump(2);
@@ -211,37 +199,6 @@ TEST(MetricsJsonTest, FromJsonRejectsMalformedShapes) {
     ASSERT_TRUE(parsed.ok()) << text;
     EXPECT_FALSE(MetricsSnapshot::FromJson(*parsed).ok()) << text;
   }
-}
-
-TEST(TraceJsonTest, MatchesGoldenFile) {
-  std::unique_ptr<QueryTrace> trace(MakeFixtureTrace());
-  const auto golden =
-      data::ParseJson(ReadFileOrDie(GoldenPath("trace.json")));
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  EXPECT_TRUE(JsonEquals(trace->ToJson(), *golden));
-}
-
-TEST(TraceJsonTest, RoundTripsThroughParseJson) {
-  std::unique_ptr<QueryTrace> trace(MakeFixtureTrace());
-  const std::string dumped = trace->ToJson().Dump(2);
-  const auto parsed = data::ParseJson(dumped);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-
-  const data::JsonValue* schema = parsed->Find("schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->AsString(), "urbane.trace.v1");
-  const data::JsonValue* spans = parsed->Find("spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_TRUE(spans->is_array());
-  ASSERT_EQ(spans->AsArray().size(), 3u);
-  const data::JsonValue& reduce = spans->AsArray()[2];
-  EXPECT_EQ(reduce.Find("name")->AsString(), "reduce");
-  EXPECT_EQ(reduce.Find("parent")->AsNumber(), 0.0);
-  EXPECT_DOUBLE_EQ(reduce.Find("duration_seconds")->AsNumber(), 0.002);
-  ASSERT_NE(reduce.Find("tags"), nullptr);
-  EXPECT_EQ(reduce.Find("tags")->Find("threads")->AsString(), "4");
-  // Spans without tags omit the key entirely.
-  EXPECT_EQ(spans->AsArray()[1].Find("tags"), nullptr);
 }
 
 }  // namespace

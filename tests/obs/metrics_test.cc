@@ -279,19 +279,11 @@ TEST(EnableFlagsTest, JournalFlagRoundTrips) {
 
 TEST(EnableFlagsTest, TogglesRoundTrip) {
   const bool metrics_was = MetricsEnabled();
-  const bool tracing_was = TracingEnabled();
   SetMetricsEnabled(true);
-  SetTracingEnabled(true);
   EXPECT_TRUE(MetricsEnabled());
-  EXPECT_TRUE(TracingEnabled());
-  EXPECT_FALSE(Disabled());
   SetMetricsEnabled(false);
-  SetTracingEnabled(false);
   EXPECT_FALSE(MetricsEnabled());
-  EXPECT_FALSE(TracingEnabled());
-  EXPECT_TRUE(Disabled());
   SetMetricsEnabled(metrics_was);
-  SetTracingEnabled(tracing_was);
 }
 
 }  // namespace

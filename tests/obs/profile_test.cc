@@ -18,6 +18,7 @@
 
 #include "core/spatial_aggregation.h"
 #include "data/json.h"
+#include "obs/obs.h"
 #include "store/block_cache.h"
 #include "store/store_reader.h"
 #include "store/store_scan_join.h"
@@ -396,6 +397,28 @@ TEST(ProfileTableTest, TableRendersTotalsAndShards) {
   EXPECT_NE(table.find(profile.context.TraceIdHex()), std::string::npos);
   EXPECT_NE(table.find("counters"), std::string::npos);
   EXPECT_NE(table.find("shards   count=2"), std::string::npos) << table;
+}
+
+// An attached profile alone (metrics off) must clock the accurate join's
+// exact boundary refine: a query that ran point-in-polygon tests cannot
+// report that they took no time.
+TEST(ProfileRefineTest, ProfileOnlyAccurateQueryClocksRefine) {
+  const bool metrics_was = MetricsEnabled();
+  SetMetricsEnabled(false);
+  const auto points = testing::MakeUniformPoints(50000, 0x5EF1);
+  const auto regions = testing::MakeRandomRegions(6, 0x5EF1);
+  core::SpatialAggregation engine(points, regions);
+  QueryProfile profile;
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Count();
+  query.profile = &profile;
+  const auto result =
+      engine.Execute(query, core::ExecutionMethod::kAccurateRaster);
+  SetMetricsEnabled(metrics_was);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(profile.method, "accurate");
+  ASSERT_GT(profile.totals.pip_tests, 0u);
+  EXPECT_GT(profile.totals.refine_seconds, 0.0);
 }
 
 }  // namespace

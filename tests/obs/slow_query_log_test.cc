@@ -13,7 +13,7 @@
 #include "core/spatial_aggregation.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/trace.h"
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::obs {
@@ -57,23 +57,32 @@ TEST(SlowQueryLogTest, BoundedRingEvictsOldestFirst) {
   EXPECT_EQ(records[2].sequence, 6u);
 }
 
-TEST(SlowQueryLogTest, CapturesTraceSpans) {
+TEST(SlowQueryLogTest, CapturesEmbeddedProfile) {
   SlowQueryLog log(AbsoluteThreshold(0.0, 4));
-  QueryTrace trace;
-  const int root = trace.AddCompletedSpan("execute", 0.2);
-  trace.AddCompletedSpan("splat", 0.15, root);
-  trace.Tag("method", "raster");
-  EXPECT_TRUE(log.MaybeRecord(7, "raster", "q", "raster wins", 0.2, &trace));
+  QueryProfile profile;
+  profile.context = GenerateTraceContext();
+  profile.method = "raster";
+  profile.wall_seconds = 0.2;
+  profile.totals.splat_seconds = 0.15;
+  EXPECT_TRUE(log.MaybeRecord(7, "raster", "q", "raster wins", 0.2, &profile));
   const auto records = log.Records();
   ASSERT_EQ(records.size(), 1u);
-  const data::JsonValue& json = records[0].trace;
+  EXPECT_EQ(records[0].trace_id, profile.context.TraceIdHex());
+  const data::JsonValue& json = records[0].profile;
   ASSERT_TRUE(json.is_object());
-  EXPECT_EQ(json.Find("schema")->AsString(), "urbane.trace.v1");
-  const data::JsonValue* spans = json.Find("spans");
-  ASSERT_NE(spans, nullptr);
-  ASSERT_EQ(spans->AsArray().size(), 2u);
-  EXPECT_EQ(spans->AsArray()[0].Find("name")->AsString(), "execute");
-  EXPECT_EQ(spans->AsArray()[1].Find("name")->AsString(), "splat");
+  EXPECT_EQ(json.Find("schema")->AsString(), "urbane.profile.v1");
+  EXPECT_EQ(json.Find("trace_id")->AsString(), records[0].trace_id);
+  EXPECT_EQ(json.Find("method")->AsString(), "raster");
+  EXPECT_DOUBLE_EQ(json.Find("request")->Find("wall_seconds")->AsNumber(),
+                   0.2);
+  EXPECT_DOUBLE_EQ(json.Find("executor")
+                       ->Find("totals")
+                       ->Find("splat_seconds")
+                       ->AsNumber(),
+                   0.15);
+  // The record carries the profile, not a second per-query record.
+  EXPECT_EQ(log.ToJson().Find("records")->AsArray()[0].Find("trace"),
+            nullptr);
 }
 
 TEST(SlowQueryLogTest, P99MultiplierThresholdTracksHistogram) {
@@ -150,9 +159,9 @@ TEST(SlowQueryLogTest, ClearResetsEverything) {
 }
 
 // End-to-end: arm the global recorder with a zero threshold, run a real
-// query through the facade, and expect a committed record carrying the
-// armed-mode trace (with the facade's "execute" span) even though the
-// caller never attached one.
+// query through the facade, and expect a committed record embedding the
+// armed-mode profile (method, cache outcome, executor pass costs) even
+// though the caller never attached one.
 TEST(SlowQueryLogIntegrationTest, FacadeCommitsSlowQueriesWhileArmed) {
   SlowQueryLog& recorder = SlowQueryLog::Global();
   recorder.SetOptions(AbsoluteThreshold(0.0, 16));
@@ -174,14 +183,53 @@ TEST(SlowQueryLogIntegrationTest, FacadeCommitsSlowQueriesWhileArmed) {
   EXPECT_EQ(record.method, "scan");
   EXPECT_NE(record.query.find("COUNT"), std::string::npos);
   EXPECT_GT(record.wall_seconds, 0.0);
-  ASSERT_TRUE(record.trace.is_object());
-  const data::JsonValue* spans = record.trace.Find("spans");
-  ASSERT_NE(spans, nullptr);
-  bool has_execute_span = false;
-  for (const data::JsonValue& span : spans->AsArray()) {
-    if (span.Find("name")->AsString() == "execute") has_execute_span = true;
-  }
-  EXPECT_TRUE(has_execute_span);
+  ASSERT_TRUE(record.profile.is_object());
+  EXPECT_EQ(record.profile.Find("schema")->AsString(), "urbane.profile.v1");
+  EXPECT_EQ(record.profile.Find("method")->AsString(), "scan");
+  EXPECT_EQ(record.profile.Find("cache")->AsString(), "off");
+  EXPECT_EQ(record.profile.Find("executor")
+                ->Find("totals")
+                ->Find("points_scanned")
+                ->AsNumber(),
+            500.0);
+  EXPECT_DOUBLE_EQ(
+      record.profile.Find("request")->Find("wall_seconds")->AsNumber(),
+      record.wall_seconds);
+
+  recorder.SetOptions(SlowQueryLogOptions{});
+  recorder.Clear();
+}
+
+// A planner-chosen slow query keeps its plan: the armed profile is attached
+// before ExecuteAuto plans, so the record's `plan` is the planner's
+// explanation and the embedded profile names the chosen method.
+TEST(SlowQueryLogIntegrationTest, ArmedExecuteAutoRecordsThePlan) {
+  SlowQueryLog& recorder = SlowQueryLog::Global();
+  recorder.SetOptions(AbsoluteThreshold(0.0, 16));
+  recorder.Clear();
+  recorder.Arm();
+
+  const data::PointTable points = testing::MakeUniformPoints(500, 11);
+  const data::RegionSet regions = testing::MakeRandomRegions(4, 11);
+  core::SpatialAggregation engine(points, regions);
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Count();
+  const auto result = engine.ExecuteAuto(query, core::AccuracyRequirement());
+  recorder.Disarm();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const core::QueryPlan plan = engine.last_plan();
+  ASSERT_FALSE(plan.explanation.empty());
+  const auto records = recorder.Records();
+  ASSERT_GE(records.size(), 1u);
+  const SlowQueryRecord& record = records.back();
+  EXPECT_EQ(record.plan, plan.explanation);
+  ASSERT_TRUE(record.profile.is_object());
+  const data::JsonValue* planner = record.profile.Find("planner");
+  ASSERT_NE(planner, nullptr);
+  EXPECT_EQ(planner->Find("choice")->AsString(),
+            core::ExecutionMethodToString(plan.method));
+  EXPECT_EQ(planner->Find("explanation")->AsString(), plan.explanation);
 
   recorder.SetOptions(SlowQueryLogOptions{});
   recorder.Clear();

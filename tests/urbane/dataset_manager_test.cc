@@ -77,20 +77,6 @@ TEST(DatasetManagerTest, EngineRunsQueries) {
   EXPECT_EQ(total, 2000u);
 }
 
-TEST(DatasetManagerTest, TemporalIndexBuiltAndCached) {
-  DatasetManager manager;
-  ASSERT_TRUE(
-      manager.AddPointDataset("taxi", testing::MakeUniformPoints(1000, 11))
-          .ok());
-  const auto t1 = manager.Temporal("taxi");
-  const auto t2 = manager.Temporal("taxi");
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(t2.ok());
-  EXPECT_EQ(*t1, *t2);
-  EXPECT_EQ((*t1)->point_count(), 1000u);
-  EXPECT_FALSE(manager.Temporal("nope").ok());
-}
-
 TEST(DatasetManagerTest, WorkspaceSaveLoadRoundTrip) {
   DatasetManager manager;
   ASSERT_TRUE(

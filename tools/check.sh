@@ -8,7 +8,9 @@
 #   * the shared-engine concurrency tests (N sessions on one facade),
 #   * the QueryCache unit tests (sharded LRU under mixed traffic),
 #   * the facade cache tests (stale-ε regression included),
-#   * the obs metrics/trace concurrency tests (threads vs serial oracle),
+#   * the obs metrics concurrency tests (threads vs serial oracle) and the
+#     observability-determinism oracle (metrics on plus an attached query
+#     profile must leave every executor's results bit-identical),
 #   * the telemetry pipeline suites (event-journal MPSC ring producers vs
 #     drainer, slow-query recorder, exporter socket round-trip),
 #   * the query-server suites (concurrent HTTP round trips, admission
@@ -31,6 +33,11 @@
 # dispatchable code path is exercised even though `auto` would pick only
 # the widest one. Levels the CPU lacks clamp down, so the loop is safe on
 # any machine.
+#
+# The fast gate finally builds the end-to-end benchmark (perfbench/, its
+# own CMake project compiled from this checkout's src/) into
+# ${BUILD_DIR}/perfbench and runs its unit tests, so a src/ API change that
+# breaks the benchmark's build fails here rather than in a benchmark run.
 #
 # The TSan job pins URBANE_SIMD=off: the sanitizer gate is about
 # cross-thread interleavings, which are identical at every level by the
@@ -83,6 +90,12 @@ if [[ "${MODE}" == "fast" ]]; then
     URBANE_SIMD="${level}" \
       ctest --test-dir "${BUILD_DIR}" --output-on-failure -L simd "$@"
   done
+  echo "== perfbench build + unit tests =="
+  cmake -B "${BUILD_DIR}/perfbench" -S perfbench \
+    -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "${BUILD_DIR}/perfbench" -j "${JOBS}" \
+    --target urbane_perfbench perfbench_test
+  "${BUILD_DIR}/perfbench/perfbench_test"
   echo "fast check OK"
   exit 0
 fi
