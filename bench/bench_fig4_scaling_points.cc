@@ -170,7 +170,9 @@ int main(int argc, char** argv) {
       // are Morton-clustered, so most fall entirely outside the window and
       // are pruned before any byte of them is read.
       const geometry::BoundingBox bounds = reader->zone_maps().Bounds();
+      obs::QueryProfile window_profile;
       core::AggregationQuery window = full;
+      window.profile = &window_profile;
       window.filter.spatial_window = geometry::BoundingBox(
           bounds.min_x + bounds.Width() * 0.375,
           bounds.min_y + bounds.Height() * 0.375,
@@ -178,20 +180,20 @@ int main(int argc, char** argv) {
           bounds.max_y - bounds.Height() * 0.375);
       const double window_seconds = bench::MeasureSeconds(
           [&] { (void)(*join)->Execute(window); });
-      const store::StoreScanStats& ss = (*join)->store_stats();
+      const obs::QueryProfile& wp = window_profile;
       store_table.AddRow(
           {bench::ResultTable::Cell("%zu", num_points),
            bench::ResultTable::Cell("%.1f", raw_bytes / (1024.0 * 1024.0)),
            FormatDuration(full_seconds), FormatDuration(window_seconds),
            bench::ResultTable::Cell("%llu", static_cast<unsigned long long>(
-                                                ss.blocks_total)),
+                                                wp.blocks_total)),
            bench::ResultTable::Cell("%llu", static_cast<unsigned long long>(
-                                                ss.blocks_scanned)),
+                                                wp.store_blocks_scanned)),
            bench::ResultTable::Cell("%llu", static_cast<unsigned long long>(
-                                                ss.blocks_pruned)),
+                                                wp.blocks_pruned)),
            bench::ResultTable::Cell(
-               "%.1f%%", ss.blocks_total > 0
-                             ? 100.0 * ss.blocks_pruned / ss.blocks_total
+               "%.1f%%", wp.blocks_total > 0
+                             ? 100.0 * wp.blocks_pruned / wp.blocks_total
                              : 0.0)});
       ::unlink(path.c_str());
     }
@@ -210,8 +212,10 @@ int main(int argc, char** argv) {
     for (const double target : {16.0, 64.0, 256.0, 1024.0}) {
       core::IndexJoinOptions index_options;
       index_options.target_points_per_cell = target;
+      WallTimer build;
       auto join = core::IndexJoin::Create(taxis, neighborhoods,
                                           index_options);
+      const double build_seconds = build.ElapsedSeconds();
       if (!join.ok()) continue;
       core::AggregationQuery query;
       query.points = &taxis;
@@ -219,8 +223,7 @@ int main(int argc, char** argv) {
       const double q = bench::MeasureSeconds(
           [&] { (void)(*join)->Execute(query); });
       ablation.AddRow({bench::ResultTable::Cell("%.0f", target),
-                       FormatDuration((*join)->stats().build_seconds),
-                       FormatDuration(q)});
+                       FormatDuration(build_seconds), FormatDuration(q)});
     }
     ablation.Finish();
   }

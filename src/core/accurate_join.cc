@@ -12,7 +12,6 @@ namespace urbane::core {
 StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const RasterJoinOptions& options) {
-  WallTimer timer;
   URBANE_ASSIGN_OR_RETURN(raster::Viewport viewport,
                           MakeValidatedCanvas(points, regions, options));
   auto executor = std::unique_ptr<AccurateRasterJoin>(new AccurateRasterJoin(
@@ -23,7 +22,6 @@ StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
   executor->sweep_ = internal::BuildSweepGeometry(
       viewport, regions, internal::SweepMode::kAccurate,
       /*with_boundary=*/true, /*triangle_pipeline=*/false);
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
   return executor;
 }
 
@@ -58,24 +56,21 @@ void AccurateRasterJoin::BuildPixelIndex() {
 }
 
 StatusOr<QueryResult> AccurateRasterJoin::Execute(
-    const AggregationQuery& query) {
+    const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "AccurateRasterJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
-  stats_.threads_used = exec.EffectiveThreads();
+  obs::ProfilePassCosts costs;
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(
       FilterSelection selection,
       EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -84,15 +79,16 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   WallTimer splat_timer;
   const internal::SplatSchedule schedule =
       internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
-  internal::AggregateTargets& targets = targets_scratch_;
+  const internal::TargetPool::Lease lease = targets_.Acquire();
+  internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(viewport_, schedule, attr,
                                   query.aggregate.kind,
                                   options_.use_float32_targets,
                                   /*need_abs_sum=*/false, targets,
                                   exec.Splat());
-  stats_.splat_seconds = splat_timer.ElapsedSeconds();
+  costs.splat_seconds = splat_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  stats_.points_scanned = selection.ids.size();
+  costs.points_scanned = selection.ids.size();
 
   // Pass 2: regions are partitioned across the pool. Each part's cached
   // boundary pixels are refined exactly (in cached emission order) and its
@@ -107,7 +103,7 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   result.counts.assign(num_regions, 0);
 
   const raster::RasterKernels& kernels = raster::ActiveKernels();
-  std::vector<ExecutorStats> worker_stats(exec.EffectiveThreads());
+  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
   // Refine time (the exact boundary-pixel tests interleaved with the sweep)
   // is only clocked when someone is observing — metrics on or a profile
   // attached: the extra clock reads sit inside the per-region loop, and
@@ -116,7 +112,7 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
       obs::MetricsEnabled() || query.profile != nullptr;
   ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
                                           std::size_t end) {
-    ExecutorStats& ws = worker_stats[part];
+    obs::ProfilePassCosts& ws = worker_costs[part];
     std::vector<std::uint32_t> scratch(
         static_cast<std::size_t>(viewport_.width()));
     WallTimer refine_timer;
@@ -172,15 +168,16 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
       result.counts[r] = acc.count;
     }
   });
-  for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+  for (const obs::ProfilePassCosts& ws : worker_costs) {
+    costs.AddCounters(ws);
     // Workers run concurrently, so the slowest worker's refine time is the
     // wall-clock contribution (summing would exceed sweep_seconds).
-    stats_.refine_seconds = std::max(stats_.refine_seconds, ws.refine_seconds);
+    costs.refine_seconds = std::max(costs.refine_seconds, ws.refine_seconds);
   }
-  stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("accurate", stats_);
+  costs.sweep_seconds = sweep_timer.ElapsedSeconds();
+  costs.query_seconds = timer.ElapsedSeconds();
+  PublishExecution(*this, "accurate", exec.EffectiveThreads(), costs,
+                   query.profile);
   return result;
 }
 

@@ -24,10 +24,9 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const RasterJoinOptions& options = RasterJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
+  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
   std::string name() const override { return "accurate"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const raster::Viewport& canvas() const { return viewport_; }
   std::size_t MemoryBytes() const;
@@ -57,12 +56,8 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
   // sweep loop runs without per-pixel stamp checks.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Render-target scratch reused across Execute calls (see
-  // BoundedRasterJoin::targets_scratch_).
-  internal::AggregateTargets targets_scratch_;
-  // Boundary-pixel dedup scratch is per sweep worker (see
-  // internal::StampBuffer); Execute holds no shared mutable state.
-  ExecutorStats stats_;
+  // Render targets leased per Execute call (see BoundedRasterJoin).
+  mutable internal::TargetPool targets_;
 };
 
 }  // namespace urbane::core

@@ -102,45 +102,6 @@ struct QueryResult {
   std::size_t size() const { return values.size(); }
 };
 
-/// Execution telemetry the benches report alongside latency.
-struct ExecutorStats {
-  std::size_t points_scanned = 0;       // points touched individually
-  std::size_t points_bulk = 0;          // points taken without a PIP test
-  std::size_t pip_tests = 0;            // exact point-in-polygon tests run
-  std::size_t pixels_touched = 0;       // raster: canvas pixels visited
-  std::size_t boundary_pixels = 0;      // raster: boundary cells visited
-  std::size_t tiles_visited = 0;        // raster: distinct 64x64 canvas
-                                        // tiles the sweep covered
-  std::size_t simd_fragments = 0;       // raster: pixels pushed through the
-                                        // SIMD span kernels
-  std::size_t threads_used = 0;         // partitions of the last Execute
-  double build_seconds = 0.0;           // one-time prep (index build, splat)
-  double query_seconds = 0.0;           // per-query time
-  double filter_seconds = 0.0;          // per-pass: filter evaluation
-  double splat_seconds = 0.0;           // per-pass: point splat (pass 1)
-  double sweep_seconds = 0.0;           // per-pass: region sweep (pass 2)
-  double reduce_seconds = 0.0;          // per-pass: probe/reduce loop
-                                        // (scan, index, quadtree)
-  double refine_seconds = 0.0;          // per-pass: boundary-pixel exact
-                                        // refinement (accurate raster only;
-                                        // recorded only when obs is enabled)
-
-  void Reset() { *this = ExecutorStats(); }
-
-  /// Folds one worker's counters into this (parallel executors keep
-  /// per-worker stats to avoid sharing; timings are not summed — wall
-  /// times overlap across workers and are recorded by the coordinator).
-  void MergeCounters(const ExecutorStats& other) {
-    points_scanned += other.points_scanned;
-    points_bulk += other.points_bulk;
-    pip_tests += other.pip_tests;
-    pixels_touched += other.pixels_touched;
-    boundary_pixels += other.boundary_pixels;
-    tiles_visited += other.tiles_visited;
-    simd_fragments += other.simd_fragments;
-  }
-};
-
 }  // namespace urbane::core
 
 #endif  // URBANE_CORE_AGGREGATE_H_

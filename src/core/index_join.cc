@@ -8,7 +8,6 @@ namespace urbane::core {
 StatusOr<std::unique_ptr<IndexJoin>> IndexJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const IndexJoinOptions& options) {
-  WallTimer timer;
   // Index bounds must cover all points; pad slightly so max-edge points
   // land in the last cell row/column.
   geometry::BoundingBox bounds = points.Bounds();
@@ -20,27 +19,23 @@ StatusOr<std::unique_ptr<IndexJoin>> IndexJoin::Create(
       index::GridIndex grid,
       index::GridIndex::BuildAuto(points.xs(), points.ys(), points.size(),
                                   bounds, options.target_points_per_cell));
-  auto executor = std::unique_ptr<IndexJoin>(
+  return std::unique_ptr<IndexJoin>(
       new IndexJoin(points, regions, std::move(grid), options));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
-  return executor;
 }
 
-StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
+StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "IndexJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
+  obs::ProfilePassCosts costs;
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const bool trivial_filter = filter.IsTrivial();
 
@@ -62,18 +57,17 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
   // across the pool; each region's accumulator is private to one worker
   // and results land in preallocated region slots.
   const ExecutionContext& exec = options_.exec;
-  stats_.threads_used = exec.EffectiveThreads();
   const std::size_t num_regions = regions_.size();
   QueryResult result;
   result.values.assign(num_regions, 0.0);
   result.counts.assign(num_regions, 0);
-  std::vector<ExecutorStats> worker_stats(exec.EffectiveThreads());
+  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
 
   WallTimer reduce_timer;
   ForEachPartition(exec, num_regions, [&](std::size_t part_index,
                                           std::size_t begin,
                                           std::size_t end) {
-    ExecutorStats& ws = worker_stats[part_index];
+    obs::ProfilePassCosts& ws = worker_costs[part_index];
     for (std::size_t r = begin; r < end; ++r) {
       Accumulator acc;
       for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
@@ -120,13 +114,14 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) {
       result.counts[r] = acc.count;
     }
   });
-  for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+  for (const obs::ProfilePassCosts& ws : worker_costs) {
+    costs.AddCounters(ws);
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
+  costs.reduce_seconds = reduce_timer.ElapsedSeconds();
 
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("index", stats_);
+  costs.query_seconds = timer.ElapsedSeconds();
+  PublishExecution(*this, "index", exec.EffectiveThreads(), costs,
+                   query.profile);
   return result;
 }
 

@@ -33,10 +33,9 @@ class IndexJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const IndexJoinOptions& options = IndexJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
+  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
   std::string name() const override { return "index"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const index::GridIndex& grid() const { return grid_; }
   std::size_t MemoryBytes() const { return grid_.MemoryBytes(); }
@@ -53,7 +52,6 @@ class IndexJoin : public SpatialAggregationExecutor {
   const data::RegionSet& regions_;
   index::GridIndex grid_;
   IndexJoinOptions options_;
-  ExecutorStats stats_;
 };
 
 }  // namespace urbane::core

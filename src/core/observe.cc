@@ -17,7 +17,7 @@ void ObservePass(obs::MetricsRegistry& registry, const std::string& prefix,
 }
 
 void ObserveCount(obs::MetricsRegistry& registry, const std::string& prefix,
-                  const char* counter, std::size_t value) {
+                  const char* counter, std::uint64_t value) {
   if (value > 0) {
     registry.GetCounter(prefix + counter).Add(value);
   }
@@ -25,49 +25,39 @@ void ObserveCount(obs::MetricsRegistry& registry, const std::string& prefix,
 
 }  // namespace
 
-void ObserveExecutorStats(const char* executor, const ExecutorStats& stats) {
+void PublishExecution(const SpatialAggregationExecutor& executor,
+                      const char* metric, std::size_t threads_used,
+                      const obs::ProfilePassCosts& costs,
+                      obs::QueryProfile* profile) {
+  if (profile != nullptr) {
+    profile->method = executor.name();
+    profile->threads_used = threads_used;
+    profile->totals = costs;
+  }
   if (!obs::MetricsEnabled()) {
     return;
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const std::string prefix = std::string("exec.") + executor + ".";
+  const std::string prefix = std::string("exec.") + metric + ".";
   registry.GetCounter(prefix + "queries").Add(1);
-  registry.GetHistogram(prefix + "query_seconds").Observe(stats.query_seconds);
-  ObservePass(registry, prefix, "filter_seconds", stats.filter_seconds);
-  ObservePass(registry, prefix, "splat_seconds", stats.splat_seconds);
-  ObservePass(registry, prefix, "sweep_seconds", stats.sweep_seconds);
-  ObservePass(registry, prefix, "reduce_seconds", stats.reduce_seconds);
-  ObservePass(registry, prefix, "refine_seconds", stats.refine_seconds);
-  ObserveCount(registry, prefix, "points_scanned", stats.points_scanned);
-  ObserveCount(registry, prefix, "points_bulk", stats.points_bulk);
-  ObserveCount(registry, prefix, "pip_tests", stats.pip_tests);
-  ObserveCount(registry, prefix, "pixels_touched", stats.pixels_touched);
-  ObserveCount(registry, prefix, "boundary_pixels", stats.boundary_pixels);
-  ObserveCount(registry, prefix, "raster.tiles", stats.tiles_visited);
-  ObserveCount(registry, prefix, "raster.fragments", stats.simd_fragments);
+  registry.GetHistogram(prefix + "query_seconds").Observe(costs.query_seconds);
+  ObservePass(registry, prefix, "filter_seconds", costs.filter_seconds);
+  ObservePass(registry, prefix, "splat_seconds", costs.splat_seconds);
+  ObservePass(registry, prefix, "sweep_seconds", costs.sweep_seconds);
+  ObservePass(registry, prefix, "reduce_seconds", costs.reduce_seconds);
+  ObservePass(registry, prefix, "refine_seconds", costs.refine_seconds);
+  ObserveCount(registry, prefix, "points_scanned", costs.points_scanned);
+  ObserveCount(registry, prefix, "points_bulk", costs.points_bulk);
+  ObserveCount(registry, prefix, "pip_tests", costs.pip_tests);
+  ObserveCount(registry, prefix, "pixels_touched", costs.pixels_touched);
+  ObserveCount(registry, prefix, "boundary_pixels", costs.boundary_pixels);
+  ObserveCount(registry, prefix, "raster.tiles", costs.tiles_visited);
+  ObserveCount(registry, prefix, "raster.fragments", costs.simd_fragments);
   // Which kernel table the raster executors ran with (0 = scalar,
   // 1 = SSE2, 2 = AVX2) — one global gauge, since the level is
   // process-wide.
   registry.GetGauge("raster.simd_level")
       .Set(static_cast<double>(static_cast<int>(raster::ActiveSimdLevel())));
-}
-
-void FillProfilePassCosts(const ExecutorStats& stats,
-                          obs::ProfilePassCosts* out) {
-  if (out == nullptr) return;
-  out->points_scanned = stats.points_scanned;
-  out->points_bulk = stats.points_bulk;
-  out->pip_tests = stats.pip_tests;
-  out->pixels_touched = stats.pixels_touched;
-  out->boundary_pixels = stats.boundary_pixels;
-  out->tiles_visited = stats.tiles_visited;
-  out->simd_fragments = stats.simd_fragments;
-  out->filter_seconds = stats.filter_seconds;
-  out->splat_seconds = stats.splat_seconds;
-  out->sweep_seconds = stats.sweep_seconds;
-  out->reduce_seconds = stats.reduce_seconds;
-  out->refine_seconds = stats.refine_seconds;
-  out->query_seconds = stats.query_seconds;
 }
 
 }  // namespace urbane::core

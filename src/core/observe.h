@@ -3,29 +3,32 @@
 
 // Glue between the executors and the obs subsystem.
 //
-// Executors keep their existing WallTimer-based pass timings (those feed
-// `ExecutorStats` unconditionally, exactly as before this layer existed);
-// this header turns the measured numbers into registry metrics and into
-// the pass-cost section of a query profile. Both entry points are no-ops
-// on the disabled fast path, so the query path pays nothing when nobody
-// is observing.
+// Executors are immutable after Create: an Execute call accumulates its
+// pass costs in a local obs::ProfilePassCosts (per-worker partials too)
+// and publishes them once, at the end of the call, through
+// PublishExecution. Nothing is left on the executor, so concurrent calls
+// on one instance share no mutable state. With metrics off and no profile
+// attached the publish is one relaxed load and a pointer test, so the
+// query path pays nothing when nobody is observing.
 
-#include "core/aggregate.h"
+#include <cstddef>
+
+#include "core/query.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 
 namespace urbane::core {
 
-/// Publishes one Execute call's stats into the global registry under
-/// `exec.<executor>.*` (see DESIGN.md for the metric naming convention).
-/// No-op unless metrics are enabled.
-void ObserveExecutorStats(const char* executor, const ExecutorStats& stats);
-
-/// Copies one execution's measured pass costs into a profile section
-/// (obs cannot depend on core, so the field copy lives on this side).
-void FillProfilePassCosts(const ExecutorStats& stats,
-                          obs::ProfilePassCosts* out);
+/// Publishes one finished Execute call. When metrics are enabled, feeds
+/// the global registry under `exec.<metric>.*` (see DESIGN.md for the
+/// metric naming convention). When `profile` is non-null, records the
+/// executor that ran (`executor.name()`), its thread count and `costs` as
+/// the profile's totals.
+void PublishExecution(const SpatialAggregationExecutor& executor,
+                      const char* metric, std::size_t threads_used,
+                      const obs::ProfilePassCosts& costs,
+                      obs::QueryProfile* profile);
 
 }  // namespace urbane::core
 

@@ -8,7 +8,6 @@ namespace urbane::core {
 StatusOr<std::unique_ptr<QuadtreeJoin>> QuadtreeJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const QuadtreeJoinOptions& options) {
-  WallTimer timer;
   geometry::BoundingBox bounds = points.Bounds();
   if (bounds.IsEmpty()) {
     bounds = geometry::BoundingBox(0, 0, 1, 1);
@@ -21,27 +20,24 @@ StatusOr<std::unique_ptr<QuadtreeJoin>> QuadtreeJoin::Create(
       index::Quadtree tree,
       index::Quadtree::Build(points.xs(), points.ys(), points.size(), bounds,
                              tree_options));
-  auto executor = std::unique_ptr<QuadtreeJoin>(
+  return std::unique_ptr<QuadtreeJoin>(
       new QuadtreeJoin(points, regions, std::move(tree)));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
-  return executor;
 }
 
-StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
+StatusOr<QueryResult> QuadtreeJoin::Execute(
+    const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "QuadtreeJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
+  obs::ProfilePassCosts costs;
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   const bool trivial_filter = filter.IsTrivial();
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -76,7 +72,7 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
                 continue;
               }
               acc.Add(value_of(ids[k]));
-              ++stats_.points_bulk;
+              ++costs.points_bulk;
             }
           },
           /*test_each=*/
@@ -88,11 +84,11 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
               if (!trivial_filter && !filter.Matches(points_, ids[k])) {
                 continue;
               }
-              ++stats_.pip_tests;
+              ++costs.pip_tests;
               const geometry::Vec2 p{points_.x(ids[k]), points_.y(ids[k])};
               if (part.Contains(p)) {
                 acc.Add(value_of(ids[k]));
-                ++stats_.points_scanned;
+                ++costs.points_scanned;
               }
             }
           });
@@ -100,9 +96,9 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(const AggregationQuery& query) {
     result.values.push_back(acc.Finalize(query.aggregate.kind));
     result.counts.push_back(acc.count);
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("quadtree", stats_);
+  costs.reduce_seconds = reduce_timer.ElapsedSeconds();
+  costs.query_seconds = timer.ElapsedSeconds();
+  PublishExecution(*this, "quadtree", 1, costs, query.profile);
   return result;
 }
 

@@ -27,10 +27,9 @@ class QuadtreeJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const QuadtreeJoinOptions& options = QuadtreeJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
+  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
   std::string name() const override { return "quadtree"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const index::Quadtree& tree() const { return tree_; }
   std::size_t MemoryBytes() const { return tree_.MemoryBytes(); }
@@ -43,7 +42,6 @@ class QuadtreeJoin : public SpatialAggregationExecutor {
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   index::Quadtree tree_;
-  ExecutorStats stats_;
 };
 
 }  // namespace urbane::core

@@ -76,10 +76,11 @@ struct AggregationQuery {
 
   /// Optional per-request profile (obs/profile.h), the one per-query
   /// attribution record: the facade attributes planner/cache/prune
-  /// outcomes and executor pass costs to it, and the sharded executor
-  /// appends its per-shard breakdown. Nullable (null — the common case —
-  /// costs one pointer test per site), borrowed, mutated only by the
-  /// coordinator thread of this query, and never part of its identity.
+  /// outcomes to it, the executor that ran writes its pass costs, and the
+  /// sharded executor appends its per-shard breakdown. Nullable (null —
+  /// the common case — costs one pointer test per site), borrowed, mutated
+  /// only by the coordinator thread of this query, and never part of its
+  /// identity.
   obs::QueryProfile* profile = nullptr;
 
   /// Optional zone-map pruning output (ZoneMapIndex::Prune over this
@@ -103,21 +104,24 @@ struct AggregationQuery {
 };
 
 /// Common interface of the four interchangeable execution strategies.
+///
+/// An executor is immutable after Create: Execute is const and any number
+/// of threads may call it on one instance concurrently. A call's pass
+/// costs go to `query.profile` (when attached) and to the `exec.*` metrics
+/// (when enabled), never to the executor.
 class SpatialAggregationExecutor {
  public:
   virtual ~SpatialAggregationExecutor() = default;
 
   /// Executes the query, producing one value per region (region order).
-  virtual StatusOr<QueryResult> Execute(const AggregationQuery& query) = 0;
+  virtual StatusOr<QueryResult> Execute(
+      const AggregationQuery& query) const = 0;
 
   /// Strategy name for reports ("scan", "index", "raster", "accurate").
   virtual std::string name() const = 0;
 
   /// True if results are exact (false only for the bounded raster join).
   virtual bool exact() const = 0;
-
-  /// Telemetry from the most recent Execute call.
-  virtual const ExecutorStats& stats() const = 0;
 };
 
 }  // namespace urbane::core

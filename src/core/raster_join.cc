@@ -79,7 +79,6 @@ StatusOr<raster::Viewport> MakeValidatedCanvas(
 StatusOr<std::unique_ptr<BoundedRasterJoin>> BoundedRasterJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const RasterJoinOptions& options) {
-  WallTimer timer;
   URBANE_ASSIGN_OR_RETURN(raster::Viewport viewport,
                           MakeValidatedCanvas(points, regions, options));
   auto executor = std::unique_ptr<BoundedRasterJoin>(
@@ -90,22 +89,18 @@ StatusOr<std::unique_ptr<BoundedRasterJoin>> BoundedRasterJoin::Create(
       viewport, regions, internal::SweepMode::kBounded,
       /*with_boundary=*/options.compute_error_bounds,
       options.use_triangle_pipeline);
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
   return executor;
 }
 
 StatusOr<QueryResult> BoundedRasterJoin::Execute(
-    const AggregationQuery& query) {
+    const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "BoundedRasterJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
-  stats_.threads_used = exec.EffectiveThreads();
+  obs::ProfilePassCosts costs;
   WallTimer timer;
 
   // --- filter + pass 1: splat the surviving points onto the canvas (pixel
@@ -114,7 +109,7 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   URBANE_ASSIGN_OR_RETURN(
       FilterSelection selection,
       EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -125,16 +120,17 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   WallTimer splat_timer;
   const internal::SplatSchedule schedule =
       internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
-  internal::AggregateTargets& targets = targets_scratch_;
+  const internal::TargetPool::Lease lease = targets_.Acquire();
+  internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(
       viewport_, schedule, attr, query.aggregate.kind,
       options_.use_float32_targets,
       /*need_abs_sum=*/options_.compute_error_bounds &&
           query.aggregate.kind == AggregateKind::kSum,
       targets, exec.Splat());
-  stats_.splat_seconds = splat_timer.ElapsedSeconds();
+  costs.splat_seconds = splat_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  stats_.points_scanned = selection.ids.size();
+  costs.points_scanned = selection.ids.size();
 
   // --- pass 2: sweep the cached region spans, one contiguous region range
   //     per worker; spans are walked in the exact order the scan converter
@@ -154,10 +150,10 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   const std::uint32_t* count_data = targets.count.data().data();
   const double* abs_data =
       sum_bound ? targets.abs_sum.data().data() : nullptr;
-  std::vector<ExecutorStats> worker_stats(exec.EffectiveThreads());
+  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
   ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
                                           std::size_t end) {
-    ExecutorStats& ws = worker_stats[part];
+    obs::ProfilePassCosts& ws = worker_costs[part];
     std::vector<std::uint32_t> scratch(
         static_cast<std::size_t>(viewport_.width()));
     for (std::size_t r = begin; r < end; ++r) {
@@ -190,12 +186,13 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
       }
     }
   });
-  for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+  for (const obs::ProfilePassCosts& ws : worker_costs) {
+    costs.AddCounters(ws);
   }
-  stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("raster", stats_);
+  costs.sweep_seconds = sweep_timer.ElapsedSeconds();
+  costs.query_seconds = timer.ElapsedSeconds();
+  PublishExecution(*this, "raster", exec.EffectiveThreads(), costs,
+                   query.profile);
   return result;
 }
 
@@ -227,7 +224,7 @@ bool FiltersEqual(const FilterSpec& a, const FilterSpec& b) {
 }  // namespace
 
 StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
-    const std::vector<AggregationQuery>& queries) {
+    const std::vector<AggregationQuery>& queries) const {
   if (queries.empty()) {
     return std::vector<QueryResult>();
   }
@@ -242,12 +239,9 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
           "batched queries must share one filter (the splat pass is shared)");
     }
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
   const ExecutionContext& exec = options_.exec;
   const raster::SplatParallelism splat_par = exec.Splat();
-  stats_.threads_used = exec.EffectiveThreads();
+  obs::ProfilePassCosts costs;
   WallTimer timer;
 
   WallTimer filter_timer;
@@ -255,9 +249,9 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
       FilterSelection selection,
       EvaluateFilter(queries.front().filter, points_, exec,
                      queries.front().candidate_ranges));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
-  stats_.points_scanned = selection.ids.size();
+  costs.points_scanned = selection.ids.size();
 
   // --- shared pass 1: the pixel indices are computed once for the whole
   //     batch; one count splat + one sum / min-max splat per distinct
@@ -334,7 +328,7 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
           targets.max_value);
     }
   }
-  stats_.splat_seconds = splat_timer.ElapsedSeconds();
+  costs.splat_seconds = splat_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
 
   // Resolve each query's targets once; the sweep reads the map no more.
@@ -361,10 +355,10 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
   }
   const raster::RasterKernels& kernels = raster::ActiveKernels();
   const std::uint32_t* count_data = count.data().data();
-  std::vector<ExecutorStats> worker_stats(exec.EffectiveThreads());
+  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
   ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
                                           std::size_t end) {
-    ExecutorStats& ws = worker_stats[part];
+    obs::ProfilePassCosts& ws = worker_costs[part];
     std::vector<std::uint32_t> scratch(
         static_cast<std::size_t>(viewport_.width()));
     std::vector<Accumulator> accumulators(queries.size());
@@ -437,12 +431,13 @@ StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
       }
     }
   });
-  for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+  for (const obs::ProfilePassCosts& ws : worker_costs) {
+    costs.AddCounters(ws);
   }
-  stats_.sweep_seconds = sweep_timer.ElapsedSeconds();
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("raster", stats_);
+  costs.sweep_seconds = sweep_timer.ElapsedSeconds();
+  costs.query_seconds = timer.ElapsedSeconds();
+  PublishExecution(*this, "raster", exec.EffectiveThreads(), costs,
+                   queries.front().profile);
   return results;
 }
 

@@ -88,7 +88,7 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const RasterJoinOptions& options = RasterJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
+  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
 
   /// Multi-aggregate batch: evaluates several aggregates that share ONE
   /// filter in a single pass — the points are splatted once into the union
@@ -96,12 +96,13 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
   /// how the GPU implementation amortizes multiple aggregates per frame.
   /// All queries must have identical filters (checked); results come back
   /// in query order. Error bounds are computed per aggregate when enabled.
+  /// The batch is one execution: its pass costs go to the front query's
+  /// profile.
   StatusOr<std::vector<QueryResult>> ExecuteBatch(
-      const std::vector<AggregationQuery>& queries);
+      const std::vector<AggregationQuery>& queries) const;
 
   std::string name() const override { return "raster"; }
   bool exact() const override { return false; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   const raster::Viewport& canvas() const { return viewport_; }
   /// Geometric error bound of this canvas (world units / meters).
@@ -129,16 +130,9 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
   // neither can go stale.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Render-target scratch reused across Execute calls: a warm refill is
-  // several times cheaper than a fresh page-faulting allocation, and the
-  // serial fused scatter first-touch-initializes value targets so most
-  // queries only clear the count plane. Mutated per query like stats_ —
-  // an executor instance serves one query at a time.
-  internal::AggregateTargets targets_scratch_;
-  // Boundary-pixel dedup scratch lives per sweep worker (see
-  // internal::StampBuffer), so Execute holds no shared mutable state
-  // across regions.
-  ExecutorStats stats_;
+  // Render targets leased per Execute call: the pool is the executor's
+  // only mutable member, and it is internally locked.
+  mutable internal::TargetPool targets_;
 };
 
 }  // namespace urbane::core

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -105,10 +107,48 @@ struct AggregateTargets {
   }
 };
 
+/// Render targets for the concurrent Execute calls of one immutable raster
+/// join. Acquire hands out a free set when there is one — refilling a warm
+/// set is several times cheaper than a fresh page-faulting allocation, and
+/// the serial fused scatter first-touch-initializes value targets, so most
+/// queries only clear the count plane — and allocates a new set otherwise.
+/// A lease returns its set when destroyed, so the pool never holds more
+/// sets than the most calls that overlapped on its executor.
+class TargetPool {
+ public:
+  struct Release {
+    TargetPool* pool;
+    void operator()(AggregateTargets* targets) const {
+      std::lock_guard<std::mutex> lock(pool->mu_);
+      pool->free_.emplace_back(targets);
+    }
+  };
+  using Lease = std::unique_ptr<AggregateTargets, Release>;
+
+  Lease Acquire() {
+    std::unique_ptr<AggregateTargets> targets;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        targets = std::move(free_.back());
+        free_.pop_back();
+      }
+    }
+    if (targets == nullptr) {
+      targets = std::make_unique<AggregateTargets>();
+    }
+    return Lease(targets.release(), Release{this});
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<AggregateTargets>> free_;
+};
+
 /// Reuses `buf` when the canvas size matches (refilled with `fill`),
 /// reallocating otherwise. Refilling a warm buffer is several times cheaper
-/// than a fresh allocation (no page faults), which is why the executors keep
-/// their AggregateTargets as a member scratch across queries.
+/// than a fresh allocation (no page faults), which is why the executors
+/// lease their AggregateTargets from a TargetPool.
 template <typename T>
 inline void EnsureFilled(raster::Buffer2D<T>& buf, int w, int h, T fill) {
   if (buf.width() == w && buf.height() == h) {
@@ -185,7 +225,7 @@ inline std::size_t SplatScheduleSerial(AggregateTargets& t,
   return hits;
 }
 
-/// Splats a schedule into `t` (caller-owned scratch, reused across queries).
+/// Splats a schedule into `t` (a leased set, reused across queries).
 /// `attr` is the aggregate attribute
 /// column (nullptr for COUNT). Every target reuses the schedule's
 /// precomputed pixel indices; `par` spreads each splat over a pool

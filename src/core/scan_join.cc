@@ -10,31 +10,25 @@ namespace urbane::core {
 StatusOr<std::unique_ptr<ScanJoin>> ScanJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const ExecutionContext& exec) {
-  WallTimer timer;
   URBANE_ASSIGN_OR_RETURN(index::RTree rtree,
                           index::RTree::Build(regions.RegionBounds()));
-  auto executor = std::unique_ptr<ScanJoin>(
+  return std::unique_ptr<ScanJoin>(
       new ScanJoin(points, regions, std::move(rtree), exec));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
-  return executor;
 }
 
-StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
+StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
         "ScanJoin was created for a different table/region set");
   }
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
-  stats_.threads_used = exec_.EffectiveThreads();
+  obs::ProfilePassCosts costs;
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
                           CompiledFilter::Compile(query.filter, points_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
   const float* attr = nullptr;
@@ -56,12 +50,12 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
   }
   std::vector<std::vector<Accumulator>> partials(
       parts, std::vector<Accumulator>(regions_.size()));
-  std::vector<ExecutorStats> worker_stats(parts);
+  std::vector<obs::ProfilePassCosts> worker_costs(parts);
   WallTimer reduce_timer;
   ForEachPartition(scan_exec, n, [&](std::size_t part, std::size_t begin,
                                      std::size_t end) {
     std::vector<Accumulator>& accumulators = partials[part];
-    ExecutorStats& ws = worker_stats[part];
+    obs::ProfilePassCosts& ws = worker_costs[part];
     // Candidate ranges (zone-map pruning) narrow the walk to rows the
     // filter might match; visit order stays ascending, so accumulation is
     // bit-identical to the dense loop.
@@ -87,10 +81,10 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
       accumulators[r].Merge(partials[part][r]);
     }
   }
-  for (const ExecutorStats& ws : worker_stats) {
-    stats_.MergeCounters(ws);
+  for (const obs::ProfilePassCosts& ws : worker_costs) {
+    costs.AddCounters(ws);
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
+  costs.reduce_seconds = reduce_timer.ElapsedSeconds();
 
   QueryResult result;
   result.values.reserve(regions_.size());
@@ -99,8 +93,9 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) {
     result.values.push_back(acc.Finalize(query.aggregate.kind));
     result.counts.push_back(acc.count);
   }
-  stats_.query_seconds = timer.ElapsedSeconds();
-  ObserveExecutorStats("scan", stats_);
+  costs.query_seconds = timer.ElapsedSeconds();
+  PublishExecution(*this, "scan", exec_.EffectiveThreads(), costs,
+                   query.profile);
   return result;
 }
 

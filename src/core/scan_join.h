@@ -25,10 +25,9 @@ class ScanJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const ExecutionContext& exec = ExecutionContext());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) override;
+  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
   std::string name() const override { return "scan"; }
   bool exact() const override { return true; }
-  const ExecutorStats& stats() const override { return stats_; }
 
   std::size_t MemoryBytes() const { return rtree_.MemoryBytes(); }
 
@@ -44,7 +43,6 @@ class ScanJoin : public SpatialAggregationExecutor {
   const data::RegionSet& regions_;
   index::RTree rtree_;
   ExecutionContext exec_;
-  ExecutorStats stats_;
 };
 
 }  // namespace urbane::core

@@ -6,8 +6,8 @@
 #include <string>
 #include <utility>
 
-#include "core/observe.h"
 #include "obs/event_journal.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/slow_query_log.h"
@@ -47,17 +47,6 @@ std::unique_ptr<obs::QueryProfile> AttachArmedProfile(
   return profile;
 }
 
-/// Attributes one finished execution to a profile: the executor that ran,
-/// its thread count and its pass costs. Called under the method lock, so
-/// the stats are this execution's own.
-void ProfileExecution(const SpatialAggregationExecutor& executor,
-                      obs::QueryProfile* profile) {
-  const ExecutorStats& stats = executor.stats();
-  profile->method = executor.name();
-  profile->threads_used = stats.threads_used;
-  FillProfilePassCosts(stats, &profile->totals);
-}
-
 }  // namespace
 
 SpatialAggregation::SpatialAggregation(const data::PointTable& points,
@@ -81,7 +70,7 @@ SpatialAggregation::SpatialAggregation(const data::PointTable& points,
         return options;
       }()) {}
 
-StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
+StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
     ExecutionMethod method) {
   switch (method) {
     case ExecutionMethod::kScan:
@@ -89,33 +78,33 @@ StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
         URBANE_ASSIGN_OR_RETURN(scan_,
                                 ScanJoin::Create(points_, regions_, exec_));
       }
-      return static_cast<SpatialAggregationExecutor*>(scan_.get());
+      return static_cast<const SpatialAggregationExecutor*>(scan_.get());
     case ExecutionMethod::kIndexJoin:
       if (!index_) {
         URBANE_ASSIGN_OR_RETURN(
             index_, IndexJoin::Create(points_, regions_, index_options_));
       }
-      return static_cast<SpatialAggregationExecutor*>(index_.get());
+      return static_cast<const SpatialAggregationExecutor*>(index_.get());
     case ExecutionMethod::kBoundedRaster:
       if (!raster_) {
         URBANE_ASSIGN_OR_RETURN(
             raster_,
             BoundedRasterJoin::Create(points_, regions_, raster_options_));
       }
-      return static_cast<SpatialAggregationExecutor*>(raster_.get());
+      return static_cast<const SpatialAggregationExecutor*>(raster_.get());
     case ExecutionMethod::kAccurateRaster:
       if (!accurate_) {
         URBANE_ASSIGN_OR_RETURN(
             accurate_,
             AccurateRasterJoin::Create(points_, regions_, raster_options_));
       }
-      return static_cast<SpatialAggregationExecutor*>(accurate_.get());
+      return static_cast<const SpatialAggregationExecutor*>(accurate_.get());
   }
   return Status::InvalidArgument("unknown execution method");
 }
 
-StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ActiveExecutorLocked(
-    ExecutionMethod method) {
+StatusOr<const SpatialAggregationExecutor*>
+SpatialAggregation::ActiveExecutorLocked(ExecutionMethod method) {
   const std::size_t n = num_shards_.load(std::memory_order_relaxed);
   if (n <= 1) {
     return ExecutorLocked(method);
@@ -135,10 +124,10 @@ StatusOr<SpatialAggregationExecutor*> SpatialAggregation::ActiveExecutorLocked(
                                              options, raster_options_,
                                              index_options_));
   }
-  return static_cast<SpatialAggregationExecutor*>(slot.get());
+  return static_cast<const SpatialAggregationExecutor*>(slot.get());
 }
 
-StatusOr<SpatialAggregationExecutor*> SpatialAggregation::Executor(
+StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::Executor(
     ExecutionMethod method) {
   std::lock_guard<std::mutex> lock(state_mu_);
   return ActiveExecutorLocked(method);
@@ -181,6 +170,22 @@ std::uint64_t SpatialAggregation::Fingerprint(const AggregationQuery& query,
   return QueryCache::Fingerprint(query, method, resolution, config_epoch());
 }
 
+PruneResult SpatialAggregation::PruneAndCount(
+    const FilterSpec& filter, obs::QueryProfile* profile) const {
+  PruneResult prune = zone_maps_->Prune(filter, points_.schema());
+  if (obs::MetricsEnabled()) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
+    registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
+  }
+  if (profile != nullptr) {
+    profile->blocks_total = prune.blocks_total;
+    profile->blocks_pruned = prune.blocks_pruned;
+    profile->rows_pruned = prune.rows_pruned;
+  }
+  return prune;
+}
+
 StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
     AggregationQuery query, ExecutionMethod method, bool* cache_hit) {
   query.points = &points_;
@@ -213,7 +218,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
       return std::move(*hit);
     }
   }
-  SpatialAggregationExecutor* executor = nullptr;
+  const SpatialAggregationExecutor* executor = nullptr;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     URBANE_ASSIGN_OR_RETURN(executor, ActiveExecutorLocked(method));
@@ -229,18 +234,8 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
   PruneResult prune;
   if (zone_maps_ != nullptr && query.candidate_ranges == nullptr &&
       !query.filter.IsTrivial()) {
-    prune = zone_maps_->Prune(query.filter, points_.schema());
+    prune = PruneAndCount(query.filter, query.profile);
     query.candidate_ranges = &prune.candidates;
-    if (obs::MetricsEnabled()) {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
-      registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
-    }
-    if (query.profile != nullptr) {
-      query.profile->blocks_total = prune.blocks_total;
-      query.profile->blocks_pruned = prune.blocks_pruned;
-      query.profile->rows_pruned = prune.rows_pruned;
-    }
   }
   // Thread-CPU attribution for the dispatch: exact while execution is
   // serial (including each sharded pass, which is serial per shard) and
@@ -250,7 +245,6 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
   URBANE_ASSIGN_OR_RETURN(QueryResult result, executor->Execute(query));
   if (query.profile != nullptr) {
     query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-    ProfileExecution(*executor, query.profile);
   }
   if (use_cache) {
     cache_.Insert(key, result, CacheValidTime(query.filter));
@@ -358,12 +352,12 @@ StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
       if (missing.empty()) {
         batch_ok = true;
       } else {
-        SpatialAggregationExecutor* executor = nullptr;
+        const SpatialAggregationExecutor* executor = nullptr;
         {
           std::lock_guard<std::mutex> lock(state_mu_);
           URBANE_ASSIGN_OR_RETURN(executor, ExecutorLocked(method));
         }
-        auto* raster = static_cast<BoundedRasterJoin*>(executor);
+        const auto* raster = static_cast<const BoundedRasterJoin*>(executor);
         std::vector<AggregationQuery> pending;
         pending.reserve(missing.size());
         for (const std::size_t i : missing) {
@@ -374,17 +368,12 @@ StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
         PruneResult prune;
         if (zone_maps_ != nullptr &&
             !pending.front().filter.IsTrivial()) {
-          prune =
-              zone_maps_->Prune(pending.front().filter, points_.schema());
+          prune = PruneAndCount(pending.front().filter,
+                                pending.front().profile);
           for (AggregationQuery& query : pending) {
             if (query.candidate_ranges == nullptr) {
               query.candidate_ranges = &prune.candidates;
             }
-          }
-          if (obs::MetricsEnabled()) {
-            obs::MetricsRegistry::Global()
-                .GetCounter("store.blocks_pruned")
-                .Add(prune.blocks_pruned);
           }
         }
         auto batched = raster->ExecuteBatch(pending);
@@ -393,10 +382,6 @@ StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
           // front pending query's profile.
           if (obs::QueryProfile* profile = pending.front().profile) {
             profile->cache = use_cache ? "miss" : "off";
-            profile->blocks_total = prune.blocks_total;
-            profile->blocks_pruned = prune.blocks_pruned;
-            profile->rows_pruned = prune.rows_pruned;
-            ProfileExecution(*raster, profile);
           }
           for (std::size_t k = 0; k < missing.size(); ++k) {
             if (use_cache) {

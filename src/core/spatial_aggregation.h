@@ -40,11 +40,17 @@ namespace urbane::core {
 /// Thread-safety contract: one engine serves many concurrent sessions.
 /// Execute / ExecuteMany / ExecuteAuto / EstimateSelectivity may be called
 /// from any number of threads. Executor construction and any rebuild (the
-/// ExecuteAuto resolution bump) happen under a mutex; because the executors
-/// keep per-query stats, execution itself is serialized per method (two
-/// sessions can run scan and raster concurrently, but not two rasters) —
-/// result-cache hits bypass that lock entirely, taking only a cache shard
-/// mutex, which is what keeps revisited brush states concurrent.
+/// ExecuteAuto resolution bump) happen under a mutex. The executors
+/// themselves are immutable and safe to share, yet execution still takes a
+/// per-method lock (two sessions can run scan and raster concurrently, but
+/// not two rasters). The lock does two jobs: it excludes rebuilds (the
+/// ExecuteAuto ε ratchet and set_num_shards swap executors only while no
+/// query of that method is in flight), and it holds render-target memory
+/// to one canvas-sized set per unsharded raster method, where N concurrent
+/// same-method queries would otherwise lease N sets (DESIGN.md §4 has the
+/// measured trade). Result-cache hits bypass the lock entirely, taking
+/// only a cache shard mutex, which is what keeps revisited brush states
+/// concurrent.
 class SpatialAggregation {
  public:
   /// `points`/`regions` must outlive this object.
@@ -80,7 +86,8 @@ class SpatialAggregation {
   /// thread-safe; the pointer stays valid until the engine rebuilds that
   /// executor (e.g. an ExecuteAuto resolution bump), so concurrent sessions
   /// should prefer Execute over holding executor pointers.
-  StatusOr<SpatialAggregationExecutor*> Executor(ExecutionMethod method);
+  StatusOr<const SpatialAggregationExecutor*> Executor(
+      ExecutionMethod method);
 
   /// Result cache (core::QueryCache): interactive sessions revisit query
   /// states (brushing back to a previous window), so Execute memoizes
@@ -169,13 +176,21 @@ class SpatialAggregation {
   }
 
   /// Requires state_mu_ held.
-  StatusOr<SpatialAggregationExecutor*> ExecutorLocked(ExecutionMethod method);
+  StatusOr<const SpatialAggregationExecutor*> ExecutorLocked(
+      ExecutionMethod method);
 
   /// The executor Execute dispatches to: the sharded wrapper when
   /// `num_shards() > 1`, the plain executor otherwise. Requires state_mu_
   /// held.
-  StatusOr<SpatialAggregationExecutor*> ActiveExecutorLocked(
+  StatusOr<const SpatialAggregationExecutor*> ActiveExecutorLocked(
       ExecutionMethod method);
+
+  /// Zone-map pruning of one filter (zone maps attached): the candidate
+  /// rows, counted into the `store.blocks_pruned` / `store.rows_pruned`
+  /// metrics and the profile's pruning fields. Shared by the per-query
+  /// and the shared-splat batch paths.
+  PruneResult PruneAndCount(const FilterSpec& filter,
+                            obs::QueryProfile* profile) const;
 
   /// The baseline query path (cache probe + executor dispatch), free of
   /// journal/recorder instrumentation. `cache_hit`, when non-null, reports
@@ -198,8 +213,9 @@ class SpatialAggregation {
 
   /// Guards executor pointers, raster_options_ and last_plan_.
   mutable std::mutex state_mu_;
-  /// Serializes Execute per method (executors keep per-query stats) and
-  /// protects in-flight executions against a concurrent rebuild.
+  /// Serializes Execute per method: protects in-flight executions against
+  /// a concurrent rebuild and caps render-target memory (see the class
+  /// comment).
   std::array<std::mutex, kNumMethods> method_mu_;
 
   RasterJoinOptions raster_options_;  // resolution mutates in ExecuteAuto
@@ -208,8 +224,8 @@ class SpatialAggregation {
   std::unique_ptr<BoundedRasterJoin> raster_;
   std::unique_ptr<AccurateRasterJoin> accurate_;
   /// Sharded wrappers, one per method, built lazily like the executors
-  /// above whenever num_shards_ > 1 (each owns its private per-shard inner
-  /// executors — the plain ones above stay untouched).
+  /// above whenever num_shards_ > 1 (each owns the one inner executor its
+  /// shards share — the plain ones above stay untouched).
   std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded_;
   QueryPlan last_plan_;
 

@@ -1,11 +1,11 @@
 #ifndef URBANE_NET_HTTP_H_
 #define URBANE_NET_HTTP_H_
 
-// Minimal HTTP/1.x message handling shared by the telemetry exporter and
-// the query server: an incremental request parser (request line, headers,
-// Content-Length-delimited body) and a response formatter. The parser is a
-// pure state machine over fed bytes — socket I/O lives in ReadHttpRequest —
-// so malformed-input behavior is unit-testable without a socket.
+// Minimal HTTP/1.x message handling for the query server: an incremental
+// request parser (request line, headers, Content-Length-delimited body)
+// and a response formatter. The parser is a pure state machine over fed
+// bytes — socket I/O lives in ReadHttpRequest — so malformed-input
+// behavior is unit-testable without a socket.
 
 #include <cstddef>
 #include <string>

@@ -1,14 +1,15 @@
 #ifndef URBANE_NET_SOCKET_H_
 #define URBANE_NET_SOCKET_H_
 
-// Raw POSIX TCP plumbing shared by the telemetry exporter and the query
-// server. No third-party dependencies; on platforms without BSD sockets
-// every entry point degrades to a clean NotImplemented/IoError status so
-// higher layers can gate features on SocketsAvailable().
+// Raw POSIX TCP plumbing for the query server. No third-party
+// dependencies; on platforms without BSD sockets every entry point
+// degrades to a clean NotImplemented/IoError status so higher layers can
+// gate features on SocketsAvailable().
 //
-// All listeners bind the loopback interface only: both the scrape endpoint
-// and the query server are sidecar-local services; exposing them beyond
-// the host is a deployment concern (reverse proxy), not this layer's.
+// All listeners bind the loopback interface only: the query server (and
+// the scrape endpoints it mounts) is a sidecar-local service; exposing it
+// beyond the host is a deployment concern (reverse proxy), not this
+// layer's.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,20 +1,14 @@
 #ifndef URBANE_OBS_EXPORTER_H_
 #define URBANE_OBS_EXPORTER_H_
 
-// Background telemetry exporter.
+// Background telemetry exporter and the telemetry routes.
 //
-// One thread owns (a) a periodic flush that snapshots the metrics registry
-// and appends a JSONL delta line ("urbane.telemetry.v1") to a sink file,
-// and (b) a minimal single-threaded, poll-based HTTP listener serving
-//   GET /metrics  — Prometheus text exposition format (0.0.4)
-//   GET /slowlog  — the slow-query flight recorder as urbane.slowlog.v1
-//   GET /healthz  — "ok"
-// Requests are handled synchronously between 50 ms poll slices. Every
-// connection carries a per-socket recv/send timeout
-// (client_timeout_ms), so a slow or half-open client can delay other
-// scrapers by at most one timeout slice — never stall the exporter thread
-// indefinitely. Socket plumbing lives in src/net (shared with the query
-// server). No third-party dependencies — raw POSIX sockets.
+// TelemetryExporter owns one thread: a periodic flush that snapshots the
+// metrics registry and appends a JSONL delta line ("urbane.telemetry.v1")
+// to a sink file. Scrape endpoints are not its job — the query server
+// mounts /metrics, /slowlog and /healthz on its own listener through
+// TelemetryEndpoint, so one port and one worker pool serve traffic and
+// scrape.
 
 #include <atomic>
 #include <cstdint>
@@ -26,25 +20,20 @@
 
 namespace urbane::obs {
 
-/// Routes one telemetry path to its payload, shared by the exporter and
-/// the query server (which mounts /metrics, /slowlog, /healthz on its own
-/// listener so one port serves traffic and scrape). Returns false for an
-/// unknown path; otherwise fills content type and body.
+/// Routes one telemetry path to its payload:
+///   /metrics  — Prometheus text exposition format (0.0.4)
+///   /slowlog  — the slow-query flight recorder as urbane.slowlog.v1
+///   /healthz  — "ok"
+/// Any query string is ignored. Returns false for an unknown path;
+/// otherwise fills content type and body.
 bool TelemetryEndpoint(const std::string& path, std::string* content_type,
                        std::string* body);
 
 struct TelemetryExporterOptions {
-  // TCP listener; port 0 picks an ephemeral port (see port()). Set
-  // listen = false for a sink-only exporter with no socket.
-  bool listen = true;
-  std::uint16_t port = 0;
   // JSONL delta sink; empty disables file output.
   std::string sink_path;
   // Period between registry snapshots / sink flushes.
   double flush_period_seconds = 1.0;
-  // Per-connection socket recv/send timeout: the longest a slow or
-  // half-open client can hold the (single-threaded) serving loop.
-  int client_timeout_ms = 250;
 };
 
 class TelemetryExporter {
@@ -55,23 +44,14 @@ class TelemetryExporter {
   TelemetryExporter(const TelemetryExporter&) = delete;
   TelemetryExporter& operator=(const TelemetryExporter&) = delete;
 
-  // Binds the listener (when enabled) and starts the background thread.
-  // Fails on socket errors or double Start.
+  // Starts the background thread. Fails on double Start.
   Status Start();
-  // Stops the thread, closes the socket, and writes one final sink flush.
-  // Idempotent; also invoked by the destructor.
+  // Stops the thread and writes one final sink flush. Idempotent; also
+  // invoked by the destructor.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
-  // The bound port (resolves port 0 to the actual ephemeral port); 0 when
-  // not listening.
-  std::uint16_t port() const { return port_; }
   const TelemetryExporterOptions& options() const { return options_; }
-
-  // Handles one request path and returns the full HTTP response; exposed
-  // for tests. `path` is e.g. "/metrics".
-  std::string HandleRequest(const std::string& method,
-                            const std::string& path) const;
 
   // Number of sink flushes written so far.
   std::uint64_t flushes() const {
@@ -80,15 +60,12 @@ class TelemetryExporter {
 
  private:
   void Run();
-  void ServeOne(int client_fd);
   void Flush();
 
   TelemetryExporterOptions options_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::thread thread_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   std::atomic<std::uint64_t> flushes_{0};
   MetricsSnapshot last_flushed_;  // thread-private to Run()/final Stop flush
 };

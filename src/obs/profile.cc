@@ -133,6 +133,16 @@ double ThreadCpuSeconds() {
 }
 
 void ProfilePassCosts::Add(const ProfilePassCosts& other) {
+  AddCounters(other);
+  filter_seconds += other.filter_seconds;
+  splat_seconds += other.splat_seconds;
+  sweep_seconds += other.sweep_seconds;
+  reduce_seconds += other.reduce_seconds;
+  refine_seconds += other.refine_seconds;
+  query_seconds += other.query_seconds;
+}
+
+void ProfilePassCosts::AddCounters(const ProfilePassCosts& other) {
   points_scanned += other.points_scanned;
   points_bulk += other.points_bulk;
   pip_tests += other.pip_tests;
@@ -140,12 +150,6 @@ void ProfilePassCosts::Add(const ProfilePassCosts& other) {
   boundary_pixels += other.boundary_pixels;
   tiles_visited += other.tiles_visited;
   simd_fragments += other.simd_fragments;
-  filter_seconds += other.filter_seconds;
-  splat_seconds += other.splat_seconds;
-  sweep_seconds += other.sweep_seconds;
-  reduce_seconds += other.reduce_seconds;
-  refine_seconds += other.refine_seconds;
-  query_seconds += other.query_seconds;
 }
 
 data::JsonValue ProfilePassCosts::ToJson() const {

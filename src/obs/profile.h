@@ -6,9 +6,9 @@
 // A QueryProfile is the one per-query attribution record. It rides one
 // request end to end: the server (or the CLI, or the armed slow-query
 // recorder) creates it, the facade attributes planner choice, cache outcome,
-// zone-map pruning, executor pass costs and coordinator thread-CPU time
-// to it, and the sharded executor appends a per-shard breakdown table in
-// shard-index order. The filled profile renders as the stable
+// zone-map pruning and coordinator thread-CPU time to it, the executor that
+// ran writes its method, thread count and pass costs, and the sharded
+// executor appends a per-shard breakdown table in shard-index order. The filled profile renders as the stable
 // `urbane.profile.v1` JSON document (HTTP `?profile=1`), as an aligned
 // text table (CLI `explain analyze`), and is retained in a bounded
 // in-process ProfileStore keyed by trace id (`GET /v1/profiles/<id>`).
@@ -22,9 +22,9 @@
 // Cost model: the profile is a nullable pointer on AggregationQuery — a
 // null profile (the default) costs one pointer test per instrumentation
 // site, preserving the obs-off == baseline contract. All mutation happens
-// on the coordinator thread; per-shard measurements are taken on pool
-// workers into per-slot storage and folded in after the gather fence (see
-// shard/sharded_executor.cc). A live data set's engine runs one facade per
+// on the coordinator thread; each shard task writes its own slot profile
+// on a pool worker, and the slots are folded in after the gather fence
+// (see shard/sharded_executor.cc). A live data set's engine runs one facade per
 // component and folds each component's profile into the caller's with
 // QueryProfile::AddComponent.
 //
@@ -79,26 +79,38 @@ TraceContext GenerateTraceContext();
 /// one pool thread), coordinator-only for intra-executor parallelism.
 double ThreadCpuSeconds();
 
-/// One execution's pass costs — the profile's mirror of
-/// core::ExecutorStats (obs cannot depend on core; core/observe.h copies
-/// the fields across). Counters are deterministic; seconds are measured.
+/// One execution's pass costs. Executors accumulate them in a local
+/// record during Execute (per-worker partials too) and publish it once at
+/// the end of the call (core/observe.h), so an executor keeps no per-query
+/// state. Counters are deterministic; seconds are measured.
 struct ProfilePassCosts {
-  std::uint64_t points_scanned = 0;
-  std::uint64_t points_bulk = 0;
-  std::uint64_t pip_tests = 0;
-  std::uint64_t pixels_touched = 0;
-  std::uint64_t boundary_pixels = 0;
-  std::uint64_t tiles_visited = 0;
-  std::uint64_t simd_fragments = 0;
-  double filter_seconds = 0.0;
-  double splat_seconds = 0.0;
-  double sweep_seconds = 0.0;
-  double reduce_seconds = 0.0;
-  double refine_seconds = 0.0;
-  double query_seconds = 0.0;
+  std::uint64_t points_scanned = 0;   // points touched individually
+  std::uint64_t points_bulk = 0;      // points taken without a PIP test
+  std::uint64_t pip_tests = 0;        // exact point-in-polygon tests run
+  std::uint64_t pixels_touched = 0;   // raster: canvas pixels visited
+  std::uint64_t boundary_pixels = 0;  // raster: boundary cells visited
+  std::uint64_t tiles_visited = 0;    // raster: distinct 64x64 canvas
+                                      // tiles the sweep covered
+  std::uint64_t simd_fragments = 0;   // raster: pixels pushed through the
+                                      // SIMD span kernels
+  double filter_seconds = 0.0;        // filter evaluation
+  double splat_seconds = 0.0;         // point splat (raster pass 1)
+  double sweep_seconds = 0.0;         // region sweep (raster pass 2)
+  double reduce_seconds = 0.0;        // probe/reduce loop (scan, index,
+                                      // quadtree) or the shard merge
+  double refine_seconds = 0.0;        // boundary-pixel exact refinement
+                                      // (accurate raster; clocked only
+                                      // when metrics are on or a profile
+                                      // is attached)
+  double query_seconds = 0.0;         // the whole Execute call
 
   /// Adds another execution's counters and seconds to this one.
   void Add(const ProfilePassCosts& other);
+
+  /// Adds only another execution's counters. Workers and shards run
+  /// concurrently, so their pass times overlap and are not summed; the
+  /// coordinator clocks its own.
+  void AddCounters(const ProfilePassCosts& other);
 
   data::JsonValue ToJson() const;
 };
@@ -142,7 +154,7 @@ struct QueryProfile {
   std::uint64_t store_cache_hits = 0;
   std::uint64_t store_bytes_read = 0;
 
-  /// Executor totals (the merged stats of the pass that ran). For a
+  /// Executor totals (the pass costs of the execution that ran). For a
   /// sharded execution the counters equal the sum over `shards`.
   std::uint64_t threads_used = 0;
   ProfilePassCosts totals;

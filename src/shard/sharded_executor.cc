@@ -48,68 +48,52 @@ StatusOr<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     m = options.explicit_shards.size();
   }
 
-  WallTimer timer;
-  std::unique_ptr<ShardedExecutor> sharded(
-      new ShardedExecutor(points, regions, method, options));
-  sharded->shards_.reserve(m);
-  for (std::size_t s = 0; s < m; ++s) {
-    switch (method) {
-      case core::ExecutionMethod::kScan: {
-        auto inner = core::ScanJoin::Create(points, regions, SerialContext());
-        if (!inner.ok()) return inner.status();
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-      case core::ExecutionMethod::kIndexJoin: {
-        core::IndexJoinOptions opts = index_options;
-        opts.exec = SerialContext();
-        auto inner = core::IndexJoin::Create(points, regions, opts);
-        if (!inner.ok()) return inner.status();
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-      case core::ExecutionMethod::kBoundedRaster: {
-        core::RasterJoinOptions opts = raster_options;
-        opts.exec = SerialContext();
-        auto inner = core::BoundedRasterJoin::Create(points, regions, opts);
-        if (!inner.ok()) return inner.status();
-        sharded->bounded_.push_back(inner.value().get());
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
-      case core::ExecutionMethod::kAccurateRaster: {
-        core::RasterJoinOptions opts = raster_options;
-        opts.exec = SerialContext();
-        auto inner = core::AccurateRasterJoin::Create(points, regions, opts);
-        if (!inner.ok()) return inner.status();
-        sharded->shards_.push_back(std::move(inner).value());
-        break;
-      }
+  std::unique_ptr<core::SpatialAggregationExecutor> inner;
+  switch (method) {
+    case core::ExecutionMethod::kScan: {
+      URBANE_ASSIGN_OR_RETURN(
+          inner, core::ScanJoin::Create(points, regions, SerialContext()));
+      break;
+    }
+    case core::ExecutionMethod::kIndexJoin: {
+      core::IndexJoinOptions opts = index_options;
+      opts.exec = SerialContext();
+      URBANE_ASSIGN_OR_RETURN(inner,
+                              core::IndexJoin::Create(points, regions, opts));
+      break;
+    }
+    case core::ExecutionMethod::kBoundedRaster: {
+      core::RasterJoinOptions opts = raster_options;
+      opts.exec = SerialContext();
+      URBANE_ASSIGN_OR_RETURN(
+          inner, core::BoundedRasterJoin::Create(points, regions, opts));
+      break;
+    }
+    case core::ExecutionMethod::kAccurateRaster: {
+      core::RasterJoinOptions opts = raster_options;
+      opts.exec = SerialContext();
+      URBANE_ASSIGN_OR_RETURN(
+          inner, core::AccurateRasterJoin::Create(points, regions, opts));
+      break;
     }
   }
-  sharded->stats_.build_seconds = timer.ElapsedSeconds();
-  return sharded;
-}
-
-std::string ShardedExecutor::name() const {
-  return "sharded-" + (shards_.empty() ? std::string("?")
-                                       : shards_.front()->name());
-}
-
-bool ShardedExecutor::exact() const {
-  return shards_.empty() ? true : shards_.front()->exact();
+  if (inner == nullptr) {
+    return Status::InvalidArgument("unknown execution method");
+  }
+  return std::unique_ptr<ShardedExecutor>(
+      new ShardedExecutor(points, method, options, m, std::move(inner)));
 }
 
 StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
     const core::AggregationQuery& query, std::size_t s,
-    const core::RowRangeSet& candidates) {
+    const core::RowRangeSet& candidates, obs::QueryProfile* slot) const {
   if (options_.fault_injector) {
     URBANE_RETURN_IF_ERROR(options_.fault_injector(s));
   }
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
   core::AggregationQuery shard_query = query;
-  shard_query.profile = nullptr;  // the coordinator owns the breakdown
+  shard_query.profile = slot;  // the coordinator owns the breakdown
   shard_query.candidate_ranges = &candidates;
   shard_query.aggregate.kind = ShardExecutionKind(query.aggregate.kind);
 
@@ -122,7 +106,8 @@ StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
     core::AggregationQuery count_query = shard_query;
     count_query.aggregate.kind = core::AggregateKind::kCount;
     count_query.aggregate.attribute.clear();
-    auto batch = bounded_[s]->ExecuteBatch({shard_query, count_query});
+    auto batch = static_cast<const core::BoundedRasterJoin&>(*inner_)
+                     .ExecuteBatch({shard_query, count_query});
     if (!batch.ok()) return batch.status();
     std::vector<core::QueryResult>& results = batch.value();
     core::QueryResult partial = std::move(results[0]);
@@ -130,11 +115,11 @@ StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
     partial.error_bounds = std::move(results[1].error_bounds);
     return partial;
   }
-  return shards_[s]->Execute(shard_query);
+  return inner_->Execute(shard_query);
 }
 
 StatusOr<core::QueryResult> ShardedExecutor::Execute(
-    const core::AggregationQuery& query) {
+    const core::AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
 
   const std::uint64_t rows = points_.size();
@@ -144,17 +129,9 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
         ValidateExplicitShards(options_.explicit_shards, rows));
     plan.shards = options_.explicit_shards;
   } else {
-    plan = MakeShardPlan(rows, shards_.size(), options_.align_rows);
-  }
-  if (plan.size() != shards_.size()) {
-    return Status::Internal("shard plan size disagrees with executor count");
+    plan = MakeShardPlan(rows, num_shards_, options_.align_rows);
   }
   const std::size_t m = plan.size();
-
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
-  stats_.threads_used = m;
 
   const bool metrics = obs::MetricsEnabled();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -182,23 +159,23 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
   // not the first-failing completion — decides the reported status.
   std::vector<core::QueryResult> partials(m);
   std::vector<Status> statuses(m, Status::OK());
-  // Per-shard wall/CPU samples for the profile breakdown. Each task writes
-  // only its own slot (same fence discipline as `partials`); empty unless
-  // the request carries a profile, so the unprofiled path never touches the
-  // thread-CPU clock.
+  // Per-shard slot profiles: the inner executor reports each shard's pass
+  // costs into its own slot, and with a profile attached the slot also
+  // takes the shard's wall/CPU samples. Each task writes only its own slot
+  // (same fence discipline as `partials`); empty unless someone observes,
+  // so the unobserved path never touches the thread-CPU clock.
   const bool profiling = query.profile != nullptr;
-  std::vector<double> shard_wall(profiling ? m : 0, 0.0);
-  std::vector<double> shard_cpu(profiling ? m : 0, 0.0);
+  std::vector<obs::QueryProfile> slots(profiling || metrics ? m : 0);
   WallTimer scatter_timer;
   const bool inline_scatter = options_.serial_scatter || m == 1;
   auto run_shard = [&](std::size_t s) {
     WallTimer shard_timer;
     const double cpu_begin = profiling ? obs::ThreadCpuSeconds() : 0.0;
-    StatusOr<core::QueryResult> partial =
-        ExecuteShard(query, s, candidates[s]);
+    StatusOr<core::QueryResult> partial = ExecuteShard(
+        query, s, candidates[s], slots.empty() ? nullptr : &slots[s]);
     if (profiling) {
-      shard_cpu[s] = obs::ThreadCpuSeconds() - cpu_begin;
-      shard_wall[s] = shard_timer.ElapsedSeconds();
+      slots[s].cpu_seconds = obs::ThreadCpuSeconds() - cpu_begin;
+      slots[s].wall_seconds = shard_timer.ElapsedSeconds();
     }
     if (partial.ok()) {
       // The hook gates *successful* publishes only: a failed shard has no
@@ -232,12 +209,15 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
 
   // Gather: any shard failure fails the whole query — no partial merge,
   // ever. Ties between shards break by shard index for reproducibility.
+  // The slots' counters fold in shard-index order; their pass times
+  // overlap across shards and stay in the per-shard rows.
+  obs::ProfilePassCosts costs;
   for (std::size_t s = 0; s < m; ++s) {
     if (!statuses[s].ok()) {
       if (metrics) registry.GetCounter("shard.failures").Add(1);
       return statuses[s];
     }
-    stats_.MergeCounters(shards_[s]->stats());
+    if (!slots.empty()) costs.AddCounters(slots[s].totals);
   }
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
@@ -248,15 +228,14 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
     if (metrics) registry.GetCounter("shard.failures").Add(1);
     return merged.status();
   }
-  stats_.reduce_seconds = merge_timer.ElapsedSeconds();
+  costs.reduce_seconds = merge_timer.ElapsedSeconds();
 
   // Profile breakdown, in shard-index order (never completion order) so the
-  // table is reproducible at a fixed shard count. Pass costs come from the
-  // per-shard inner executors, whose counters MergeCounters summed above —
-  // the per-shard rows therefore sum exactly to the executor totals.
+  // table is reproducible at a fixed shard count. The per-shard rows are
+  // the slots folded above, so they sum exactly to the executor totals.
   if (profiling) {
     query.profile->scatter_seconds = scatter_seconds;
-    query.profile->merge_seconds = stats_.reduce_seconds;
+    query.profile->merge_seconds = costs.reduce_seconds;
     query.profile->shards.clear();
     query.profile->shards.reserve(m);
     for (std::size_t s = 0; s < m; ++s) {
@@ -265,18 +244,18 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
       entry.rows_begin = plan.shards[s].begin;
       entry.rows_end = plan.shards[s].end;
       entry.candidate_rows = candidates[s].total_rows();
-      entry.wall_seconds = shard_wall[s];
-      entry.cpu_seconds = shard_cpu[s];
-      core::FillProfilePassCosts(shards_[s]->stats(), &entry.costs);
+      entry.wall_seconds = slots[s].wall_seconds;
+      entry.cpu_seconds = slots[s].cpu_seconds;
+      entry.costs = slots[s].totals;
       query.profile->shards.push_back(entry);
     }
   }
 
-  stats_.query_seconds = timer.ElapsedSeconds();
+  costs.query_seconds = timer.ElapsedSeconds();
   if (metrics) {
-    registry.GetHistogram("shard.merge_seconds").Observe(stats_.reduce_seconds);
+    registry.GetHistogram("shard.merge_seconds").Observe(costs.reduce_seconds);
   }
-  core::ObserveExecutorStats("sharded", stats_);
+  core::PublishExecution(*this, "sharded", m, costs, query.profile);
   return merged;
 }
 

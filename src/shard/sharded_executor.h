@@ -60,21 +60,21 @@ struct ShardedExecutorOptions {
 
 /// Scatter-gather execution of one query over M spatial/temporal shards.
 ///
-/// Scatter: the row space is split by ShardPlan; shard s executes a private
-/// instance of the underlying executor (scan/index/bounded/accurate) with
-/// `candidate_ranges` restricted to its rows ∩ the query's pruned ranges,
-/// serially within the shard, concurrently across shards on the pool.
+/// Scatter: the row space is split by ShardPlan; every shard runs the one
+/// shared inner executor (scan/index/bounded/accurate, built once at
+/// Create) with `candidate_ranges` restricted to its rows ∩ the query's
+/// pruned ranges, serially within the shard, concurrently across shards on
+/// the pool. Executors are immutable after Create, so the shards share the
+/// inner executor's R-tree / grid / splat order / region spans and differ
+/// only in their candidate ranges; a raster inner leases one render-target
+/// set per concurrently running shard.
 /// Gather: partials are published into per-shard slots; after all shards
 /// finish, MergeShardPartials folds the slots in ascending shard index —
 /// canvas-free partial merge (COUNT/SUM additive, AVG by (sum, count),
-/// MIN/MAX by NaN-aware extrema, error bounds additive).
-///
-/// Why private executor instances: executors keep per-query stats and
-/// scratch (render targets, stamp buffers), so one instance serves one
-/// in-flight query. M instances buy shard independence today and are the
-/// process-per-shard seam later (ROADMAP). The build cost (R-tree / grid /
-/// splat order per instance) is paid once at Create and amortized across
-/// queries, exactly like the unsharded executors.
+/// MIN/MAX by NaN-aware extrema, error bounds additive). When the query
+/// carries a profile or metrics are on, each shard also gets its own slot
+/// profile; per-shard rows, the merged counters and `exec.sharded.*` are
+/// folded from those slots in shard-index order.
 ///
 /// Determinism contract (DESIGN.md §11): for a fixed shard count the result
 /// is reproducible on any pool size and any completion order. COUNT and
@@ -86,9 +86,9 @@ struct ShardedExecutorOptions {
 /// ExecutionContext documents for thread partitioning.
 class ShardedExecutor : public core::SpatialAggregationExecutor {
  public:
-  /// Builds M per-shard instances of `method`'s executor. The raster/index
-  /// options are taken as configured EXCEPT their ExecutionContext, which
-  /// is forced serial — parallelism lives at the shard level.
+  /// Builds the one inner executor for `method`. The raster/index options
+  /// are taken as configured EXCEPT their ExecutionContext, which is
+  /// forced serial — parallelism lives at the shard level.
   static StatusOr<std::unique_ptr<ShardedExecutor>> Create(
       const data::PointTable& points, const data::RegionSet& regions,
       core::ExecutionMethod method, const ShardedExecutorOptions& options,
@@ -98,45 +98,41 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
           core::IndexJoinOptions());
 
   StatusOr<core::QueryResult> Execute(
-      const core::AggregationQuery& query) override;
+      const core::AggregationQuery& query) const override;
 
-  std::string name() const override;
-  bool exact() const override;
-  const core::ExecutorStats& stats() const override { return stats_; }
+  std::string name() const override { return "sharded-" + inner_->name(); }
+  bool exact() const override { return inner_->exact(); }
 
   core::ExecutionMethod method() const { return method_; }
-  std::size_t num_shards() const { return shards_.size(); }
+  std::size_t num_shards() const { return num_shards_; }
 
  private:
   ShardedExecutor(const data::PointTable& points,
-                  const data::RegionSet& regions,
                   core::ExecutionMethod method,
-                  ShardedExecutorOptions options)
+                  ShardedExecutorOptions options, std::size_t num_shards,
+                  std::unique_ptr<core::SpatialAggregationExecutor> inner)
       : points_(points),
-        regions_(regions),
         method_(method),
-        options_(std::move(options)) {}
+        options_(std::move(options)),
+        num_shards_(num_shards),
+        inner_(std::move(inner)) {}
 
-  /// Runs shard `s` of `query` (already validated). The partial result
-  /// carries ShardExecutionKind(aggregate); for bounded-raster AVG it is a
-  /// SUM result whose error bounds are COUNT-semantics boundary counts.
+  /// Runs shard `s` of `query` (already validated) on the inner executor,
+  /// reporting its pass costs into `slot` (null when nobody observes). The
+  /// partial result carries ShardExecutionKind(aggregate); for
+  /// bounded-raster AVG it is a SUM result whose error bounds are
+  /// COUNT-semantics boundary counts.
   StatusOr<core::QueryResult> ExecuteShard(
       const core::AggregationQuery& query, std::size_t s,
-      const core::RowRangeSet& candidates);
+      const core::RowRangeSet& candidates, obs::QueryProfile* slot) const;
 
   const data::PointTable& points_;
-  const data::RegionSet& regions_;
   const core::ExecutionMethod method_;
   const ShardedExecutorOptions options_;
-
-  /// One underlying executor per shard (all built over the full table; the
-  /// per-shard restriction is purely candidate_ranges).
-  std::vector<std::unique_ptr<core::SpatialAggregationExecutor>> shards_;
-  /// Concrete bounded-raster handles (same objects as shards_) for the
-  /// AVG batch path; empty for the other methods.
-  std::vector<core::BoundedRasterJoin*> bounded_;
-
-  core::ExecutorStats stats_;
+  const std::size_t num_shards_;
+  /// The one executor every shard runs, built over the full table; the
+  /// per-shard restriction is purely candidate_ranges.
+  const std::unique_ptr<core::SpatialAggregationExecutor> inner_;
 };
 
 }  // namespace urbane::shard

@@ -15,17 +15,14 @@ namespace urbane::store {
 StatusOr<std::unique_ptr<StoreScanJoin>> StoreScanJoin::Create(
     const StoreReader& reader, BlockCache& cache,
     const data::RegionSet& regions) {
-  WallTimer timer;
   URBANE_ASSIGN_OR_RETURN(index::RTree rtree,
                           index::RTree::Build(regions.RegionBounds()));
-  auto executor = std::unique_ptr<StoreScanJoin>(
+  return std::unique_ptr<StoreScanJoin>(
       new StoreScanJoin(reader, cache, regions, std::move(rtree)));
-  executor->stats_.build_seconds = timer.ElapsedSeconds();
-  return executor;
 }
 
 StatusOr<core::QueryResult> StoreScanJoin::Execute(
-    const core::AggregationQuery& query) {
+    const core::AggregationQuery& query) const {
   // The store supplies the rows; rebind the query's table to the schema
   // carrier so the standard structural validation applies.
   core::AggregationQuery q = query;
@@ -34,11 +31,7 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
     q.regions = &regions_;
   }
   URBANE_RETURN_IF_ERROR(q.Validate());
-  const double build_seconds = stats_.build_seconds;
-  stats_.Reset();
-  stats_.build_seconds = build_seconds;
-  stats_.threads_used = 1;
-  store_stats_ = StoreScanStats();
+  obs::ProfilePassCosts costs;
   // Cache counters are global to the (possibly shared) BlockCache; the
   // before/after delta attributes this query's reads and hits. Exact while
   // no other query runs against the same cache concurrently.
@@ -50,7 +43,7 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
   URBANE_ASSIGN_OR_RETURN(core::CompiledFilter filter,
                           core::CompiledFilter::Compile(q.filter,
                                                         schema_table_));
-  stats_.filter_seconds = filter_timer.ElapsedSeconds();
+  costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(q.CheckControl());
 
   const int attr_col =
@@ -59,8 +52,6 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
           : -1;
 
   BlockCursor cursor(reader_, cache_, q.filter);
-  store_stats_.blocks_total = cursor.blocks_total();
-  store_stats_.blocks_pruned = cursor.blocks_pruned();
   if (obs::MetricsEnabled() && cursor.blocks_pruned() > 0) {
     obs::MetricsRegistry::Global()
         .GetCounter("store.blocks_pruned")
@@ -71,13 +62,14 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
   }
 
   std::vector<core::Accumulator> accumulators(regions_.size());
+  std::uint64_t blocks_scanned = 0;
   WallTimer reduce_timer;
   for (; !cursor.Done(); cursor.Advance()) {
     URBANE_RETURN_IF_ERROR(q.CheckControl());
     URBANE_ASSIGN_OR_RETURN(BlockCache::PinnedBlock pinned, cursor.Pin());
     URBANE_ASSIGN_OR_RETURN(data::PointTable view,
                             pinned->AsView(reader_.schema()));
-    ++store_stats_.blocks_scanned;
+    ++blocks_scanned;
     const float* attr =
         attr_col >= 0 ? view.attribute_data(static_cast<std::size_t>(attr_col))
                       : nullptr;
@@ -89,18 +81,18 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
       if (!filter.Matches(view, i)) {
         continue;
       }
-      ++stats_.points_scanned;
+      ++costs.points_scanned;
       const geometry::Vec2 p{view.x(i), view.y(i)};
       const double value = attr ? static_cast<double>(attr[i]) : 1.0;
       rtree_.QueryPoint(p, [&](std::uint32_t region_index) {
-        ++stats_.pip_tests;
+        ++costs.pip_tests;
         if (regions_[region_index].geometry.Contains(p)) {
           accumulators[region_index].Add(value);
         }
       });
     }
   }
-  stats_.reduce_seconds = reduce_timer.ElapsedSeconds();
+  costs.reduce_seconds = reduce_timer.ElapsedSeconds();
 
   core::QueryResult result;
   result.values.reserve(regions_.size());
@@ -109,18 +101,18 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
     result.values.push_back(acc.Finalize(q.aggregate.kind));
     result.counts.push_back(acc.count);
   }
-  stats_.query_seconds = timer.ElapsedSeconds();
+  costs.query_seconds = timer.ElapsedSeconds();
   if (q.profile != nullptr) {
     const BlockCacheStats cache_now = cache_.stats();
-    q.profile->blocks_total = store_stats_.blocks_total;
-    q.profile->blocks_pruned = store_stats_.blocks_pruned;
+    q.profile->blocks_total = cursor.blocks_total();
+    q.profile->blocks_pruned = cursor.blocks_pruned();
     q.profile->rows_pruned = cursor.rows_pruned();
-    q.profile->store_blocks_scanned = store_stats_.blocks_scanned;
+    q.profile->store_blocks_scanned = blocks_scanned;
     q.profile->store_blocks_read = cache_now.blocks_read - cache_before.blocks_read;
     q.profile->store_cache_hits = cache_now.hits - cache_before.hits;
     q.profile->store_bytes_read = cache_now.bytes_read - cache_before.bytes_read;
   }
-  core::ObserveExecutorStats("store_scan", stats_);
+  core::PublishExecution(*this, "store_scan", 1, costs, q.profile);
   return result;
 }
 

@@ -14,19 +14,14 @@
 
 namespace urbane::store {
 
-/// Per-query block accounting from the most recent Execute.
-struct StoreScanStats {
-  std::uint64_t blocks_total = 0;
-  std::uint64_t blocks_pruned = 0;
-  std::uint64_t blocks_scanned = 0;
-};
-
 /// Out-of-core exact scan: streams the store block-at-a-time through the
 /// block cache (pread mode needs no mapping of the whole file), pruning
 /// blocks by zone map before any byte of them is read. Rows within and
 /// across blocks are visited in store order — identical to the row order
 /// the mmap'ed view exposes — so results are bit-identical to a serial
-/// in-memory ScanJoin over the same store.
+/// in-memory ScanJoin over the same store. An attached profile also gets
+/// the query's block accounting (blocks total / pruned / scanned) and its
+/// block-cache reads, hits and bytes.
 class StoreScanJoin : public core::SpatialAggregationExecutor {
  public:
   /// `reader`, `cache`, and `regions` must outlive this. Builds the same
@@ -38,12 +33,9 @@ class StoreScanJoin : public core::SpatialAggregationExecutor {
   /// `query.points` may be null (the store supplies the rows); if set, it
   /// is only used to validate the schema.
   StatusOr<core::QueryResult> Execute(
-      const core::AggregationQuery& query) override;
+      const core::AggregationQuery& query) const override;
   std::string name() const override { return "store_scan"; }
   bool exact() const override { return true; }
-  const core::ExecutorStats& stats() const override { return stats_; }
-
-  const StoreScanStats& store_stats() const { return store_stats_; }
 
  private:
   StoreScanJoin(const StoreReader& reader, BlockCache& cache,
@@ -61,8 +53,6 @@ class StoreScanJoin : public core::SpatialAggregationExecutor {
   /// Empty table carrying the store's schema, used to validate queries and
   /// compile filters without materializing any rows.
   data::PointTable schema_table_;
-  core::ExecutorStats stats_;
-  StoreScanStats store_stats_;
 };
 
 }  // namespace urbane::store

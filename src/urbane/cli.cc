@@ -75,7 +75,7 @@ const char* CommandInterpreter::Help() {
          "  explain analyze [json] SELECT ...\n"
          "  map <points> <regions> <out.ppm> [title...]\n"
          "  stats [on|off|reset|json]\n"
-         "  serve [[start] [port] [sink <path>]|stop|status]\n"
+         "  serve [[start] [sink <path>]|stop|status]\n"
          "  server [[start] [port] [workers N] [queue N] [timeout MS] "
          "[shards N]|stop|status]\n"
          "  events [drain|status|on|off|reset]\n"
@@ -701,16 +701,11 @@ Status CommandInterpreter::CmdServe(const std::vector<std::string>& args,
                                     std::ostream& out) {
   std::string action =
       args.size() >= 2 ? ToLowerAscii(args[1]) : std::string("start");
-  // "serve 9090" and "serve sink <path>" are shorthands for "serve start ...".
+  // "serve sink <path>" is shorthand for "serve start sink <path>".
   std::size_t i = 2;
-  if (action != "start" && action != "stop" && action != "status") {
-    const bool numeric =
-        !action.empty() &&
-        action.find_first_not_of("0123456789") == std::string::npos;
-    if (numeric || action == "sink") {
-      action = "start";
-      i = 1;
-    }
+  if (action == "sink") {
+    action = "start";
+    i = 1;
   }
   if (action == "stop") {
     if (exporter_ == nullptr) {
@@ -724,7 +719,9 @@ Status CommandInterpreter::CmdServe(const std::vector<std::string>& args,
   }
   if (action == "status") {
     if (exporter_ != nullptr && exporter_->running()) {
-      out << "exporter listening on 127.0.0.1:" << exporter_->port() << "\n";
+      const std::string& sink = exporter_->options().sink_path;
+      out << "exporter running (sink: " << (sink.empty() ? "none" : sink)
+          << ")\n";
     } else {
       out << "exporter is not running\n";
     }
@@ -732,21 +729,13 @@ Status CommandInterpreter::CmdServe(const std::vector<std::string>& args,
   }
   if (action != "start") {
     return Status::InvalidArgument(
-        "usage: serve [[start] [port] [sink <path>]|stop|status]");
+        "usage: serve [[start] [sink <path>]|stop|status]");
   }
   if (exporter_ != nullptr && exporter_->running()) {
     return Status::FailedPrecondition(
         "exporter already running ('serve stop' first)");
   }
   obs::TelemetryExporterOptions options;
-  if (i < args.size() && ToLowerAscii(args[i]) != "sink") {
-    URBANE_ASSIGN_OR_RETURN(std::int64_t port, ParseInt64(args[i]));
-    if (port < 0 || port > 65535) {
-      return Status::InvalidArgument("port out of range: " + args[i]);
-    }
-    options.port = static_cast<std::uint16_t>(port);
-    ++i;
-  }
   if (i < args.size() && ToLowerAscii(args[i]) == "sink") {
     if (i + 1 >= args.size()) {
       return Status::InvalidArgument("'sink' expects a file path");
@@ -757,7 +746,7 @@ Status CommandInterpreter::CmdServe(const std::vector<std::string>& args,
   if (i < args.size()) {
     return Status::InvalidArgument("unexpected argument: " + args[i]);
   }
-  // A scrape endpoint with an empty registry is useless, so serving
+  // Exported telemetry from an empty registry is useless, so serving
   // implies the metrics + journal switches.
   obs::SetMetricsEnabled(true);
   obs::SetJournalEnabled(true);
@@ -766,9 +755,8 @@ Status CommandInterpreter::CmdServe(const std::vector<std::string>& args,
     exporter_.reset();
     return status;
   }
-  out << "exporter listening on 127.0.0.1:" << exporter_->port()
-      << " (metrics + journal on; try: curl http://127.0.0.1:"
-      << exporter_->port() << "/metrics)\n";
+  out << "exporter running (metrics + journal on; scrape /metrics from "
+         "the query server: server start)\n";
   if (!options.sink_path.empty()) {
     out << "telemetry sink: " << options.sink_path << "\n";
   }

@@ -40,8 +40,10 @@ namespace urbane::app {
 ///                                      shards; urbane.profile.v1 as json)
 ///   map <points> <regions> <out.ppm> [title...]
 ///   stats [on|off|reset|json]          process-wide metrics registry
-///   serve [start [port] [sink <path>]|stop|status]
-///                                      telemetry exporter (/metrics HTTP)
+///   serve [start] [sink <path>]|stop|status
+///                                      telemetry exporter (JSONL metrics
+///                                      sink; /metrics is served by
+///                                      `server`)
 ///   server [start [port] [workers N] [queue N] [timeout MS]|stop|status]
 ///                                      HTTP/JSON query server (POST
 ///                                      /v1/query, GET /v1/datasets, ...)

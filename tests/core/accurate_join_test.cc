@@ -4,6 +4,7 @@
 
 #include "core/scan_join.h"
 #include "data/region_generator.h"
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -164,11 +165,13 @@ TEST(AccurateRasterJoinTest, StatsShowHybridSplit) {
   options.resolution = 256;
   auto accurate = AccurateRasterJoin::Create(points, regions, options);
   ASSERT_TRUE(accurate.ok());
+  obs::QueryProfile profile;
   AggregationQuery query;
   query.points = &points;
   query.regions = &regions;
+  query.profile = &profile;
   ASSERT_TRUE((*accurate)->Execute(query).ok());
-  const ExecutorStats& stats = (*accurate)->stats();
+  const obs::ProfilePassCosts& stats = profile.totals;
   EXPECT_GT(stats.points_bulk, 0u) << "interior pixels should be bulk-taken";
   EXPECT_GT(stats.pip_tests, 0u) << "boundary pixels need exact tests";
   EXPECT_GT(stats.boundary_pixels, 0u);
@@ -180,9 +183,11 @@ TEST(AccurateRasterJoinTest, StatsShowHybridSplit) {
 TEST(AccurateRasterJoinTest, HigherResolutionNeedsFewerExactTests) {
   const auto points = testing::MakeUniformPoints(20000, 62);
   const auto regions = testing::MakeRandomRegions(4, 63);
+  obs::QueryProfile profile;
   AggregationQuery query;
   query.points = &points;
   query.regions = &regions;
+  query.profile = &profile;
   std::size_t coarse_tests = 0;
   std::size_t fine_tests = 0;
   for (const int resolution : {64, 512}) {
@@ -192,7 +197,7 @@ TEST(AccurateRasterJoinTest, HigherResolutionNeedsFewerExactTests) {
     ASSERT_TRUE(accurate.ok());
     ASSERT_TRUE((*accurate)->Execute(query).ok());
     (resolution == 64 ? coarse_tests : fine_tests) =
-        (*accurate)->stats().pip_tests;
+        profile.totals.pip_tests;
   }
   EXPECT_LT(fine_tests, coarse_tests);
 }

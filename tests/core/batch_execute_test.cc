@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/raster_join.h"
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -78,10 +79,14 @@ TEST(ExecuteBatchTest, SharedSplatIsCheaperThanSeparateRuns) {
     query.aggregate = spec;
     batch.push_back(query);
   }
+  obs::QueryProfile profile;
+  batch.front().profile = &profile;
   ASSERT_TRUE((*raster)->ExecuteBatch(batch).ok());
   // SUM and AVG share one sum splat; COUNT shares the count splat: the
-  // filter pass runs once, so points_scanned counts the table once.
-  EXPECT_EQ((*raster)->stats().points_scanned, points.size());
+  // filter pass runs once, so points_scanned counts the table once. The
+  // batch is one execution and reports into the front query's profile.
+  EXPECT_EQ(profile.method, "raster");
+  EXPECT_EQ(profile.totals.points_scanned, points.size());
 }
 
 TEST(ExecuteBatchTest, MismatchedFiltersRejected) {

@@ -1,0 +1,269 @@
+// One executor, many threads: executors are immutable after Create, so
+// concurrent Execute calls on ONE shared instance must each return the
+// serial answer bit for bit and publish their own pass costs into their
+// own profile. tools/check.sh runs this suite under TSan, where any
+// per-query state left on an executor shows up as a data race.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/accurate_join.h"
+#include "core/index_join.h"
+#include "core/quadtree_join.h"
+#include "core/raster_join.h"
+#include "core/scan_join.h"
+#include "obs/profile.h"
+#include "shard/sharded_executor.h"
+#include "store/block_cache.h"
+#include "store/store_reader.h"
+#include "store/store_scan_join.h"
+#include "store/store_writer.h"
+#include "testing/test_worlds.h"
+
+namespace urbane::core {
+namespace {
+
+constexpr int kThreads = 4;
+constexpr int kRounds = 3;
+
+/// One unit of work: a single query for Execute, a same-filter batch for
+/// BoundedRasterJoin::ExecuteBatch. The profile rides on the front query.
+using Job = std::vector<AggregationQuery>;
+using Runner = std::function<StatusOr<std::vector<QueryResult>>(const Job&)>;
+
+struct Outcome {
+  Status status;
+  std::vector<QueryResult> results;
+  std::string profile;  // deterministic fields of the job's profile
+};
+
+/// The profile with every measured field zeroed. The store I/O deltas read
+/// a block cache that concurrent queries share, so they are exact only
+/// without concurrent queries (store_scan_join.cc) and are left out too.
+std::string CanonicalCounters(obs::QueryProfile profile) {
+  profile.store_blocks_read = 0;
+  profile.store_cache_hits = 0;
+  profile.store_bytes_read = 0;
+  data::JsonValue doc = profile.ToJson();
+  obs::CanonicalizeProfileJson(&doc);
+  return doc.Dump(-1);
+}
+
+Outcome RunJob(const Runner& run, Job job) {
+  obs::QueryProfile profile;
+  job.front().profile = &profile;
+  Outcome outcome;
+  StatusOr<std::vector<QueryResult>> results = run(job);
+  outcome.status = results.status();
+  if (results.ok()) outcome.results = std::move(*results);
+  outcome.profile = CanonicalCounters(profile);
+  return outcome;
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectBitIdentical(const QueryResult& got, const QueryResult& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.values.size(), want.values.size()) << what;
+  ASSERT_EQ(got.error_bounds.size(), want.error_bounds.size()) << what;
+  for (std::size_t r = 0; r < want.values.size(); ++r) {
+    EXPECT_EQ(Bits(got.values[r]), Bits(want.values[r]))
+        << what << " region " << r;
+    EXPECT_EQ(got.counts[r], want.counts[r]) << what << " region " << r;
+  }
+  for (std::size_t r = 0; r < want.error_bounds.size(); ++r) {
+    EXPECT_EQ(Bits(got.error_bounds[r]), Bits(want.error_bounds[r]))
+        << what << " bound " << r;
+  }
+}
+
+/// Runs every job once serially on `run`'s executor, then lets kThreads
+/// threads hammer the same instance — thread t takes jobs t, t + kThreads,
+/// ... for kRounds rounds — and checks each concurrent outcome against the
+/// serial one.
+void ExpectConcurrentRunsMatchSerial(const Runner& run,
+                                     const std::vector<Job>& jobs) {
+  std::vector<Outcome> serial;
+  for (const Job& job : jobs) {
+    serial.push_back(RunJob(run, job));
+    ASSERT_TRUE(serial.back().status.ok()) << serial.back().status;
+  }
+  std::vector<std::vector<std::pair<std::size_t, Outcome>>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t j = t; j < jobs.size(); j += kThreads) {
+          seen[t].emplace_back(j, RunJob(run, jobs[j]));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& [j, outcome] : seen[t]) {
+      const std::string what =
+          "thread " + std::to_string(t) + " job " + std::to_string(j);
+      ASSERT_TRUE(outcome.status.ok()) << what << ": " << outcome.status;
+      ASSERT_EQ(outcome.results.size(), serial[j].results.size()) << what;
+      for (std::size_t q = 0; q < outcome.results.size(); ++q) {
+        ExpectBitIdentical(outcome.results[q], serial[j].results[q],
+                           what + " query " + std::to_string(q));
+      }
+      EXPECT_EQ(outcome.profile, serial[j].profile) << what;
+    }
+  }
+}
+
+std::vector<FilterSpec> Filters() {
+  std::vector<FilterSpec> filters(4);
+  filters[1].WithTime(10000, 60000);
+  filters[2].WithRange("v", -4.0, 6.0);
+  filters[3].WithWindow(geometry::BoundingBox(15, 20, 75, 85));
+  filters[3].WithTime(0, 70000);
+  return filters;
+}
+
+std::vector<AggregateSpec> Aggregates() {
+  return {AggregateSpec::Count(), AggregateSpec::Sum("v"),
+          AggregateSpec::Avg("v"), AggregateSpec::Min("v"),
+          AggregateSpec::Max("v")};
+}
+
+class ExecutorConcurrencyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    points_ = testing::MakeUniformPoints(6000, 0xC0C0);
+    regions_ = testing::MakeRandomRegions(5, 0xC0C1);
+    raster_options_.resolution = 128;
+  }
+
+  AggregationQuery MakeQuery(const FilterSpec& filter,
+                             const AggregateSpec& aggregate) const {
+    AggregationQuery query;
+    query.points = &points_;
+    query.regions = &regions_;
+    query.filter = filter;
+    query.aggregate = aggregate;
+    return query;
+  }
+
+  /// Every (filter, aggregate) pair as its own job, indexed filter-major,
+  /// so thread t's stride through the list mixes filters and aggregates.
+  std::vector<Job> SingleQueryJobs() const {
+    std::vector<Job> jobs;
+    for (const FilterSpec& filter : Filters()) {
+      for (const AggregateSpec& aggregate : Aggregates()) {
+        jobs.push_back({MakeQuery(filter, aggregate)});
+      }
+    }
+    return jobs;
+  }
+
+  static Runner ExecuteEach(const SpatialAggregationExecutor& executor) {
+    return [&executor](const Job& job) -> StatusOr<std::vector<QueryResult>> {
+      URBANE_ASSIGN_OR_RETURN(QueryResult result,
+                              executor.Execute(job.front()));
+      return std::vector<QueryResult>{std::move(result)};
+    };
+  }
+
+  data::PointTable points_;
+  data::RegionSet regions_;
+  RasterJoinOptions raster_options_;
+};
+
+TEST_F(ExecutorConcurrencyTest, ScanJoin) {
+  auto executor = ScanJoin::Create(points_, regions_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+}
+
+TEST_F(ExecutorConcurrencyTest, IndexJoin) {
+  auto executor = IndexJoin::Create(points_, regions_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+}
+
+TEST_F(ExecutorConcurrencyTest, QuadtreeJoin) {
+  auto executor = QuadtreeJoin::Create(points_, regions_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+}
+
+TEST_F(ExecutorConcurrencyTest, BoundedRasterJoin) {
+  auto executor = BoundedRasterJoin::Create(points_, regions_,
+                                            raster_options_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+}
+
+TEST_F(ExecutorConcurrencyTest, BoundedRasterJoinExecuteBatch) {
+  auto executor = BoundedRasterJoin::Create(points_, regions_,
+                                            raster_options_);
+  ASSERT_TRUE(executor.ok());
+  // Per filter, one batch of every aggregate and one MIN + SUM batch, so
+  // the threads run different filters and different target sets.
+  std::vector<Job> jobs;
+  for (const FilterSpec& filter : Filters()) {
+    Job all;
+    for (const AggregateSpec& aggregate : Aggregates()) {
+      all.push_back(MakeQuery(filter, aggregate));
+    }
+    jobs.push_back(all);
+    jobs.push_back({MakeQuery(filter, AggregateSpec::Min("v")),
+                    MakeQuery(filter, AggregateSpec::Sum("v"))});
+  }
+  const BoundedRasterJoin& raster = **executor;
+  ExpectConcurrentRunsMatchSerial(
+      [&raster](const Job& job) { return raster.ExecuteBatch(job); }, jobs);
+}
+
+TEST_F(ExecutorConcurrencyTest, AccurateRasterJoin) {
+  auto executor = AccurateRasterJoin::Create(points_, regions_,
+                                             raster_options_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+}
+
+TEST_F(ExecutorConcurrencyTest, ShardedExecutor) {
+  shard::ShardedExecutorOptions options;
+  options.num_shards = 3;
+  auto executor = shard::ShardedExecutor::Create(
+      points_, regions_, ExecutionMethod::kBoundedRaster, options,
+      raster_options_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+}
+
+TEST_F(ExecutorConcurrencyTest, StoreScanJoin) {
+  const std::string path =
+      ::testing::TempDir() + "/executor_concurrency.ust";
+  store::StoreWriterOptions write_options;
+  write_options.block_rows = 512;
+  ASSERT_TRUE(store::WritePointStore(points_, path, write_options).ok());
+  store::StoreReaderOptions read_options;
+  read_options.use_mmap = false;
+  auto reader = store::StoreReader::Open(path, read_options);
+  ASSERT_TRUE(reader.ok());
+  store::BlockCacheOptions cache_options;
+  cache_options.capacity_blocks = 4;  // far fewer than the blocks scanned
+  store::BlockCache cache(&*reader, cache_options);
+  auto executor = store::StoreScanJoin::Create(*reader, cache, regions_);
+  ASSERT_TRUE(executor.ok());
+  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace urbane::core

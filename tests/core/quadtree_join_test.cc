@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scan_join.h"
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -60,11 +61,13 @@ TEST(QuadtreeJoinTest, BulkSubtreesDominateForLargeRegions) {
   ASSERT_TRUE(regions.Add(std::move(region)).ok());
   auto quad = QuadtreeJoin::Create(points, regions);
   ASSERT_TRUE(quad.ok());
+  obs::QueryProfile profile;
   AggregationQuery query;
   query.points = &points;
   query.regions = &regions;
+  query.profile = &profile;
   ASSERT_TRUE((*quad)->Execute(query).ok());
-  EXPECT_GT((*quad)->stats().points_bulk, (*quad)->stats().pip_tests);
+  EXPECT_GT(profile.totals.points_bulk, profile.totals.pip_tests);
 }
 
 TEST(QuadtreeJoinTest, LeafCapacityOptionRespected) {

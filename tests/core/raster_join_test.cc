@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/scan_join.h"
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -219,13 +220,15 @@ TEST(BoundedRasterJoinTest, StatsTrackPixelsAndBoundary) {
   options.resolution = 128;
   auto raster = BoundedRasterJoin::Create(points, regions, options);
   ASSERT_TRUE(raster.ok());
+  obs::QueryProfile profile;
   AggregationQuery query;
   query.points = &points;
   query.regions = &regions;
+  query.profile = &profile;
   ASSERT_TRUE((*raster)->Execute(query).ok());
-  EXPECT_GT((*raster)->stats().pixels_touched, 0u);
-  EXPECT_GT((*raster)->stats().boundary_pixels, 0u);
-  EXPECT_EQ((*raster)->stats().points_scanned, 1000u);
+  EXPECT_GT(profile.totals.pixels_touched, 0u);
+  EXPECT_GT(profile.totals.boundary_pixels, 0u);
+  EXPECT_EQ(profile.totals.points_scanned, 1000u);
 }
 
 TEST(BoundedRasterJoinTest, DisablingBoundsSkipsThem) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profile.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -127,12 +128,15 @@ TEST(ScanJoinTest, StatsPopulated) {
   const auto regions = testing::MakeRandomRegions(4, 3);
   auto scan = ScanJoin::Create(points, regions);
   ASSERT_TRUE(scan.ok());
+  obs::QueryProfile profile;
   AggregationQuery query;
   query.points = &points;
   query.regions = &regions;
+  query.profile = &profile;
   ASSERT_TRUE((*scan)->Execute(query).ok());
-  EXPECT_EQ((*scan)->stats().points_scanned, 500u);
-  EXPECT_GT((*scan)->stats().query_seconds, 0.0);
+  EXPECT_EQ(profile.method, "scan");
+  EXPECT_EQ(profile.totals.points_scanned, 500u);
+  EXPECT_GT(profile.totals.query_seconds, 0.0);
   EXPECT_EQ((*scan)->name(), "scan");
   EXPECT_TRUE((*scan)->exact());
 }

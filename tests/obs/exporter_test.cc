@@ -1,12 +1,12 @@
-// Telemetry exporter tests: Prometheus text exposition, the HTTP endpoints
-// round-tripped over a real loopback socket, and the JSONL sink.
+// Telemetry tests: Prometheus text exposition, the telemetry routes the
+// query server mounts, and the exporter's JSONL sink.
 #include "obs/exporter.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,49 +16,8 @@
 #include "obs/prometheus.h"
 #include "obs/slow_query_log.h"
 
-#ifdef __unix__
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#define URBANE_TEST_SOCKETS 1
-#endif
-
 namespace urbane::obs {
 namespace {
-
-#ifdef URBANE_TEST_SOCKETS
-// Minimal HTTP/1.0 GET over a fresh loopback connection; returns the raw
-// response (status line + headers + body).
-std::string HttpGet(std::uint16_t port, const std::string& path,
-                    const std::string& method = "GET") {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
-  ::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buffer[2048];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string Body(const std::string& response) {
-  const std::size_t pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? "" : response.substr(pos + 4);
-}
-#endif  // URBANE_TEST_SOCKETS
 
 TEST(PrometheusTextTest, SanitizesMetricNames) {
   EXPECT_EQ(PrometheusMetricName("cache.hits"), "urbane_cache_hits");
@@ -101,69 +60,19 @@ TEST(PrometheusTextTest, EmitsCumulativeHistogramBuckets) {
 }
 
 TEST(TelemetryExporterTest, HandleRequestRoutesWithoutStarting) {
-  TelemetryExporter exporter;
-  const std::string metrics = exporter.HandleRequest("GET", "/metrics");
-  EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-
-  const std::string health = exporter.HandleRequest("GET", "/healthz");
-  EXPECT_NE(health.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok\n"), std::string::npos);
-
-  EXPECT_NE(exporter.HandleRequest("GET", "/nope").find("HTTP/1.0 404"),
-            std::string::npos);
-  EXPECT_NE(exporter.HandleRequest("POST", "/metrics").find("HTTP/1.0 405"),
-            std::string::npos);
-  // Query strings are ignored when routing.
-  EXPECT_NE(
-      exporter.HandleRequest("GET", "/healthz?verbose=1").find("200 OK"),
-      std::string::npos);
-}
-
-#ifdef URBANE_TEST_SOCKETS
-TEST(TelemetryExporterTest, ServesPrometheusMetricsOverSocket) {
-  // Unique metric names so the assertions are immune to registry state
-  // left behind by other tests.
-  MetricsRegistry::Global().GetCounter("exportertest.requests").Add(7);
-  Histogram& histogram = MetricsRegistry::Global().GetHistogram(
-      "exportertest.latency_seconds", {0.01, 0.1});
-  histogram.Observe(0.005);
-  histogram.Observe(0.05);
-  histogram.Observe(5.0);
-
-  TelemetryExporterOptions options;
-  options.port = 0;  // ephemeral
-  TelemetryExporter exporter(options);
-  ASSERT_TRUE(exporter.Start().ok());
-  ASSERT_TRUE(exporter.running());
-  ASSERT_GT(exporter.port(), 0);
-
-  const std::string response = HttpGet(exporter.port(), "/metrics");
-  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("Content-Type: text/plain; version=0.0.4"),
-            std::string::npos);
-  const std::string body = Body(response);
-  EXPECT_NE(body.find("# TYPE urbane_exportertest_requests counter"),
-            std::string::npos);
-  EXPECT_NE(body.find("urbane_exportertest_requests 7"), std::string::npos);
-  EXPECT_NE(body.find("# TYPE urbane_exportertest_latency_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(
-      body.find("urbane_exportertest_latency_seconds_bucket{le=\"+Inf\"} 3"),
-      std::string::npos);
+  std::string content_type;
+  std::string body;
+  ASSERT_TRUE(TelemetryEndpoint("/metrics", &content_type, &body));
+  EXPECT_EQ(content_type, "text/plain; version=0.0.4");
   // /metrics refreshes the process gauges on every scrape.
   EXPECT_NE(body.find("urbane_process_uptime_seconds"), std::string::npos);
 
-  // Several sequential scrapes on the single-threaded listener.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NE(HttpGet(exporter.port(), "/healthz").find("ok"),
-              std::string::npos);
-  }
-  EXPECT_NE(HttpGet(exporter.port(), "/nope").find("HTTP/1.0 404"),
-            std::string::npos);
-  exporter.Stop();
-  EXPECT_FALSE(exporter.running());
-  EXPECT_EQ(exporter.port(), 0);
+  ASSERT_TRUE(TelemetryEndpoint("/healthz", &content_type, &body));
+  EXPECT_EQ(body, "ok\n");
+
+  EXPECT_FALSE(TelemetryEndpoint("/nope", &content_type, &body));
+  // Query strings are ignored when routing.
+  EXPECT_TRUE(TelemetryEndpoint("/healthz?verbose=1", &content_type, &body));
 }
 
 TEST(TelemetryExporterTest, SlowQueryAppearsInSlowlogEndpoint) {
@@ -176,13 +85,12 @@ TEST(TelemetryExporterTest, SlowQueryAppearsInSlowlogEndpoint) {
   recorder.MaybeRecord(0xabcdefULL, "raster", "SELECT COUNT(*)",
                        "exporter-test-plan", 1.5, nullptr);
 
-  TelemetryExporter exporter;
-  ASSERT_TRUE(exporter.Start().ok());
-  const std::string response = HttpGet(exporter.port(), "/slowlog");
-  exporter.Stop();
-  EXPECT_NE(response.find("application/json"), std::string::npos);
+  std::string content_type;
+  std::string body;
+  ASSERT_TRUE(TelemetryEndpoint("/slowlog", &content_type, &body));
+  EXPECT_EQ(content_type, "application/json");
 
-  const auto parsed = data::ParseJson(Body(response));
+  const auto parsed = data::ParseJson(body);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Find("schema")->AsString(), "urbane.slowlog.v1");
   const data::JsonValue* records = parsed->Find("records");
@@ -197,59 +105,23 @@ TEST(TelemetryExporterTest, SlowQueryAppearsInSlowlogEndpoint) {
   recorder.Clear();
 }
 
-TEST(TelemetryExporterTest, HalfOpenClientCannotStallOtherScrapers) {
-  // Regression test for the synchronous serving loop: a client that
-  // connects and never sends a request used to park the exporter thread in
-  // a timeout-less recv(), starving every other scraper. With per-socket
-  // timeouts the stall is bounded by client_timeout_ms.
-  TelemetryExporterOptions options;
-  options.client_timeout_ms = 150;
-  TelemetryExporter exporter(options);
-  ASSERT_TRUE(exporter.Start().ok());
-
-  // The half-open peer: connect, send nothing, stay open until the end.
-  const int mute_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(mute_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(exporter.port());
-  ASSERT_EQ(
-      ::connect(mute_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-      0);
-
-  // Scrapes issued behind the mute client must still be answered — each
-  // can be delayed by at most one client_timeout_ms slice, never starved.
-  for (int i = 0; i < 3; ++i) {
-    const std::string response = HttpGet(exporter.port(), "/healthz");
-    EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
-        << "scrape " << i << " starved by a half-open client";
-  }
-  const std::string metrics = HttpGet(exporter.port(), "/metrics");
-  EXPECT_NE(metrics.find("urbane_process_uptime_seconds"), std::string::npos);
-
-  ::close(mute_fd);
-  exporter.Stop();
-}
-
 TEST(TelemetryExporterTest, StopIsIdempotentAndRestartable) {
   TelemetryExporter exporter;
   ASSERT_TRUE(exporter.Start().ok());
+  EXPECT_TRUE(exporter.running());
   EXPECT_FALSE(exporter.Start().ok());  // double start refused
   exporter.Stop();
+  EXPECT_FALSE(exporter.running());
   exporter.Stop();  // no-op
-  ASSERT_TRUE(exporter.Start().ok());  // restart binds a fresh socket
-  EXPECT_GT(exporter.port(), 0);
+  ASSERT_TRUE(exporter.Start().ok());  // restart
   exporter.Stop();
 }
-#endif  // URBANE_TEST_SOCKETS
 
 TEST(TelemetryExporterTest, SinkReceivesJsonlDeltas) {
   const std::string sink = ::testing::TempDir() + "/urbane_exporter_sink.jsonl";
   std::remove(sink.c_str());
 
   TelemetryExporterOptions options;
-  options.listen = false;
   options.sink_path = sink;
   options.flush_period_seconds = 0.05;
 

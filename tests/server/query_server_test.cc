@@ -423,6 +423,38 @@ TEST(QueryServerDeadlineTest, PerRequestTimeoutYields504) {
   server.Stop();
 }
 
+TEST(QueryServerTest, HalfOpenClientCannotStallOtherScrapers) {
+  if (!net::SocketsAvailable()) GTEST_SKIP() << "no sockets here";
+  // A client that sent half a request holds its worker in recv() until
+  // client_timeout_ms. That timeout is far longer than Fetch's own, so a
+  // scrape that had to wait for it would fail: only a free worker can
+  // answer in time.
+  GatedBackend backend;
+  backend.Release();
+  QueryServerOptions options;
+  options.worker_threads = 2;
+  options.client_timeout_ms = 60'000;
+  QueryServer server(&backend, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  StatusOr<int> mute = net::ConnectLoopback(server.port());
+  ASSERT_TRUE(mute.ok());
+  ASSERT_TRUE(net::SendAll(*mute, "GET /healthz HTTP/1.1\r\nHost:").ok());
+  ASSERT_TRUE(WaitFor([&] { return server.accepted() >= 1; }));
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(Get(server.port(), "/healthz").status, 200)
+        << "scrape " << i << " starved by a half-open client";
+  }
+  const HttpReply metrics = Get(server.port(), "/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("urbane_process_uptime_seconds"),
+            std::string::npos);
+
+  net::CloseSocket(*mute);
+  server.Stop();
+}
+
 TEST(QueryServerLifecycleTest, StartStopRestartSemantics) {
   if (!net::SocketsAvailable()) GTEST_SKIP() << "no sockets here";
   GatedBackend backend;

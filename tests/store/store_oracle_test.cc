@@ -12,11 +12,15 @@
 
 #include "core/scan_join.h"
 #include "core/spatial_aggregation.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "obs/profile.h"
 #include "store/block_cache.h"
 #include "store/store_reader.h"
 #include "store/store_scan_join.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace urbane::store {
@@ -168,24 +172,81 @@ TEST(StoreOracleTest, StreamingStoreScanMatchesSerialInMemoryScan) {
   ASSERT_TRUE(memory_scan.ok());
   for (const core::AggregateSpec& aggregate : AllAggregates()) {
     for (const core::FilterSpec& filter : OracleFilters()) {
+      obs::QueryProfile profile;
       core::AggregationQuery query;
       query.aggregate = aggregate;
       query.filter = filter;
+      query.profile = &profile;
       auto from_store = (*store_scan)->Execute(query);
       core::AggregationQuery direct = query;
       direct.points = &oracle->materialized;
       direct.regions = &oracle->regions;
+      direct.profile = nullptr;
       auto from_memory = (*memory_scan)->Execute(direct);
       ASSERT_TRUE(from_store.ok()) << from_store.status().ToString();
       ASSERT_TRUE(from_memory.ok()) << from_memory.status().ToString();
       ExpectBitIdentical(*from_store, *from_memory, "store_scan");
       if (!filter.IsTrivial()) {
-        EXPECT_GT((*store_scan)->store_stats().blocks_pruned, 0u);
-        EXPECT_LT((*store_scan)->store_stats().blocks_scanned,
-                  (*store_scan)->store_stats().blocks_total);
+        EXPECT_GT(profile.blocks_pruned, 0u);
+        EXPECT_LT(profile.store_blocks_scanned, profile.blocks_total);
       }
     }
   }
+}
+
+// The shared-splat ExecuteMany batch prunes once for all its queries and
+// must count that pruning exactly like the per-query path: rows as well as
+// blocks.
+TEST(StoreOracleTest, ExecuteManyBatchCountsRowsPruned) {
+  // Time rises with x, so the Morton-clustered blocks span narrow time
+  // ranges and a time filter prunes whole blocks.
+  data::PointTable table(data::Schema(std::vector<std::string>{"v"}));
+  Rng rng(0x9A11);
+  std::vector<float>& v = table.mutable_attribute_column(0);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = rng.NextDouble(0.0, 100.0);
+    table.AppendXyt(static_cast<float>(x),
+                    static_cast<float>(rng.NextDouble(0.0, 100.0)),
+                    static_cast<std::int64_t>(x * 864.0));
+    v.push_back(static_cast<float>(rng.NextDouble(-10.0, 10.0)));
+  }
+  const std::string path = ::testing::TempDir() + "/oracle_batch_prune.ust";
+  StoreWriterOptions write_options;
+  write_options.block_rows = 1024;
+  ASSERT_TRUE(WritePointStore(table, path, write_options).ok());
+  auto reader = StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  auto view = reader->MappedTable();
+  ASSERT_TRUE(view.ok());
+  const data::RegionSet regions = testing::MakeRandomRegions(6, 0x9A12);
+  core::SpatialAggregation engine(*view, regions);
+  engine.AttachZoneMaps(&reader->zone_maps());
+
+  std::vector<core::AggregationQuery> queries(2);
+  queries[0].aggregate = core::AggregateSpec::Count();
+  queries[1].aggregate = core::AggregateSpec::Sum("v");
+  for (core::AggregationQuery& query : queries) {
+    query.filter.time_range = core::TimeRange{0, 20000};
+  }
+  obs::QueryProfile profile;
+  queries[0].profile = &profile;
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter& rows_pruned =
+      obs::MetricsRegistry::Global().GetCounter("store.rows_pruned");
+  const std::uint64_t before = rows_pruned.Value();
+  const auto results =
+      engine.ExecuteMany(queries, core::ExecutionMethod::kBoundedRaster);
+  const std::uint64_t counted = rows_pruned.Value() - before;
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  std::remove(path.c_str());
+
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_EQ(profile.method, "raster");
+  EXPECT_GT(profile.blocks_pruned, 0u);
+  EXPECT_GT(profile.rows_pruned, 0u);
+  EXPECT_EQ(counted, profile.rows_pruned);
 }
 
 TEST(StoreOracleTest, ViewBoundsDriveIdenticalCanvases) {

@@ -5,16 +5,20 @@
 # test suite with -DURBANE_SANITIZE=thread and runs the suites that
 # exercise cross-thread behavior:
 #   * the parallel-executor determinism suite (parallel == serial),
-#   * the shared-engine concurrency tests (N sessions on one facade),
+#   * the shared-engine concurrency tests (N sessions on one facade) and
+#     the shared-executor concurrency tests (N threads on one instance of
+#     each executor: executors are immutable after Create, so any
+#     per-query state left on one is a data race here),
 #   * the QueryCache unit tests (sharded LRU under mixed traffic),
 #   * the facade cache tests (stale-ε regression included),
 #   * the obs metrics concurrency tests (threads vs serial oracle) and the
 #     observability-determinism oracle (metrics on plus an attached query
 #     profile must leave every executor's results bit-identical),
 #   * the telemetry pipeline suites (event-journal MPSC ring producers vs
-#     drainer, slow-query recorder, exporter socket round-trip),
+#     drainer, slow-query recorder, the exporter's sink thread),
 #   * the query-server suites (concurrent HTTP round trips, admission
-#     control, graceful drain, per-request deadlines) and the net substrate,
+#     control, graceful drain, per-request deadlines, a half-open client
+#     beside /healthz scrapes) and the net substrate,
 #   * the block-store suites (`store` label): the BlockCache pin/evict/
 #     load-coalescing paths under concurrent readers, plus the corrupt-file
 #     corpus so the hardened I/O layer is swept by the sanitizer too,
@@ -114,7 +118,7 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" \
 URBANE_SIMD=off \
 TSAN_OPTIONS="halt_on_error=1 abort_on_error=1${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}" \
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'ParallelDeterminism|EngineConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|BlockCache|StoreCorruption|StoreTruncation' \
+  -R 'ParallelDeterminism|EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|BlockCache|StoreCorruption|StoreTruncation' \
   "$@"
 
 # The adversarial-interleaving merge suite and the rest of the shard layer
