@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
 
   // Shard scaling: same dataset, same SQL, 8 closed-loop clients, with the
   // backend's engines fanned out over M shards (scatter on the shared
-  // pool, merge per shard/shard_merge.h). Near-linear rps growth across
+  // pool, merge per core::PartialResult::Merge). Near-linear rps growth across
   // this table is the tentpole's throughput claim; correctness is pinned
   // separately by the shard conformance suite (bit-identical responses).
   bench::ResultTable shard_table(

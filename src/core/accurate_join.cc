@@ -55,7 +55,7 @@ void AccurateRasterJoin::BuildPixelIndex() {
   }
 }
 
-StatusOr<QueryResult> AccurateRasterJoin::Execute(
+StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
     const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
@@ -98,9 +98,8 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
   // exactness is per region: partitioning cannot change it.
   WallTimer sweep_timer;
   const std::size_t num_regions = regions_.size();
-  QueryResult result;
-  result.values.assign(num_regions, 0.0);
-  result.counts.assign(num_regions, 0);
+  PartialResult result;
+  result.regions.resize(num_regions);
 
   const raster::RasterKernels& kernels = raster::ActiveKernels();
   std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
@@ -119,7 +118,7 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
     for (std::size_t r = begin; r < end; ++r) {
       const internal::RegionSpanCache& cache = sweep_.regions[r];
       const auto& parts = regions_[r].geometry.parts();
-      Accumulator acc;
+      Accumulator& acc = result.regions[r];
       for (std::size_t p = 0; p < parts.size(); ++p) {
         const geometry::Polygon& region_part = parts[p];
 
@@ -164,8 +163,6 @@ StatusOr<QueryResult> AccurateRasterJoin::Execute(
       }
       ws.pixels_touched += cache.pixels;
       ws.tiles_visited += cache.tiles;
-      result.values[r] = acc.Finalize(query.aggregate.kind);
-      result.counts[r] = acc.count;
     }
   });
   for (const obs::ProfilePassCosts& ws : worker_costs) {

@@ -24,7 +24,8 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const RasterJoinOptions& options = RasterJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
+  StatusOr<PartialResult> ExecutePartial(
+      const AggregationQuery& query) const override;
   std::string name() const override { return "accurate"; }
   bool exact() const override { return true; }
 
@@ -56,7 +57,7 @@ class AccurateRasterJoin : public SpatialAggregationExecutor {
   // sweep loop runs without per-pixel stamp checks.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Render targets leased per Execute call (see BoundedRasterJoin).
+  // Render targets leased per ExecutePartial call (see BoundedRasterJoin).
   mutable internal::TargetPool targets_;
 };
 

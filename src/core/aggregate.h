@@ -84,10 +84,11 @@ struct Accumulator {
   double Finalize(AggregateKind kind) const;
 };
 
-/// Result of one spatial aggregation query: one value per region, in region
-/// order, plus the per-region matching point count (always maintained — the
-/// map view uses it for context) and, for the bounded raster join, a
-/// per-region error bound.
+/// Result of one spatial aggregation query — a PartialResult finalized
+/// under the query's aggregate: one value per region, in region order, plus
+/// the per-region matching point count (always maintained — the map view
+/// uses it for context) and, for the bounded raster join, a per-region
+/// error bound.
 struct QueryResult {
   std::vector<double> values;
   std::vector<std::uint64_t> counts;
@@ -100,6 +101,30 @@ struct QueryResult {
   std::vector<double> error_bounds;
 
   std::size_t size() const { return values.size(); }
+};
+
+/// The unfinalized result every executor produces and every merge consumes:
+/// one accumulator per region (region order) plus, for the bounded raster
+/// join, the per-region error bounds (QueryResult::error_bounds semantics
+/// for the query's aggregate). A sharded pass or a live data set answers
+/// one query from several partials over disjoint row subsets — shards,
+/// components — folds them with Merge in a fixed order and finalizes once,
+/// so AVG divides the summed (sum, count) pairs, never averages averages.
+struct PartialResult {
+  std::vector<Accumulator> regions;
+  std::vector<double> error_bounds;
+
+  /// Folds `other` into this partial: accumulators merge region by region
+  /// (Accumulator::Merge) and error bounds add — each point lives in
+  /// exactly one partial, so the bounds partition the whole query's. The
+  /// merged partial carries bounds iff either side did. InvalidArgument
+  /// when the region counts differ or a side's bounds are not one per
+  /// region; this partial is unchanged then.
+  Status Merge(const PartialResult& other);
+
+  /// The finished result under `kind`: Accumulator::Finalize and the count
+  /// of every region, bounds as they are.
+  QueryResult Finalize(AggregateKind kind) const;
 };
 
 }  // namespace urbane::core

@@ -23,7 +23,8 @@ StatusOr<std::unique_ptr<IndexJoin>> IndexJoin::Create(
       new IndexJoin(points, regions, std::move(grid), options));
 }
 
-StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) const {
+StatusOr<PartialResult> IndexJoin::ExecutePartial(
+    const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
@@ -58,9 +59,8 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) const {
   // and results land in preallocated region slots.
   const ExecutionContext& exec = options_.exec;
   const std::size_t num_regions = regions_.size();
-  QueryResult result;
-  result.values.assign(num_regions, 0.0);
-  result.counts.assign(num_regions, 0);
+  PartialResult result;
+  result.regions.resize(num_regions);
   std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
 
   WallTimer reduce_timer;
@@ -69,7 +69,7 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) const {
                                           std::size_t end) {
     obs::ProfilePassCosts& ws = worker_costs[part_index];
     for (std::size_t r = begin; r < end; ++r) {
-      Accumulator acc;
+      Accumulator& acc = result.regions[r];
       for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
         grid_.ClassifyCells(
             part,
@@ -110,8 +110,6 @@ StatusOr<QueryResult> IndexJoin::Execute(const AggregationQuery& query) const {
               }
             });
       }
-      result.values[r] = acc.Finalize(query.aggregate.kind);
-      result.counts[r] = acc.count;
     }
   });
   for (const obs::ProfilePassCosts& ws : worker_costs) {

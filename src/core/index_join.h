@@ -33,7 +33,8 @@ class IndexJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const IndexJoinOptions& options = IndexJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
+  StatusOr<PartialResult> ExecutePartial(
+      const AggregationQuery& query) const override;
   std::string name() const override { return "index"; }
   bool exact() const override { return true; }
 

@@ -2,7 +2,10 @@
 
 #include <string>
 
+#include "obs/event_journal.h"
+#include "obs/slow_query_log.h"
 #include "raster/simd.h"
+#include "util/timer.h"
 
 namespace urbane::core {
 namespace {
@@ -58,6 +61,87 @@ void PublishExecution(const SpatialAggregationExecutor& executor,
   // process-wide.
   registry.GetGauge("raster.simd_level")
       .Set(static_cast<double>(static_cast<int>(raster::ActiveSimdLevel())));
+}
+
+bool QueryUnobserved(const AggregationQuery& query) {
+  return !obs::JournalEnabled() && !obs::SlowQueryLog::Global().armed() &&
+         !obs::MetricsEnabled() && query.profile == nullptr;
+}
+
+std::unique_ptr<obs::QueryProfile> AttachArmedProfile(
+    AggregationQuery& query) {
+  if (query.profile != nullptr) {
+    return nullptr;
+  }
+  auto profile = std::make_unique<obs::QueryProfile>();
+  obs::CurrentTraceContext(&profile->context.trace_hi,
+                           &profile->context.trace_lo);
+  query.profile = profile.get();
+  return profile;
+}
+
+StatusOr<QueryResult> ObserveQuery(
+    AggregationQuery& query, ExecutionMethod method,
+    const std::function<std::uint64_t()>& fingerprint,
+    const std::function<StatusOr<QueryResult>(bool* cache_hit)>& run) {
+  obs::SlowQueryLog& recorder = obs::SlowQueryLog::Global();
+  const bool journal = obs::JournalEnabled();
+  const bool armed = recorder.armed();
+  const bool metrics = obs::MetricsEnabled();
+
+  // The fingerprint keys journal events and slow-query records to the same
+  // identity the result cache uses.
+  const std::uint64_t key = journal || armed ? fingerprint() : 0;
+  if (journal) {
+    obs::Event start;
+    start.kind = obs::EventKind::kQueryStart;
+    start.method = static_cast<std::uint8_t>(method);
+    start.fingerprint = key;
+    obs::EmitEvent(start);
+  }
+
+  // Armed mode's own profile, dropped unless MaybeRecord captures it.
+  const std::unique_ptr<obs::QueryProfile> armed_profile =
+      armed ? AttachArmedProfile(query) : nullptr;
+
+  WallTimer timer;
+  bool cache_hit = false;
+  StatusOr<QueryResult> result = run(&cache_hit);
+  const double wall_seconds = timer.ElapsedSeconds();
+  if (query.profile != nullptr) {
+    query.profile->wall_seconds = wall_seconds;
+  }
+
+  if (metrics) {
+    // The recorder's p99-multiplier threshold derives from this histogram.
+    obs::MetricsRegistry::Global()
+        .GetHistogram("query.wall_seconds")
+        .Observe(wall_seconds);
+  }
+  if (journal) {
+    obs::Event finish;
+    finish.kind = obs::EventKind::kQueryFinish;
+    finish.method = static_cast<std::uint8_t>(method);
+    finish.fingerprint = key;
+    finish.value = wall_seconds;
+    if (cache_hit) finish.flags |= obs::kEventCacheHit;
+    if (!result.ok()) finish.flags |= obs::kEventError;
+    obs::EmitEvent(finish);
+    if (!result.ok()) {
+      obs::Event error;
+      error.kind = obs::EventKind::kError;
+      error.method = static_cast<std::uint8_t>(method);
+      error.fingerprint = key;
+      error.detail = static_cast<std::uint8_t>(result.status().code());
+      obs::EmitEvent(error);
+    }
+  }
+  if (armed) {
+    recorder.MaybeRecord(key, ExecutionMethodToString(method),
+                         query.ToString(), query.profile->planner_explanation,
+                         wall_seconds, query.profile);
+  }
+  return result;
 }
 
 }  // namespace urbane::core

@@ -24,7 +24,7 @@ StatusOr<std::unique_ptr<QuadtreeJoin>> QuadtreeJoin::Create(
       new QuadtreeJoin(points, regions, std::move(tree)));
 }
 
-StatusOr<QueryResult> QuadtreeJoin::Execute(
+StatusOr<PartialResult> QuadtreeJoin::ExecutePartial(
     const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
@@ -53,12 +53,11 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(
     return cand != nullptr && !cand->Contains(id);
   };
 
-  QueryResult result;
-  result.values.reserve(regions_.size());
-  result.counts.reserve(regions_.size());
+  PartialResult result;
+  result.regions.resize(regions_.size());
   WallTimer reduce_timer;
   for (std::size_t r = 0; r < regions_.size(); ++r) {
-    Accumulator acc;
+    Accumulator& acc = result.regions[r];
     for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
       tree_.Query(
           part,
@@ -93,8 +92,6 @@ StatusOr<QueryResult> QuadtreeJoin::Execute(
             }
           });
     }
-    result.values.push_back(acc.Finalize(query.aggregate.kind));
-    result.counts.push_back(acc.count);
   }
   costs.reduce_seconds = reduce_timer.ElapsedSeconds();
   costs.query_seconds = timer.ElapsedSeconds();

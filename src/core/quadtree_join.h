@@ -27,7 +27,8 @@ class QuadtreeJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const QuadtreeJoinOptions& options = QuadtreeJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
+  StatusOr<PartialResult> ExecutePartial(
+      const AggregationQuery& query) const override;
   std::string name() const override { return "quadtree"; }
   bool exact() const override { return true; }
 

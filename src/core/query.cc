@@ -64,4 +64,10 @@ std::string AggregationQuery::ToString() const {
   return out;
 }
 
+StatusOr<QueryResult> SpatialAggregationExecutor::Execute(
+    const AggregationQuery& query) const {
+  URBANE_ASSIGN_OR_RETURN(PartialResult partial, ExecutePartial(query));
+  return partial.Finalize(query.aggregate.kind);
+}
+
 }  // namespace urbane::core

@@ -105,17 +105,24 @@ struct AggregationQuery {
 
 /// Common interface of the four interchangeable execution strategies.
 ///
-/// An executor is immutable after Create: Execute is const and any number
-/// of threads may call it on one instance concurrently. A call's pass
-/// costs go to `query.profile` (when attached) and to the `exec.*` metrics
-/// (when enabled), never to the executor.
+/// An executor is immutable after Create: ExecutePartial is const and any
+/// number of threads may call it on one instance concurrently. A call's
+/// pass costs go to `query.profile` (when attached) and to the `exec.*`
+/// metrics (when enabled), never to the executor.
 class SpatialAggregationExecutor {
  public:
   virtual ~SpatialAggregationExecutor() = default;
 
-  /// Executes the query, producing one value per region (region order).
-  virtual StatusOr<QueryResult> Execute(
+  /// Executes the query over the rows it selects (all rows, or
+  /// `query.candidate_ranges`), producing one unfinalized accumulator per
+  /// region (region order). Partials over disjoint rows merge with
+  /// PartialResult::Merge — the sharded executor and the live engine
+  /// compose queries that way.
+  virtual StatusOr<PartialResult> ExecutePartial(
       const AggregationQuery& query) const = 0;
+
+  /// ExecutePartial, finalized under the query's aggregate.
+  StatusOr<QueryResult> Execute(const AggregationQuery& query) const;
 
   /// Strategy name for reports ("scan", "index", "raster", "accurate").
   virtual std::string name() const = 0;

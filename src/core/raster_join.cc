@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <string>
 
 #include "core/observe.h"
 #include "core/raster_targets.h"
@@ -92,7 +90,7 @@ StatusOr<std::unique_ptr<BoundedRasterJoin>> BoundedRasterJoin::Create(
   return executor;
 }
 
-StatusOr<QueryResult> BoundedRasterJoin::Execute(
+StatusOr<PartialResult> BoundedRasterJoin::ExecutePartial(
     const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
@@ -138,9 +136,8 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   //     bit ---
   WallTimer sweep_timer;
   const std::size_t num_regions = regions_.size();
-  QueryResult result;
-  result.values.assign(num_regions, 0.0);
-  result.counts.assign(num_regions, 0);
+  PartialResult result;
+  result.regions.resize(num_regions);
   if (options_.compute_error_bounds) {
     result.error_bounds.assign(num_regions, 0.0);
   }
@@ -158,7 +155,7 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
         static_cast<std::size_t>(viewport_.width()));
     for (std::size_t r = begin; r < end; ++r) {
       const internal::RegionSpanCache& cache = sweep_.regions[r];
-      Accumulator acc;
+      Accumulator& acc = result.regions[r];
       for (const raster::PixelSpan& span : cache.spans) {
         ws.simd_fragments +=
             static_cast<std::size_t>(span.x_end - span.x_begin);
@@ -167,8 +164,6 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
       }
       ws.pixels_touched += cache.pixels;
       ws.tiles_visited += cache.tiles;
-      result.values[r] = acc.Finalize(query.aggregate.kind);
-      result.counts[r] = acc.count;
 
       if (options_.compute_error_bounds) {
         // Error is confined to pixels the region boundary passes through;
@@ -194,251 +189,6 @@ StatusOr<QueryResult> BoundedRasterJoin::Execute(
   PublishExecution(*this, "raster", exec.EffectiveThreads(), costs,
                    query.profile);
   return result;
-}
-
-namespace {
-
-bool FiltersEqual(const FilterSpec& a, const FilterSpec& b) {
-  if (a.time_range.has_value() != b.time_range.has_value()) return false;
-  if (a.time_range && (a.time_range->begin != b.time_range->begin ||
-                       a.time_range->end != b.time_range->end)) {
-    return false;
-  }
-  if (a.spatial_window.has_value() != b.spatial_window.has_value()) {
-    return false;
-  }
-  if (a.spatial_window && !(*a.spatial_window == *b.spatial_window)) {
-    return false;
-  }
-  if (a.attribute_ranges.size() != b.attribute_ranges.size()) return false;
-  for (std::size_t i = 0; i < a.attribute_ranges.size(); ++i) {
-    const AttributeRange& ra = a.attribute_ranges[i];
-    const AttributeRange& rb = b.attribute_ranges[i];
-    if (ra.attribute != rb.attribute || ra.lo != rb.lo || ra.hi != rb.hi) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-StatusOr<std::vector<QueryResult>> BoundedRasterJoin::ExecuteBatch(
-    const std::vector<AggregationQuery>& queries) const {
-  if (queries.empty()) {
-    return std::vector<QueryResult>();
-  }
-  for (const AggregationQuery& query : queries) {
-    URBANE_RETURN_IF_ERROR(query.Validate());
-    if (query.points != &points_ || query.regions != &regions_) {
-      return Status::FailedPrecondition(
-          "BoundedRasterJoin was created for a different table/region set");
-    }
-    if (!FiltersEqual(query.filter, queries.front().filter)) {
-      return Status::InvalidArgument(
-          "batched queries must share one filter (the splat pass is shared)");
-    }
-  }
-  const ExecutionContext& exec = options_.exec;
-  const raster::SplatParallelism splat_par = exec.Splat();
-  obs::ProfilePassCosts costs;
-  WallTimer timer;
-
-  WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(queries.front().filter, points_, exec,
-                     queries.front().candidate_ranges));
-  costs.filter_seconds = filter_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
-  costs.points_scanned = selection.ids.size();
-
-  // --- shared pass 1: the pixel indices are computed once for the whole
-  //     batch; one count splat + one sum / min-max splat per distinct
-  //     attribute the batch touches ---
-  WallTimer splat_timer;
-  const internal::SplatSchedule schedule =
-      internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
-  raster::Buffer2D<std::uint32_t> count(viewport_.width(),
-                                        viewport_.height(), 0);
-  raster::ParallelSplatIndexed(
-      splat_par, viewport_, schedule.indices.data(), schedule.size(),
-      raster::BlendOp::kAdd, [](std::size_t) { return 1u; }, count);
-
-  struct AttrTargets {
-    raster::Buffer2D<double> sum;
-    raster::Buffer2D<double> abs_sum;
-    raster::Buffer2D<float> min_value;
-    raster::Buffer2D<float> max_value;
-    bool has_sum = false;
-    bool has_abs = false;
-    bool has_minmax = false;
-  };
-  std::map<std::string, AttrTargets> per_attr;
-  for (const AggregationQuery& query : queries) {
-    if (!query.aggregate.NeedsAttribute()) continue;
-    const std::string& name = query.aggregate.attribute;
-    AttrTargets& targets = per_attr[name];
-    const float* column = points_.AttributeByName(name);
-    const bool needs_sum = query.aggregate.kind == AggregateKind::kSum ||
-                           query.aggregate.kind == AggregateKind::kAvg;
-    if (needs_sum && !targets.has_sum) {
-      targets.has_sum = true;
-      targets.sum =
-          raster::Buffer2D<double>(viewport_.width(), viewport_.height(), 0);
-      raster::ParallelSplatIndexed(
-          splat_par, viewport_, schedule.indices.data(), schedule.size(),
-          raster::BlendOp::kAdd,
-          [&](std::size_t k) {
-            return static_cast<double>(column[schedule.ids[k]]);
-          },
-          targets.sum);
-    }
-    if (needs_sum && options_.compute_error_bounds && !targets.has_abs) {
-      targets.has_abs = true;
-      targets.abs_sum =
-          raster::Buffer2D<double>(viewport_.width(), viewport_.height(), 0);
-      raster::ParallelSplatIndexed(
-          splat_par, viewport_, schedule.indices.data(), schedule.size(),
-          raster::BlendOp::kAdd,
-          [&](std::size_t k) {
-            return std::abs(static_cast<double>(column[schedule.ids[k]]));
-          },
-          targets.abs_sum);
-    }
-    const bool needs_minmax = query.aggregate.kind == AggregateKind::kMin ||
-                              query.aggregate.kind == AggregateKind::kMax;
-    if (needs_minmax && !targets.has_minmax) {
-      targets.has_minmax = true;
-      targets.min_value = raster::Buffer2D<float>(
-          viewport_.width(), viewport_.height(),
-          std::numeric_limits<float>::infinity());
-      raster::ParallelSplatIndexed(
-          splat_par, viewport_, schedule.indices.data(), schedule.size(),
-          raster::BlendOp::kMin,
-          [&](std::size_t k) { return column[schedule.ids[k]]; },
-          targets.min_value);
-      targets.max_value = raster::Buffer2D<float>(
-          viewport_.width(), viewport_.height(),
-          -std::numeric_limits<float>::infinity());
-      raster::ParallelSplatIndexed(
-          splat_par, viewport_, schedule.indices.data(), schedule.size(),
-          raster::BlendOp::kMax,
-          [&](std::size_t k) { return column[schedule.ids[k]]; },
-          targets.max_value);
-    }
-  }
-  costs.splat_seconds = splat_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(queries.front().CheckControl());
-
-  // Resolve each query's targets once; the sweep reads the map no more.
-  std::vector<const AttrTargets*> query_targets(queries.size(), nullptr);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    if (queries[q].aggregate.NeedsAttribute()) {
-      query_targets[q] = &per_attr.at(queries[q].aggregate.attribute);
-    }
-  }
-
-  // --- shared pass 2: sweep each region's cached spans once, feeding every
-  //     aggregate; the nonzero-count pixels of a span are gathered by the
-  //     SIMD kernels and visited in ascending order, exactly like the
-  //     per-pixel loop they replace ---
-  WallTimer sweep_timer;
-  const std::size_t num_regions = regions_.size();
-  std::vector<QueryResult> results(queries.size());
-  for (QueryResult& result : results) {
-    result.values.assign(num_regions, 0.0);
-    result.counts.assign(num_regions, 0);
-    if (options_.compute_error_bounds) {
-      result.error_bounds.assign(num_regions, 0.0);
-    }
-  }
-  const raster::RasterKernels& kernels = raster::ActiveKernels();
-  const std::uint32_t* count_data = count.data().data();
-  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
-  ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
-                                          std::size_t end) {
-    obs::ProfilePassCosts& ws = worker_costs[part];
-    std::vector<std::uint32_t> scratch(
-        static_cast<std::size_t>(viewport_.width()));
-    std::vector<Accumulator> accumulators(queries.size());
-    for (std::size_t r = begin; r < end; ++r) {
-      const internal::RegionSpanCache& cache = sweep_.regions[r];
-      std::fill(accumulators.begin(), accumulators.end(), Accumulator());
-      for (const raster::PixelSpan& span : cache.spans) {
-        const std::size_t len =
-            static_cast<std::size_t>(span.x_end - span.x_begin);
-        ws.simd_fragments += len;
-        const std::uint32_t* row =
-            count.Row(span.y) + static_cast<std::size_t>(span.x_begin);
-        const std::size_t hits =
-            kernels.gather_nonzero_u32(row, len, scratch.data());
-        for (std::size_t j = 0; j < hits; ++j) {
-          const int x = span.x_begin + static_cast<int>(scratch[j]);
-          const int y = span.y;
-          const std::uint32_t c = row[scratch[j]];
-          for (std::size_t q = 0; q < queries.size(); ++q) {
-            const AggregateSpec& spec = queries[q].aggregate;
-            Accumulator& acc = accumulators[q];
-            if (!spec.NeedsAttribute()) {
-              acc.AddBulk(c, 0.0);
-              continue;
-            }
-            const AttrTargets& targets = *query_targets[q];
-            switch (spec.kind) {
-              case AggregateKind::kSum:
-              case AggregateKind::kAvg:
-                acc.AddBulk(c, targets.sum.at(x, y));
-                break;
-              case AggregateKind::kMin:
-              case AggregateKind::kMax:
-                acc.AddBulk(c, 0.0);
-                acc.MergeMinMax(targets.min_value.at(x, y),
-                                targets.max_value.at(x, y));
-                break;
-              default:
-                acc.AddBulk(c, 0.0);
-            }
-          }
-        }
-      }
-      ws.pixels_touched += cache.pixels;
-      ws.tiles_visited += cache.tiles;
-      // Error bounds share one cached boundary list per region.
-      double count_bound = 0.0;
-      std::map<std::string, double> abs_bound;
-      if (options_.compute_error_bounds) {
-        for (const std::uint32_t idx : cache.boundary) {
-          count_bound += count_data[idx];
-          for (const auto& [name, targets] : per_attr) {
-            if (targets.has_abs) {
-              abs_bound[name] += targets.abs_sum.data()[idx];
-            }
-          }
-        }
-        ws.boundary_pixels += cache.boundary.size();
-      }
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        results[q].values[r] =
-            accumulators[q].Finalize(queries[q].aggregate.kind);
-        results[q].counts[r] = accumulators[q].count;
-        if (options_.compute_error_bounds) {
-          const AggregateSpec& spec = queries[q].aggregate;
-          const bool sum_like = spec.kind == AggregateKind::kSum;
-          results[q].error_bounds[r] =
-              sum_like ? abs_bound[spec.attribute] : count_bound;
-        }
-      }
-    }
-  });
-  for (const obs::ProfilePassCosts& ws : worker_costs) {
-    costs.AddCounters(ws);
-  }
-  costs.sweep_seconds = sweep_timer.ElapsedSeconds();
-  costs.query_seconds = timer.ElapsedSeconds();
-  PublishExecution(*this, "raster", exec.EffectiveThreads(), costs,
-                   queries.front().profile);
-  return results;
 }
 
 std::size_t BoundedRasterJoin::MemoryBytes() const {

@@ -88,18 +88,8 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const RasterJoinOptions& options = RasterJoinOptions());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
-
-  /// Multi-aggregate batch: evaluates several aggregates that share ONE
-  /// filter in a single pass — the points are splatted once into the union
-  /// of the needed render targets and each region is swept once, exactly
-  /// how the GPU implementation amortizes multiple aggregates per frame.
-  /// All queries must have identical filters (checked); results come back
-  /// in query order. Error bounds are computed per aggregate when enabled.
-  /// The batch is one execution: its pass costs go to the front query's
-  /// profile.
-  StatusOr<std::vector<QueryResult>> ExecuteBatch(
-      const std::vector<AggregationQuery>& queries) const;
+  StatusOr<PartialResult> ExecutePartial(
+      const AggregationQuery& query) const override;
 
   std::string name() const override { return "raster"; }
   bool exact() const override { return false; }
@@ -130,8 +120,8 @@ class BoundedRasterJoin : public SpatialAggregationExecutor {
   // neither can go stale.
   raster::MortonSplatOrder morton_;
   internal::SweepGeometry sweep_;
-  // Render targets leased per Execute call: the pool is the executor's
-  // only mutable member, and it is internally locked.
+  // Render targets leased per ExecutePartial call: the pool is the
+  // executor's only mutable member, and it is internally locked.
   mutable internal::TargetPool targets_;
 };
 

@@ -107,11 +107,12 @@ struct AggregateTargets {
   }
 };
 
-/// Render targets for the concurrent Execute calls of one immutable raster
-/// join. Acquire hands out a free set when there is one — refilling a warm
-/// set is several times cheaper than a fresh page-faulting allocation, and
-/// the serial fused scatter first-touch-initializes value targets, so most
-/// queries only clear the count plane — and allocates a new set otherwise.
+/// Render targets for the concurrent ExecutePartial calls of one immutable
+/// raster join. Acquire hands out a free set when there is one — refilling
+/// a warm set is several times cheaper than a fresh page-faulting
+/// allocation, and the serial fused scatter first-touch-initializes value
+/// targets, so most queries only clear the count plane — and allocates a
+/// new set otherwise.
 /// A lease returns its set when destroyed, so the pool never holds more
 /// sets than the most calls that overlapped on its executor.
 class TargetPool {

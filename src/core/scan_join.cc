@@ -16,7 +16,8 @@ StatusOr<std::unique_ptr<ScanJoin>> ScanJoin::Create(
       new ScanJoin(points, regions, std::move(rtree), exec));
 }
 
-StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) const {
+StatusOr<PartialResult> ScanJoin::ExecutePartial(
+    const AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
   if (query.points != &points_ || query.regions != &regions_) {
     return Status::FailedPrecondition(
@@ -75,24 +76,17 @@ StatusOr<QueryResult> ScanJoin::Execute(const AggregationQuery& query) const {
       });
     });
   });
-  std::vector<Accumulator>& accumulators = partials[0];
+  PartialResult result;
+  result.regions = std::move(partials[0]);
   for (std::size_t part = 1; part < parts; ++part) {
     for (std::size_t r = 0; r < regions_.size(); ++r) {
-      accumulators[r].Merge(partials[part][r]);
+      result.regions[r].Merge(partials[part][r]);
     }
   }
   for (const obs::ProfilePassCosts& ws : worker_costs) {
     costs.AddCounters(ws);
   }
   costs.reduce_seconds = reduce_timer.ElapsedSeconds();
-
-  QueryResult result;
-  result.values.reserve(regions_.size());
-  result.counts.reserve(regions_.size());
-  for (const Accumulator& acc : accumulators) {
-    result.values.push_back(acc.Finalize(query.aggregate.kind));
-    result.counts.push_back(acc.count);
-  }
   costs.query_seconds = timer.ElapsedSeconds();
   PublishExecution(*this, "scan", exec_.EffectiveThreads(), costs,
                    query.profile);

@@ -25,7 +25,8 @@ class ScanJoin : public SpatialAggregationExecutor {
       const data::PointTable& points, const data::RegionSet& regions,
       const ExecutionContext& exec = ExecutionContext());
 
-  StatusOr<QueryResult> Execute(const AggregationQuery& query) const override;
+  StatusOr<PartialResult> ExecutePartial(
+      const AggregationQuery& query) const override;
   std::string name() const override { return "scan"; }
   bool exact() const override { return true; }
 

@@ -6,12 +6,12 @@
 #include <string>
 #include <utility>
 
+#include "core/observe.h"
 #include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/slow_query_log.h"
-#include "util/timer.h"
 
 namespace urbane::core {
 
@@ -28,23 +28,6 @@ std::optional<QueryCache::TimeInterval> CacheValidTime(
   }
   return QueryCache::TimeInterval{filter.time_range->begin,
                                   filter.time_range->end};
-}
-
-/// Armed slow-query mode attaches a profile the caller did not ask for, so
-/// a committed record embeds the full breakdown; it inherits the thread's
-/// current trace context (the server request's id), linking the slowlog
-/// entry to the same trace as everything else. Returns null — attaching
-/// nothing — when the query already carries a profile.
-std::unique_ptr<obs::QueryProfile> AttachArmedProfile(
-    AggregationQuery& query) {
-  if (query.profile != nullptr) {
-    return nullptr;
-  }
-  auto profile = std::make_unique<obs::QueryProfile>();
-  obs::CurrentTraceContext(&profile->context.trace_hi,
-                           &profile->context.trace_lo);
-  query.profile = profile.get();
-  return profile;
 }
 
 }  // namespace
@@ -170,26 +153,60 @@ std::uint64_t SpatialAggregation::Fingerprint(const AggregationQuery& query,
   return QueryCache::Fingerprint(query, method, resolution, config_epoch());
 }
 
-PruneResult SpatialAggregation::PruneAndCount(
-    const FilterSpec& filter, obs::QueryProfile* profile) const {
-  PruneResult prune = zone_maps_->Prune(filter, points_.schema());
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
-    registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
-  }
-  if (profile != nullptr) {
-    profile->blocks_total = prune.blocks_total;
-    profile->blocks_pruned = prune.blocks_pruned;
-    profile->rows_pruned = prune.rows_pruned;
-  }
-  return prune;
-}
-
-StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
-    AggregationQuery query, ExecutionMethod method, bool* cache_hit) {
+StatusOr<PartialResult> SpatialAggregation::ExecutePartial(
+    AggregationQuery query, ExecutionMethod method) {
   query.points = &points_;
   query.regions = &regions_;
+  std::lock_guard<std::mutex> serialize(method_mu_[MethodIndex(method)]);
+  return ExecutePartialLocked(std::move(query), method);
+}
+
+StatusOr<PartialResult> SpatialAggregation::ExecutePartialLocked(
+    AggregationQuery query, ExecutionMethod method) {
+  const SpatialAggregationExecutor* executor = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    URBANE_ASSIGN_OR_RETURN(executor, ActiveExecutorLocked(method));
+  }
+  // A query whose deadline expired while queued (e.g. behind the method
+  // lock) aborts here instead of paying for a doomed execution. Cache hits
+  // are deliberately exempt: they are cheaper than the check is useful.
+  URBANE_RETURN_IF_ERROR(query.CheckControl());
+  // Zone-map pruning (store-backed tables): skip blocks the filter rules
+  // out. Computed after the cache probes (hits never pay for it) and kept
+  // alive on this frame through the execution. A caller-supplied range set
+  // wins.
+  PruneResult prune;
+  if (zone_maps_ != nullptr && query.candidate_ranges == nullptr &&
+      !query.filter.IsTrivial()) {
+    prune = zone_maps_->Prune(query.filter, points_.schema());
+    if (obs::MetricsEnabled()) {
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+      registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
+      registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
+    }
+    if (query.profile != nullptr) {
+      query.profile->blocks_total = prune.blocks_total;
+      query.profile->blocks_pruned = prune.blocks_pruned;
+      query.profile->rows_pruned = prune.rows_pruned;
+    }
+    query.candidate_ranges = &prune.candidates;
+  }
+  // Thread-CPU attribution for the dispatch: exact while execution is
+  // serial (including each sharded pass, which is serial per shard) and
+  // coordinator-only under intra-executor parallelism (DESIGN.md §12).
+  const double cpu_begin =
+      query.profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
+  URBANE_ASSIGN_OR_RETURN(PartialResult partial,
+                          executor->ExecutePartial(query));
+  if (query.profile != nullptr) {
+    query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
+  }
+  return partial;
+}
+
+StatusOr<QueryResult> SpatialAggregation::ExecuteCached(
+    const AggregationQuery& query, ExecutionMethod method, bool* cache_hit) {
   const bool use_cache = cache_.enabled();
   if (query.profile != nullptr) {
     query.profile->method = ExecutionMethodToString(method);
@@ -218,34 +235,9 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
       return std::move(*hit);
     }
   }
-  const SpatialAggregationExecutor* executor = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    URBANE_ASSIGN_OR_RETURN(executor, ActiveExecutorLocked(method));
-  }
-  // A query whose deadline expired while queued (e.g. behind the method
-  // lock) aborts here instead of paying for a doomed execution. Cache hits
-  // above are deliberately exempt: they are cheaper than the check is
-  // useful.
-  URBANE_RETURN_IF_ERROR(query.CheckControl());
-  // Zone-map pruning (store-backed tables): skip blocks the filter rules
-  // out. Computed after the cache probes (hits never pay for it) and kept
-  // alive on this frame through Execute. A caller-supplied range set wins.
-  PruneResult prune;
-  if (zone_maps_ != nullptr && query.candidate_ranges == nullptr &&
-      !query.filter.IsTrivial()) {
-    prune = PruneAndCount(query.filter, query.profile);
-    query.candidate_ranges = &prune.candidates;
-  }
-  // Thread-CPU attribution for the dispatch: exact while execution is
-  // serial (including each sharded pass, which is serial per shard) and
-  // coordinator-only under intra-executor parallelism (DESIGN.md §12).
-  const double cpu_begin =
-      query.profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
-  URBANE_ASSIGN_OR_RETURN(QueryResult result, executor->Execute(query));
-  if (query.profile != nullptr) {
-    query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-  }
+  URBANE_ASSIGN_OR_RETURN(PartialResult partial,
+                          ExecutePartialLocked(query, method));
+  QueryResult result = partial.Finalize(query.aggregate.kind);
   if (use_cache) {
     cache_.Insert(key, result, CacheValidTime(query.filter));
   }
@@ -254,164 +246,16 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteUnobserved(
 
 StatusOr<QueryResult> SpatialAggregation::Execute(AggregationQuery query,
                                                   ExecutionMethod method) {
-  obs::SlowQueryLog& recorder = obs::SlowQueryLog::Global();
-  const bool journal = obs::JournalEnabled();
-  const bool armed = recorder.armed();
-  const bool metrics = obs::MetricsEnabled();
-  if (!journal && !armed && !metrics && query.profile == nullptr) {
+  query.points = &points_;
+  query.regions = &regions_;
+  if (QueryUnobserved(query)) {
     // The obs-off == baseline guarantee: three relaxed loads and one
     // pointer test, then the unchanged query path.
-    return ExecuteUnobserved(std::move(query), method, nullptr);
+    return ExecuteCached(query, method, nullptr);
   }
-
-  // The fingerprint keys journal events and slow-query records to the same
-  // identity the cache uses (it ignores points/regions pointers, so it is
-  // safe to compute before ExecuteUnobserved fills those in).
-  const std::uint64_t fingerprint =
-      journal || armed ? Fingerprint(query, method) : 0;
-  if (journal) {
-    obs::Event start;
-    start.kind = obs::EventKind::kQueryStart;
-    start.method = static_cast<std::uint8_t>(method);
-    start.fingerprint = fingerprint;
-    obs::EmitEvent(start);
-  }
-
-  // Armed mode's own profile, dropped unless MaybeRecord captures it.
-  const std::unique_ptr<obs::QueryProfile> armed_profile =
-      armed ? AttachArmedProfile(query) : nullptr;
-
-  WallTimer timer;
-  bool cache_hit = false;
-  StatusOr<QueryResult> result =
-      ExecuteUnobserved(query, method, &cache_hit);
-  const double wall_seconds = timer.ElapsedSeconds();
-  if (query.profile != nullptr) {
-    query.profile->wall_seconds = wall_seconds;
-  }
-
-  if (metrics) {
-    // The recorder's p99-multiplier threshold derives from this histogram.
-    obs::MetricsRegistry::Global()
-        .GetHistogram("query.wall_seconds")
-        .Observe(wall_seconds);
-  }
-  if (journal) {
-    obs::Event finish;
-    finish.kind = obs::EventKind::kQueryFinish;
-    finish.method = static_cast<std::uint8_t>(method);
-    finish.fingerprint = fingerprint;
-    finish.value = wall_seconds;
-    if (cache_hit) finish.flags |= obs::kEventCacheHit;
-    if (!result.ok()) finish.flags |= obs::kEventError;
-    obs::EmitEvent(finish);
-    if (!result.ok()) {
-      obs::Event error;
-      error.kind = obs::EventKind::kError;
-      error.method = static_cast<std::uint8_t>(method);
-      error.fingerprint = fingerprint;
-      error.detail = static_cast<std::uint8_t>(result.status().code());
-      obs::EmitEvent(error);
-    }
-  }
-  if (armed) {
-    recorder.MaybeRecord(fingerprint, ExecutionMethodToString(method),
-                         query.ToString(), query.profile->planner_explanation,
-                         wall_seconds, query.profile);
-  }
-  return result;
-}
-
-StatusOr<std::vector<QueryResult>> SpatialAggregation::ExecuteMany(
-    std::vector<AggregationQuery> queries, ExecutionMethod method) {
-  for (AggregationQuery& query : queries) {
-    query.points = &points_;
-    query.regions = &regions_;
-  }
-  // The shared-splat batch is a single-executor optimization; a sharded
-  // engine answers each query through its scatter-gather path instead.
-  if (method == ExecutionMethod::kBoundedRaster && queries.size() > 1 &&
-      num_shards() <= 1) {
-    const bool use_cache = cache_.enabled();
-    std::vector<std::optional<QueryResult>> found(queries.size());
-    bool batch_ok = false;
-    {
-      std::lock_guard<std::mutex> serialize(method_mu_[MethodIndex(method)]);
-      std::vector<std::uint64_t> keys(queries.size(), 0);
-      std::vector<std::size_t> missing;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (use_cache) {
-          keys[i] = Fingerprint(queries[i], method);
-          if (std::optional<QueryResult> hit = cache_.Lookup(keys[i])) {
-            found[i] = std::move(*hit);
-            continue;
-          }
-        }
-        missing.push_back(i);
-      }
-      if (missing.empty()) {
-        batch_ok = true;
-      } else {
-        const SpatialAggregationExecutor* executor = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(state_mu_);
-          URBANE_ASSIGN_OR_RETURN(executor, ExecutorLocked(method));
-        }
-        const auto* raster = static_cast<const BoundedRasterJoin*>(executor);
-        std::vector<AggregationQuery> pending;
-        pending.reserve(missing.size());
-        for (const std::size_t i : missing) {
-          pending.push_back(queries[i]);
-        }
-        // The batch path shares one filter evaluation (ExecuteBatch checks
-        // the filters are equal), so one prune serves every pending query.
-        PruneResult prune;
-        if (zone_maps_ != nullptr &&
-            !pending.front().filter.IsTrivial()) {
-          prune = PruneAndCount(pending.front().filter,
-                                pending.front().profile);
-          for (AggregationQuery& query : pending) {
-            if (query.candidate_ranges == nullptr) {
-              query.candidate_ranges = &prune.candidates;
-            }
-          }
-        }
-        auto batched = raster->ExecuteBatch(pending);
-        if (batched.ok()) {
-          // The shared-splat batch is one execution: it reports into the
-          // front pending query's profile.
-          if (obs::QueryProfile* profile = pending.front().profile) {
-            profile->cache = use_cache ? "miss" : "off";
-          }
-          for (std::size_t k = 0; k < missing.size(); ++k) {
-            if (use_cache) {
-              cache_.Insert(keys[missing[k]], (*batched)[k],
-                            CacheValidTime(queries[missing[k]].filter));
-            }
-            found[missing[k]] = std::move((*batched)[k]);
-          }
-          batch_ok = true;
-        }
-        // Heterogeneous filters: fall through to per-query execution.
-      }
-    }
-    if (batch_ok) {
-      std::vector<QueryResult> results;
-      results.reserve(queries.size());
-      for (std::optional<QueryResult>& result : found) {
-        results.push_back(std::move(*result));
-      }
-      return results;
-    }
-  }
-  std::vector<QueryResult> results;
-  results.reserve(queries.size());
-  for (AggregationQuery& query : queries) {
-    URBANE_ASSIGN_OR_RETURN(QueryResult result,
-                            Execute(query, method));
-    results.push_back(std::move(result));
-  }
-  return results;
+  return ObserveQuery(
+      query, method, [&] { return Fingerprint(query, method); },
+      [&](bool* cache_hit) { return ExecuteCached(query, method, cache_hit); });
 }
 
 StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(

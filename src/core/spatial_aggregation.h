@@ -38,19 +38,19 @@ namespace urbane::core {
 ///                                        .epsilon_world = 15.0});
 ///
 /// Thread-safety contract: one engine serves many concurrent sessions.
-/// Execute / ExecuteMany / ExecuteAuto / EstimateSelectivity may be called
-/// from any number of threads. Executor construction and any rebuild (the
-/// ExecuteAuto resolution bump) happen under a mutex. The executors
-/// themselves are immutable and safe to share, yet execution still takes a
-/// per-method lock (two sessions can run scan and raster concurrently, but
-/// not two rasters). The lock does two jobs: it excludes rebuilds (the
-/// ExecuteAuto ε ratchet and set_num_shards swap executors only while no
-/// query of that method is in flight), and it holds render-target memory
-/// to one canvas-sized set per unsharded raster method, where N concurrent
-/// same-method queries would otherwise lease N sets (DESIGN.md §4 has the
-/// measured trade). Result-cache hits bypass the lock entirely, taking
-/// only a cache shard mutex, which is what keeps revisited brush states
-/// concurrent.
+/// Execute / ExecutePartial / ExecuteAuto / EstimateSelectivity may be
+/// called from any number of threads. Executor construction and any
+/// rebuild (the ExecuteAuto resolution bump) happen under a mutex. The
+/// executors themselves are immutable and safe to share, yet execution
+/// still takes a per-method lock (two sessions can run scan and raster
+/// concurrently, but not two rasters). The lock does two jobs: it excludes
+/// rebuilds (the ExecuteAuto ε ratchet and set_num_shards swap executors
+/// only while no query of that method is in flight), and it holds
+/// render-target memory to one canvas-sized set per unsharded raster
+/// method, where N concurrent same-method queries would otherwise lease N
+/// sets (DESIGN.md §4 has the measured trade). Result-cache hits bypass the
+/// lock entirely, taking only a cache shard mutex, which is what keeps
+/// revisited brush states concurrent.
 class SpatialAggregation {
  public:
   /// `points`/`regions` must outlive this object.
@@ -101,7 +101,7 @@ class SpatialAggregation {
   /// sharded pass — the row space splits into that many contiguous shards
   /// (block-aligned when zone maps are attached), each shard executes the
   /// chosen method serially on the shared pool, and the partials merge per
-  /// the shard-merge contract (see shard/shard_merge.h). 0 and 1 both mean
+  /// the shard-merge contract (PartialResult::Merge). 0 and 1 both mean
   /// unsharded. Takes every method mutex (no query can be in flight on the
   /// old configuration) and bumps the config epoch, so cached results from
   /// a different fan-out can never hit.
@@ -131,25 +131,27 @@ class SpatialAggregation {
     return config_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Fills in the query's points/regions and runs it with the given method.
+  /// Fills in the query's points/regions and runs it with the given method:
+  /// a result-cache probe, then ExecutePartial's dispatch on a miss,
+  /// finalized once.
   ///
-  /// Telemetry: when the event journal is enabled, emits `query.start` /
-  /// `query.finish` (and `error`) events; when the slow-query flight
-  /// recorder is armed, attaches a profile (unless the query carries one)
-  /// and commits it to the recorder if the wall time crosses the
-  /// threshold; when metrics are enabled, feeds the `query.wall_seconds`
-  /// histogram. With everything off and no profile attached the cost is
-  /// three relaxed loads and a pointer test before the baseline path.
+  /// Telemetry: the query is observed once through core::ObserveQuery —
+  /// journal `query.start` / `query.finish` (and `error`) events, the
+  /// armed slow-query recorder's profile and record, the
+  /// `query.wall_seconds` histogram. With everything off and no profile
+  /// attached the cost is three relaxed loads and a pointer test before the
+  /// baseline path.
   StatusOr<QueryResult> Execute(AggregationQuery query,
                                 ExecutionMethod method);
 
-  /// Runs several queries. When the method is kBoundedRaster and all
-  /// queries share one filter, the cache is probed per query and only the
-  /// misses execute as a single shared-splat batch (see
-  /// BoundedRasterJoin::ExecuteBatch), which reports into the first
-  /// missing query's profile; otherwise they run one by one.
-  StatusOr<std::vector<QueryResult>> ExecuteMany(
-      std::vector<AggregationQuery> queries, ExecutionMethod method);
+  /// The dispatch half of Execute: fills in points/regions, takes the
+  /// method lock, checks the deadline, prunes by zone map and runs the
+  /// active executor's ExecutePartial, attributing coordinator CPU to the
+  /// profile. No result cache and no per-query observation — composed
+  /// engines (ingest::LiveEngine) merge the partials of several facades
+  /// and observe the whole query once themselves.
+  StatusOr<PartialResult> ExecutePartial(AggregationQuery query,
+                                         ExecutionMethod method);
 
   /// Plans by cost model, then executes. `last_plan()` exposes the choice,
   /// and the query's profile (the armed recorder's, if it attaches one)
@@ -185,19 +187,16 @@ class SpatialAggregation {
   StatusOr<const SpatialAggregationExecutor*> ActiveExecutorLocked(
       ExecutionMethod method);
 
-  /// Zone-map pruning of one filter (zone maps attached): the candidate
-  /// rows, counted into the `store.blocks_pruned` / `store.rows_pruned`
-  /// metrics and the profile's pruning fields. Shared by the per-query
-  /// and the shared-splat batch paths.
-  PruneResult PruneAndCount(const FilterSpec& filter,
-                            obs::QueryProfile* profile) const;
+  /// ExecutePartial with the method lock already held.
+  StatusOr<PartialResult> ExecutePartialLocked(AggregationQuery query,
+                                               ExecutionMethod method);
 
-  /// The baseline query path (cache probe + executor dispatch), free of
-  /// journal/recorder instrumentation. `cache_hit`, when non-null, reports
-  /// whether the result came from the cache.
-  StatusOr<QueryResult> ExecuteUnobserved(AggregationQuery query,
-                                          ExecutionMethod method,
-                                          bool* cache_hit);
+  /// The baseline query path (cache probe + ExecutePartialLocked on a
+  /// miss), free of per-query observation. `cache_hit`, when non-null,
+  /// reports whether the result came from the cache.
+  StatusOr<QueryResult> ExecuteCached(const AggregationQuery& query,
+                                      ExecutionMethod method,
+                                      bool* cache_hit);
 
   /// Cache key for `query` under the engine's *current* config (snapshots
   /// resolution + epoch under state_mu_). Stable while the query's

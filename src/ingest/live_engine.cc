@@ -1,13 +1,11 @@
 #include "ingest/live_engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
-#include "obs/process_metrics.h"
+#include "core/observe.h"
 #include "obs/profile.h"
-#include "shard/shard_merge.h"
+#include "obs/slow_query_log.h"
 
 namespace urbane::ingest {
 
@@ -168,80 +166,57 @@ Status LiveEngine::RefreshLocked(const LiveSnapshot& snapshot) {
   return Status::OK();
 }
 
-core::QueryResult LiveEngine::EmptyResult(
-    core::AggregateKind kind, core::ExecutionMethod method) const {
-  core::QueryResult result;
-  const double empty_value =
-      (kind == core::AggregateKind::kCount ||
-       kind == core::AggregateKind::kSum)
-          ? 0.0
-          : std::numeric_limits<double>::quiet_NaN();
-  result.values.assign(regions_->size(), empty_value);
-  result.counts.assign(regions_->size(), 0);
-  if (method == core::ExecutionMethod::kBoundedRaster) {
-    result.error_bounds.assign(regions_->size(), 0.0);
-  }
-  return result;
+std::uint64_t LiveEngine::CacheKey(const core::AggregationQuery& query,
+                                   core::ExecutionMethod method) const {
+  return core::QueryCache::Fingerprint(
+      query, method,
+      CacheResolution(method, options_.raster_options.resolution),
+      epoch_.load());
 }
 
 StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
     const core::AggregationQuery& query, core::ExecutionMethod method) {
-  const core::AggregateKind kind = query.aggregate.kind;
+  // Components are disjoint row subsets, so their partials merge exactly
+  // like shard partials: in component order, finalized once. An empty
+  // stack merges nothing and answers like a stop-the-world engine over
+  // zero rows.
+  core::PartialResult merged;
+  merged.regions.resize(regions_->size());
+  if (method == core::ExecutionMethod::kBoundedRaster &&
+      options_.raster_options.compute_error_bounds) {
+    merged.error_bounds.assign(regions_->size(), 0.0);
+  }
   obs::QueryProfile* const profile = query.profile;
-  std::vector<core::QueryResult> partials;
-  partials.reserve(components_.size());
   for (const auto& component : components_) {
-    // Each component execution fills profiles of its own (the COUNT half
-    // of a bounded-raster AVG batch separately), folded into the caller's
+    // Each component fills a profile of its own, folded into the caller's
     // below: one shared profile would keep only the last component's costs.
-    std::vector<obs::QueryProfile> parts(profile != nullptr ? 2 : 0);
+    obs::QueryProfile part;
     core::AggregationQuery partial_query;
     partial_query.aggregate = query.aggregate;
     partial_query.filter = query.filter;
     partial_query.control = query.control;
-    partial_query.profile = parts.empty() ? nullptr : &parts[0];
-    // The shard-merge contract wants SUM partials for AVG (an average of
-    // averages is wrong across unequal components).
-    if (kind == core::AggregateKind::kAvg) {
-      partial_query.aggregate =
-          core::AggregateSpec::Sum(query.aggregate.attribute);
-    }
-    core::QueryResult partial;
-    if (kind == core::AggregateKind::kAvg &&
-        method == core::ExecutionMethod::kBoundedRaster) {
-      // The bounded raster's AVG partial additionally needs COUNT-semantics
-      // error bounds, so SUM and COUNT run as one shared-splat batch and
-      // the COUNT bounds are grafted on.
-      core::AggregationQuery count_query = partial_query;
-      count_query.aggregate = core::AggregateSpec::Count();
-      count_query.profile = parts.empty() ? nullptr : &parts[1];
-      std::vector<core::AggregationQuery> pair;
-      pair.push_back(std::move(partial_query));
-      pair.push_back(std::move(count_query));
-      URBANE_ASSIGN_OR_RETURN(
-          std::vector<core::QueryResult> results,
-          component->engine->ExecuteMany(std::move(pair), method));
-      partial = std::move(results[0]);
-      partial.error_bounds = std::move(results[1].error_bounds);
-    } else {
-      URBANE_ASSIGN_OR_RETURN(
-          partial,
-          component->engine->Execute(std::move(partial_query), method));
-    }
-    partials.push_back(std::move(partial));
-    for (const obs::QueryProfile& part : parts) {
+    partial_query.profile = profile != nullptr ? &part : nullptr;
+    URBANE_ASSIGN_OR_RETURN(
+        core::PartialResult partial,
+        component->engine->ExecutePartial(std::move(partial_query), method));
+    URBANE_RETURN_IF_ERROR(merged.Merge(partial));
+    if (profile != nullptr) {
       if (!part.method.empty()) profile->method = part.method;
       profile->AddComponent(part);
     }
   }
-  if (partials.empty()) {
-    return EmptyResult(kind, method);
-  }
-  return shard::MergeShardPartials(kind, partials);
+  return merged.Finalize(query.aggregate.kind);
 }
 
-StatusOr<core::QueryResult> LiveEngine::ExecuteCachedLocked(
-    const core::AggregationQuery& query, core::ExecutionMethod method) {
+StatusOr<core::QueryResult> LiveEngine::ExecuteSnapshot(
+    const core::AggregationQuery& query, core::ExecutionMethod method,
+    std::uint64_t* watermark, bool* cache_hit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const LiveSnapshot snapshot = table_->Snapshot();
+  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
+  if (watermark != nullptr) {
+    *watermark = snapshot.watermark;
+  }
   const bool cacheable = cache_.enabled();
   if (query.profile != nullptr) {
     query.profile->method = core::ExecutionMethodToString(method);
@@ -249,11 +224,10 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteCachedLocked(
   }
   std::uint64_t key = 0;
   if (cacheable) {
-    key = core::QueryCache::Fingerprint(
-        query, method,
-        CacheResolution(method, options_.raster_options.resolution), epoch_);
+    key = CacheKey(query, method);
     if (std::optional<core::QueryResult> hit = cache_.Lookup(key)) {
       if (query.profile != nullptr) query.profile->cache = "hit";
+      if (cache_hit != nullptr) *cache_hit = true;
       return *std::move(hit);
     }
   }
@@ -268,58 +242,58 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteCachedLocked(
 StatusOr<core::QueryResult> LiveEngine::Execute(core::AggregationQuery query,
                                                 core::ExecutionMethod method,
                                                 std::uint64_t* watermark) {
-  // The profile's wall time covers the whole composed run, lock wait and
-  // snapshot refresh included, like the facade's.
-  const double begin =
-      query.profile != nullptr ? obs::ProcessUptimeSeconds() : 0.0;
-  std::lock_guard<std::mutex> lock(mu_);
-  const LiveSnapshot snapshot = table_->Snapshot();
-  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
-  if (watermark != nullptr) {
-    *watermark = snapshot.watermark;
+  if (core::QueryUnobserved(query)) {
+    return ExecuteSnapshot(query, method, watermark, nullptr);
   }
-  StatusOr<core::QueryResult> result = ExecuteCachedLocked(query, method);
-  if (query.profile != nullptr) {
-    query.profile->wall_seconds = obs::ProcessUptimeSeconds() - begin;
-  }
-  return result;
+  // Observed once, here: the component engines run unobserved partials.
+  // The wall time covers the whole composed run, lock wait and snapshot
+  // refresh included, like the facade's.
+  return core::ObserveQuery(
+      query, method, [&] { return CacheKey(query, method); },
+      [&](bool* cache_hit) {
+        return ExecuteSnapshot(query, method, watermark, cache_hit);
+      });
 }
 
 StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
     core::AggregationQuery query, const core::AccuracyRequirement& accuracy,
     std::uint64_t* watermark, core::QueryPlan* plan) {
-  const double begin =
-      query.profile != nullptr ? obs::ProcessUptimeSeconds() : 0.0;
-  std::lock_guard<std::mutex> lock(mu_);
-  const LiveSnapshot snapshot = table_->Snapshot();
-  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
-  if (watermark != nullptr) {
-    *watermark = snapshot.watermark;
-  }
-
-  core::WorkloadProfile profile;
-  profile.num_regions = regions_->size();
-  profile.total_region_vertices = regions_->TotalVertexCount();
-  profile.world = world_;
-  profile.available_shards = std::max<std::size_t>(1, options_.num_shards);
-  double weighted_selectivity = 0.0;
-  std::size_t total_rows = 0;
-  for (const auto& component : components_) {
-    const std::size_t rows = component->table->size();
-    double selectivity = 1.0;
-    if (!query.filter.IsTrivial()) {
-      URBANE_ASSIGN_OR_RETURN(
-          selectivity, component->engine->EstimateSelectivity(query.filter));
+  // As in the facade: an armed recorder's profile is attached before
+  // planning, so a committed record carries the planner's choice and
+  // explanation; Execute below reuses it.
+  const std::unique_ptr<obs::QueryProfile> armed_profile =
+      obs::SlowQueryLog::Global().armed() ? core::AttachArmedProfile(query)
+                                          : nullptr;
+  core::QueryPlan chosen;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    URBANE_RETURN_IF_ERROR(RefreshLocked(table_->Snapshot()));
+    core::WorkloadProfile profile;
+    profile.num_regions = regions_->size();
+    profile.total_region_vertices = regions_->TotalVertexCount();
+    profile.world = world_;
+    profile.available_shards = std::max<std::size_t>(1, options_.num_shards);
+    double weighted_selectivity = 0.0;
+    std::size_t total_rows = 0;
+    for (const auto& component : components_) {
+      const std::size_t rows = component->table->size();
+      double selectivity = 1.0;
+      if (!query.filter.IsTrivial()) {
+        URBANE_ASSIGN_OR_RETURN(
+            selectivity,
+            component->engine->EstimateSelectivity(query.filter));
+      }
+      weighted_selectivity += selectivity * static_cast<double>(rows);
+      total_rows += rows;
     }
-    weighted_selectivity += selectivity * static_cast<double>(rows);
-    total_rows += rows;
+    profile.num_points = total_rows;
+    profile.selectivity =
+        total_rows == 0
+            ? 1.0
+            : weighted_selectivity / static_cast<double>(total_rows);
+    chosen = core::PlanQuery(profile, accuracy,
+                             options_.raster_options.resolution);
   }
-  profile.num_points = total_rows;
-  profile.selectivity =
-      total_rows == 0 ? 1.0
-                      : weighted_selectivity / static_cast<double>(total_rows);
-  const core::QueryPlan chosen = core::PlanQuery(
-      profile, accuracy, options_.raster_options.resolution);
   if (plan != nullptr) {
     *plan = chosen;
   }
@@ -328,12 +302,7 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
         core::ExecutionMethodToString(chosen.method);
     query.profile->planner_explanation = chosen.explanation;
   }
-  StatusOr<core::QueryResult> result =
-      ExecuteCachedLocked(query, chosen.method);
-  if (query.profile != nullptr) {
-    query.profile->wall_seconds = obs::ProcessUptimeSeconds() - begin;
-  }
-  return result;
+  return Execute(std::move(query), chosen.method, watermark);
 }
 
 Status LiveEngine::EnsureCanvasLocked(const LiveSnapshot& snapshot) {

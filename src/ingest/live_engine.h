@@ -8,15 +8,19 @@
 // the watermark it reports is exactly the row count it executed over.
 // Each component gets its own core::SpatialAggregation engine (zone maps
 // attached for store-backed components, the configured shard fan-out for
-// all of them); the per-component partial results merge under the shard
-// contract (shard/shard_merge.h), which is exactly the merge a sharded
-// engine applies to row-range shards — a component is just a shard whose
-// boundary is a run boundary. All component engines pin one shared canvas
-// world (the union of every component's bounds and the region bounds), so
-// raster canvases align bit-for-bit with a stop-the-world engine over the
-// concatenated rows: the ingest-equivalence oracle in
-// tests/ingest/live_engine_test.cc checks bit-identity per executor,
-// aggregate, filter, thread count and shard fan-out.
+// all of them) and answers with an unfinalized core::PartialResult
+// (SpatialAggregation::ExecutePartial) for the query's own aggregate, AVG
+// included. The partials fold with PartialResult::Merge in component order
+// and finalize once — exactly the merge a sharded engine applies to
+// row-range shards: a component is just a shard whose boundary is a run
+// boundary. The query is observed once, by this engine (journal events,
+// slow-query record, `query.wall_seconds`), never per component. All
+// component engines pin one shared canvas world (the union of every
+// component's bounds and the region bounds), so raster canvases align
+// bit-for-bit with a stop-the-world engine over the concatenated rows: the
+// ingest-equivalence oracle in tests/ingest/live_engine_test.cc checks
+// bit-identity per executor, aggregate, filter, thread count and shard
+// fan-out.
 //
 // Result caching & watermark semantics: the engine keeps one QueryCache
 // whose keys deliberately exclude the watermark. Appends invalidate by
@@ -28,6 +32,7 @@
 // float summation order, so a cached SUM could differ bitwise from a
 // re-execution.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,18 +76,22 @@ class LiveEngine {
   /// Executes against the current snapshot. `watermark` (optional)
   /// receives the snapshot's visible row count — the as-of position the
   /// result is exact for. Safe to call concurrently with appends and
-  /// flushes; concurrent Execute calls serialize on the engine mutex. A
-  /// query profile describes the whole composed run: the engine's own
-  /// cache outcome, wall time from entry to answer, and the components'
-  /// costs summed (obs::QueryProfile::AddComponent).
+  /// flushes; concurrent Execute calls serialize on the engine mutex. The
+  /// query is observed once (core::ObserveQuery, keyed by its cache
+  /// fingerprint), and a query profile describes the whole composed run:
+  /// the engine's own cache outcome, wall time from entry to answer, and
+  /// the components' costs summed (obs::QueryProfile::AddComponent).
   StatusOr<core::QueryResult> Execute(core::AggregationQuery query,
                                       core::ExecutionMethod method,
                                       std::uint64_t* watermark = nullptr);
 
   /// Plans over the combined workload profile (total rows, shared world,
-  /// row-weighted selectivity estimate), then executes the chosen method at
-  /// the engine's configured resolution. `plan` (optional) receives the
-  /// choice.
+  /// row-weighted selectivity estimate), then runs Execute with the chosen
+  /// method at the engine's configured resolution — against a fresh
+  /// snapshot, whose row count `watermark` reports, so appends racing the
+  /// plan are in the answer. An armed slow-query recorder's profile is
+  /// attached before planning, as the facade does. `plan` (optional)
+  /// receives the choice.
   StatusOr<core::QueryResult> ExecuteAuto(
       core::AggregationQuery query, const core::AccuracyRequirement& accuracy,
       std::uint64_t* watermark = nullptr, core::QueryPlan* plan = nullptr);
@@ -105,7 +114,7 @@ class LiveEngine {
 
   const LiveTable& table() const { return *table_; }
   const data::RegionSet& regions() const { return *regions_; }
-  std::uint64_t config_epoch() const { return epoch_; }
+  std::uint64_t config_epoch() const { return epoch_.load(); }
 
  private:
   /// One entry of the component stack with its lazily-reused engine.
@@ -126,14 +135,21 @@ class LiveEngine {
   /// (scoped cache invalidation + canvas appends). Requires mu_ held.
   Status RefreshLocked(const LiveSnapshot& snapshot);
   Status RebuildComponentEngineLocked(Component& component);
+  /// The query's result-cache key, which is also its journal and slowlog
+  /// fingerprint.
+  std::uint64_t CacheKey(const core::AggregationQuery& query,
+                         core::ExecutionMethod method) const;
+  /// One ExecutePartial per component, merged in component order and
+  /// finalized once.
   StatusOr<core::QueryResult> ExecuteComposedLocked(
       const core::AggregationQuery& query, core::ExecutionMethod method);
-  /// Answers from the engine's result cache or composes the components,
-  /// recording the cache outcome on the query's profile.
-  StatusOr<core::QueryResult> ExecuteCachedLocked(
-      const core::AggregationQuery& query, core::ExecutionMethod method);
-  core::QueryResult EmptyResult(core::AggregateKind kind,
-                                core::ExecutionMethod method) const;
+  /// Execute minus the observation: takes the engine mutex, refreshes to
+  /// the current snapshot, then answers from the engine's result cache or
+  /// composes the components, recording the cache outcome on the query's
+  /// profile and in `cache_hit` (nullable).
+  StatusOr<core::QueryResult> ExecuteSnapshot(
+      const core::AggregationQuery& query, core::ExecutionMethod method,
+      std::uint64_t* watermark, bool* cache_hit);
   Status EnsureCanvasLocked(const LiveSnapshot& snapshot);
 
   LiveTable* const table_;
@@ -145,7 +161,9 @@ class LiveEngine {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Component>> components_;
   geometry::BoundingBox world_;
-  std::uint64_t epoch_ = 0;
+  /// Bumped under mu_; atomic because the journal fingerprint reads it
+  /// before the query takes the lock.
+  std::atomic<std::uint64_t> epoch_{0};
   std::uint64_t seen_seq_ = 0;  // append-log position already applied
   std::uint64_t hot_generation_ = 0;
   std::uint64_t hot_rows_ = 0;

@@ -80,9 +80,9 @@ TraceContext GenerateTraceContext();
 double ThreadCpuSeconds();
 
 /// One execution's pass costs. Executors accumulate them in a local
-/// record during Execute (per-worker partials too) and publish it once at
-/// the end of the call (core/observe.h), so an executor keeps no per-query
-/// state. Counters are deterministic; seconds are measured.
+/// record during ExecutePartial (per-worker partials too) and publish it
+/// once at the end of the call (core/observe.h), so an executor keeps no
+/// per-query state. Counters are deterministic; seconds are measured.
 struct ProfilePassCosts {
   std::uint64_t points_scanned = 0;   // points touched individually
   std::uint64_t points_bulk = 0;      // points taken without a PIP test
@@ -102,7 +102,7 @@ struct ProfilePassCosts {
                                       // (accurate raster; clocked only
                                       // when metrics are on or a profile
                                       // is attached)
-  double query_seconds = 0.0;         // the whole Execute call
+  double query_seconds = 0.0;         // the whole ExecutePartial call
 
   /// Adds another execution's counters and seconds to this one.
   void Add(const ProfilePassCosts& other);

@@ -16,8 +16,9 @@ namespace urbane::shard {
 /// by raster::MortonPixelKey), so contiguous row ranges ARE spatial shards —
 /// a shard owns a run of Z-order, i.e. a set of spatial tiles — and
 /// zone-map pruning composes with them per block. Over an in-memory table
-/// the split is positional; the merge contract (see shard_merge.h) does not
-/// depend on the spatial quality of the partition, only on its disjointness.
+/// the split is positional; the merge contract (PartialResult::Merge in
+/// core/aggregate.h) does not depend on the spatial quality of the
+/// partition, only on its disjointness.
 struct ShardPlan {
   std::vector<core::RowRange> shards;
 

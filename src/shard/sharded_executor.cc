@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
-#include "shard/shard_merge.h"
 #include "util/timer.h"
 
 namespace urbane::shard {
@@ -84,7 +83,7 @@ StatusOr<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
       new ShardedExecutor(points, method, options, m, std::move(inner)));
 }
 
-StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
+StatusOr<core::PartialResult> ShardedExecutor::ExecuteShard(
     const core::AggregationQuery& query, std::size_t s,
     const core::RowRangeSet& candidates, obs::QueryProfile* slot) const {
   if (options_.fault_injector) {
@@ -95,30 +94,10 @@ StatusOr<core::QueryResult> ShardedExecutor::ExecuteShard(
   core::AggregationQuery shard_query = query;
   shard_query.profile = slot;  // the coordinator owns the breakdown
   shard_query.candidate_ranges = &candidates;
-  shard_query.aggregate.kind = ShardExecutionKind(query.aggregate.kind);
-
-  // Bounded-raster AVG with error bounds: the merged AVG bound must be the
-  // boundary point count (aggregate.h), but a SUM pass bounds Σ|attr|.
-  // Batch SUM and COUNT through one splat+sweep and graft the COUNT pass's
-  // bounds (and counts) onto the SUM partial.
-  if (query.aggregate.kind == core::AggregateKind::kAvg &&
-      method_ == core::ExecutionMethod::kBoundedRaster) {
-    core::AggregationQuery count_query = shard_query;
-    count_query.aggregate.kind = core::AggregateKind::kCount;
-    count_query.aggregate.attribute.clear();
-    auto batch = static_cast<const core::BoundedRasterJoin&>(*inner_)
-                     .ExecuteBatch({shard_query, count_query});
-    if (!batch.ok()) return batch.status();
-    std::vector<core::QueryResult>& results = batch.value();
-    core::QueryResult partial = std::move(results[0]);
-    partial.counts = std::move(results[1].counts);
-    partial.error_bounds = std::move(results[1].error_bounds);
-    return partial;
-  }
-  return inner_->Execute(shard_query);
+  return inner_->ExecutePartial(shard_query);
 }
 
-StatusOr<core::QueryResult> ShardedExecutor::Execute(
+StatusOr<core::PartialResult> ShardedExecutor::ExecutePartial(
     const core::AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
 
@@ -157,7 +136,7 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
   // slots after Batch::Wait (the pool's completion acts as the fence).
   // Failure latches are per-slot too, so the first-failing *shard index* —
   // not the first-failing completion — decides the reported status.
-  std::vector<core::QueryResult> partials(m);
+  std::vector<core::PartialResult> partials(m);
   std::vector<Status> statuses(m, Status::OK());
   // Per-shard slot profiles: the inner executor reports each shard's pass
   // costs into its own slot, and with a profile attached the slot also
@@ -171,7 +150,7 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
   auto run_shard = [&](std::size_t s) {
     WallTimer shard_timer;
     const double cpu_begin = profiling ? obs::ThreadCpuSeconds() : 0.0;
-    StatusOr<core::QueryResult> partial = ExecuteShard(
+    StatusOr<core::PartialResult> partial = ExecuteShard(
         query, s, candidates[s], slots.empty() ? nullptr : &slots[s]);
     if (profiling) {
       slots[s].cpu_seconds = obs::ThreadCpuSeconds() - cpu_begin;
@@ -221,12 +200,17 @@ StatusOr<core::QueryResult> ShardedExecutor::Execute(
   }
   URBANE_RETURN_IF_ERROR(query.CheckControl());
 
+  // Merge in ascending shard index — never completion order — so the
+  // merged partial is a function of the shard partials alone.
   WallTimer merge_timer;
-  StatusOr<core::QueryResult> merged =
-      MergeShardPartials(query.aggregate.kind, partials);
-  if (!merged.ok()) {
-    if (metrics) registry.GetCounter("shard.failures").Add(1);
-    return merged.status();
+  core::PartialResult merged;
+  merged.regions.resize(query.regions->size());
+  for (const core::PartialResult& partial : partials) {
+    const Status status = merged.Merge(partial);
+    if (!status.ok()) {
+      if (metrics) registry.GetCounter("shard.failures").Add(1);
+      return status;
+    }
   }
   costs.reduce_seconds = merge_timer.ElapsedSeconds();
 

@@ -67,14 +67,15 @@ struct ShardedExecutorOptions {
 /// the pool. Executors are immutable after Create, so the shards share the
 /// inner executor's R-tree / grid / splat order / region spans and differ
 /// only in their candidate ranges; a raster inner leases one render-target
-/// set per concurrently running shard.
+/// set per concurrently running shard. Every shard runs the query's own
+/// aggregate, AVG included, through the inner ExecutePartial.
 /// Gather: partials are published into per-shard slots; after all shards
-/// finish, MergeShardPartials folds the slots in ascending shard index —
-/// canvas-free partial merge (COUNT/SUM additive, AVG by (sum, count),
-/// MIN/MAX by NaN-aware extrema, error bounds additive). When the query
-/// carries a profile or metrics are on, each shard also gets its own slot
-/// profile; per-shard rows, the merged counters and `exec.sharded.*` are
-/// folded from those slots in shard-index order.
+/// finish, PartialResult::Merge folds the slots in ascending shard index —
+/// canvas-free accumulator merge (counts and sums add, so AVG divides the
+/// summed (sum, count) pairs once; MIN/MAX fold extrema; error bounds
+/// add). When the query carries a profile or metrics are on, each shard
+/// also gets its own slot profile; per-shard rows, the merged counters and
+/// `exec.sharded.*` are folded from those slots in shard-index order.
 ///
 /// Determinism contract (DESIGN.md §11): for a fixed shard count the result
 /// is reproducible on any pool size and any completion order. COUNT and
@@ -97,7 +98,7 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
       const core::IndexJoinOptions& index_options =
           core::IndexJoinOptions());
 
-  StatusOr<core::QueryResult> Execute(
+  StatusOr<core::PartialResult> ExecutePartial(
       const core::AggregationQuery& query) const override;
 
   std::string name() const override { return "sharded-" + inner_->name(); }
@@ -118,11 +119,8 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
         inner_(std::move(inner)) {}
 
   /// Runs shard `s` of `query` (already validated) on the inner executor,
-  /// reporting its pass costs into `slot` (null when nobody observes). The
-  /// partial result carries ShardExecutionKind(aggregate); for
-  /// bounded-raster AVG it is a SUM result whose error bounds are
-  /// COUNT-semantics boundary counts.
-  StatusOr<core::QueryResult> ExecuteShard(
+  /// reporting its pass costs into `slot` (null when nobody observes).
+  StatusOr<core::PartialResult> ExecuteShard(
       const core::AggregationQuery& query, std::size_t s,
       const core::RowRangeSet& candidates, obs::QueryProfile* slot) const;
 

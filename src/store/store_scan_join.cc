@@ -21,7 +21,7 @@ StatusOr<std::unique_ptr<StoreScanJoin>> StoreScanJoin::Create(
       new StoreScanJoin(reader, cache, regions, std::move(rtree)));
 }
 
-StatusOr<core::QueryResult> StoreScanJoin::Execute(
+StatusOr<core::PartialResult> StoreScanJoin::ExecutePartial(
     const core::AggregationQuery& query) const {
   // The store supplies the rows; rebind the query's table to the schema
   // carrier so the standard structural validation applies.
@@ -61,7 +61,8 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
         .Add(cursor.rows_pruned());
   }
 
-  std::vector<core::Accumulator> accumulators(regions_.size());
+  core::PartialResult result;
+  result.regions.resize(regions_.size());
   std::uint64_t blocks_scanned = 0;
   WallTimer reduce_timer;
   for (; !cursor.Done(); cursor.Advance()) {
@@ -87,20 +88,12 @@ StatusOr<core::QueryResult> StoreScanJoin::Execute(
       rtree_.QueryPoint(p, [&](std::uint32_t region_index) {
         ++costs.pip_tests;
         if (regions_[region_index].geometry.Contains(p)) {
-          accumulators[region_index].Add(value);
+          result.regions[region_index].Add(value);
         }
       });
     }
   }
   costs.reduce_seconds = reduce_timer.ElapsedSeconds();
-
-  core::QueryResult result;
-  result.values.reserve(regions_.size());
-  result.counts.reserve(regions_.size());
-  for (const core::Accumulator& acc : accumulators) {
-    result.values.push_back(acc.Finalize(q.aggregate.kind));
-    result.counts.push_back(acc.count);
-  }
   costs.query_seconds = timer.ElapsedSeconds();
   if (q.profile != nullptr) {
     const BlockCacheStats cache_now = cache_.stats();

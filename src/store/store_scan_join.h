@@ -32,7 +32,7 @@ class StoreScanJoin : public core::SpatialAggregationExecutor {
 
   /// `query.points` may be null (the store supplies the rows); if set, it
   /// is only used to validate the schema.
-  StatusOr<core::QueryResult> Execute(
+  StatusOr<core::PartialResult> ExecutePartial(
       const core::AggregationQuery& query) const override;
   std::string name() const override { return "store_scan"; }
   bool exact() const override { return true; }

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,15 +31,10 @@ namespace {
 constexpr int kThreads = 4;
 constexpr int kRounds = 3;
 
-/// One unit of work: a single query for Execute, a same-filter batch for
-/// BoundedRasterJoin::ExecuteBatch. The profile rides on the front query.
-using Job = std::vector<AggregationQuery>;
-using Runner = std::function<StatusOr<std::vector<QueryResult>>(const Job&)>;
-
 struct Outcome {
   Status status;
-  std::vector<QueryResult> results;
-  std::string profile;  // deterministic fields of the job's profile
+  QueryResult result;
+  std::string profile;  // deterministic fields of the query's profile
 };
 
 /// The profile with every measured field zeroed. The store I/O deltas read
@@ -55,13 +49,14 @@ std::string CanonicalCounters(obs::QueryProfile profile) {
   return doc.Dump(-1);
 }
 
-Outcome RunJob(const Runner& run, Job job) {
+Outcome RunQuery(const SpatialAggregationExecutor& executor,
+                 AggregationQuery query) {
   obs::QueryProfile profile;
-  job.front().profile = &profile;
+  query.profile = &profile;
   Outcome outcome;
-  StatusOr<std::vector<QueryResult>> results = run(job);
-  outcome.status = results.status();
-  if (results.ok()) outcome.results = std::move(*results);
+  StatusOr<QueryResult> result = executor.Execute(query);
+  outcome.status = result.status();
+  if (result.ok()) outcome.result = std::move(*result);
   outcome.profile = CanonicalCounters(profile);
   return outcome;
 }
@@ -87,15 +82,16 @@ void ExpectBitIdentical(const QueryResult& got, const QueryResult& want,
   }
 }
 
-/// Runs every job once serially on `run`'s executor, then lets kThreads
-/// threads hammer the same instance — thread t takes jobs t, t + kThreads,
-/// ... for kRounds rounds — and checks each concurrent outcome against the
-/// serial one.
-void ExpectConcurrentRunsMatchSerial(const Runner& run,
-                                     const std::vector<Job>& jobs) {
+/// Runs every query once serially on `executor`, then lets kThreads
+/// threads hammer the same instance — thread t takes queries t,
+/// t + kThreads, ... for kRounds rounds — and checks each concurrent
+/// outcome against the serial one.
+void ExpectConcurrentRunsMatchSerial(
+    const SpatialAggregationExecutor& executor,
+    const std::vector<AggregationQuery>& queries) {
   std::vector<Outcome> serial;
-  for (const Job& job : jobs) {
-    serial.push_back(RunJob(run, job));
+  for (const AggregationQuery& query : queries) {
+    serial.push_back(RunQuery(executor, query));
     ASSERT_TRUE(serial.back().status.ok()) << serial.back().status;
   }
   std::vector<std::vector<std::pair<std::size_t, Outcome>>> seen(kThreads);
@@ -103,24 +99,20 @@ void ExpectConcurrentRunsMatchSerial(const Runner& run,
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        for (std::size_t j = t; j < jobs.size(); j += kThreads) {
-          seen[t].emplace_back(j, RunJob(run, jobs[j]));
+        for (std::size_t q = t; q < queries.size(); q += kThreads) {
+          seen[t].emplace_back(q, RunQuery(executor, queries[q]));
         }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) {
-    for (const auto& [j, outcome] : seen[t]) {
+    for (const auto& [q, outcome] : seen[t]) {
       const std::string what =
-          "thread " + std::to_string(t) + " job " + std::to_string(j);
+          "thread " + std::to_string(t) + " query " + std::to_string(q);
       ASSERT_TRUE(outcome.status.ok()) << what << ": " << outcome.status;
-      ASSERT_EQ(outcome.results.size(), serial[j].results.size()) << what;
-      for (std::size_t q = 0; q < outcome.results.size(); ++q) {
-        ExpectBitIdentical(outcome.results[q], serial[j].results[q],
-                           what + " query " + std::to_string(q));
-      }
-      EXPECT_EQ(outcome.profile, serial[j].profile) << what;
+      ExpectBitIdentical(outcome.result, serial[q].result, what);
+      EXPECT_EQ(outcome.profile, serial[q].profile) << what;
     }
   }
 }
@@ -158,24 +150,16 @@ class ExecutorConcurrencyTest : public ::testing::Test {
     return query;
   }
 
-  /// Every (filter, aggregate) pair as its own job, indexed filter-major,
-  /// so thread t's stride through the list mixes filters and aggregates.
-  std::vector<Job> SingleQueryJobs() const {
-    std::vector<Job> jobs;
+  /// Every (filter, aggregate) pair, indexed filter-major, so thread t's
+  /// stride through the list mixes filters and aggregates.
+  std::vector<AggregationQuery> Queries() const {
+    std::vector<AggregationQuery> queries;
     for (const FilterSpec& filter : Filters()) {
       for (const AggregateSpec& aggregate : Aggregates()) {
-        jobs.push_back({MakeQuery(filter, aggregate)});
+        queries.push_back(MakeQuery(filter, aggregate));
       }
     }
-    return jobs;
-  }
-
-  static Runner ExecuteEach(const SpatialAggregationExecutor& executor) {
-    return [&executor](const Job& job) -> StatusOr<std::vector<QueryResult>> {
-      URBANE_ASSIGN_OR_RETURN(QueryResult result,
-                              executor.Execute(job.front()));
-      return std::vector<QueryResult>{std::move(result)};
-    };
+    return queries;
   }
 
   data::PointTable points_;
@@ -186,54 +170,33 @@ class ExecutorConcurrencyTest : public ::testing::Test {
 TEST_F(ExecutorConcurrencyTest, ScanJoin) {
   auto executor = ScanJoin::Create(points_, regions_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
 }
 
 TEST_F(ExecutorConcurrencyTest, IndexJoin) {
   auto executor = IndexJoin::Create(points_, regions_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
 }
 
 TEST_F(ExecutorConcurrencyTest, QuadtreeJoin) {
   auto executor = QuadtreeJoin::Create(points_, regions_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
 }
 
 TEST_F(ExecutorConcurrencyTest, BoundedRasterJoin) {
   auto executor = BoundedRasterJoin::Create(points_, regions_,
                                             raster_options_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
-}
-
-TEST_F(ExecutorConcurrencyTest, BoundedRasterJoinExecuteBatch) {
-  auto executor = BoundedRasterJoin::Create(points_, regions_,
-                                            raster_options_);
-  ASSERT_TRUE(executor.ok());
-  // Per filter, one batch of every aggregate and one MIN + SUM batch, so
-  // the threads run different filters and different target sets.
-  std::vector<Job> jobs;
-  for (const FilterSpec& filter : Filters()) {
-    Job all;
-    for (const AggregateSpec& aggregate : Aggregates()) {
-      all.push_back(MakeQuery(filter, aggregate));
-    }
-    jobs.push_back(all);
-    jobs.push_back({MakeQuery(filter, AggregateSpec::Min("v")),
-                    MakeQuery(filter, AggregateSpec::Sum("v"))});
-  }
-  const BoundedRasterJoin& raster = **executor;
-  ExpectConcurrentRunsMatchSerial(
-      [&raster](const Job& job) { return raster.ExecuteBatch(job); }, jobs);
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
 }
 
 TEST_F(ExecutorConcurrencyTest, AccurateRasterJoin) {
   auto executor = AccurateRasterJoin::Create(points_, regions_,
                                              raster_options_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
 }
 
 TEST_F(ExecutorConcurrencyTest, ShardedExecutor) {
@@ -243,7 +206,7 @@ TEST_F(ExecutorConcurrencyTest, ShardedExecutor) {
       points_, regions_, ExecutionMethod::kBoundedRaster, options,
       raster_options_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
 }
 
 TEST_F(ExecutorConcurrencyTest, StoreScanJoin) {
@@ -261,7 +224,7 @@ TEST_F(ExecutorConcurrencyTest, StoreScanJoin) {
   store::BlockCache cache(&*reader, cache_options);
   auto executor = store::StoreScanJoin::Create(*reader, cache, regions_);
   ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(ExecuteEach(**executor), SingleQueryJobs());
+  ExpectConcurrentRunsMatchSerial(**executor, Queries());
   std::remove(path.c_str());
 }
 

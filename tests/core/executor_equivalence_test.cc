@@ -214,8 +214,11 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
             << " region " << r;
       }
 
-      // The profile actually recorded the execution it observed.
+      // The profile actually recorded the execution it observed, at the
+      // facade-level thread count.
       EXPECT_EQ(profile.method, ExecutionMethodToString(method));
+      EXPECT_EQ(profile.threads_used, threads)
+          << ExecutionMethodToString(method);
       EXPECT_GT(profile.totals.points_scanned, 0u)
           << ExecutionMethodToString(method);
     }

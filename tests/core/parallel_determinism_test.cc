@@ -13,8 +13,6 @@
 #include "core/index_join.h"
 #include "core/raster_join.h"
 #include "core/scan_join.h"
-#include "core/spatial_aggregation.h"
-#include "obs/profile.h"
 #include "testing/test_worlds.h"
 #include "util/thread_pool.h"
 
@@ -186,103 +184,6 @@ INSTANTIATE_TEST_SUITE_P(
       os << info.param;
       return os.str();
     });
-
-// The shared-splat batch path partitions both the splats and the region
-// sweep; it must reproduce the serial batch per query.
-TEST(ParallelBatchDeterminismTest, ExecuteBatchMatchesSerial) {
-  const auto points = testing::MakeUniformPoints(6000, 777);
-  const data::RegionSet regions = testing::MakeRandomRegions(6, 0xFACADE);
-
-  std::vector<AggregationQuery> queries(3);
-  for (AggregationQuery& query : queries) {
-    query.points = &points;
-    query.regions = &regions;
-    query.filter.WithTime(5000, 80000);
-  }
-  queries[0].aggregate.kind = AggregateKind::kCount;
-  queries[1].aggregate.kind = AggregateKind::kSum;
-  queries[1].aggregate.attribute = "v";
-  queries[2].aggregate.kind = AggregateKind::kAvg;
-  queries[2].aggregate.attribute = "v";
-
-  RasterJoinOptions serial_options;
-  serial_options.resolution = 128;
-  auto serial_join =
-      BoundedRasterJoin::Create(points, regions, serial_options);
-  ASSERT_TRUE(serial_join.ok());
-  const auto serial = (*serial_join)->ExecuteBatch(queries);
-  ASSERT_TRUE(serial.ok());
-
-  for (const std::size_t threads : {2, 4}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ThreadPool pool(threads);
-    RasterJoinOptions options = serial_options;
-    options.exec.pool = &pool;
-    options.exec.num_threads = threads;
-    options.exec.min_parallel_points = 1;
-    auto join = BoundedRasterJoin::Create(points, regions, options);
-    ASSERT_TRUE(join.ok());
-    const auto parallel = (*join)->ExecuteBatch(queries);
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(parallel->size(), serial->size());
-    for (std::size_t q = 0; q < serial->size(); ++q) {
-      for (std::size_t r = 0; r < regions.size(); ++r) {
-        EXPECT_EQ((*parallel)[q].counts[r], (*serial)[q].counts[r])
-            << "query " << q << ", region " << r;
-        if ((*serial)[q].counts[r] == 0) continue;
-        const double tol =
-            1e-6 * std::max(1.0, std::fabs((*serial)[q].values[r]));
-        EXPECT_NEAR((*parallel)[q].values[r], (*serial)[q].values[r], tol)
-            << "query " << q << ", region " << r;
-      }
-    }
-  }
-}
-
-// The facade-level context must flow into every executor it builds,
-// including the ExecuteMany shared-filter batch route.
-TEST(ParallelBatchDeterminismTest, FacadeExecuteManyMatchesSerial) {
-  const auto points = testing::MakeUniformPoints(6000, 888);
-  const data::RegionSet regions = testing::MakeRandomRegions(6, 0xC0FFEE);
-
-  std::vector<AggregationQuery> queries(2);
-  queries[0].aggregate.kind = AggregateKind::kCount;
-  queries[1].aggregate.kind = AggregateKind::kSum;
-  queries[1].aggregate.attribute = "v";
-
-  SpatialAggregation serial_engine(points, regions);
-  const auto serial =
-      serial_engine.ExecuteMany(queries, ExecutionMethod::kBoundedRaster);
-  ASSERT_TRUE(serial.ok());
-
-  ThreadPool pool(4);
-  ExecutionContext exec;
-  exec.pool = &pool;
-  exec.num_threads = 4;
-  exec.min_parallel_points = 1;
-  SpatialAggregation engine(points, regions, RasterJoinOptions(),
-                            IndexJoinOptions(), exec);
-  // The shared-splat batch reports into its front query's profile.
-  obs::QueryProfile profile;
-  queries.front().profile = &profile;
-  const auto parallel =
-      engine.ExecuteMany(queries, ExecutionMethod::kBoundedRaster);
-  ASSERT_TRUE(parallel.ok());
-
-  ASSERT_EQ(parallel->size(), serial->size());
-  for (std::size_t q = 0; q < serial->size(); ++q) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      EXPECT_EQ((*parallel)[q].counts[r], (*serial)[q].counts[r]);
-      if ((*serial)[q].counts[r] == 0) continue;
-      const double tol =
-          1e-6 * std::max(1.0, std::fabs((*serial)[q].values[r]));
-      EXPECT_NEAR((*parallel)[q].values[r], (*serial)[q].values[r], tol);
-    }
-  }
-  // Executors must report the thread count they ran with.
-  EXPECT_EQ(profile.method, "raster");
-  EXPECT_EQ(profile.threads_used, 4u);
-}
 
 }  // namespace
 }  // namespace urbane::core

@@ -91,50 +91,6 @@ TEST(SpatialAggregationTest, EstimateSelectivity) {
   EXPECT_LT(*selectivity, 0.6);
 }
 
-TEST(SpatialAggregationTest, ExecuteManyMatchesIndividual) {
-  const auto points = testing::MakeUniformPoints(4000, 90);
-  const auto regions = testing::MakeRandomRegions(3, 91);
-  RasterJoinOptions options;
-  options.resolution = 128;
-  SpatialAggregation engine(points, regions, options);
-
-  std::vector<AggregationQuery> batch(3);
-  batch[0].aggregate = AggregateSpec::Count();
-  batch[1].aggregate = AggregateSpec::Sum("v");
-  batch[2].aggregate = AggregateSpec::Avg("v");
-  for (auto& q : batch) {
-    q.filter.WithTime(5000, 80000);
-  }
-  for (const ExecutionMethod method :
-       {ExecutionMethod::kBoundedRaster, ExecutionMethod::kScan}) {
-    const auto many = engine.ExecuteMany(batch, method);
-    ASSERT_TRUE(many.ok()) << many.status();
-    ASSERT_EQ(many->size(), 3u);
-    for (std::size_t q = 0; q < batch.size(); ++q) {
-      const auto single = engine.Execute(batch[q], method);
-      ASSERT_TRUE(single.ok());
-      EXPECT_EQ((*many)[q].counts, single->counts)
-          << ExecutionMethodToString(method) << " query " << q;
-    }
-  }
-}
-
-TEST(SpatialAggregationTest, ExecuteManyHeterogeneousFiltersFallsBack) {
-  const auto points = testing::MakeUniformPoints(1000, 92);
-  const auto regions = testing::MakeRandomRegions(2, 93);
-  SpatialAggregation engine(points, regions);
-  std::vector<AggregationQuery> batch(2);
-  batch[0].filter.WithTime(0, 40000);
-  batch[1].filter.WithTime(40000, 90000);
-  const auto many =
-      engine.ExecuteMany(batch, ExecutionMethod::kBoundedRaster);
-  ASSERT_TRUE(many.ok()) << many.status();
-  ASSERT_EQ(many->size(), 2u);
-  const auto a = engine.Execute(batch[0], ExecutionMethod::kBoundedRaster);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ((*many)[0].counts, a->counts);
-}
-
 TEST(SpatialAggregationTest, ResultCacheHitsOnRepeatQueries) {
   const auto points = testing::MakeUniformPoints(3000, 83);
   const auto regions = testing::MakeRandomRegions(3, 84);
@@ -242,41 +198,6 @@ TEST(SpatialAggregationTest, CacheStatsCountersAndByteBound) {
   // A byte bound of zero retains nothing.
   engine.set_result_cache_max_bytes(0);
   EXPECT_EQ(engine.result_cache_size(), 0u);
-}
-
-TEST(SpatialAggregationTest, ExecuteManyBatchPathPopulatesAndProbesCache) {
-  const auto points = testing::MakeUniformPoints(4000, 94);
-  const auto regions = testing::MakeRandomRegions(3, 95);
-  RasterJoinOptions options;
-  options.resolution = 128;
-  SpatialAggregation engine(points, regions, options);
-  engine.set_result_cache_capacity(64);
-
-  std::vector<AggregationQuery> batch(3);
-  batch[0].aggregate = AggregateSpec::Count();
-  batch[1].aggregate = AggregateSpec::Sum("v");
-  batch[2].aggregate = AggregateSpec::Avg("v");
-  for (auto& q : batch) {
-    q.filter.WithTime(5000, 80000);
-  }
-  const auto first = engine.ExecuteMany(batch, ExecutionMethod::kBoundedRaster);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(engine.result_cache_size(), 3u);  // batch populated per query
-
-  // A single query from the batch hits without touching the executor.
-  ASSERT_TRUE(engine.Execute(batch[1], ExecutionMethod::kBoundedRaster).ok());
-  EXPECT_GE(engine.result_cache_hits(), 1u);
-
-  // The whole batch replays from the cache with identical answers.
-  const std::size_t hits_before = engine.result_cache_hits();
-  const auto second =
-      engine.ExecuteMany(batch, ExecutionMethod::kBoundedRaster);
-  ASSERT_TRUE(second.ok());
-  EXPECT_GE(engine.result_cache_hits(), hits_before + 3);
-  for (std::size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ((*second)[q].values, (*first)[q].values) << "query " << q;
-    EXPECT_EQ((*second)[q].counts, (*first)[q].counts) << "query " << q;
-  }
 }
 
 TEST(SpatialAggregationTest, InvalidQueryRejected) {

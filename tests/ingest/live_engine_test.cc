@@ -30,7 +30,11 @@
 #include "data/point_table.h"
 #include "data/schema.h"
 #include "ingest/live_table.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/profile.h"
+#include "obs/slow_query_log.h"
+#include "shard/sharded_executor.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
@@ -501,8 +505,6 @@ TEST(LiveEngineTest, ProfileSumsComponentsAndReportsCacheHits) {
   LiveEngine live(table->get(), &regions, options);
   const data::PointTable rebuilt_rows = ConcatSnapshot(snapshot);
   core::SpatialAggregation rebuilt(rebuilt_rows, regions, SmallCanvas());
-  // The bounded-raster AVG runs each component as a shared-splat SUM+COUNT
-  // batch, which reports through the batch path of ExecuteMany.
   const std::pair<core::AggregateSpec, core::ExecutionMethod> cases[] = {
       {core::AggregateSpec::Count(), core::ExecutionMethod::kAccurateRaster},
       {core::AggregateSpec::Avg("v"), core::ExecutionMethod::kBoundedRaster}};
@@ -541,6 +543,128 @@ TEST(LiveEngineTest, ProfileSumsComponentsAndReportsCacheHits) {
   ASSERT_TRUE(closed_range(&second));
   EXPECT_EQ(second.cache, "hit");
   EXPECT_EQ(second.method, "scan");
+}
+
+// A live query is observed once, by the live engine — never once per
+// component: over a base, one flushed run and hot rows, each query adds
+// exactly one `query.wall_seconds` sample, and an armed recorder commits
+// exactly one record, naming the query as asked (AVG, not a per-component
+// rewrite) with every component's scan summed into its profile.
+TEST(LiveEngineTest, ObservedOncePerQuery) {
+  const std::string dir = FreshDir("observed_once");
+  const data::RegionSet regions = testing::MakeTessellationRegions(3, 0xA1);
+  const data::PointTable base = testing::MakeDyadicPoints(1200, 0xA2);
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, VSchema(), &base, nullptr);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(500, 0xA3)).ok());
+  ASSERT_TRUE((*table)->Flush().ok());
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(300, 0xA4)).ok());
+  const LiveSnapshot snapshot = (*table)->Snapshot();
+  ASSERT_EQ(snapshot.runs.size(), 1u);
+  ASSERT_GT(snapshot.hot.size(), 0u);
+
+  LiveEngineOptions options;
+  options.raster_options = SmallCanvas();
+  LiveEngine live(table->get(), &regions, options);
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const auto samples = [] {
+    return obs::MetricsRegistry::Global()
+        .SnapshotHistogram("query.wall_seconds")
+        .count;
+  };
+  const std::pair<core::AggregateSpec, core::ExecutionMethod> cases[] = {
+      {core::AggregateSpec::Count(), core::ExecutionMethod::kScan},
+      {core::AggregateSpec::Avg("v"), core::ExecutionMethod::kBoundedRaster}};
+  for (const auto& [aggregate, method] : cases) {
+    core::AggregationQuery query;
+    query.aggregate = aggregate;
+    const std::uint64_t before = samples();
+    const StatusOr<core::QueryResult> result = live.Execute(query, method);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(samples() - before, 1u)
+        << core::ExecutionMethodToString(method) << " " << query.ToString();
+  }
+  obs::SetMetricsEnabled(metrics_were_enabled);
+
+  obs::SlowQueryLog& recorder = obs::SlowQueryLog::Global();
+  const obs::SlowQueryLogOptions recorder_options = recorder.options();
+  const bool recorder_was_armed = recorder.armed();
+  obs::SlowQueryLogOptions capture_all;
+  capture_all.threshold_seconds = 0.0;
+  recorder.SetOptions(capture_all);
+  recorder.Clear();
+  recorder.Arm();
+  core::AggregationQuery avg;
+  avg.aggregate = core::AggregateSpec::Avg("v");
+  std::uint64_t watermark = 0;
+  const StatusOr<core::QueryResult> result =
+      live.Execute(avg, core::ExecutionMethod::kAccurateRaster, &watermark);
+  const std::vector<obs::SlowQueryRecord> records = recorder.Records();
+  if (!recorder_was_armed) recorder.Disarm();
+  recorder.SetOptions(recorder_options);
+  recorder.Clear();
+
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NE(records[0].query.find("AVG(v)"), std::string::npos)
+      << records[0].query;
+  ASSERT_TRUE(records[0].profile.is_object());
+  EXPECT_EQ(records[0]
+                .profile.Find("executor")
+                ->Find("totals")
+                ->Find("points_scanned")
+                ->AsNumber(),
+            static_cast<double>(watermark));
+  EXPECT_EQ(watermark, snapshot.watermark);
+}
+
+// Shards and live components run the query's own aggregate, so the
+// bounded raster's options reach them unchanged — float32 render targets
+// included: a one-shard ShardedExecutor and a one-component LiveEngine are
+// bit-identical to the unsharded executor for every aggregate.
+TEST(LiveEngineTest, Float32TargetsMatchUnshardedWhenShardedAndLive) {
+  const data::PointTable points = testing::MakeUniformPoints(20000, 42);
+  const data::RegionSet regions = testing::MakeRandomRegions(4, 43);
+  core::RasterJoinOptions raster;
+  raster.resolution = 192;
+  raster.use_float32_targets = true;
+  auto unsharded = core::BoundedRasterJoin::Create(points, regions, raster);
+  ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+  shard::ShardedExecutorOptions shard_options;
+  shard_options.num_shards = 1;
+  auto sharded = shard::ShardedExecutor::Create(
+      points, regions, core::ExecutionMethod::kBoundedRaster, shard_options,
+      raster);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const std::string dir = FreshDir("float32");
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, points.schema(), &points, nullptr);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  LiveEngineOptions live_options;
+  live_options.raster_options = raster;
+  LiveEngine live(table->get(), &regions, live_options);
+
+  for (const core::AggregateSpec& aggregate : AllAggregates()) {
+    core::AggregationQuery query;
+    query.points = &points;
+    query.regions = &regions;
+    query.aggregate = aggregate;
+    const std::string what = core::AggregateKindToString(aggregate.kind);
+    const StatusOr<core::QueryResult> want = (*unsharded)->Execute(query);
+    const StatusOr<core::QueryResult> from_shards = (*sharded)->Execute(query);
+    core::AggregationQuery live_query;
+    live_query.aggregate = aggregate;
+    const StatusOr<core::QueryResult> from_live =
+        live.Execute(live_query, core::ExecutionMethod::kBoundedRaster);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(from_shards.ok()) << from_shards.status().ToString();
+    ASSERT_TRUE(from_live.ok()) << from_live.status().ToString();
+    ExpectBitIdentical(*from_shards, *want, "sharded " + what);
+    ExpectBitIdentical(*from_live, *want, "live " + what);
+  }
 }
 
 }  // namespace

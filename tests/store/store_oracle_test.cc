@@ -194,10 +194,10 @@ TEST(StoreOracleTest, StreamingStoreScanMatchesSerialInMemoryScan) {
   }
 }
 
-// The shared-splat ExecuteMany batch prunes once for all its queries and
-// must count that pruning exactly like the per-query path: rows as well as
-// blocks.
-TEST(StoreOracleTest, ExecuteManyBatchCountsRowsPruned) {
+// A bounded-raster query over a store-backed engine counts its zone-map
+// pruning into the metrics exactly as it reports it in the profile: rows as
+// well as blocks.
+TEST(StoreOracleTest, BoundedRasterCountsRowsPruned) {
   // Time rises with x, so the Morton-clustered blocks span narrow time
   // ranges and a time filter prunes whole blocks.
   data::PointTable table(data::Schema(std::vector<std::string>{"v"}));
@@ -210,7 +210,7 @@ TEST(StoreOracleTest, ExecuteManyBatchCountsRowsPruned) {
                     static_cast<std::int64_t>(x * 864.0));
     v.push_back(static_cast<float>(rng.NextDouble(-10.0, 10.0)));
   }
-  const std::string path = ::testing::TempDir() + "/oracle_batch_prune.ust";
+  const std::string path = ::testing::TempDir() + "/oracle_raster_prune.ust";
   StoreWriterOptions write_options;
   write_options.block_rows = 1024;
   ASSERT_TRUE(WritePointStore(table, path, write_options).ok());
@@ -222,27 +222,24 @@ TEST(StoreOracleTest, ExecuteManyBatchCountsRowsPruned) {
   core::SpatialAggregation engine(*view, regions);
   engine.AttachZoneMaps(&reader->zone_maps());
 
-  std::vector<core::AggregationQuery> queries(2);
-  queries[0].aggregate = core::AggregateSpec::Count();
-  queries[1].aggregate = core::AggregateSpec::Sum("v");
-  for (core::AggregationQuery& query : queries) {
-    query.filter.time_range = core::TimeRange{0, 20000};
-  }
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Sum("v");
+  query.filter.time_range = core::TimeRange{0, 20000};
   obs::QueryProfile profile;
-  queries[0].profile = &profile;
+  query.profile = &profile;
 
   const bool metrics_were_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   obs::Counter& rows_pruned =
       obs::MetricsRegistry::Global().GetCounter("store.rows_pruned");
   const std::uint64_t before = rows_pruned.Value();
-  const auto results =
-      engine.ExecuteMany(queries, core::ExecutionMethod::kBoundedRaster);
+  const auto result =
+      engine.Execute(query, core::ExecutionMethod::kBoundedRaster);
   const std::uint64_t counted = rows_pruned.Value() - before;
   obs::SetMetricsEnabled(metrics_were_enabled);
   std::remove(path.c_str());
 
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(profile.method, "raster");
   EXPECT_GT(profile.blocks_pruned, 0u);
   EXPECT_GT(profile.rows_pruned, 0u);

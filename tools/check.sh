@@ -67,8 +67,8 @@ if [[ "${MODE}" == "fast" ]]; then
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "${BUILD_DIR}" -j "${JOBS}" \
     --target util_test geometry_test raster_test simd_test index_test \
-             data_test obs_test obs_pipeline_test net_test store_test \
-             shard_unit_test shard_test server_shard_test \
+             core_test data_test obs_test obs_pipeline_test net_test \
+             store_test shard_unit_test shard_test server_shard_test \
              profile_test server_profile_test \
              ingest_unit_test ingest_test server_ingest_test
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L fast "$@"
