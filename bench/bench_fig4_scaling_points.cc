@@ -15,16 +15,15 @@
 // profile; the default sweep always runs with obs disabled so baselines
 // stay comparable).
 // Pass --store to run the out-of-core variant: each scale is converted to
-// a UST1 block store, re-opened in pread mode behind a block cache bounded
-// by URBANE_BENCH_STORE_BUDGET_MB (default 8 MB — far below the raw column
-// bytes at the top of the sweep), and scanned block-at-a-time; the table
-// reports blocks read vs pruned so bench_report can derive the pruning
-// ratio.
+// a UST1 block store and opened the way CLI `open` and the query server
+// open one — memory-mapped, zone maps attached to the facade — then a full
+// COUNT and a centre-quarter-window COUNT run through the facade's scan;
+// the table reports the window's blocks scanned vs pruned so bench_report
+// can derive the pruning ratio.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "bench/harness.h"
@@ -34,9 +33,7 @@
 #include "data/taxi_generator.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
-#include "store/block_cache.h"
 #include "store/store_reader.h"
-#include "store/store_scan_join.h"
 #include "store/store_writer.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -111,64 +108,63 @@ int main(int argc, char** argv) {
   table.Finish();
 
   if (store_mode) {
-    const char* budget_env = std::getenv("URBANE_BENCH_STORE_BUDGET_MB");
-    const std::uint64_t budget_mb =
-        budget_env != nullptr ? std::strtoull(budget_env, nullptr, 10) : 8;
-    const std::uint64_t budget_bytes = budget_mb << 20;
-    std::printf(
-        "out-of-core block store (pread + %llu MB block cache budget):\n",
-        static_cast<unsigned long long>(budget_mb));
-    // Run with the registry on so the store.* counters (blocks read/pruned,
-    // cache hits/evictions) land in the fig4_store.json snapshot and
-    // bench_report can track the pruning ratio in BENCH_TRAJECTORY.json.
+    std::printf("out-of-core block store (mmap view + zone maps, scan):\n");
+    // Run with the registry on so the store.blocks_pruned / rows_pruned
+    // counters land in the fig4_store.json snapshot and bench_report can
+    // track the pruning ratio in BENCH_TRAJECTORY.json.
     const bool metrics_were_enabled = obs::MetricsEnabled();
     obs::SetMetricsEnabled(true);
     bench::ResultTable store_table(
         "fig4_store",
         {"points", "raw-MB", "full-scan", "window-scan", "blocks-total",
-         "blocks-read", "blocks-pruned", "pruned-%"});
+         "blocks-scanned", "blocks-pruned", "pruned-%"});
     for (const std::size_t num_points : sweep) {
       data::TaxiGeneratorOptions options;
       options.num_trips = num_points;
       const data::PointTable taxis = data::GenerateTaxiTrips(options);
       const std::string path = "/tmp/urbane_fig4_" +
                                std::to_string(::getpid()) + ".ust";
+      // The same block count at every scale keeps the pruning ratio
+      // comparable across the sweep and gives the smallest scale blocks
+      // to prune.
       store::StoreWriterOptions write_options;
+      write_options.block_rows = std::max<std::size_t>(1, num_points / 64);
       auto written = store::WritePointStore(taxis, path, write_options);
       if (!written.ok()) {
         std::printf("  store write failed: %s\n",
                     written.status().ToString().c_str());
         break;
       }
-      store::StoreReaderOptions read_options;
-      read_options.use_mmap = false;  // force the paged out-of-core path
-      auto reader = store::StoreReader::Open(path, read_options);
+      auto reader = store::StoreReader::Open(path);
+      ::unlink(path.c_str());  // an open reader keeps the rows readable
       if (!reader.ok()) {
         std::printf("  store open failed: %s\n",
                     reader.status().ToString().c_str());
         break;
       }
+      auto view = reader->MappedTable();
+      if (!view.ok()) {
+        std::printf("  store map failed: %s\n",
+                    view.status().ToString().c_str());
+        break;
+      }
       const std::uint64_t row_bytes =
           16 + 4 * reader->schema().attribute_count();
       const std::uint64_t raw_bytes = reader->row_count() * row_bytes;
-      const std::uint64_t block_bytes = write_options.block_rows * row_bytes;
-      store::BlockCacheOptions cache_options;
-      cache_options.capacity_blocks = static_cast<std::size_t>(
-          std::max<std::uint64_t>(1, budget_bytes / block_bytes));
-      store::BlockCache cache(&*reader, cache_options);
-      auto join = store::StoreScanJoin::Create(*reader, cache,
-                                               neighborhoods);
-      if (!join.ok()) break;
+      core::SpatialAggregation store_engine(*view, neighborhoods,
+                                            core::RasterJoinOptions(),
+                                            core::IndexJoinOptions(), exec);
+      store_engine.AttachZoneMaps(&reader->zone_maps());
 
       core::AggregationQuery full;
       full.aggregate = core::AggregateSpec::Count();
-      full.regions = &neighborhoods;
-      const double full_seconds = bench::MeasureSeconds(
-          [&] { (void)(*join)->Execute(full); });
+      const double full_seconds = bench::MeasureSeconds([&] {
+        (void)store_engine.Execute(full, core::ExecutionMethod::kScan);
+      });
 
       // Selective viewport: the center quarter of the data's extent. Blocks
       // are Morton-clustered, so most fall entirely outside the window and
-      // are pruned before any byte of them is read.
+      // are pruned before the scan visits a row of them.
       const geometry::BoundingBox bounds = reader->zone_maps().Bounds();
       obs::QueryProfile window_profile;
       core::AggregationQuery window = full;
@@ -178,8 +174,9 @@ int main(int argc, char** argv) {
           bounds.min_y + bounds.Height() * 0.375,
           bounds.max_x - bounds.Width() * 0.375,
           bounds.max_y - bounds.Height() * 0.375);
-      const double window_seconds = bench::MeasureSeconds(
-          [&] { (void)(*join)->Execute(window); });
+      const double window_seconds = bench::MeasureSeconds([&] {
+        (void)store_engine.Execute(window, core::ExecutionMethod::kScan);
+      });
       const obs::QueryProfile& wp = window_profile;
       store_table.AddRow(
           {bench::ResultTable::Cell("%zu", num_points),
@@ -187,15 +184,15 @@ int main(int argc, char** argv) {
            FormatDuration(full_seconds), FormatDuration(window_seconds),
            bench::ResultTable::Cell("%llu", static_cast<unsigned long long>(
                                                 wp.blocks_total)),
-           bench::ResultTable::Cell("%llu", static_cast<unsigned long long>(
-                                                wp.store_blocks_scanned)),
+           bench::ResultTable::Cell(
+               "%llu", static_cast<unsigned long long>(wp.blocks_total -
+                                                       wp.blocks_pruned)),
            bench::ResultTable::Cell("%llu", static_cast<unsigned long long>(
                                                 wp.blocks_pruned)),
            bench::ResultTable::Cell(
                "%.1f%%", wp.blocks_total > 0
                              ? 100.0 * wp.blocks_pruned / wp.blocks_total
                              : 0.0)});
-      ::unlink(path.c_str());
     }
     store_table.Finish();
     obs::SetMetricsEnabled(metrics_were_enabled);

@@ -11,7 +11,6 @@ namespace urbane::data {
 
 namespace {
 
-constexpr char kPointMagic[4] = {'U', 'P', 'T', '1'};
 constexpr char kRegionMagic[4] = {'U', 'R', 'G', '1'};
 
 std::string PrintableMagic(const char magic[4]) {
@@ -52,11 +51,6 @@ class Writer {
   void Str(const std::string& s) {
     U64(s.size());
     Bytes(s.data(), s.size());
-  }
-  template <typename T>
-  void Vec(const std::vector<T>& v) {
-    U64(v.size());
-    Bytes(v.data(), v.size() * sizeof(T));
   }
 
   Status Finish() {
@@ -147,30 +141,6 @@ class Reader {
     URBANE_RETURN_IF_ERROR(Bytes(s.data(), size));
     return s;
   }
-  template <typename T>
-  Status Vec(std::vector<T>& v) {
-    URBANE_ASSIGN_OR_RETURN(std::uint64_t size,
-                            Count(sizeof(T), "vector length"));
-    v.resize(size);
-    return Bytes(v.data(), v.size() * sizeof(T));
-  }
-
-  /// Validated bulk column read: `n` elements must fit in the remaining
-  /// bytes (Bytes() checks) — kept for symmetry and error context.
-  template <typename T>
-  Status Column(std::vector<T>& v, std::uint64_t n, const char* what) {
-    if (n > Remaining() / sizeof(T)) {
-      return Status::IoError(StringPrintf(
-          "truncated %s column in %s at offset %llu: %llu elements do not "
-          "fit in the %llu remaining bytes",
-          what, path_.c_str(), static_cast<unsigned long long>(offset_),
-          static_cast<unsigned long long>(n),
-          static_cast<unsigned long long>(Remaining())));
-    }
-    v.resize(n);
-    return Bytes(v.data(), v.size() * sizeof(T));
-  }
-
   const std::string& path() const { return path_; }
 
  private:
@@ -182,9 +152,9 @@ class Reader {
 };
 
 /// Distinct, actionable magic/version diagnostics: a mismatch names both
-/// the found and the expected magic so a format upgrade (or handing a UPT1
-/// file to the region reader) fails loudly instead of as a generic read
-/// error downstream.
+/// the found and the expected magic so a format upgrade (or handing a UST1
+/// point store to the region reader) fails loudly instead of as a generic
+/// read error downstream.
 Status CheckMagic(Reader& reader, const char expected[4],
                   const std::string& what) {
   char magic[4];
@@ -218,70 +188,6 @@ StatusOr<geometry::Ring> ReadRing(Reader& r) {
 }
 
 }  // namespace
-
-Status WritePointTableBinary(const PointTable& table,
-                             const std::string& path) {
-  URBANE_ASSIGN_OR_RETURN(Writer w, Writer::Open(path));
-  w.Bytes(kPointMagic, 4);
-  w.U64(table.schema().attribute_count());
-  for (const std::string& name : table.schema().attribute_names()) {
-    w.Str(name);
-  }
-  const std::size_t n = table.size();
-  w.U64(n);
-  w.Bytes(table.xs(), n * sizeof(float));
-  w.Bytes(table.ys(), n * sizeof(float));
-  w.Bytes(table.ts(), n * sizeof(std::int64_t));
-  for (std::size_t c = 0; c < table.schema().attribute_count(); ++c) {
-    w.Bytes(table.attribute_data(c), n * sizeof(float));
-  }
-  return w.Finish();
-}
-
-StatusOr<PointTable> ReadPointTableBinary(const std::string& path) {
-  Reader r(path);
-  if (!r.ok()) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  URBANE_RETURN_IF_ERROR(CheckMagic(r, kPointMagic, "point-table"));
-  URBANE_ASSIGN_OR_RETURN(std::uint64_t attr_count,
-                          r.Count(/*elem_size=*/9, "attribute"));
-  if (attr_count > 4096) {
-    return Status::IoError(StringPrintf(
-        "implausible attribute count %llu in %s",
-        static_cast<unsigned long long>(attr_count), path.c_str()));
-  }
-  std::vector<std::string> names;
-  names.reserve(attr_count);
-  for (std::uint64_t c = 0; c < attr_count; ++c) {
-    URBANE_ASSIGN_OR_RETURN(std::string name, r.Str());
-    names.push_back(std::move(name));
-  }
-  URBANE_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(names)));
-  // Each row occupies 16 + 4 * attr_count bytes of payload after the count.
-  const std::size_t row_bytes =
-      2 * sizeof(float) + sizeof(std::int64_t) +
-      schema.attribute_count() * sizeof(float);
-  URBANE_ASSIGN_OR_RETURN(std::uint64_t n, r.Count(row_bytes, "row"));
-  PointTable table(schema);
-  table.Reserve(n);
-  std::vector<float> xs;
-  std::vector<float> ys;
-  std::vector<std::int64_t> ts;
-  URBANE_RETURN_IF_ERROR(r.Column(xs, n, "x"));
-  URBANE_RETURN_IF_ERROR(r.Column(ys, n, "y"));
-  URBANE_RETURN_IF_ERROR(r.Column(ts, n, "t"));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    table.AppendXyt(xs[i], ys[i], ts[i]);
-  }
-  for (std::size_t c = 0; c < schema.attribute_count(); ++c) {
-    std::vector<float>& col = table.mutable_attribute_column(c);
-    URBANE_RETURN_IF_ERROR(
-        r.Column(col, n, schema.attribute_name(c).c_str()));
-  }
-  URBANE_RETURN_IF_ERROR(table.Validate());
-  return table;
-}
 
 Status WriteRegionSetBinary(const RegionSet& regions,
                             const std::string& path) {

@@ -3,20 +3,16 @@
 
 #include <string>
 
-#include "data/point_table.h"
 #include "data/region.h"
 #include "util/status.h"
 
 namespace urbane::data {
 
-/// Fast binary snapshot format ("UPT1" / "URG1") for point tables and
-/// region sets. Little-endian, versioned magic, length-prefixed strings.
-/// This is the library's analogue of the preprocessed binary dumps the
-/// Urbane deployment loads at startup instead of re-parsing CSV/GeoJSON.
-Status WritePointTableBinary(const PointTable& table,
-                             const std::string& path);
-StatusOr<PointTable> ReadPointTableBinary(const std::string& path);
-
+/// Binary snapshot format for region sets ("URG1"): little-endian,
+/// versioned magic, length-prefixed strings, coordinates stored as the
+/// doubles in memory, so a reloaded layer is bit-identical (GeoJSON
+/// re-projects coordinates and re-orients rings). Point sets persist as
+/// UST1 block stores (store/store_writer.h).
 Status WriteRegionSetBinary(const RegionSet& regions,
                             const std::string& path);
 StatusOr<RegionSet> ReadRegionSetBinary(const std::string& path);

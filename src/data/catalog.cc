@@ -18,7 +18,7 @@ StatusOr<CatalogEntry::Kind> KindFromString(const std::string& text) {
   return Status::InvalidArgument("unknown catalog entry kind: " + text);
 }
 
-constexpr const char* kValidFormats[] = {"upt", "csv", "urg", "geojson"};
+constexpr const char* kValidFormats[] = {"ust", "csv", "urg", "geojson"};
 
 bool IsValidFormat(const std::string& format) {
   for (const char* valid : kValidFormats) {
@@ -50,7 +50,7 @@ Status Catalog::Add(CatalogEntry entry) {
                                    entry.path);
   }
   const bool points_format =
-      entry.format == "upt" || entry.format == "csv";
+      entry.format == "ust" || entry.format == "csv";
   if (points_format != (entry.kind == CatalogEntry::Kind::kPoints)) {
     return Status::InvalidArgument(
         "format '" + entry.format + "' does not match entry kind");

@@ -15,7 +15,9 @@ struct CatalogEntry {
   Kind kind = Kind::kPoints;
   std::string name;
   std::string path;      // relative to the manifest's directory
-  std::string format;    // "upt" | "csv" | "urg" | "geojson"
+  /// "ust" (UST1 point store, memory-mapped on load) | "csv" | "urg" (URG1
+  /// region snapshot) | "geojson".
+  std::string format;
 };
 
 /// A workspace manifest ("urbane.workspace.json"): the deployment story for
@@ -45,7 +47,7 @@ class Catalog {
 };
 
 /// Infers the storage format from a file extension
-/// (".upt"/".csv"/".urg"/".geojson"); empty string if unknown.
+/// (".ust"/".csv"/".urg"/".geojson"); empty string if unknown.
 std::string FormatFromPath(const std::string& path);
 
 }  // namespace urbane::data

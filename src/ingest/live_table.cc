@@ -94,7 +94,6 @@ StatusOr<std::shared_ptr<const LiveRun>> OpenStoreRun(
   } else {
     // pread-only file system: fall back to an owning copy.
     URBANE_ASSIGN_OR_RETURN(run->table, run->reader->Materialize());
-    run->table.SetCachedExtents(run->bounds, run->time_range);
   }
   return std::shared_ptr<const LiveRun>(std::move(run));
 }

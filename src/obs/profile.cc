@@ -194,10 +194,6 @@ data::JsonValue QueryProfile::ToJson() const {
   store.emplace_back("blocks_total", U64(blocks_total));
   store.emplace_back("blocks_pruned", U64(blocks_pruned));
   store.emplace_back("rows_pruned", U64(rows_pruned));
-  store.emplace_back("blocks_scanned", U64(store_blocks_scanned));
-  store.emplace_back("blocks_read", U64(store_blocks_read));
-  store.emplace_back("cache_hits", U64(store_cache_hits));
-  store.emplace_back("bytes_read", U64(store_bytes_read));
   doc.emplace_back("store", data::JsonValue(std::move(store)));
 
   data::JsonValue::Object executor;
@@ -243,17 +239,12 @@ std::string QueryProfile::ToTable() const {
     if (!planner_explanation.empty()) out += ": " + planner_explanation;
     out += "\n";
   }
-  if (blocks_total > 0 || store_blocks_scanned > 0) {
+  if (blocks_total > 0) {
     out += StringPrintf(
-        "store    blocks=%llu pruned=%llu rows_pruned=%llu scanned=%llu "
-        "read=%llu cache_hits=%llu bytes=%llu\n",
+        "store    blocks=%llu pruned=%llu rows_pruned=%llu\n",
         static_cast<unsigned long long>(blocks_total),
         static_cast<unsigned long long>(blocks_pruned),
-        static_cast<unsigned long long>(rows_pruned),
-        static_cast<unsigned long long>(store_blocks_scanned),
-        static_cast<unsigned long long>(store_blocks_read),
-        static_cast<unsigned long long>(store_cache_hits),
-        static_cast<unsigned long long>(store_bytes_read));
+        static_cast<unsigned long long>(rows_pruned));
   }
   out += StringPrintf(
       "passes   filter=%.3fms splat=%.3fms sweep=%.3fms reduce=%.3fms "
@@ -298,10 +289,6 @@ void QueryProfile::AddComponent(const QueryProfile& component) {
   blocks_total += component.blocks_total;
   blocks_pruned += component.blocks_pruned;
   rows_pruned += component.rows_pruned;
-  store_blocks_scanned += component.store_blocks_scanned;
-  store_blocks_read += component.store_blocks_read;
-  store_cache_hits += component.store_cache_hits;
-  store_bytes_read += component.store_bytes_read;
   threads_used = std::max(threads_used, component.threads_used);
   totals.Add(component.totals);
   scatter_seconds += component.scatter_seconds;

@@ -147,12 +147,6 @@ struct QueryProfile {
   std::uint64_t blocks_total = 0;
   std::uint64_t blocks_pruned = 0;
   std::uint64_t rows_pruned = 0;
-  /// Block-cache / streaming-scan attribution (store-backed execution
-  /// outside the mmap zero-copy path; zero otherwise).
-  std::uint64_t store_blocks_scanned = 0;
-  std::uint64_t store_blocks_read = 0;
-  std::uint64_t store_cache_hits = 0;
-  std::uint64_t store_bytes_read = 0;
 
   /// Executor totals (the pass costs of the execution that ran). For a
   /// sharded execution the counters equal the sum over `shards`.
@@ -174,7 +168,7 @@ struct QueryProfile {
 
   /// Folds one component of a composed execution (a live data set runs
   /// one engine per base, run and hot component, in order) into this
-  /// profile: CPU time, pruning, store I/O, pass costs, and scatter/merge
+  /// profile: CPU time, pruning, pass costs, and scatter/merge
   /// times add up, `threads_used` is the maximum, and per-shard rows
   /// append with their indexes continued (row ranges stay relative to the
   /// component). Request, method, planner, cache and wall fields are the

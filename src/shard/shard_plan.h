@@ -29,8 +29,8 @@ struct ShardPlan {
 ///
 /// `align_rows`, when non-zero, snaps every interior boundary down to a
 /// multiple of it (the store's block_rows): no block ever straddles two
-/// shards, so per-shard zone-map pruning eliminates whole blocks and the
-/// BlockCursor of one shard never touches another shard's blocks. Snapping
+/// shards, so per-shard zone-map pruning eliminates whole blocks and one
+/// shard's scan never touches another shard's blocks. Snapping
 /// can make leading shards empty when total_rows / M < align_rows; empty
 /// shards are kept (they produce well-formed empty partials) so the plan
 /// always has exactly `num_shards` entries for `num_shards >= 1`.

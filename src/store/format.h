@@ -35,8 +35,8 @@ namespace urbane::store {
 ///
 /// Columns are whole-file contiguous (not interleaved per block): a block is
 /// a *logical* row range [row_begin, row_begin + row_count), which lets an
-/// mmap'ed file be served zero-copy as one PointTable view while the paged
-/// reader still fetches a single block's rows with one pread per column.
+/// mmap'ed file be served zero-copy as one PointTable view, and lets the
+/// no-mmap fallback copy the whole table with one pread per column.
 /// The trailer-last layout means a crashed writer can never be mistaken for
 /// a complete store even before the atomic-rename guarantee kicks in.
 
@@ -59,8 +59,7 @@ inline constexpr std::uint64_t ZoneMapRecordBytes(std::uint64_t attr_count) {
 
 inline constexpr std::uint64_t kTrailerBytes = sizeof(std::uint64_t) + 4;
 
-/// Sanity caps mirroring binary_io.cc: reject absurd on-disk claims before
-/// any allocation.
+/// Sanity caps: reject absurd on-disk claims before any allocation.
 inline constexpr std::uint64_t kMaxAttributes = 4096;
 inline constexpr std::uint64_t kMaxRows = 1ULL << 40;
 

@@ -95,23 +95,6 @@ class HeaderCursor {
 
 }  // namespace
 
-std::size_t StoreBlock::MemoryBytes() const {
-  std::size_t bytes = xs.capacity() * sizeof(float) +
-                      ys.capacity() * sizeof(float) +
-                      ts.capacity() * sizeof(std::int64_t);
-  for (const auto& a : attrs) bytes += a.capacity() * sizeof(float);
-  return bytes;
-}
-
-StatusOr<data::PointTable> StoreBlock::AsView(
-    const data::Schema& schema) const {
-  std::vector<const float*> attr_ptrs;
-  attr_ptrs.reserve(attrs.size());
-  for (const auto& a : attrs) attr_ptrs.push_back(a.data());
-  return data::PointTable::View(schema, xs.data(), ys.data(), ts.data(),
-                                std::move(attr_ptrs), xs.size());
-}
-
 StoreReader::~StoreReader() {
   if (mapped_ != nullptr) {
     ::munmap(mapped_, static_cast<std::size_t>(file_size_));
@@ -323,7 +306,7 @@ StatusOr<StoreReader> StoreReader::Open(const std::string& path,
     if (map != MAP_FAILED) {
       reader.mapped_ = map;
     }
-    // mmap failure is not fatal: ReadBlock/Materialize still work via pread.
+    // mmap failure is not fatal: Materialize still works via pread.
   }
   return reader;
 }
@@ -358,7 +341,7 @@ Status StoreReader::ReadAt(std::uint64_t offset, void* dst,
 StatusOr<data::PointTable> StoreReader::MappedTable() const {
   if (mapped_ == nullptr && row_count_ > 0) {
     return Status::IoError("store " + path_ +
-                           " is not memory-mapped; use ReadBlock");
+                           " is not memory-mapped; use Materialize");
   }
   const char* base = static_cast<const char*>(mapped_);
   std::vector<const float*> attrs;
@@ -384,55 +367,29 @@ StatusOr<data::PointTable> StoreReader::MappedTable() const {
   return table;
 }
 
-StatusOr<StoreBlock> StoreReader::ReadBlock(std::size_t block_index) const {
-  if (block_index >= zone_maps_.block_count()) {
-    return Status::InvalidArgument(StringPrintf(
-        "block %zu out of range (store has %zu)", block_index,
-        zone_maps_.block_count()));
-  }
-  const core::BlockZoneMap& zm = zone_maps_.blocks()[block_index];
-  const std::uint64_t rows = zm.row_count;
-  StoreBlock block;
-  block.index = block_index;
-  block.row_begin = zm.row_begin;
-  block.xs.resize(rows);
-  block.ys.resize(rows);
-  block.ts.resize(rows);
-  URBANE_RETURN_IF_ERROR(
-      ReadAt(x_offset_ + zm.row_begin * sizeof(float), block.xs.data(),
-             rows * sizeof(float), "block x column"));
-  URBANE_RETURN_IF_ERROR(
-      ReadAt(y_offset_ + zm.row_begin * sizeof(float), block.ys.data(),
-             rows * sizeof(float), "block y column"));
-  URBANE_RETURN_IF_ERROR(
-      ReadAt(t_offset_ + zm.row_begin * sizeof(std::int64_t),
-             block.ts.data(), rows * sizeof(std::int64_t),
-             "block t column"));
-  block.attrs.resize(attr_offsets_.size());
-  for (std::size_t c = 0; c < attr_offsets_.size(); ++c) {
-    block.attrs[c].resize(rows);
-    URBANE_RETURN_IF_ERROR(
-        ReadAt(attr_offsets_[c] + zm.row_begin * sizeof(float),
-               block.attrs[c].data(), rows * sizeof(float),
-               "block attribute column"));
-  }
-  return block;
-}
-
 StatusOr<data::PointTable> StoreReader::Materialize() const {
+  const std::size_t n = static_cast<std::size_t>(row_count_);
+  std::vector<float> xs(n);
+  std::vector<float> ys(n);
+  std::vector<std::int64_t> ts(n);
+  URBANE_RETURN_IF_ERROR(
+      ReadAt(x_offset_, xs.data(), n * sizeof(float), "x column"));
+  URBANE_RETURN_IF_ERROR(
+      ReadAt(y_offset_, ys.data(), n * sizeof(float), "y column"));
+  URBANE_RETURN_IF_ERROR(
+      ReadAt(t_offset_, ts.data(), n * sizeof(std::int64_t), "t column"));
   data::PointTable table{schema_};
-  table.Reserve(static_cast<std::size_t>(row_count_));
-  for (std::size_t b = 0; b < zone_maps_.block_count(); ++b) {
-    URBANE_ASSIGN_OR_RETURN(StoreBlock block, ReadBlock(b));
-    const std::uint64_t rows = block.row_count();
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      table.AppendXyt(block.xs[i], block.ys[i], block.ts[i]);
-    }
-    for (std::size_t c = 0; c < block.attrs.size(); ++c) {
-      auto& col = table.mutable_attribute_column(c);
-      col.insert(col.end(), block.attrs[c].begin(), block.attrs[c].end());
-    }
+  table.Reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    table.AppendXyt(xs[i], ys[i], ts[i]);
   }
+  for (std::size_t c = 0; c < attr_offsets_.size(); ++c) {
+    std::vector<float>& col = table.mutable_attribute_column(c);
+    col.resize(n);
+    URBANE_RETURN_IF_ERROR(ReadAt(attr_offsets_[c], col.data(),
+                                  n * sizeof(float), "attribute column"));
+  }
+  table.SetCachedExtents(zone_maps_.Bounds(), zone_maps_.TimeRange());
   return table;
 }
 

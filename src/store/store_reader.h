@@ -13,29 +13,10 @@
 namespace urbane::store {
 
 struct StoreReaderOptions {
-  /// Map the file read-only and serve MappedTable() zero-copy. When false
-  /// (or when mmap fails, e.g. on a filesystem without support), the reader
-  /// degrades to pread-per-block and only ReadBlock()/Materialize() work.
+  /// Map the file read-only and serve MappedTable() zero-copy. Tests clear
+  /// it to reach the fallback a failed mmap takes: no mapping, and only
+  /// Materialize() (pread) works.
   bool use_mmap = true;
-};
-
-/// One block's columns, copied out of the store (the unit the BlockCache
-/// holds). Self-contained: safe to use after the reader is gone as long as
-/// the schema outlives it.
-struct StoreBlock {
-  std::size_t index = 0;
-  std::uint64_t row_begin = 0;
-  std::vector<float> xs;
-  std::vector<float> ys;
-  std::vector<std::int64_t> ts;
-  std::vector<std::vector<float>> attrs;
-
-  std::uint64_t row_count() const { return xs.size(); }
-  std::size_t MemoryBytes() const;
-
-  /// Borrowing PointTable over this block's rows (local row space
-  /// [0, row_count)).
-  StatusOr<data::PointTable> AsView(const data::Schema& schema) const;
 };
 
 /// Validating reader for UST1 store files. Open() checks every on-disk
@@ -70,10 +51,10 @@ class StoreReader {
   /// not outlive this reader.
   StatusOr<data::PointTable> MappedTable() const;
 
-  /// Copies one block's rows out of the file (pread or memcpy-from-map).
-  StatusOr<StoreBlock> ReadBlock(std::size_t block_index) const;
-
-  /// Full owning copy of the table — block order, which is row order.
+  /// Full owning copy of the table in row order, one read per column
+  /// section (pread, or memcpy from the map) — the fallback when the file
+  /// cannot be mapped. Bounds()/TimeRange() are pre-cached from the zone
+  /// maps, as for MappedTable().
   StatusOr<data::PointTable> Materialize() const;
 
  private:

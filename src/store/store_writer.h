@@ -14,7 +14,7 @@
 namespace urbane::store {
 
 struct StoreWriterOptions {
-  /// Rows per block — the pruning granule and the paged reader's I/O unit.
+  /// Rows per block — the zone-map pruning granule.
   /// 64Ki rows ≈ 1 MiB per f32 column.
   std::uint64_t block_rows = 64 * 1024;
   /// Rows buffered in memory before a Morton sort + flush to the column

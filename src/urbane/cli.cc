@@ -59,13 +59,14 @@ const char* CommandInterpreter::Help() {
   return "commands:\n"
          "  gen taxi|311|crime <name> <count> [seed]\n"
          "  gen regions <name> boroughs|neighborhoods|tracts [seed]\n"
-         "  load points <name> <file.csv|file.upt>\n"
+         "  load points <name> <file.csv>\n"
          "  load regions <name> <file.geojson|file.urg>\n"
-         "  save points <name> <file.csv|file.upt>\n"
+         "  save points <name> <file.csv>\n"
          "  save regions <name> <file.geojson|file.urg>\n"
          "  save workspace <dir> | load workspace <manifest.json>\n"
+         "    (data sets as <name>.ust stores, layers as <name>.urg)\n"
          "  convert <points> <file.ust> [block-rows]\n"
-         "  open <name> <file.ust>\n"
+         "  open <name> <file.ust>   (memory-mapped, zone maps attached)\n"
          "  method scan|index|raster|accurate\n"
          "  live <dataset> <dir> [attr...] | live <dataset>\n"
          "  ingest <dataset> <count> [seed]\n"
@@ -264,12 +265,8 @@ Status CommandInterpreter::CmdLoad(const std::vector<std::string>& args,
   const std::string& path = args[3];
   WallTimer timer;
   if (what == "points") {
-    data::PointTable table;
-    if (EndsWith(path, ".upt")) {
-      URBANE_ASSIGN_OR_RETURN(table, data::ReadPointTableBinary(path));
-    } else {
-      URBANE_ASSIGN_OR_RETURN(table, data::ReadPointTableCsvFile(path));
-    }
+    URBANE_ASSIGN_OR_RETURN(data::PointTable table,
+                            data::ReadPointTableCsvFile(path));
     const std::size_t rows = table.size();
     URBANE_RETURN_IF_ERROR(manager_.AddPointDataset(name, std::move(table)));
     out << "loaded " << rows << " points into '" << name << "' in "
@@ -304,11 +301,7 @@ Status CommandInterpreter::CmdSave(const std::vector<std::string>& args,
   if (what == "points") {
     URBANE_ASSIGN_OR_RETURN(const data::PointTable* table,
                             manager_.PointDataset(name));
-    if (EndsWith(path, ".upt")) {
-      URBANE_RETURN_IF_ERROR(data::WritePointTableBinary(*table, path));
-    } else {
-      URBANE_RETURN_IF_ERROR(data::WritePointTableCsvFile(*table, path));
-    }
+    URBANE_RETURN_IF_ERROR(data::WritePointTableCsvFile(*table, path));
   } else if (what == "regions") {
     URBANE_ASSIGN_OR_RETURN(const data::RegionSet* regions,
                             manager_.RegionLayer(name));

@@ -22,10 +22,17 @@ namespace urbane::app {
 ///   gen 311 <name> <count> [seed]      synthesize a 311 feed
 ///   gen crime <name> <count> [seed]    synthesize a crime feed
 ///   gen regions <name> <boroughs|neighborhoods|tracts> [seed]
-///   load points <name> <file.csv|file.upt>
+///   load points <name> <file.csv>
 ///   load regions <name> <file.geojson|file.urg>
-///   save points <name> <file.csv|file.upt>
+///   save points <name> <file.csv>
 ///   save regions <name> <file.geojson|file.urg>
+///   convert <points> <file.ust> [block-rows]
+///                                      write a data set as a UST1 store
+///   open <name> <file.ust>             register a store, memory-mapped
+///                                      with its zone maps attached
+///   save workspace <dir>               every data set as <name>.ust, every
+///                                      layer as <name>.urg, plus manifest
+///   load workspace <manifest.json>
 ///   method <scan|index|raster|accurate>
 ///   live <dataset> <dir> [attr...]     enable streaming ingest (layered on
 ///                                      a registered data set, or fresh)

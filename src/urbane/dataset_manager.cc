@@ -332,21 +332,20 @@ Status DatasetManager::LoadWorkspace(const std::string& manifest_path) {
   const std::string base = DirectoryOf(manifest_path);
   for (const data::CatalogEntry& entry : catalog.entries()) {
     const std::string path = base + entry.path;
-    if (entry.kind == data::CatalogEntry::Kind::kPoints) {
-      data::PointTable table;
-      if (entry.format == "upt") {
-        URBANE_ASSIGN_OR_RETURN(table, data::ReadPointTableBinary(path));
-      } else {
-        URBANE_ASSIGN_OR_RETURN(table, data::ReadPointTableCsvFile(path));
-      }
+    // Catalog::Add has already matched each format to its entry kind.
+    if (entry.format == "ust") {
+      URBANE_RETURN_IF_ERROR(AddStoreDataset(entry.name, path));
+    } else if (entry.format == "csv") {
+      URBANE_ASSIGN_OR_RETURN(data::PointTable table,
+                              data::ReadPointTableCsvFile(path));
       URBANE_RETURN_IF_ERROR(AddPointDataset(entry.name, std::move(table)));
+    } else if (entry.format == "urg") {
+      URBANE_ASSIGN_OR_RETURN(data::RegionSet regions,
+                              data::ReadRegionSetBinary(path));
+      URBANE_RETURN_IF_ERROR(AddRegionLayer(entry.name, std::move(regions)));
     } else {
-      data::RegionSet regions;
-      if (entry.format == "urg") {
-        URBANE_ASSIGN_OR_RETURN(regions, data::ReadRegionSetBinary(path));
-      } else {
-        URBANE_ASSIGN_OR_RETURN(regions, data::ReadGeoJsonRegionsFile(path));
-      }
+      URBANE_ASSIGN_OR_RETURN(data::RegionSet regions,
+                              data::ReadGeoJsonRegionsFile(path));
       URBANE_RETURN_IF_ERROR(AddRegionLayer(entry.name, std::move(regions)));
     }
   }
@@ -363,9 +362,11 @@ Status DatasetManager::SaveWorkspace(const std::string& directory) const {
   std::lock_guard<std::mutex> lock(mu_);
   data::Catalog catalog;
   for (const auto& [name, table] : points_) {
-    const std::string filename = name + ".upt";
+    // The store lands through a temp file and a rename, so saving over a
+    // store this manager has mapped leaves the live mapping intact.
+    const std::string filename = name + ".ust";
     URBANE_RETURN_IF_ERROR(
-        data::WritePointTableBinary(*table, directory + "/" + filename));
+        store::WritePointStore(*table, directory + "/" + filename).status());
     data::CatalogEntry entry;
     entry.kind = data::CatalogEntry::Kind::kPoints;
     entry.name = name;

@@ -111,11 +111,17 @@ class DatasetManager {
                                      const std::string& region_layer);
 
   /// Loads every entry of a workspace manifest (data::Catalog JSON file);
-  /// entry paths are resolved relative to the manifest's directory.
+  /// entry paths are resolved relative to the manifest's directory. A
+  /// "ust" point entry is registered through AddStoreDataset, so it is
+  /// memory-mapped and prunes by zone map.
   Status LoadWorkspace(const std::string& manifest_path);
 
-  /// Snapshots every registered data set / region layer into `directory`
-  /// (binary formats) and writes `directory/urbane.workspace.json`.
+  /// Writes every registered data set as a UST1 store `<name>.ust` and
+  /// every region layer as a URG1 snapshot `<name>.urg` into `directory`,
+  /// plus the manifest `directory/urbane.workspace.json`. A reloaded point
+  /// set comes back in the store's Morton row order: counts match the
+  /// saved session, float aggregates match an in-memory engine over that
+  /// row order bit for bit, but need not match the pre-save bits.
   Status SaveWorkspace(const std::string& directory) const;
 
   /// Parses and runs a statement in the paper's SQL dialect, e.g.

@@ -5,7 +5,6 @@
 // per-query state left on an executor shows up as a data race.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -19,10 +18,6 @@
 #include "core/scan_join.h"
 #include "obs/profile.h"
 #include "shard/sharded_executor.h"
-#include "store/block_cache.h"
-#include "store/store_reader.h"
-#include "store/store_scan_join.h"
-#include "store/store_writer.h"
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -37,13 +32,8 @@ struct Outcome {
   std::string profile;  // deterministic fields of the query's profile
 };
 
-/// The profile with every measured field zeroed. The store I/O deltas read
-/// a block cache that concurrent queries share, so they are exact only
-/// without concurrent queries (store_scan_join.cc) and are left out too.
-std::string CanonicalCounters(obs::QueryProfile profile) {
-  profile.store_blocks_read = 0;
-  profile.store_cache_hits = 0;
-  profile.store_bytes_read = 0;
+/// The profile with every measured field zeroed.
+std::string CanonicalCounters(const obs::QueryProfile& profile) {
   data::JsonValue doc = profile.ToJson();
   obs::CanonicalizeProfileJson(&doc);
   return doc.Dump(-1);
@@ -207,25 +197,6 @@ TEST_F(ExecutorConcurrencyTest, ShardedExecutor) {
       raster_options_);
   ASSERT_TRUE(executor.ok());
   ExpectConcurrentRunsMatchSerial(**executor, Queries());
-}
-
-TEST_F(ExecutorConcurrencyTest, StoreScanJoin) {
-  const std::string path =
-      ::testing::TempDir() + "/executor_concurrency.ust";
-  store::StoreWriterOptions write_options;
-  write_options.block_rows = 512;
-  ASSERT_TRUE(store::WritePointStore(points_, path, write_options).ok());
-  store::StoreReaderOptions read_options;
-  read_options.use_mmap = false;
-  auto reader = store::StoreReader::Open(path, read_options);
-  ASSERT_TRUE(reader.ok());
-  store::BlockCacheOptions cache_options;
-  cache_options.capacity_blocks = 4;  // far fewer than the blocks scanned
-  store::BlockCache cache(&*reader, cache_options);
-  auto executor = store::StoreScanJoin::Create(*reader, cache, regions_);
-  ASSERT_TRUE(executor.ok());
-  ExpectConcurrentRunsMatchSerial(**executor, Queries());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,62 +5,11 @@
 #include <cstdio>
 
 #include "data/region_generator.h"
+#include "store/store_writer.h"
 #include "testing/test_worlds.h"
-#include "util/csv.h"
 
 namespace urbane::data {
 namespace {
-
-TEST(PointTableBinaryTest, RoundTrips) {
-  const PointTable table = testing::MakeUniformPoints(5000, 42);
-  const std::string path = ::testing::TempDir() + "/points.upt";
-  ASSERT_TRUE(WritePointTableBinary(table, path).ok());
-  const auto loaded = ReadPointTableBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), table.size());
-  EXPECT_EQ(loaded->schema(), table.schema());
-  for (std::size_t i = 0; i < table.size(); i += 97) {
-    EXPECT_EQ(loaded->x(i), table.x(i));
-    EXPECT_EQ(loaded->y(i), table.y(i));
-    EXPECT_EQ(loaded->t(i), table.t(i));
-    EXPECT_EQ(loaded->attribute(i, 0), table.attribute(i, 0));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PointTableBinaryTest, EmptyTableRoundTrips) {
-  PointTable table(Schema({"v"}));
-  const std::string path = ::testing::TempDir() + "/empty.upt";
-  ASSERT_TRUE(WritePointTableBinary(table, path).ok());
-  const auto loaded = ReadPointTableBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 0u);
-  EXPECT_EQ(loaded->schema().attribute_count(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(PointTableBinaryTest, RejectsWrongMagic) {
-  const std::string path = ::testing::TempDir() + "/bad_magic.upt";
-  ASSERT_TRUE(WriteStringToFile("NOPE-this-is-not-a-snapshot", path).ok());
-  EXPECT_FALSE(ReadPointTableBinary(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(PointTableBinaryTest, RejectsTruncatedFile) {
-  const PointTable table = testing::MakeUniformPoints(1000, 1);
-  const std::string path = ::testing::TempDir() + "/trunc.upt";
-  ASSERT_TRUE(WritePointTableBinary(table, path).ok());
-  const auto content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  ASSERT_TRUE(
-      WriteStringToFile(content->substr(0, content->size() / 2), path).ok());
-  EXPECT_FALSE(ReadPointTableBinary(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(PointTableBinaryTest, MissingFileFails) {
-  EXPECT_FALSE(ReadPointTableBinary("/no/such/file.upt").ok());
-}
 
 TEST(RegionSetBinaryTest, RoundTripsWithHoles) {
   TessellationOptions options;
@@ -86,9 +35,9 @@ TEST(RegionSetBinaryTest, RoundTripsWithHoles) {
 
 TEST(RegionSetBinaryTest, RejectsWrongMagic) {
   const PointTable table = testing::MakeUniformPoints(10, 1);
-  const std::string path = ::testing::TempDir() + "/cross_magic.bin";
-  ASSERT_TRUE(WritePointTableBinary(table, path).ok());
-  // A point-table snapshot is not a region-set snapshot.
+  const std::string path = ::testing::TempDir() + "/cross_magic.ust";
+  ASSERT_TRUE(store::WritePointStore(table, path).ok());
+  // A point store is not a region-set snapshot.
   EXPECT_FALSE(ReadRegionSetBinary(path).ok());
   std::remove(path.c_str());
 }

@@ -24,7 +24,7 @@ CatalogEntry RegionsEntry(const std::string& name, const std::string& path) {
 }
 
 TEST(FormatFromPathTest, RecognizesExtensions) {
-  EXPECT_EQ(FormatFromPath("a/b/taxi.upt"), "upt");
+  EXPECT_EQ(FormatFromPath("a/b/taxi.ust"), "ust");
   EXPECT_EQ(FormatFromPath("points.csv"), "csv");
   EXPECT_EQ(FormatFromPath("hoods.urg"), "urg");
   EXPECT_EQ(FormatFromPath("hoods.geojson"), "geojson");
@@ -33,16 +33,20 @@ TEST(FormatFromPathTest, RecognizesExtensions) {
 
 TEST(CatalogTest, AddInfersFormat) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "taxi.upt")).ok());
+  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "taxi.ust")).ok());
   ASSERT_EQ(catalog.entries().size(), 1u);
-  EXPECT_EQ(catalog.entries()[0].format, "upt");
+  EXPECT_EQ(catalog.entries()[0].format, "ust");
 }
 
 TEST(CatalogTest, RejectsBadEntries) {
   Catalog catalog;
-  EXPECT_FALSE(catalog.Add(PointsEntry("", "x.upt")).ok());
+  EXPECT_FALSE(catalog.Add(PointsEntry("", "x.ust")).ok());
   EXPECT_FALSE(catalog.Add(PointsEntry("a", "")).ok());
   EXPECT_FALSE(catalog.Add(PointsEntry("a", "x.unknown")).ok());
+  // The retired point snapshot format is unknown.
+  CatalogEntry retired = PointsEntry("a", "x.bin");
+  retired.format = "upt";
+  EXPECT_FALSE(catalog.Add(retired).ok());
   // Kind/format mismatch.
   EXPECT_FALSE(catalog.Add(PointsEntry("a", "x.geojson")).ok());
   EXPECT_FALSE(catalog.Add(RegionsEntry("a", "x.csv")).ok());
@@ -50,15 +54,15 @@ TEST(CatalogTest, RejectsBadEntries) {
 
 TEST(CatalogTest, RejectsDuplicatesPerKind) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.Add(PointsEntry("a", "a.upt")).ok());
-  EXPECT_FALSE(catalog.Add(PointsEntry("a", "b.upt")).ok());
+  ASSERT_TRUE(catalog.Add(PointsEntry("a", "a.ust")).ok());
+  EXPECT_FALSE(catalog.Add(PointsEntry("a", "b.ust")).ok());
   // Same name under a different kind is fine.
   EXPECT_TRUE(catalog.Add(RegionsEntry("a", "a.urg")).ok());
 }
 
 TEST(CatalogTest, FindByKindAndName) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "taxi.upt")).ok());
+  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "taxi.ust")).ok());
   ASSERT_TRUE(catalog.Add(RegionsEntry("hoods", "hoods.urg")).ok());
   EXPECT_NE(catalog.Find(CatalogEntry::Kind::kPoints, "taxi"), nullptr);
   EXPECT_EQ(catalog.Find(CatalogEntry::Kind::kRegions, "taxi"), nullptr);
@@ -67,7 +71,7 @@ TEST(CatalogTest, FindByKindAndName) {
 
 TEST(CatalogTest, JsonRoundTrip) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "data/taxi.upt")).ok());
+  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "data/taxi.ust")).ok());
   ASSERT_TRUE(catalog.Add(PointsEntry("crime", "data/crime.csv")).ok());
   ASSERT_TRUE(catalog.Add(RegionsEntry("hoods", "hoods.geojson")).ok());
   const auto parsed = Catalog::FromJson(catalog.ToJson());
@@ -89,7 +93,7 @@ TEST(CatalogTest, FromJsonRejectsGarbage) {
 
 TEST(CatalogTest, FileRoundTrip) {
   Catalog catalog;
-  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "taxi.upt")).ok());
+  ASSERT_TRUE(catalog.Add(PointsEntry("taxi", "taxi.ust")).ok());
   const std::string path = ::testing::TempDir() + "/workspace.json";
   ASSERT_TRUE(catalog.WriteFile(path).ok());
   const auto loaded = Catalog::ReadFile(path);

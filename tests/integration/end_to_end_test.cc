@@ -93,20 +93,24 @@ TEST_F(EndToEndTest, AllExecutorsAgreeOnTaxiWorkload) {
 }
 
 TEST_F(EndToEndTest, BinarySnapshotRoundTripPreservesQueries) {
-  const std::string points_path = ::testing::TempDir() + "/e2e_points.upt";
+  // Points persist as a UST1 store (CLI convert/open), regions as URG1.
+  const std::string points_path = ::testing::TempDir() + "/e2e_points.ust";
   const std::string regions_path = ::testing::TempDir() + "/e2e_regions.urg";
-  ASSERT_TRUE(data::WritePointTableBinary(*taxi_, points_path).ok());
+  app::DatasetManager manager;
+  ASSERT_TRUE(manager.AddPointDataset("taxi", data::PointTable(*taxi_)).ok());
+  ASSERT_TRUE(manager.ConvertToStore("taxi", points_path).ok());
   ASSERT_TRUE(data::WriteRegionSetBinary(*regions_, regions_path).ok());
-  const auto points = data::ReadPointTableBinary(points_path);
-  const auto regions = data::ReadRegionSetBinary(regions_path);
-  ASSERT_TRUE(points.ok());
+  ASSERT_TRUE(manager.AddStoreDataset("taxi_disk", points_path).ok());
+  auto regions = data::ReadRegionSetBinary(regions_path);
   ASSERT_TRUE(regions.ok());
+  ASSERT_TRUE(manager.AddRegionLayer("hoods", std::move(*regions)).ok());
 
   core::SpatialAggregation original(*taxi_, *regions_);
-  core::SpatialAggregation reloaded(*points, *regions);
+  auto reloaded = manager.Engine("taxi_disk", "hoods");
+  ASSERT_TRUE(reloaded.ok());
   core::AggregationQuery query;
   const auto a = original.Execute(query, core::ExecutionMethod::kScan);
-  const auto b = reloaded.Execute(query, core::ExecutionMethod::kScan);
+  const auto b = (*reloaded)->Execute(query, core::ExecutionMethod::kScan);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->counts, b->counts);

@@ -5,8 +5,8 @@
 // document must be bit-stable across runs at a fixed (thread count, shard
 // count) once the measured *_seconds fields are canonicalized away; a
 // sharded profile's per-shard counters must sum exactly to the executor
-// totals; and store-backed execution must attribute block reads, cache
-// hits, and decoded bytes to the requesting query.
+// totals; and a query over a memory-mapped store must report its zone-map
+// pruning in a profile that is just as bit-stable.
 #include "obs/profile.h"
 
 #include <gtest/gtest.h>
@@ -19,9 +19,7 @@
 #include "core/spatial_aggregation.h"
 #include "data/json.h"
 #include "obs/obs.h"
-#include "store/block_cache.h"
 #include "store/store_reader.h"
-#include "store/store_scan_join.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
 #include "util/thread_pool.h"
@@ -296,7 +294,7 @@ TEST(ProfileGoldenTest, ShardedProfileIsBitStableAndSumsToTotals) {
 }
 
 // ---------------------------------------------------------------------------
-// Store-backed attribution: block reads, cache hits, decoded bytes.
+// Store-backed profiles: zone-map pruning over the mapped view.
 
 struct ProfiledStore {
   std::string path;
@@ -322,53 +320,17 @@ std::unique_ptr<ProfiledStore> MakeProfiledStore(const std::string& name) {
   return world;
 }
 
-TEST(ProfileStoreBackedTest, AttributesBlockReadsCacheHitsAndBytes) {
-  auto world = MakeProfiledStore("profile_attrib.ust");
-  store::BlockCache cache(world->reader.get());
-  auto executor =
-      store::StoreScanJoin::Create(*world->reader, cache, world->regions);
-  ASSERT_TRUE(executor.ok());
-
-  core::AggregationQuery query;
-  query.aggregate = core::AggregateSpec::Count();
-  QueryProfile cold;
-  cold.context = GenerateTraceContext();
-  query.profile = &cold;
-  ASSERT_TRUE((*executor)->Execute(query).ok());
-  EXPECT_EQ(cold.blocks_total, 8u);  // 8000 rows / 1024 block_rows
-  EXPECT_EQ(cold.store_blocks_scanned, cold.blocks_total - cold.blocks_pruned);
-  // Cold cache: every scanned block came off disk, none were hits.
-  EXPECT_EQ(cold.store_blocks_read, cold.store_blocks_scanned);
-  EXPECT_EQ(cold.store_cache_hits, 0u);
-  EXPECT_GT(cold.store_bytes_read, 0u);
-
-  // Warm cache: the same scan is all hits, zero reads, zero new bytes.
-  QueryProfile warm;
-  warm.context = GenerateTraceContext();
-  query.profile = &warm;
-  ASSERT_TRUE((*executor)->Execute(query).ok());
-  EXPECT_EQ(warm.store_blocks_read, 0u);
-  EXPECT_EQ(warm.store_cache_hits, warm.store_blocks_scanned);
-  EXPECT_EQ(warm.store_bytes_read, 0u);
-
-  // The document carries the attribution under "store".
-  const data::JsonValue doc = warm.ToJson();
-  EXPECT_EQ(doc.Find("store")->Find("cache_hits")->AsNumber(),
-            static_cast<double>(warm.store_cache_hits));
-}
-
 TEST(ProfileStoreBackedTest, StoreProfileIsBitStableAcrossRuns) {
   auto world = MakeProfiledStore("profile_golden.ust");
-  store::BlockCache cache(world->reader.get());
-  auto executor =
-      store::StoreScanJoin::Create(*world->reader, cache, world->regions);
-  ASSERT_TRUE(executor.ok());
+  auto view = world->reader->MappedTable();
+  ASSERT_TRUE(view.ok());
+  core::SpatialAggregation engine(*view, world->regions);
+  engine.AttachZoneMaps(&world->reader->zone_maps());
 
-  // Warm the cache once so both profiled runs see identical cache state.
+  // A selective window, so the document's "store" section is non-zero.
   core::AggregationQuery query;
   query.aggregate = core::AggregateSpec::Count();
-  ASSERT_TRUE((*executor)->Execute(query).ok());
-
+  query.filter.spatial_window = geometry::BoundingBox(0.0, 0.0, 30.0, 30.0);
   std::vector<std::string> dumps;
   for (int run = 0; run < 2; ++run) {
     QueryProfile profile;
@@ -376,9 +338,14 @@ TEST(ProfileStoreBackedTest, StoreProfileIsBitStableAcrossRuns) {
     ASSERT_TRUE(ParseTraceparent(kValidTraceparent, &fixed));
     profile.context = fixed;
     query.profile = &profile;
-    ASSERT_TRUE((*executor)->Execute(query).ok());
+    ASSERT_TRUE(engine.Execute(query, core::ExecutionMethod::kScan).ok());
+    EXPECT_EQ(profile.blocks_total, 8u);  // 8000 rows / 1024 block_rows
+    EXPECT_GT(profile.blocks_pruned, 0u);
+    EXPECT_GT(profile.rows_pruned, 0u);
     data::JsonValue doc = profile.ToJson();
     CanonicalizeProfileJson(&doc);
+    EXPECT_EQ(doc.Find("store")->Find("blocks_pruned")->AsNumber(),
+              static_cast<double>(profile.blocks_pruned));
     dumps.push_back(doc.Dump(2));
   }
   EXPECT_EQ(dumps[0], dumps[1]);

@@ -1,14 +1,16 @@
 // Corrupt-file corpus for the UST1 block store: truncation at every field
 // boundary, bad magic / end magic, version skew, oversized counts, and
 // zone-map/layout mismatches must all yield a clean IoError naming the
-// problem — never UB (this suite is in the sanitizer label so ASan/UBSan
-// and TSan builds sweep it too).
+// problem, and byte flips over the header, footer and trailer must never
+// crash a reader or a query — never UB (this suite is in the sanitizer
+// label so ASan/UBSan and TSan builds sweep it too).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "core/spatial_aggregation.h"
 #include "store/format.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
@@ -188,6 +190,59 @@ TEST(StoreCorruptionTest, HeaderByteFlipSweepNeverCrashes) {
       const auto copy = reader->Materialize();
       if (copy.ok()) {
         EXPECT_EQ(copy->size(), reader->row_count());
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreCorruptionTest, FooterAndTrailerByteFlipSweepNeverCrashes) {
+  // Flip every byte from the zone-map footer to the end of the file. A
+  // mutant must fail Open with an IoError, or open and serve its rows and
+  // a COUNT by every method, unwindowed and windowed, with the mutant's
+  // zone maps attached. Flipped extents that still tile the rows do open:
+  // without a footer checksum they may prune needed blocks or shift the
+  // canvas, so such answers can be wrong — but the process must survive.
+  const std::string path = WriteSampleStore("footer_flip.ust", 600, 64);
+  const std::string bytes = ReadAll(path);
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, &bytes[bytes.size() - kTrailerBytes],
+              sizeof(footer_offset));
+  ASSERT_LT(footer_offset, bytes.size());
+  const data::RegionSet regions = testing::MakeRandomRegions(3, 92);
+  core::RasterJoinOptions raster_options;
+  raster_options.resolution = 64;
+  core::FilterSpec window;
+  window.spatial_window = geometry::BoundingBox(10.0, 10.0, 40.0, 40.0);
+  const core::ExecutionMethod methods[] = {
+      core::ExecutionMethod::kScan, core::ExecutionMethod::kIndexJoin,
+      core::ExecutionMethod::kBoundedRaster,
+      core::ExecutionMethod::kAccurateRaster};
+  for (std::size_t at = footer_offset; at < bytes.size(); ++at) {
+    std::string mutant = bytes;
+    mutant[at] = static_cast<char>(mutant[at] ^ 0xFF);
+    WriteAll(path, mutant);
+    const auto reader = StoreReader::Open(path);
+    if (!reader.ok()) {
+      EXPECT_EQ(reader.status().code(), StatusCode::kIoError)
+          << "byte " << at;
+      continue;
+    }
+    const auto copy = reader->Materialize();
+    ASSERT_TRUE(copy.ok()) << "byte " << at;
+    EXPECT_EQ(copy->size(), reader->row_count());
+    const auto view = reader->MappedTable();
+    ASSERT_TRUE(view.ok()) << "byte " << at;
+    core::SpatialAggregation engine(*view, regions, raster_options);
+    engine.AttachZoneMaps(&reader->zone_maps());
+    for (const core::ExecutionMethod method : methods) {
+      for (const core::FilterSpec& filter : {core::FilterSpec(), window}) {
+        core::AggregationQuery query;
+        query.filter = filter;
+        const auto result = engine.Execute(query, method);
+        EXPECT_TRUE(result.ok())
+            << "byte " << at << " " << core::ExecutionMethodToString(method)
+            << ": " << result.status().ToString();
       }
     }
   }

@@ -1,8 +1,9 @@
 // Store-vs-in-memory oracle: every executor x aggregate must produce
-// BIT-IDENTICAL results when the points come from disk blocks (mmap view
-// with zone-map pruning attached, or the pread streaming scan) instead of
-// an owning in-memory table — at 1 and at 4 threads. This is the contract
-// that makes the out-of-core path a drop-in substitute: not "close", equal.
+// BIT-IDENTICAL results when the points come from a store (the mmap view,
+// or the owning copy the reader falls back to when it cannot map the file,
+// each with zone-map pruning attached) instead of an owning in-memory
+// table — at 1 and at 4 threads. This is the contract that makes the
+// out-of-core path a drop-in substitute: not "close", equal.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,14 +11,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/scan_join.h"
 #include "core/spatial_aggregation.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
-#include "store/block_cache.h"
 #include "store/store_reader.h"
-#include "store/store_scan_join.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
 #include "util/random.h"
@@ -31,7 +29,7 @@ struct Oracle {
   data::RegionSet regions;
   std::unique_ptr<StoreReader> reader;
   data::PointTable view;        // mmap-backed
-  data::PointTable materialized;  // owning copy, same row order
+  data::PointTable materialized;  // owning row-by-row copy, same row order
 
   ~Oracle() { std::remove(path.c_str()); }
 };
@@ -50,9 +48,7 @@ std::unique_ptr<Oracle> MakeOracle(const char* name) {
   auto view = oracle->reader->MappedTable();
   EXPECT_TRUE(view.ok());
   oracle->view = std::move(*view);
-  auto owned = oracle->reader->Materialize();
-  EXPECT_TRUE(owned.ok());
-  oracle->materialized = std::move(*owned);
+  oracle->materialized = testing::CopyRows(oracle->view);
   return oracle;
 }
 
@@ -155,21 +151,20 @@ TEST(StoreOracleTest, SelectiveFiltersActuallyPruneBlocks) {
   }
 }
 
-TEST(StoreOracleTest, StreamingStoreScanMatchesSerialInMemoryScan) {
-  auto oracle = MakeOracle("oracle_stream.ust");
-  // Re-open in pread mode: the streaming path must not depend on the map.
+TEST(StoreOracleTest, PreadFallbackScanMatchesSerialInMemoryScan) {
+  auto oracle = MakeOracle("oracle_pread.ust");
+  // Re-open without the map: the copy a failed mmap falls back to must
+  // serve the same bits, and its engine must prune the same blocks.
   StoreReaderOptions read_options;
   read_options.use_mmap = false;
   auto reader = StoreReader::Open(oracle->path, read_options);
   ASSERT_TRUE(reader.ok());
-  BlockCacheOptions cache_options;
-  cache_options.capacity_blocks = 3;  // much smaller than the block count
-  BlockCache cache(&*reader, cache_options);
-  auto store_scan = StoreScanJoin::Create(*reader, cache, oracle->regions);
-  ASSERT_TRUE(store_scan.ok());
-  auto memory_scan =
-      core::ScanJoin::Create(oracle->materialized, oracle->regions);
-  ASSERT_TRUE(memory_scan.ok());
+  auto copy = reader->Materialize();
+  ASSERT_TRUE(copy.ok());
+  core::SpatialAggregation store_engine(*copy, oracle->regions);
+  store_engine.AttachZoneMaps(&reader->zone_maps());
+  core::SpatialAggregation memory_engine(oracle->materialized,
+                                         oracle->regions);
   for (const core::AggregateSpec& aggregate : AllAggregates()) {
     for (const core::FilterSpec& filter : OracleFilters()) {
       obs::QueryProfile profile;
@@ -177,18 +172,17 @@ TEST(StoreOracleTest, StreamingStoreScanMatchesSerialInMemoryScan) {
       query.aggregate = aggregate;
       query.filter = filter;
       query.profile = &profile;
-      auto from_store = (*store_scan)->Execute(query);
-      core::AggregationQuery direct = query;
-      direct.points = &oracle->materialized;
-      direct.regions = &oracle->regions;
-      direct.profile = nullptr;
-      auto from_memory = (*memory_scan)->Execute(direct);
+      auto from_store =
+          store_engine.Execute(query, core::ExecutionMethod::kScan);
+      query.profile = nullptr;
+      auto from_memory =
+          memory_engine.Execute(query, core::ExecutionMethod::kScan);
       ASSERT_TRUE(from_store.ok()) << from_store.status().ToString();
       ASSERT_TRUE(from_memory.ok()) << from_memory.status().ToString();
-      ExpectBitIdentical(*from_store, *from_memory, "store_scan");
+      ExpectBitIdentical(*from_store, *from_memory, "pread_fallback");
       if (!filter.IsTrivial()) {
         EXPECT_GT(profile.blocks_pruned, 0u);
-        EXPECT_LT(profile.store_blocks_scanned, profile.blocks_total);
+        EXPECT_LT(profile.blocks_pruned, profile.blocks_total);
       }
     }
   }

@@ -1,37 +1,48 @@
-// UST1 block store: round trip, streaming writer, zone-map fidelity, block
-// cache pin/unpin/eviction (including concurrent access — run under TSan),
-// and prune-aware cursor iteration.
+// UST1 block store: round trip, streaming writer, zone-map fidelity, the
+// mapped view and the no-mmap fallback copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <memory>
-#include <thread>
 #include <tuple>
 #include <vector>
 
-#include "store/block_cache.h"
-#include "store/block_cursor.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
-#include "util/random.h"
 
 namespace urbane::store {
 namespace {
 
 using Row = std::tuple<float, float, std::int64_t, float>;
 
-std::vector<Row> SortedRows(const data::PointTable& table) {
+std::vector<Row> Rows(const data::PointTable& table) {
   std::vector<Row> rows;
   rows.reserve(table.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
     rows.emplace_back(table.x(i), table.y(i), table.t(i),
                       table.attribute(i, 0));
   }
+  return rows;
+}
+
+std::vector<Row> SortedRows(const data::PointTable& table) {
+  std::vector<Row> rows = Rows(table);
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+// Cached (zone-map) extents must be bit-exact with the O(n) scan of an
+// owning copy built row by row.
+void ExpectExtentsMatchScan(const data::PointTable& table) {
+  const data::PointTable scanned = testing::CopyRows(table);
+  const auto bounds = table.Bounds();
+  const auto scanned_bounds = scanned.Bounds();
+  EXPECT_EQ(bounds.min_x, scanned_bounds.min_x);
+  EXPECT_EQ(bounds.max_x, scanned_bounds.max_x);
+  EXPECT_EQ(bounds.min_y, scanned_bounds.min_y);
+  EXPECT_EQ(bounds.max_y, scanned_bounds.max_y);
+  EXPECT_EQ(table.TimeRange(), scanned.TimeRange());
 }
 
 std::string TempStorePath(const char* name) {
@@ -176,22 +187,9 @@ TEST(StoreReaderTest, MappedTableIsZeroCopyWithCachedExtents) {
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(view->is_view());
   EXPECT_EQ(view->size(), table.size());
-  auto owned = reader->Materialize();
-  ASSERT_TRUE(owned.ok());
-  // Cached extents (zone-map union) must be bit-exact with the O(n) scan.
-  const auto view_bounds = view->Bounds();
-  const auto owned_bounds = owned->Bounds();
-  EXPECT_EQ(view_bounds.min_x, owned_bounds.min_x);
-  EXPECT_EQ(view_bounds.max_x, owned_bounds.max_x);
-  EXPECT_EQ(view_bounds.min_y, owned_bounds.min_y);
-  EXPECT_EQ(view_bounds.max_y, owned_bounds.max_y);
-  EXPECT_EQ(view->TimeRange(), owned->TimeRange());
-  // And the mapped rows themselves are identical.
-  for (std::size_t i = 0; i < owned->size(); i += 97) {
-    EXPECT_EQ(view->x(i), owned->x(i));
-    EXPECT_EQ(view->t(i), owned->t(i));
-    EXPECT_EQ(view->attribute(i, 0), owned->attribute(i, 0));
-  }
+  // The mapped rows are the written ones (Morton-permuted).
+  EXPECT_EQ(SortedRows(*view), SortedRows(table));
+  ExpectExtentsMatchScan(*view);
   std::remove(path.c_str());
 }
 
@@ -201,6 +199,11 @@ TEST(StoreReaderTest, PreadModeServesBlocksWithoutMapping) {
   StoreWriterOptions options;
   options.block_rows = 200;
   ASSERT_TRUE(WritePointStore(table, path, options).ok());
+  auto mapped = StoreReader::Open(path);
+  ASSERT_TRUE(mapped.ok());
+  auto view = mapped->MappedTable();
+  ASSERT_TRUE(view.ok());
+
   StoreReaderOptions read_options;
   read_options.use_mmap = false;
   auto reader = StoreReader::Open(path, read_options);
@@ -209,8 +212,11 @@ TEST(StoreReaderTest, PreadModeServesBlocksWithoutMapping) {
   EXPECT_FALSE(reader->MappedTable().ok());
   auto copy = reader->Materialize();
   ASSERT_TRUE(copy.ok());
-  EXPECT_EQ(SortedRows(*copy), SortedRows(table));
-  EXPECT_FALSE(reader->ReadBlock(reader->block_count()).ok());
+  EXPECT_FALSE(copy->is_view());
+  // Row for row in the store's order, not merely the same multiset.
+  EXPECT_EQ(Rows(*copy), Rows(*view));
+  // The copy carries the zone-map extents too, equal to a scan's.
+  ExpectExtentsMatchScan(*copy);
   std::remove(path.c_str());
 }
 
@@ -226,147 +232,6 @@ TEST(StoreReaderTest, EmptyStoreRoundTrips) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->size(), 0u);
   std::remove(path.c_str());
-}
-
-class BlockCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // Test-unique filename: ctest runs each TEST_F as its own process
-    // against the same TempDir, so a shared name races under -j.
-    path_ = ::testing::TempDir() + "/cache_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".ust";
-    const data::PointTable table = testing::MakeUniformPoints(1000, 47);
-    StoreWriterOptions options;
-    options.block_rows = 100;  // 10 blocks
-    ASSERT_TRUE(WritePointStore(table, path_, options).ok());
-    StoreReaderOptions read_options;
-    read_options.use_mmap = false;
-    auto reader = StoreReader::Open(path_, read_options);
-    ASSERT_TRUE(reader.ok());
-    reader_ = std::make_unique<StoreReader>(std::move(*reader));
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  std::string path_;
-  std::unique_ptr<StoreReader> reader_;
-};
-
-TEST_F(BlockCacheTest, HitsMissesAndEviction) {
-  BlockCacheOptions options;
-  options.capacity_blocks = 2;
-  BlockCache cache(reader_.get(), options);
-  { auto p = cache.Pin(0); ASSERT_TRUE(p.ok()); }
-  { auto p = cache.Pin(1); ASSERT_TRUE(p.ok()); }
-  { auto p = cache.Pin(0); ASSERT_TRUE(p.ok()); }  // hit
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  { auto p = cache.Pin(2); ASSERT_TRUE(p.ok()); }  // evicts LRU (block 1)
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.resident_blocks(), 2u);
-  { auto p = cache.Pin(0); ASSERT_TRUE(p.ok()); }  // 0 was MRU: still a hit
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().blocks_read, cache.stats().misses);
-}
-
-TEST_F(BlockCacheTest, PinnedBlocksSurviveOverCapacity) {
-  BlockCacheOptions options;
-  options.capacity_blocks = 1;
-  BlockCache cache(reader_.get(), options);
-  auto p0_or = cache.Pin(0);
-  ASSERT_TRUE(p0_or.ok());
-  auto p1_or = cache.Pin(1);
-  ASSERT_TRUE(p1_or.ok());
-  BlockCache::PinnedBlock p0 = std::move(*p0_or);
-  BlockCache::PinnedBlock p1 = std::move(*p1_or);
-  // Both pinned: nothing evictable even though capacity is 1.
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.resident_blocks(), 2u);
-  const float x0 = p0->xs[0];
-  p0 = BlockCache::PinnedBlock();
-  p1 = BlockCache::PinnedBlock();
-  // Unpinning shrinks back to capacity.
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.resident_blocks(), 1u);
-  auto again = cache.Pin(0);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*again)->xs[0], x0);
-}
-
-TEST_F(BlockCacheTest, ConcurrentPinsAreCoherent) {
-  BlockCacheOptions options;
-  options.capacity_blocks = 3;  // smaller than the working set: churn
-  BlockCache cache(reader_.get(), options);
-  const std::size_t blocks = reader_->block_count();
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int w = 0; w < 8; ++w) {
-    threads.emplace_back([&, w] {
-      Rng rng(1000 + w);
-      for (int i = 0; i < 200; ++i) {
-        const auto b = static_cast<std::size_t>(
-            rng.NextInt(0, static_cast<int>(blocks) - 1));
-        auto pinned = cache.Pin(b);
-        if (!pinned.ok()) {
-          ++failures;
-          continue;
-        }
-        const StoreBlock& block = **pinned;
-        if (block.row_begin != b * 100 || block.row_count() == 0) {
-          ++failures;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  const BlockCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 8u * 200u);
-  EXPECT_GT(stats.hits, 0u);
-}
-
-TEST_F(BlockCacheTest, CursorPrunesAndVisitsAscending) {
-  BlockCache cache(reader_.get());
-  // A window covering a corner of the (Morton-clustered) space: some blocks
-  // must be pruned, and no matching row may be lost.
-  core::FilterSpec filter;
-  filter.spatial_window = geometry::BoundingBox(0.0, 0.0, 25.0, 25.0);
-  BlockCursor cursor(*reader_, cache, filter);
-  EXPECT_EQ(cursor.blocks_total(), reader_->block_count());
-  EXPECT_GT(cursor.blocks_pruned(), 0u);
-
-  std::uint64_t visited_rows = 0;
-  std::uint64_t matches_in_visited = 0;
-  std::uint64_t last_row_begin = 0;
-  bool first = true;
-  for (; !cursor.Done(); cursor.Advance()) {
-    auto pinned = cursor.Pin();
-    ASSERT_TRUE(pinned.ok());
-    const StoreBlock& block = **pinned;
-    if (!first) EXPECT_GT(block.row_begin, last_row_begin);
-    first = false;
-    last_row_begin = block.row_begin;
-    visited_rows += block.row_count();
-    for (std::size_t i = 0; i < block.row_count(); ++i) {
-      if (block.xs[i] >= 0.0f && block.xs[i] <= 25.0f &&
-          block.ys[i] >= 0.0f && block.ys[i] <= 25.0f) {
-        ++matches_in_visited;
-      }
-    }
-  }
-  // Oracle: count matches over the full table; pruning must not lose any.
-  auto all = reader_->Materialize();
-  ASSERT_TRUE(all.ok());
-  std::uint64_t matches_total = 0;
-  for (std::size_t i = 0; i < all->size(); ++i) {
-    if (all->x(i) >= 0.0f && all->x(i) <= 25.0f && all->y(i) >= 0.0f &&
-        all->y(i) <= 25.0f) {
-      ++matches_total;
-    }
-  }
-  EXPECT_EQ(matches_in_visited, matches_total);
-  EXPECT_LT(visited_rows, reader_->row_count());
 }
 
 }  // namespace

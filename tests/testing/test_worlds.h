@@ -65,6 +65,22 @@ inline data::PointTable MakeDyadicPoints(std::size_t count,
   return table;
 }
 
+/// Owning copy of `table` (a view or an owning table) built row by row,
+/// so its Bounds()/TimeRange() come from a scan, never from cached
+/// extents — the reference the store's cached extents must equal.
+inline data::PointTable CopyRows(const data::PointTable& table) {
+  data::PointTable copy(table.schema());
+  copy.Reserve(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    copy.AppendXyt(table.x(i), table.y(i), table.t(i));
+  }
+  for (std::size_t c = 0; c < table.schema().attribute_count(); ++c) {
+    const float* col = table.attribute_data(c);
+    copy.mutable_attribute_column(c).assign(col, col + table.size());
+  }
+  return copy;
+}
+
 /// Star-convex random polygon (always simple).
 inline geometry::Polygon RandomStarPolygon(Rng& rng, const geometry::Vec2& c,
                                            double radius,

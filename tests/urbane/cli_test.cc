@@ -119,13 +119,14 @@ TEST(CliTest, SaveAndLoadRoundTrip) {
   CommandInterpreter cli;
   RunCommand(cli, "gen taxi t 1000");
   RunCommand(cli, "gen regions h boroughs");
-  const std::string points_path = ::testing::TempDir() + "/cli_points.upt";
+  const std::string points_path = ::testing::TempDir() + "/cli_points.ust";
   const std::string regions_path = ::testing::TempDir() + "/cli_regions.urg";
-  EXPECT_NE(RunCommand(cli, "save points t " + points_path).find("saved"),
+  EXPECT_NE(RunCommand(cli, "convert t " + points_path).find("1000 rows"),
             std::string::npos);
   EXPECT_NE(RunCommand(cli, "save regions h " + regions_path).find("saved"),
             std::string::npos);
-  EXPECT_NE(RunCommand(cli, "load points t2 " + points_path).find("loaded 1000"),
+  EXPECT_NE(RunCommand(cli, "open t2 " + points_path)
+                .find("1000 rows (memory-mapped)"),
             std::string::npos);
   EXPECT_NE(RunCommand(cli, "load regions h2 " + regions_path).find("loaded 6"),
             std::string::npos);
@@ -168,7 +169,7 @@ TEST(CliTest, WorkspaceCommands) {
   CommandInterpreter cli;
   RunCommand(cli, "gen taxi t 300");
   RunCommand(cli, "gen regions h boroughs");
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ::testing::TempDir() + "/cli_workspace";
   EXPECT_NE(RunCommand(cli, "save workspace " + dir).find("saved workspace"),
             std::string::npos);
   CommandInterpreter fresh;

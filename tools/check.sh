@@ -19,9 +19,10 @@
 #   * the query-server suites (concurrent HTTP round trips, admission
 #     control, graceful drain, per-request deadlines, a half-open client
 #     beside /healthz scrapes) and the net substrate,
-#   * the block-store suites (`store` label): the BlockCache pin/evict/
-#     load-coalescing paths under concurrent readers, plus the corrupt-file
-#     corpus so the hardened I/O layer is swept by the sanitizer too,
+#   * the block-store suites: the store-vs-in-memory oracle (4-thread
+#     reads of a memory-mapped store, and the pread fallback copy), plus
+#     the corrupt-file corpus so the hardened I/O layer is swept by the
+#     sanitizer too,
 #   * the sharded scatter-gather suites (`shard` label): the shard-merge
 #     oracle across pool sizes, the adversarial completion-order
 #     interleaving harness, fault injection, and the facade/server
@@ -118,7 +119,7 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" \
 URBANE_SIMD=off \
 TSAN_OPTIONS="halt_on_error=1 abort_on_error=1${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}" \
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'ParallelDeterminism|EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|BlockCache|StoreCorruption|StoreTruncation' \
+  -R 'ParallelDeterminism|EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|StoreOracle|StoreCorruption|StoreTruncation' \
   "$@"
 
 # The adversarial-interleaving merge suite and the rest of the shard layer
