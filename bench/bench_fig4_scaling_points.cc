@@ -8,8 +8,9 @@
 //
 // Pass --grid-sweep to additionally ablate the index join's cell size,
 // --threads-sweep to run the bounded raster join at the largest scale
-// across 1/2/4/8 worker threads (URBANE_BENCH_THREADS sets the thread
-// count for the main sweep; default 1 = serial), or --obs-overhead to
+// sharded over 1/2/4/8 row-range shards, each count on a pool of as many
+// workers (URBANE_BENCH_THREADS sets the shard count of the main sweep;
+// default 1 = unsharded), or --obs-overhead to
 // measure the observability subsystem's cost on the hot splat path
 // (bounded raster with everything off vs metrics on plus an attached query
 // profile; the default sweep always runs with obs disabled so baselines
@@ -33,6 +34,7 @@
 #include "data/taxi_generator.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
+#include "shard/sharded_executor.h"
 #include "store/store_reader.h"
 #include "store/store_writer.h"
 #include "util/thread_pool.h"
@@ -52,13 +54,7 @@ int main(int argc, char** argv) {
       "COUNT per neighborhood; per-query latency (prep excluded, reported "
       "separately in Table 2).");
 
-  const std::size_t bench_threads = bench::BenchThreads();
-  ThreadPool pool(bench_threads);
-  core::ExecutionContext exec;
-  if (bench_threads > 1) {
-    exec.pool = &pool;
-    exec.num_threads = bench_threads;
-  }
+  const std::size_t bench_shards = bench::BenchThreads();
 
   const data::RegionSet neighborhoods = data::GenerateNeighborhoods();
   const std::size_t sweep[] = {
@@ -75,9 +71,8 @@ int main(int argc, char** argv) {
     data::TaxiGeneratorOptions options;
     options.num_trips = num_points;
     const data::PointTable taxis = data::GenerateTaxiTrips(options);
-    core::SpatialAggregation engine(taxis, neighborhoods,
-                                    core::RasterJoinOptions(),
-                                    core::IndexJoinOptions(), exec);
+    core::SpatialAggregation engine(taxis, neighborhoods);
+    engine.set_num_shards(bench_shards);
     core::AggregationQuery query;
     query.aggregate = core::AggregateSpec::Count();
 
@@ -151,10 +146,9 @@ int main(int argc, char** argv) {
       const std::uint64_t row_bytes =
           16 + 4 * reader->schema().attribute_count();
       const std::uint64_t raw_bytes = reader->row_count() * row_bytes;
-      core::SpatialAggregation store_engine(*view, neighborhoods,
-                                            core::RasterJoinOptions(),
-                                            core::IndexJoinOptions(), exec);
+      core::SpatialAggregation store_engine(*view, neighborhoods);
       store_engine.AttachZoneMaps(&reader->zone_maps());
+      store_engine.set_num_shards(bench_shards);
 
       core::AggregationQuery full;
       full.aggregate = core::AggregateSpec::Count();
@@ -227,8 +221,9 @@ int main(int argc, char** argv) {
 
   if (threads_sweep) {
     const std::size_t num_points = sweep[5];
-    std::printf("threads ablation (bounded raster join, %zu points):\n",
-                num_points);
+    std::printf(
+        "threads ablation (sharded bounded raster join, %zu points):\n",
+        num_points);
     data::TaxiGeneratorOptions options;
     options.num_trips = num_points;
     const data::PointTable taxis = data::GenerateTaxiTrips(options);
@@ -240,14 +235,15 @@ int main(int argc, char** argv) {
                                 {"workers", "raster", "speedup(vs 1)"});
     double serial_seconds = 0.0;
     for (const std::size_t workers : {1, 2, 4, 8}) {
+      // M = workers shards on a pool of as many workers: each shard splats
+      // its rows and sweeps the whole canvas serially.
       ThreadPool sweep_pool(workers);
-      core::RasterJoinOptions raster_options;
-      if (workers > 1) {
-        raster_options.exec.pool = &sweep_pool;
-        raster_options.exec.num_threads = workers;
-      }
-      auto join = core::BoundedRasterJoin::Create(taxis, neighborhoods,
-                                                  raster_options);
+      shard::ShardedExecutorOptions shard_options;
+      shard_options.num_shards = workers;
+      shard_options.pool = &sweep_pool;
+      auto join = shard::ShardedExecutor::Create(
+          taxis, neighborhoods, core::ExecutionMethod::kBoundedRaster,
+          shard_options);
       if (!join.ok()) continue;
       const double q = bench::MeasureSeconds(
           [&] { (void)(*join)->Execute(query); });
@@ -267,9 +263,8 @@ int main(int argc, char** argv) {
     data::TaxiGeneratorOptions options;
     options.num_trips = num_points;
     const data::PointTable taxis = data::GenerateTaxiTrips(options);
-    core::SpatialAggregation engine(taxis, neighborhoods,
-                                    core::RasterJoinOptions(),
-                                    core::IndexJoinOptions(), exec);
+    core::SpatialAggregation engine(taxis, neighborhoods);
+    engine.set_num_shards(bench_shards);
     core::AggregationQuery query;
     query.aggregate = core::AggregateSpec::Count();
     bench::ResultTable ablation("fig4_obs_overhead",

@@ -197,11 +197,10 @@ int Run() {
     return 1;
   }
 
-  core::ExecutionContext exec;
-  exec.num_threads = bench::BenchThreads();
+  const std::size_t bench_shards = bench::BenchThreads();
   ingest::LiveEngineOptions live_options;
   live_options.raster_options.resolution = 1024;
-  live_options.exec = exec;
+  live_options.num_shards = bench_shards;
   ingest::LiveEngine live(table->get(), &neighborhoods, live_options);
 
   bench::ResultTable result(
@@ -306,9 +305,8 @@ int Run() {
     }
     core::RasterJoinOptions raster_options;
     raster_options.resolution = 1024;
-    raster_options.exec = exec;
-    core::SpatialAggregation baseline(all, neighborhoods, raster_options,
-                                      core::IndexJoinOptions(), exec);
+    core::SpatialAggregation baseline(all, neighborhoods, raster_options);
+    baseline.set_num_shards(bench_shards);
     Status replayed = ReplaySession(
         t0, t1, 24, "static", &static_latencies,
         [&](core::AggregationQuery query,

@@ -17,10 +17,11 @@ double BenchScale();
 /// base * BenchScale(), at least 1.
 std::size_t ScaledCount(std::size_t base);
 
-/// Worker threads from URBANE_BENCH_THREADS (default 1 = serial, the
-/// historical behavior). Benches pass this into ExecutionContext so the
-/// same binaries measure the threads ablation axis; every ResultTable row
-/// records it in a trailing `threads` column.
+/// Shard count from URBANE_BENCH_THREADS (default 1 = unsharded, the
+/// historical behavior). Benches set it as the engines' row-range shard
+/// count (SpatialAggregation::set_num_shards, LiveEngineOptions::num_shards)
+/// so the same binaries measure the parallelism ablation axis; every
+/// ResultTable row records it in a trailing `threads` column.
 std::size_t BenchThreads();
 
 /// Median wall-clock seconds of `fn` over `repeats` runs (after one

@@ -1,7 +1,5 @@
 #include "core/accurate_join.h"
 
-#include <algorithm>
-
 #include "core/observe.h"
 #include "core/raster_targets.h"
 #include "raster/rasterizer.h"
@@ -62,14 +60,13 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
     return Status::FailedPrecondition(
         "AccurateRasterJoin was created for a different table/region set");
   }
-  const ExecutionContext& exec = options_.exec;
   obs::ProfilePassCosts costs;
   WallTimer timer;
 
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(
       FilterSelection selection,
-      EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
+      EvaluateFilter(query.filter, points_, query.candidate_ranges));
   costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
@@ -84,97 +81,83 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
   internal::BuildAggregateTargets(viewport_, schedule, attr,
                                   query.aggregate.kind,
                                   options_.use_float32_targets,
-                                  /*need_abs_sum=*/false, targets,
-                                  exec.Splat());
+                                  /*need_abs_sum=*/false, targets);
   costs.splat_seconds = splat_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   costs.points_scanned = selection.ids.size();
 
-  // Pass 2: regions are partitioned across the pool. Each part's cached
-  // boundary pixels are refined exactly (in cached emission order) and its
-  // cached interior spans — boundary already cut out at Create — reduce
-  // wholesale through the SIMD span kernels. Both walks follow the order of
-  // the uncached loops they replace, so results are bit-identical and
-  // exactness is per region: partitioning cannot change it.
+  // Pass 2: each region part's cached boundary pixels are refined exactly
+  // (in cached emission order) and its cached interior spans — boundary
+  // already cut out at Create — reduce wholesale through the SIMD span
+  // kernels. Both walks follow the order of the uncached loops they
+  // replace, so results are bit-identical.
   WallTimer sweep_timer;
   const std::size_t num_regions = regions_.size();
   PartialResult result;
   result.regions.resize(num_regions);
 
   const raster::RasterKernels& kernels = raster::ActiveKernels();
-  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
   // Refine time (the exact boundary-pixel tests interleaved with the sweep)
   // is only clocked when someone is observing — metrics on or a profile
   // attached: the extra clock reads sit inside the per-region loop, and
   // the disabled fast path must stay free.
   const bool measure_refine =
       obs::MetricsEnabled() || query.profile != nullptr;
-  ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
-                                          std::size_t end) {
-    obs::ProfilePassCosts& ws = worker_costs[part];
-    std::vector<std::uint32_t> scratch(
-        static_cast<std::size_t>(viewport_.width()));
-    WallTimer refine_timer;
-    for (std::size_t r = begin; r < end; ++r) {
-      const internal::RegionSpanCache& cache = sweep_.regions[r];
-      const auto& parts = regions_[r].geometry.parts();
-      Accumulator& acc = result.regions[r];
-      for (std::size_t p = 0; p < parts.size(); ++p) {
-        const geometry::Polygon& region_part = parts[p];
+  std::vector<std::uint32_t> scratch(
+      static_cast<std::size_t>(viewport_.width()));
+  WallTimer refine_timer;
+  for (std::size_t r = 0; r < num_regions; ++r) {
+    const internal::RegionSpanCache& cache = sweep_.regions[r];
+    const auto& parts = regions_[r].geometry.parts();
+    Accumulator& acc = result.regions[r];
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      const geometry::Polygon& region_part = parts[p];
 
-        // --- boundary pixels: exact tests against this part ---
-        const std::uint32_t b_begin = cache.boundary_part_offsets[p];
-        const std::uint32_t b_end = cache.boundary_part_offsets[p + 1];
-        ws.boundary_pixels += b_end - b_begin;
-        if (measure_refine) {
-          refine_timer.Restart();
-        }
-        for (std::uint32_t b = b_begin; b < b_end; ++b) {
-          const std::uint32_t pixel = cache.boundary[b];
-          const std::uint32_t pt_begin = pixel_offsets_[pixel];
-          const std::uint32_t pt_end = pixel_offsets_[pixel + 1];
-          for (std::uint32_t k = pt_begin; k < pt_end; ++k) {
-            const std::uint32_t id = pixel_points_[k];
-            if (!selection.bitmap[id]) {
-              continue;
-            }
-            ++ws.pip_tests;
-            const geometry::Vec2 pt{points_.x(id), points_.y(id)};
-            if (region_part.Contains(pt)) {
-              acc.Add(attr ? static_cast<double>(attr[id]) : 1.0);
-            }
+      // --- boundary pixels: exact tests against this part ---
+      const std::uint32_t b_begin = cache.boundary_part_offsets[p];
+      const std::uint32_t b_end = cache.boundary_part_offsets[p + 1];
+      costs.boundary_pixels += b_end - b_begin;
+      if (measure_refine) {
+        refine_timer.Restart();
+      }
+      for (std::uint32_t b = b_begin; b < b_end; ++b) {
+        const std::uint32_t pixel = cache.boundary[b];
+        const std::uint32_t pt_begin = pixel_offsets_[pixel];
+        const std::uint32_t pt_end = pixel_offsets_[pixel + 1];
+        for (std::uint32_t k = pt_begin; k < pt_end; ++k) {
+          const std::uint32_t id = pixel_points_[k];
+          if (!selection.bitmap[id]) {
+            continue;
+          }
+          ++costs.pip_tests;
+          const geometry::Vec2 pt{points_.x(id), points_.y(id)};
+          if (region_part.Contains(pt)) {
+            acc.Add(attr ? static_cast<double>(attr[id]) : 1.0);
           }
         }
-        if (measure_refine) {
-          ws.refine_seconds += refine_timer.ElapsedSeconds();
-        }
-
-        // --- interior pixels: wholesale raster reduction over the cached
-        //     boundary-free spans ---
-        const std::uint32_t s_begin = cache.span_part_offsets[p];
-        const std::uint32_t s_end = cache.span_part_offsets[p + 1];
-        for (std::uint32_t s = s_begin; s < s_end; ++s) {
-          const raster::PixelSpan& span = cache.spans[s];
-          ws.simd_fragments +=
-              static_cast<std::size_t>(span.x_end - span.x_begin);
-          ws.points_bulk += internal::AccumulateSpan(targets, kernels, span,
-                                                     acc, scratch.data());
-        }
       }
-      ws.pixels_touched += cache.pixels;
-      ws.tiles_visited += cache.tiles;
+      if (measure_refine) {
+        costs.refine_seconds += refine_timer.ElapsedSeconds();
+      }
+
+      // --- interior pixels: wholesale raster reduction over the cached
+      //     boundary-free spans ---
+      const std::uint32_t s_begin = cache.span_part_offsets[p];
+      const std::uint32_t s_end = cache.span_part_offsets[p + 1];
+      for (std::uint32_t s = s_begin; s < s_end; ++s) {
+        const raster::PixelSpan& span = cache.spans[s];
+        costs.simd_fragments +=
+            static_cast<std::size_t>(span.x_end - span.x_begin);
+        costs.points_bulk += internal::AccumulateSpan(targets, kernels, span,
+                                                      acc, scratch.data());
+      }
     }
-  });
-  for (const obs::ProfilePassCosts& ws : worker_costs) {
-    costs.AddCounters(ws);
-    // Workers run concurrently, so the slowest worker's refine time is the
-    // wall-clock contribution (summing would exceed sweep_seconds).
-    costs.refine_seconds = std::max(costs.refine_seconds, ws.refine_seconds);
+    costs.pixels_touched += cache.pixels;
+    costs.tiles_visited += cache.tiles;
   }
   costs.sweep_seconds = sweep_timer.ElapsedSeconds();
   costs.query_seconds = timer.ElapsedSeconds();
-  PublishExecution(*this, "accurate", exec.EffectiveThreads(), costs,
-                   query.profile);
+  PublishExecution(*this, "accurate", 1, costs, query.profile);
   return result;
 }
 

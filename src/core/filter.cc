@@ -46,11 +46,6 @@ bool CompiledFilter::Matches(const data::PointTable& table,
   return true;
 }
 
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table) {
-  return EvaluateFilter(spec, table, ExecutionContext());
-}
-
 StatusOr<double> EstimateFilterSelectivity(const FilterSpec& spec,
                                            const data::PointTable& table,
                                            std::size_t max_sample) {
@@ -81,13 +76,6 @@ StatusOr<double> EstimateFilterSelectivity(const FilterSpec& spec,
 
 StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
                                          const data::PointTable& table,
-                                         const ExecutionContext& exec) {
-  return EvaluateFilter(spec, table, exec, nullptr);
-}
-
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table,
-                                         const ExecutionContext& exec,
                                          const RowRangeSet* candidates) {
   URBANE_ASSIGN_OR_RETURN(CompiledFilter compiled,
                           CompiledFilter::Compile(spec, table));
@@ -102,63 +90,13 @@ StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
     }
     return selection;
   }
-  ThreadPool* pool = exec.EffectivePool();
-  const std::size_t parts = exec.EffectiveThreads();
-  if (pool == nullptr || parts <= 1 || n < exec.min_parallel_points) {
-    selection.ids.reserve(n / 4);
-    ForEachCandidateRow(candidates, 0, n, [&](std::uint64_t i) {
-      if (compiled.Matches(table, i)) {
-        selection.bitmap[i] = 1;
-        selection.ids.push_back(static_cast<std::uint32_t>(i));
-      }
-    });
-    return selection;
-  }
-  // Pass A: partitioned predicate evaluation into the bitmap, counting
-  // survivors per partition. Candidate ranges narrow each partition's row
-  // walk; the bitmap (and hence pass B) is unaffected by how rows were
-  // skipped.
-  const std::size_t chunk = (n + parts - 1) / parts;
-  std::vector<std::size_t> counts(parts, 0);
-  ThreadPool::Batch batch = pool->CreateBatch();
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t begin = p * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    batch.Submit([&, p, begin, end] {
-      std::size_t local = 0;
-      ForEachCandidateRow(candidates, begin, end, [&](std::uint64_t i) {
-        if (compiled.Matches(table, i)) {
-          selection.bitmap[i] = 1;
-          ++local;
-        }
-      });
-      counts[p] = local;
-    });
-  }
-  batch.Wait();
-  // Pass B: prefix offsets, then each partition writes its ids in place —
-  // the id list comes out ascending, identical to the serial scan.
-  std::vector<std::size_t> offsets(parts + 1, 0);
-  for (std::size_t p = 0; p < parts; ++p) {
-    offsets[p + 1] = offsets[p] + counts[p];
-  }
-  selection.ids.resize(offsets[parts]);
-  ThreadPool::Batch fill = pool->CreateBatch();
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t begin = p * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    fill.Submit([&, p, begin, end] {
-      std::size_t cursor = offsets[p];
-      for (std::size_t i = begin; i < end; ++i) {
-        if (selection.bitmap[i]) {
-          selection.ids[cursor++] = static_cast<std::uint32_t>(i);
-        }
-      }
-    });
-  }
-  fill.Wait();
+  selection.ids.reserve(n / 4);
+  ForEachCandidateRow(candidates, 0, n, [&](std::uint64_t i) {
+    if (compiled.Matches(table, i)) {
+      selection.bitmap[i] = 1;
+      selection.ids.push_back(static_cast<std::uint32_t>(i));
+    }
+  });
   return selection;
 }
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/execution_context.h"
 #include "core/row_range.h"
 #include "data/point_table.h"
 #include "geometry/bounding_box.h"
@@ -102,26 +101,13 @@ struct FilterSelection {
   }
 };
 
-/// Evaluates the filter over every row.
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table);
-
-/// Parallel variant: rows are partitioned across `exec`'s pool, per-chunk
-/// survivor counts are prefix-summed, and the id list is written in place,
-/// so the output (bitmap and ascending ids) is identical to the serial
-/// evaluation at every thread count.
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table,
-                                         const ExecutionContext& exec);
-
-/// Zone-map-aware variant: rows outside `candidates` (null = all rows) are
-/// skipped without testing the predicate. Because pruned rows cannot match
-/// the filter, the selection is identical to the unpruned evaluation — the
-/// pruning only saves the per-row work.
-StatusOr<FilterSelection> EvaluateFilter(const FilterSpec& spec,
-                                         const data::PointTable& table,
-                                         const ExecutionContext& exec,
-                                         const RowRangeSet* candidates);
+/// Evaluates the filter over every row, or — zone-map-aware — only over
+/// the rows in `candidates` (null = all rows). Pruned rows cannot match the
+/// filter, so the selection is identical to the unpruned evaluation; the
+/// pruning only saves the per-row work. Ids come out ascending.
+StatusOr<FilterSelection> EvaluateFilter(
+    const FilterSpec& spec, const data::PointTable& table,
+    const RowRangeSet* candidates = nullptr);
 
 /// Planning-time selectivity estimate: compiles the filter and counts
 /// matches over an evenly strided sample of at most `max_sample` rows — no

@@ -54,72 +54,56 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
     return cand != nullptr && !cand->Contains(id);
   };
 
-  // Regions are independent probes of a read-only grid, so they partition
-  // across the pool; each region's accumulator is private to one worker
-  // and results land in preallocated region slots.
-  const ExecutionContext& exec = options_.exec;
   const std::size_t num_regions = regions_.size();
   PartialResult result;
   result.regions.resize(num_regions);
-  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
 
   WallTimer reduce_timer;
-  ForEachPartition(exec, num_regions, [&](std::size_t part_index,
-                                          std::size_t begin,
-                                          std::size_t end) {
-    obs::ProfilePassCosts& ws = worker_costs[part_index];
-    for (std::size_t r = begin; r < end; ++r) {
-      Accumulator& acc = result.regions[r];
-      for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
-        grid_.ClassifyCells(
-            part,
-            /*interior=*/
-            [&](int cx, int cy) {
-              const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
-              const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
-              for (const std::uint32_t* it = cell_begin; it != cell_end;
-                   ++it) {
-                if (pruned(*it)) {
-                  continue;
-                }
-                if (!trivial_filter && !filter.Matches(points_, *it)) {
-                  continue;
-                }
+  for (std::size_t r = 0; r < num_regions; ++r) {
+    Accumulator& acc = result.regions[r];
+    for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
+      grid_.ClassifyCells(
+          part,
+          /*interior=*/
+          [&](int cx, int cy) {
+            const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
+            const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
+            for (const std::uint32_t* it = cell_begin; it != cell_end; ++it) {
+              if (pruned(*it)) {
+                continue;
+              }
+              if (!trivial_filter && !filter.Matches(points_, *it)) {
+                continue;
+              }
+              acc.Add(value_of(*it));
+              ++costs.points_bulk;
+            }
+          },
+          /*boundary=*/
+          [&](int cx, int cy) {
+            const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
+            const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
+            for (const std::uint32_t* it = cell_begin; it != cell_end; ++it) {
+              if (pruned(*it)) {
+                continue;
+              }
+              if (!trivial_filter && !filter.Matches(points_, *it)) {
+                continue;
+              }
+              ++costs.pip_tests;
+              const geometry::Vec2 p{points_.x(*it), points_.y(*it)};
+              if (part.Contains(p)) {
                 acc.Add(value_of(*it));
-                ++ws.points_bulk;
+                ++costs.points_scanned;
               }
-            },
-            /*boundary=*/
-            [&](int cx, int cy) {
-              const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
-              const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
-              for (const std::uint32_t* it = cell_begin; it != cell_end;
-                   ++it) {
-                if (pruned(*it)) {
-                  continue;
-                }
-                if (!trivial_filter && !filter.Matches(points_, *it)) {
-                  continue;
-                }
-                ++ws.pip_tests;
-                const geometry::Vec2 p{points_.x(*it), points_.y(*it)};
-                if (part.Contains(p)) {
-                  acc.Add(value_of(*it));
-                  ++ws.points_scanned;
-                }
-              }
-            });
-      }
+            }
+          });
     }
-  });
-  for (const obs::ProfilePassCosts& ws : worker_costs) {
-    costs.AddCounters(ws);
   }
   costs.reduce_seconds = reduce_timer.ElapsedSeconds();
 
   costs.query_seconds = timer.ElapsedSeconds();
-  PublishExecution(*this, "index", exec.EffectiveThreads(), costs,
-                   query.profile);
+  PublishExecution(*this, "index", 1, costs, query.profile);
   return result;
 }
 

@@ -3,7 +3,6 @@
 
 #include <memory>
 
-#include "core/execution_context.h"
 #include "core/query.h"
 #include "index/grid_index.h"
 
@@ -14,10 +13,6 @@ struct IndexJoinOptions {
   /// Target points per grid cell (index granularity). The F4 `--grid-sweep`
   /// ablation varies this.
   double target_points_per_cell = 64.0;
-  /// Execution parallelism: region probes are partitioned across the pool
-  /// (the grid is read-only; each region's accumulator is private).
-  /// Default serial.
-  ExecutionContext exec;
 };
 
 /// Exact index-based join baseline: a uniform grid is built over the points

@@ -5,9 +5,9 @@
 //
 // Per execution: executors are immutable after Create, so an
 // ExecutePartial call accumulates its pass costs in a local
-// obs::ProfilePassCosts (per-worker partials too) and publishes them once,
-// at the end of the call, through PublishExecution. Nothing is left on the
-// executor, so concurrent calls on one instance share no mutable state.
+// obs::ProfilePassCosts and publishes them once, at the end of the call,
+// through PublishExecution. Nothing is left on the executor, so
+// concurrent calls on one instance share no mutable state.
 //
 // Per query: ObserveQuery wraps the one entry point that answers a query
 // as a whole — the facade's Execute, or the live engine's, whose component
@@ -35,8 +35,9 @@ namespace urbane::core {
 /// Publishes one finished ExecutePartial call. When metrics are enabled,
 /// feeds the global registry under `exec.<metric>.*` (see DESIGN.md for
 /// the metric naming convention). When `profile` is non-null, records the
-/// executor that ran (`executor.name()`), its thread count and `costs` as
-/// the profile's totals.
+/// executor that ran (`executor.name()`), its thread count (1 for an
+/// executor, the shard count for a sharded pass) and `costs` as the
+/// profile's totals.
 void PublishExecution(const SpatialAggregationExecutor& executor,
                       const char* metric, std::size_t threads_used,
                       const obs::ProfilePassCosts& costs,

@@ -60,7 +60,9 @@ std::uint64_t QueryCache::Fingerprint(const AggregationQuery& query,
   Fnv64 fnv;
   fnv.Mix(config_epoch);
   fnv.Mix(static_cast<std::uint64_t>(method));
-  fnv.Mix(static_cast<std::uint64_t>(canvas_resolution));
+  const bool raster = method == ExecutionMethod::kBoundedRaster ||
+                      method == ExecutionMethod::kAccurateRaster;
+  fnv.Mix(static_cast<std::uint64_t>(raster ? canvas_resolution : 0));
   fnv.Mix(static_cast<std::uint64_t>(query.aggregate.kind));
   // COUNT ignores its attribute, so a stray attribute must not split keys
   // (mirrors AggregationQuery::ToString, which renders COUNT(*)).
@@ -150,9 +152,13 @@ std::optional<QueryResult> QueryCache::Lookup(std::uint64_t key,
 }
 
 void QueryCache::Insert(std::uint64_t key, const QueryResult& result,
-                        std::optional<TimeInterval> valid_time) {
+                        const FilterSpec& filter) {
   if (!enabled()) {
     return;
+  }
+  std::optional<TimeInterval> valid_time;
+  if (filter.time_range.has_value()) {
+    valid_time = TimeInterval{filter.time_range->begin, filter.time_range->end};
   }
   Shard& shard = ShardFor(key);
   const std::size_t bytes = ResultBytes(result);

@@ -69,9 +69,9 @@ class QueryCache {
 
   /// Stable 64-bit fingerprint of (method, aggregate, filter conjuncts,
   /// viewport window, canvas resolution, executor-config epoch). The
-  /// `canvas_resolution` must be the resolution the raster executors would
-  /// run at (pass 0 for non-raster methods where it does not shape the
-  /// answer); `config_epoch` is the owning engine's rebuild counter.
+  /// `canvas_resolution` is the resolution the raster executors would run
+  /// at; scan and index answers do not depend on it, so their keys ignore
+  /// it. `config_epoch` is the owning engine's rebuild counter.
   static std::uint64_t Fingerprint(const AggregationQuery& query,
                                    ExecutionMethod method,
                                    int canvas_resolution,
@@ -92,23 +92,17 @@ class QueryCache {
   std::optional<QueryResult> Lookup(std::uint64_t key,
                                     bool record_miss = true);
 
-  /// The half-open time interval [begin, end) a cached answer depends on.
-  /// An entry tagged with one is *closed over time*: rows outside the
-  /// interval can never change it, so appends elsewhere keep it valid.
-  struct TimeInterval {
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-  };
-
-  /// Inserts (or refreshes) an entry, then evicts LRU entries until the
-  /// shard is within its entry and byte bounds. A result too large for its
-  /// shard's byte bound is simply not retained.
+  /// Inserts (or refreshes) the answer to a query with filter `filter`,
+  /// then evicts LRU entries until the shard is within its entry and byte
+  /// bounds. A result too large for its shard's byte bound is simply not
+  /// retained.
   ///
-  /// `valid_time` is the entry's dependency interval (the query's time
-  /// filter); nullopt means the answer depends on every row, so any append
-  /// invalidates it. See InvalidateTimeOverlap.
+  /// The filter's time range, when present, is the entry's dependency
+  /// interval: rows outside it can never change the answer, so appends
+  /// elsewhere keep it valid. Without one the answer depends on every row
+  /// and any append invalidates it. See InvalidateTimeOverlap.
   void Insert(std::uint64_t key, const QueryResult& result,
-              std::optional<TimeInterval> valid_time = std::nullopt);
+              const FilterSpec& filter = FilterSpec());
 
   /// Scoped invalidation for appendable engines: drops exactly the entries
   /// whose dependency interval intersects the appended half-open interval
@@ -137,6 +131,11 @@ class QueryCache {
   QueryCacheStats stats() const;
 
  private:
+  /// The half-open time interval [begin, end) a cached answer depends on.
+  struct TimeInterval {
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+  };
   struct Entry {
     std::uint64_t key = 0;
     QueryResult result;

@@ -97,7 +97,6 @@ StatusOr<PartialResult> BoundedRasterJoin::ExecutePartial(
     return Status::FailedPrecondition(
         "BoundedRasterJoin was created for a different table/region set");
   }
-  const ExecutionContext& exec = options_.exec;
   obs::ProfilePassCosts costs;
   WallTimer timer;
 
@@ -106,7 +105,7 @@ StatusOr<PartialResult> BoundedRasterJoin::ExecutePartial(
   WallTimer filter_timer;
   URBANE_ASSIGN_OR_RETURN(
       FilterSelection selection,
-      EvaluateFilter(query.filter, points_, exec, query.candidate_ranges));
+      EvaluateFilter(query.filter, points_, query.candidate_ranges));
   costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   const float* attr = nullptr;
@@ -125,15 +124,14 @@ StatusOr<PartialResult> BoundedRasterJoin::ExecutePartial(
       options_.use_float32_targets,
       /*need_abs_sum=*/options_.compute_error_bounds &&
           query.aggregate.kind == AggregateKind::kSum,
-      targets, exec.Splat());
+      targets);
   costs.splat_seconds = splat_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
   costs.points_scanned = selection.ids.size();
 
-  // --- pass 2: sweep the cached region spans, one contiguous region range
-  //     per worker; spans are walked in the exact order the scan converter
-  //     emitted them, so results match the uncached serial sweep bit for
-  //     bit ---
+  // --- pass 2: sweep the cached region spans; spans are walked in the
+  //     exact order the scan converter emitted them, so results match the
+  //     uncached sweep bit for bit ---
   WallTimer sweep_timer;
   const std::size_t num_regions = regions_.size();
   PartialResult result;
@@ -147,54 +145,44 @@ StatusOr<PartialResult> BoundedRasterJoin::ExecutePartial(
   const std::uint32_t* count_data = targets.count.data().data();
   const double* abs_data =
       sum_bound ? targets.abs_sum.data().data() : nullptr;
-  std::vector<obs::ProfilePassCosts> worker_costs(exec.EffectiveThreads());
-  ForEachPartition(exec, num_regions, [&](std::size_t part, std::size_t begin,
-                                          std::size_t end) {
-    obs::ProfilePassCosts& ws = worker_costs[part];
-    std::vector<std::uint32_t> scratch(
-        static_cast<std::size_t>(viewport_.width()));
-    for (std::size_t r = begin; r < end; ++r) {
-      const internal::RegionSpanCache& cache = sweep_.regions[r];
-      Accumulator& acc = result.regions[r];
-      for (const raster::PixelSpan& span : cache.spans) {
-        ws.simd_fragments +=
-            static_cast<std::size_t>(span.x_end - span.x_begin);
-        internal::AccumulateSpan(targets, kernels, span, acc,
-                                 scratch.data());
-      }
-      ws.pixels_touched += cache.pixels;
-      ws.tiles_visited += cache.tiles;
-
-      if (options_.compute_error_bounds) {
-        // Error is confined to pixels the region boundary passes through;
-        // bound it by the aggregate mass sitting in those pixels. Pixels no
-        // point hit carry no mass — the count gate also keeps the read off
-        // abs_sum's first-touch-initialized (possibly stale) cells.
-        double bound = 0.0;
-        for (const std::uint32_t idx : cache.boundary) {
-          const std::uint32_t c = count_data[idx];
-          if (c == 0) continue;
-          bound += sum_bound ? abs_data[idx] : static_cast<double>(c);
-        }
-        ws.boundary_pixels += cache.boundary.size();
-        result.error_bounds[r] = bound;
-      }
+  std::vector<std::uint32_t> scratch(
+      static_cast<std::size_t>(viewport_.width()));
+  for (std::size_t r = 0; r < num_regions; ++r) {
+    const internal::RegionSpanCache& cache = sweep_.regions[r];
+    Accumulator& acc = result.regions[r];
+    for (const raster::PixelSpan& span : cache.spans) {
+      costs.simd_fragments +=
+          static_cast<std::size_t>(span.x_end - span.x_begin);
+      internal::AccumulateSpan(targets, kernels, span, acc, scratch.data());
     }
-  });
-  for (const obs::ProfilePassCosts& ws : worker_costs) {
-    costs.AddCounters(ws);
+    costs.pixels_touched += cache.pixels;
+    costs.tiles_visited += cache.tiles;
+
+    if (options_.compute_error_bounds) {
+      // Error is confined to pixels the region boundary passes through;
+      // bound it by the aggregate mass sitting in those pixels. Pixels no
+      // point hit carry no mass — the count gate also keeps the read off
+      // abs_sum's first-touch-initialized (possibly stale) cells.
+      double bound = 0.0;
+      for (const std::uint32_t idx : cache.boundary) {
+        const std::uint32_t c = count_data[idx];
+        if (c == 0) continue;
+        bound += sum_bound ? abs_data[idx] : static_cast<double>(c);
+      }
+      costs.boundary_pixels += cache.boundary.size();
+      result.error_bounds[r] = bound;
+    }
   }
   costs.sweep_seconds = sweep_timer.ElapsedSeconds();
   costs.query_seconds = timer.ElapsedSeconds();
-  PublishExecution(*this, "raster", exec.EffectiveThreads(), costs,
-                   query.profile);
+  PublishExecution(*this, "raster", 1, costs, query.profile);
   return result;
 }
 
 std::size_t BoundedRasterJoin::MemoryBytes() const {
   // The paper's "no preprocessing" story (Table 2) now carries two small
   // query-independent caches: the Morton splat order and the per-region
-  // sweep spans. Render targets and per-worker scratch remain per-query.
+  // sweep spans. Render targets and the sweep scratch remain per-query.
   return morton_.MemoryBytes() + sweep_.MemoryBytes();
 }
 

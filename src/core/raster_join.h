@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/execution_context.h"
 #include "core/query.h"
 #include "core/raster_targets.h"
 #include "core/region_spans.h"
@@ -37,11 +36,6 @@ struct RasterJoinOptions {
   /// the GPU implementation (default double keeps SUM/AVG bit-comparable to
   /// the scan oracle).
   bool use_float32_targets = false;
-  /// Parallelism of the query path: filter evaluation, the point splat
-  /// (pass 1, partial-buffer reduction) and the region sweep (pass 2, one
-  /// region range per worker). Default serial — identical to the
-  /// historical single-core behavior.
-  ExecutionContext exec;
 };
 
 /// Canvas construction shared by the executors and the resolution planner.

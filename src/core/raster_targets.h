@@ -36,7 +36,7 @@ struct SplatSchedule {
 /// Morton-ordered splats only pay off when the schedule covers most of the
 /// dataset: walking the full Morton permutation costs O(table size), so a
 /// sparse selection is cheaper in row order. The gate reads only sizes and
-/// is therefore deterministic across SIMD levels and thread counts.
+/// is therefore deterministic across SIMD levels.
 inline bool UseMortonSchedule(const FilterSelection& selection,
                               std::size_t table_size) {
   return selection.ids.size() * 4 >= table_size;
@@ -110,7 +110,7 @@ struct AggregateTargets {
 /// Render targets for the concurrent ExecutePartial calls of one immutable
 /// raster join. Acquire hands out a free set when there is one — refilling
 /// a warm set is several times cheaper than a fresh page-faulting
-/// allocation, and the serial fused scatter first-touch-initializes value
+/// allocation, and the fused scatter first-touch-initializes value
 /// targets, so most queries only clear the count plane — and allocates a
 /// new set otherwise.
 /// A lease returns its set when destroyed, so the pool never holds more
@@ -169,14 +169,14 @@ inline void EnsureAllocated(raster::Buffer2D<T>& buf, int w, int h) {
   }
 }
 
-/// Serial fused scatter: one pass over the schedule feeds every live target.
+/// Fused scatter: one pass over the schedule feeds every live target.
 /// Per pixel the accumulation sequence is exactly the per-target zero-init
 /// loops' (first touch computes `identity op v`, later touches fold into the
 /// stored value), so results are bit-identical to the unfused form while
 /// value targets never need a whole-canvas clear. Returns hits.
-inline std::size_t SplatScheduleSerial(AggregateTargets& t,
-                                       const SplatSchedule& schedule,
-                                       const float* attr) {
+inline std::size_t ScatterSchedule(AggregateTargets& t,
+                                   const SplatSchedule& schedule,
+                                   const float* attr) {
   const std::uint32_t* indices = schedule.indices.data();
   const std::size_t n = schedule.size();
   std::uint32_t* count = t.count.data().data();
@@ -227,87 +227,36 @@ inline std::size_t SplatScheduleSerial(AggregateTargets& t,
 }
 
 /// Splats a schedule into `t` (a leased set, reused across queries).
-/// `attr` is the aggregate attribute
-/// column (nullptr for COUNT). Every target reuses the schedule's
-/// precomputed pixel indices; `par` spreads each splat over a pool
-/// (partitions are contiguous schedule ranges, default serial).
-inline void BuildAggregateTargets(
-    const raster::Viewport& vp, const SplatSchedule& schedule,
-    const float* attr, AggregateKind kind, bool float32,
-    bool need_abs_sum, AggregateTargets& t,
-    const raster::SplatParallelism& par = raster::SplatParallelism()) {
+/// `attr` is the aggregate attribute column (nullptr for COUNT). Every
+/// target reuses the schedule's precomputed pixel indices. Value targets
+/// are first-touch-initialized by the fused scatter, so they only need to
+/// exist — no whole-canvas clear.
+inline void BuildAggregateTargets(const raster::Viewport& vp,
+                                  const SplatSchedule& schedule,
+                                  const float* attr, AggregateKind kind,
+                                  bool float32, bool need_abs_sum,
+                                  AggregateTargets& t) {
   t.float32 = float32;
   t.need_sum = kind == AggregateKind::kSum || kind == AggregateKind::kAvg;
   t.need_minmax = kind == AggregateKind::kMin || kind == AggregateKind::kMax;
   t.need_abs_sum = need_abs_sum && t.need_sum;
 
-  const std::uint32_t* indices = schedule.indices.data();
-  const std::size_t n = schedule.size();
   const int w = vp.width();
   const int h = vp.height();
   EnsureFilled(t.count, w, h, 0u);
-
-  const bool parallel = par.EffectivePartitions() > 1 && n >= par.min_points;
-  if (!parallel) {
-    // Serial fused path: value targets are first-touch-initialized by the
-    // scatter, so they only need to exist — no whole-canvas clear.
-    if (t.need_sum) {
-      if (float32) {
-        EnsureAllocated(t.sum32, w, h);
-      } else {
-        EnsureAllocated(t.sum, w, h);
-      }
-      if (t.need_abs_sum) EnsureAllocated(t.abs_sum, w, h);
-    }
-    if (t.need_minmax) {
-      EnsureAllocated(t.min_value, w, h);
-      EnsureAllocated(t.max_value, w, h);
-    }
-    SplatScheduleSerial(t, schedule, attr);
-    return;
-  }
-
-  // Parallel path: per-target identity-filled buffers, partial-buffer
-  // reduction (Morton ranges when the schedule is Morton-ordered).
-  raster::ParallelSplatIndexed(
-      par, vp, indices, n, raster::BlendOp::kAdd,
-      [](std::size_t) { return 1u; }, t.count);
-
   if (t.need_sum) {
     if (float32) {
-      EnsureFilled(t.sum32, w, h, 0.0f);
-      raster::ParallelSplatIndexed(
-          par, vp, indices, n, raster::BlendOp::kAdd,
-          [&](std::size_t k) { return attr[schedule.ids[k]]; }, t.sum32);
+      EnsureAllocated(t.sum32, w, h);
     } else {
-      EnsureFilled(t.sum, w, h, 0.0);
-      raster::ParallelSplatIndexed(
-          par, vp, indices, n, raster::BlendOp::kAdd,
-          [&](std::size_t k) {
-            return static_cast<double>(attr[schedule.ids[k]]);
-          },
-          t.sum);
+      EnsureAllocated(t.sum, w, h);
     }
-    if (t.need_abs_sum) {
-      EnsureFilled(t.abs_sum, w, h, 0.0);
-      raster::ParallelSplatIndexed(
-          par, vp, indices, n, raster::BlendOp::kAdd,
-          [&](std::size_t k) {
-            return std::abs(static_cast<double>(attr[schedule.ids[k]]));
-          },
-          t.abs_sum);
-    }
+    if (t.need_abs_sum) EnsureAllocated(t.abs_sum, w, h);
   }
   if (t.need_minmax) {
-    EnsureFilled(t.min_value, w, h, std::numeric_limits<float>::infinity());
-    raster::ParallelSplatIndexed(
-        par, vp, indices, n, raster::BlendOp::kMin,
-        [&](std::size_t k) { return attr[schedule.ids[k]]; }, t.min_value);
-    EnsureFilled(t.max_value, w, h, -std::numeric_limits<float>::infinity());
-    raster::ParallelSplatIndexed(
-        par, vp, indices, n, raster::BlendOp::kMax,
-        [&](std::size_t k) { return attr[schedule.ids[k]]; }, t.max_value);
+    EnsureAllocated(t.min_value, w, h);
+    EnsureAllocated(t.max_value, w, h);
   }
+  ScatterSchedule(t, schedule, attr);
 }
 
 /// Folds one covered pixel into a region accumulator.
@@ -361,10 +310,9 @@ inline std::uint64_t AccumulateSpan(const AggregateTargets& t,
   return total;
 }
 
-/// Per-worker boundary-pixel dedup scratch: a stamp buffer avoids clearing
-/// a W*H bitmap per region. Each pass-2 worker owns one, so the region
-/// sweep can run on many threads with no shared mutable state (this
-/// replaces the former executor-member stamp).
+/// Boundary-pixel dedup scratch: a stamp buffer avoids clearing a W*H
+/// bitmap per region. BuildSweepGeometry owns one while it builds the
+/// region span caches at Create; no query touches it.
 class StampBuffer {
  public:
   StampBuffer() = default;

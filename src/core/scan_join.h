@@ -3,7 +3,6 @@
 
 #include <memory>
 
-#include "core/execution_context.h"
 #include "core/query.h"
 #include "index/rtree.h"
 
@@ -18,12 +17,8 @@ namespace urbane::core {
 class ScanJoin : public SpatialAggregationExecutor {
  public:
   /// Builds the region-box R-tree; `points`/`regions` must outlive this.
-  /// `exec` parallelizes the scan (points are partitioned, each worker
-  /// keeps a private accumulator vector, merged in partition order with
-  /// `Accumulator::Merge`); the default is the historical serial scan.
   static StatusOr<std::unique_ptr<ScanJoin>> Create(
-      const data::PointTable& points, const data::RegionSet& regions,
-      const ExecutionContext& exec = ExecutionContext());
+      const data::PointTable& points, const data::RegionSet& regions);
 
   StatusOr<PartialResult> ExecutePartial(
       const AggregationQuery& query) const override;
@@ -34,16 +29,12 @@ class ScanJoin : public SpatialAggregationExecutor {
 
  private:
   ScanJoin(const data::PointTable& points, const data::RegionSet& regions,
-           index::RTree rtree, const ExecutionContext& exec)
-      : points_(points),
-        regions_(regions),
-        rtree_(std::move(rtree)),
-        exec_(exec) {}
+           index::RTree rtree)
+      : points_(points), regions_(regions), rtree_(std::move(rtree)) {}
 
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   index::RTree rtree_;
-  ExecutionContext exec_;
 };
 
 }  // namespace urbane::core

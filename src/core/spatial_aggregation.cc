@@ -15,51 +15,21 @@
 
 namespace urbane::core {
 
-namespace {
-
-/// The dependency interval a cached answer carries: the filter's time range
-/// when present (the answer cannot depend on rows outside it), nullopt
-/// otherwise (any append invalidates it). See
-/// QueryCache::InvalidateTimeOverlap.
-std::optional<QueryCache::TimeInterval> CacheValidTime(
-    const FilterSpec& filter) {
-  if (!filter.time_range.has_value()) {
-    return std::nullopt;
-  }
-  return QueryCache::TimeInterval{filter.time_range->begin,
-                                  filter.time_range->end};
-}
-
-}  // namespace
-
 SpatialAggregation::SpatialAggregation(const data::PointTable& points,
                                        const data::RegionSet& regions,
                                        const RasterJoinOptions& raster_options,
-                                       const IndexJoinOptions& index_options,
-                                       const ExecutionContext& exec)
+                                       const IndexJoinOptions& index_options)
     : points_(points),
       regions_(regions),
-      index_options_([&] {
-        IndexJoinOptions options = index_options;
-        if (!exec.IsSerial()) options.exec = exec;
-        return options;
-      }()),
-      exec_(exec),
-      raster_options_([&] {
-        // A non-serial facade-level context overrides the per-executor knobs
-        // so one argument parallelizes the whole engine uniformly.
-        RasterJoinOptions options = raster_options;
-        if (!exec.IsSerial()) options.exec = exec;
-        return options;
-      }()) {}
+      index_options_(index_options),
+      raster_options_(raster_options) {}
 
 StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
     ExecutionMethod method) {
   switch (method) {
     case ExecutionMethod::kScan:
       if (!scan_) {
-        URBANE_ASSIGN_OR_RETURN(scan_,
-                                ScanJoin::Create(points_, regions_, exec_));
+        URBANE_ASSIGN_OR_RETURN(scan_, ScanJoin::Create(points_, regions_));
       }
       return static_cast<const SpatialAggregationExecutor*>(scan_.get());
     case ExecutionMethod::kIndexJoin:
@@ -96,7 +66,6 @@ SpatialAggregation::ActiveExecutorLocked(ExecutionMethod method) {
   if (!slot) {
     shard::ShardedExecutorOptions options;
     options.num_shards = n;
-    options.pool = exec_.pool;
     // Block-aligned shard boundaries over a store-backed table: no block
     // straddles two shards, so per-shard pruning stays whole-block.
     if (zone_maps_ != nullptr && !zone_maps_->blocks().empty()) {
@@ -192,9 +161,9 @@ StatusOr<PartialResult> SpatialAggregation::ExecutePartialLocked(
     }
     query.candidate_ranges = &prune.candidates;
   }
-  // Thread-CPU attribution for the dispatch: exact while execution is
-  // serial (including each sharded pass, which is serial per shard) and
-  // coordinator-only under intra-executor parallelism (DESIGN.md §12).
+  // Thread-CPU attribution for the dispatch: exact for an unsharded
+  // executor; for a sharded pass it is the coordinator's share, and each
+  // shard row carries its own worker's CPU (DESIGN.md §12).
   const double cpu_begin =
       query.profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
   URBANE_ASSIGN_OR_RETURN(PartialResult partial,
@@ -239,7 +208,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteCached(
                           ExecutePartialLocked(query, method));
   QueryResult result = partial.Finalize(query.aggregate.kind);
   if (use_cache) {
-    cache_.Insert(key, result, CacheValidTime(query.filter));
+    cache_.Insert(key, result, query.filter);
   }
   return result;
 }
@@ -274,14 +243,20 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   profile.num_points = points_.size();
   profile.num_regions = regions_.size();
   profile.total_region_vertices = regions_.TotalVertexCount();
-  profile.world = points_.Bounds();
-  profile.world.Extend(regions_.Bounds());
   URBANE_ASSIGN_OR_RETURN(profile.selectivity,
                           EstimateSelectivity(query.filter));
   profile.available_shards = num_shards();
   QueryPlan plan;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
+    // Points and regions are immutable, so their union extent — an O(n)
+    // scan of an in-memory table — is computed by the first plan only.
+    if (!plan_world_.has_value()) {
+      geometry::BoundingBox world = points_.Bounds();
+      world.Extend(regions_.Bounds());
+      plan_world_ = world;
+    }
+    profile.world = *plan_world_;
     profile.has_point_index = index_ != nullptr;
     profile.has_pixel_index = accurate_ != nullptr;
     plan = PlanQuery(profile, accuracy, raster_options_.resolution);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/accurate_join.h"
@@ -53,21 +54,14 @@ namespace urbane::core {
 /// revisited brush states concurrent.
 class SpatialAggregation {
  public:
-  /// `points`/`regions` must outlive this object.
-  ///
-  /// `exec` sets the execution parallelism for every executor the facade
-  /// builds. Precedence: a non-serial `exec` overrides whatever the
-  /// per-executor options carry, so a caller who sets only `exec` gets a
-  /// uniformly parallel engine; the serial default leaves the options
-  /// untouched (so per-executor `raster_options.exec` still wins when the
-  /// facade-level knob is not used).
+  /// `points`/`regions` must outlive this object. Every executor runs
+  /// serially; `set_num_shards` is how one query uses several cores.
   SpatialAggregation(const data::PointTable& points,
                      const data::RegionSet& regions,
                      const RasterJoinOptions& raster_options =
                          RasterJoinOptions(),
                      const IndexJoinOptions& index_options =
-                         IndexJoinOptions(),
-                     const ExecutionContext& exec = ExecutionContext());
+                         IndexJoinOptions());
 
   const data::PointTable& points() const { return points_; }
   const data::RegionSet& regions() const { return regions_; }
@@ -207,10 +201,9 @@ class SpatialAggregation {
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   const IndexJoinOptions index_options_;
-  ExecutionContext exec_;
   const ZoneMapIndex* zone_maps_ = nullptr;  // set before first query
 
-  /// Guards executor pointers, raster_options_ and last_plan_.
+  /// Guards executor pointers, raster_options_, plan_world_ and last_plan_.
   mutable std::mutex state_mu_;
   /// Serializes Execute per method: protects in-flight executions against
   /// a concurrent rebuild and caps render-target memory (see the class
@@ -227,6 +220,9 @@ class SpatialAggregation {
   /// shards share — the plain ones above stay untouched).
   std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded_;
   QueryPlan last_plan_;
+  /// The planner's world (point bounds ∪ region bounds), set by the first
+  /// ExecuteAuto.
+  std::optional<geometry::BoundingBox> plan_world_;
 
   std::atomic<std::size_t> num_shards_{1};
   std::atomic<std::uint64_t> config_epoch_{0};

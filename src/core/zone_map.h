@@ -50,7 +50,7 @@ struct PruneResult {
 /// Every pruned row therefore fails the row-level filter too, so skipping
 /// pruned blocks removes only rows that contribute nothing to any
 /// accumulator — executor results are bit-identical with and without
-/// pruning, at every thread count.
+/// pruning, at every shard count.
 class ZoneMapIndex {
  public:
   /// Validates that the blocks tile [0, total_rows) contiguously and carry

@@ -9,27 +9,6 @@
 
 namespace urbane::ingest {
 
-namespace {
-
-/// The dependency interval a cached answer carries (see QueryCache).
-std::optional<core::QueryCache::TimeInterval> CacheValidTime(
-    const core::FilterSpec& filter) {
-  if (!filter.time_range.has_value()) {
-    return std::nullopt;
-  }
-  return core::QueryCache::TimeInterval{filter.time_range->begin,
-                                        filter.time_range->end};
-}
-
-int CacheResolution(const core::ExecutionMethod method, int resolution) {
-  return (method == core::ExecutionMethod::kBoundedRaster ||
-          method == core::ExecutionMethod::kAccurateRaster)
-             ? resolution
-             : 0;
-}
-
-}  // namespace
-
 const char LiveEngine::kHotTag = 0;
 
 LiveEngine::LiveEngine(LiveTable* table, const data::RegionSet* regions,
@@ -51,8 +30,7 @@ Status LiveEngine::RebuildComponentEngineLocked(Component& component) {
   // union alone differs by the derivation's edge padding).
   raster.world = core::PadCanvasWorld(world_);
   component.engine = std::make_unique<core::SpatialAggregation>(
-      *component.table, *regions_, raster, options_.index_options,
-      options_.exec);
+      *component.table, *regions_, raster, options_.index_options);
   if (component.zone_maps != nullptr) {
     component.engine->AttachZoneMaps(component.zone_maps);
   }
@@ -169,9 +147,7 @@ Status LiveEngine::RefreshLocked(const LiveSnapshot& snapshot) {
 std::uint64_t LiveEngine::CacheKey(const core::AggregationQuery& query,
                                    core::ExecutionMethod method) const {
   return core::QueryCache::Fingerprint(
-      query, method,
-      CacheResolution(method, options_.raster_options.resolution),
-      epoch_.load());
+      query, method, options_.raster_options.resolution, epoch_.load());
 }
 
 StatusOr<core::QueryResult> LiveEngine::ExecuteComposedLocked(
@@ -234,7 +210,7 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteSnapshot(
   URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
                           ExecuteComposedLocked(query, method));
   if (cacheable) {
-    cache_.Insert(key, result, CacheValidTime(query.filter));
+    cache_.Insert(key, result, query.filter);
   }
   return result;
 }

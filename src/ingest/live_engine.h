@@ -19,8 +19,7 @@
 // component's bounds and the region bounds), so raster canvases align
 // bit-for-bit with a stop-the-world engine over the concatenated rows: the
 // ingest-equivalence oracle in tests/ingest/live_engine_test.cc checks
-// bit-identity per executor, aggregate, filter, thread count and shard
-// fan-out.
+// bit-identity per executor, aggregate, filter and shard fan-out.
 //
 // Result caching & watermark semantics: the engine keeps one QueryCache
 // whose keys deliberately exclude the watermark. Appends invalidate by
@@ -52,8 +51,8 @@ namespace urbane::ingest {
 struct LiveEngineOptions {
   core::RasterJoinOptions raster_options;  // world is pinned internally
   core::IndexJoinOptions index_options;
-  core::ExecutionContext exec;
-  /// Shard fan-out applied to every component engine (1 = unsharded).
+  /// Shard fan-out applied to every component engine (1 = unsharded): the
+  /// engine's only parallelism setting.
   std::size_t num_shards = 1;
   /// Result cache bound (0 disables, like the facade's default).
   std::size_t cache_entries = 0;

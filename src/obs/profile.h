@@ -28,8 +28,8 @@
 // component and folds each component's profile into the caller's with
 // QueryProfile::AddComponent.
 //
-// Determinism contract (DESIGN.md §12): for a fixed (thread count, shard
-// count) every structural and counter field of the profile is bit-stable
+// Determinism contract (DESIGN.md §12): for a fixed shard count every
+// structural and counter field of the profile is bit-stable
 // across runs; `*_seconds` fields are wall/CPU measurements and are
 // excluded from the contract. CanonicalizeProfileJson zeroes exactly the
 // measured fields so golden tests can compare whole documents.
@@ -75,12 +75,12 @@ TraceContext GenerateTraceContext();
 
 /// CLOCK_THREAD_CPUTIME_ID in seconds; 0.0 where unsupported. The delta
 /// across a scope is the calling thread's CPU attribution for it — exact
-/// for serial and per-shard execution (each shard pass runs serially on
-/// one pool thread), coordinator-only for intra-executor parallelism.
+/// for an executor's pass and for each shard's pass (every shard runs
+/// serially on one pool thread).
 double ThreadCpuSeconds();
 
 /// One execution's pass costs. Executors accumulate them in a local
-/// record during ExecutePartial (per-worker partials too) and publish it
+/// record during ExecutePartial and publish it
 /// once at the end of the call (core/observe.h), so an executor keeps no
 /// per-query state. Counters are deterministic; seconds are measured.
 struct ProfilePassCosts {
@@ -107,9 +107,9 @@ struct ProfilePassCosts {
   /// Adds another execution's counters and seconds to this one.
   void Add(const ProfilePassCosts& other);
 
-  /// Adds only another execution's counters. Workers and shards run
-  /// concurrently, so their pass times overlap and are not summed; the
-  /// coordinator clocks its own.
+  /// Adds only another execution's counters. Shards run concurrently, so
+  /// their pass times overlap and are not summed; the coordinator clocks
+  /// its own.
   void AddCounters(const ProfilePassCosts& other);
 
   data::JsonValue ToJson() const;
@@ -150,6 +150,7 @@ struct QueryProfile {
 
   /// Executor totals (the pass costs of the execution that ran). For a
   /// sharded execution the counters equal the sum over `shards`.
+  /// `threads_used` is 1 for an executor and M for an M-shard pass.
   std::uint64_t threads_used = 0;
   ProfilePassCosts totals;
 

@@ -12,9 +12,7 @@
 // Determinism: the key is pixel-granular and the sort is stable, so all
 // points of one pixel keep their original row order — per-pixel float
 // accumulation is therefore bit-identical to the unsorted splat, for every
-// blend op. Partitioning a Morton-ordered schedule into contiguous ranges
-// (the parallel splat's partitions) preserves the same property per range,
-// so the existing partition-count determinism contract carries over.
+// blend op.
 //
 // Lifecycle: executors build one order per (dataset, viewport) at Create
 // and reuse it across queries. Executors are themselves rebuilt whenever

@@ -3,60 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "raster/buffer.h"
 #include "raster/kernels.h"
 #include "raster/viewport.h"
-#include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace urbane::raster {
-
-/// Below this many points a parallel splat is not worth the partial-buffer
-/// reduction and runs serially.
-inline constexpr std::size_t kDefaultParallelSplatMinPoints = 1 << 16;
-
-/// How a splat pass is spread over a pool. The default (null pool) is the
-/// serial path, keeping existing callers and benches bit-comparable.
-struct SplatParallelism {
-  ThreadPool* pool = nullptr;
-  /// Number of point partitions (= partial buffers). 0 means one per pool
-  /// worker. The partition count — not the scheduling — determines the
-  /// result, so a run with P partitions is reproducible on any pool size.
-  std::size_t partitions = 0;
-  /// Workload floor under which the serial path is taken.
-  std::size_t min_points = kDefaultParallelSplatMinPoints;
-
-  std::size_t EffectivePartitions() const {
-    if (pool == nullptr) return 1;
-    const std::size_t p = partitions == 0 ? pool->num_threads() : partitions;
-    return p == 0 ? 1 : p;
-  }
-};
-
-/// Neutral element of a blend op: blending the identity into any pixel
-/// leaves it unchanged. Partial buffers are filled with it so the final
-/// reduction is exact for ADD/MIN/MAX. kReplace has no identity (it is
-/// order-dependent) and must not be splatted in parallel.
-template <typename T>
-constexpr T BlendIdentity(BlendOp op) {
-  switch (op) {
-    case BlendOp::kMin:
-      return std::numeric_limits<T>::has_infinity
-                 ? std::numeric_limits<T>::infinity()
-                 : std::numeric_limits<T>::max();
-    case BlendOp::kMax:
-      return std::numeric_limits<T>::has_infinity
-                 ? -std::numeric_limits<T>::infinity()
-                 : std::numeric_limits<T>::lowest();
-    case BlendOp::kAdd:
-    case BlendOp::kReplace:
-      return T{};
-  }
-  return T{};
-}
 
 /// Splats points into an aggregate framebuffer — the software analogue of
 /// rendering a vertex buffer of GL_POINTS with additive blending, which is
@@ -130,157 +83,6 @@ std::size_t SplatIndexed(const std::uint32_t* indices, std::size_t count,
     ++hits;
   }
   return hits;
-}
-
-namespace internal {
-
-/// Shared scaffold of the parallel splat variants: runs `splat_range(p,
-/// begin, end, partial)` for each of P contiguous index ranges on the pool
-/// (each into an identity-filled private buffer), then reduces the partials
-/// into `target` in partition order. Reduction order is fixed, so results
-/// are independent of scheduling; float ADD sums may still differ from the
-/// serial order within 1e-6-relative.
-template <typename T, typename SplatRange>
-std::size_t ReduceParallelSplat(const SplatParallelism& par, const Viewport& vp,
-                                std::size_t count, BlendOp op,
-                                SplatRange&& splat_range, Buffer2D<T>& target) {
-  URBANE_CHECK(op != BlendOp::kReplace)
-      << "BlendOp::kReplace has no identity element and is order-dependent; "
-         "it cannot be splatted through partial-buffer reduction";
-  const std::size_t parts = par.EffectivePartitions();
-  std::vector<Buffer2D<T>> partials;
-  std::vector<std::size_t> partial_hits(parts, 0);
-  partials.reserve(parts);
-  const T identity = BlendIdentity<T>(op);
-  for (std::size_t p = 0; p < parts; ++p) {
-    partials.emplace_back(vp.width(), vp.height(), identity);
-  }
-  const std::size_t chunk = (count + parts - 1) / parts;
-  ThreadPool::Batch batch = par.pool->CreateBatch();
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t begin = p * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    if (begin >= end) break;
-    batch.Submit([&splat_range, &partials, &partial_hits, p, begin, end] {
-      partial_hits[p] = splat_range(p, begin, end, partials[p]);
-    });
-  }
-  batch.Wait();
-  std::size_t hits = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    hits += partial_hits[p];
-    const std::vector<T>& src = partials[p].data();
-    std::vector<T>& dst = target.data();
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      ApplyBlend(op, dst[i], src[i]);
-    }
-  }
-  return hits;
-}
-
-}  // namespace internal
-
-/// Parallel splat: partitions the points across the pool, each worker
-/// accumulating into a private identity-filled buffer, then reduces with
-/// the blend op. Valid only for the commutative/associative ops (kAdd,
-/// kMin, kMax): requesting parallelism for kReplace is a hard error — its
-/// result depends on splat order, which a partial-buffer reduction cannot
-/// reproduce. A null pool or a workload under `par.min_points` runs serial.
-template <typename T, typename WeightFn>
-std::size_t ParallelSplatPoints(const SplatParallelism& par, const Viewport& vp,
-                                const float* xs, const float* ys,
-                                std::size_t count, BlendOp op,
-                                WeightFn&& weight, Buffer2D<T>& target) {
-  URBANE_CHECK(op != BlendOp::kReplace || par.EffectivePartitions() <= 1)
-      << "BlendOp::kReplace is order-dependent and must not be splatted in "
-         "parallel";
-  if (par.EffectivePartitions() <= 1 || count < par.min_points) {
-    return SplatPoints(vp, xs, ys, count, op, weight, target);
-  }
-  return internal::ReduceParallelSplat(
-      par, vp, count, op,
-      [&](std::size_t, std::size_t begin, std::size_t end,
-          Buffer2D<T>& partial) {
-        return SplatPoints(vp, xs + begin, ys + begin, end - begin, op,
-                           [&](std::size_t i) { return weight(begin + i); },
-                           partial);
-      },
-      target);
-}
-
-/// Back-compat convenience: pool-only parallelism spec.
-template <typename T, typename WeightFn>
-std::size_t ParallelSplatPoints(ThreadPool* pool, const Viewport& vp,
-                                const float* xs, const float* ys,
-                                std::size_t count, BlendOp op,
-                                WeightFn&& weight, Buffer2D<T>& target) {
-  SplatParallelism par;
-  par.pool = pool;
-  return ParallelSplatPoints(par, vp, xs, ys, count, op, weight, target);
-}
-
-/// Parallel variant of SplatPointsSubset: the subset (not the full table)
-/// is partitioned, so executors that splat filtered row subsets scale with
-/// the surviving points. `weight(i)` receives original row ids, exactly as
-/// in the serial subset splat.
-template <typename T, typename WeightFn>
-std::size_t ParallelSplatPointsSubset(const SplatParallelism& par,
-                                      const Viewport& vp, const float* xs,
-                                      const float* ys,
-                                      const std::vector<std::uint32_t>& subset,
-                                      BlendOp op, WeightFn&& weight,
-                                      Buffer2D<T>& target) {
-  URBANE_CHECK(op != BlendOp::kReplace || par.EffectivePartitions() <= 1)
-      << "BlendOp::kReplace is order-dependent and must not be splatted in "
-         "parallel";
-  if (par.EffectivePartitions() <= 1 || subset.size() < par.min_points) {
-    return SplatPointsSubset(vp, xs, ys, subset, op, weight, target);
-  }
-  return internal::ReduceParallelSplat(
-      par, vp, subset.size(), op,
-      [&](std::size_t, std::size_t begin, std::size_t end,
-          Buffer2D<T>& partial) {
-        std::size_t hits = 0;
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::uint32_t i = subset[k];
-          int ix;
-          int iy;
-          if (!vp.PixelForPoint({xs[i], ys[i]}, ix, iy)) {
-            continue;
-          }
-          ApplyBlend(op, partial.at(ix, iy), static_cast<T>(weight(i)));
-          ++hits;
-        }
-        return hits;
-      },
-      target);
-}
-
-/// Parallel SplatIndexed: partitions are contiguous ranges of the index
-/// array — Morton ranges when the schedule is Morton-ordered — each into an
-/// identity-filled partial, reduced in partition order. `weight(k)` receives
-/// positions of the full array, as in the serial form.
-template <typename T, typename WeightFn>
-std::size_t ParallelSplatIndexed(const SplatParallelism& par,
-                                 const Viewport& vp,
-                                 const std::uint32_t* indices,
-                                 std::size_t count, BlendOp op,
-                                 WeightFn&& weight, Buffer2D<T>& target) {
-  URBANE_CHECK(op != BlendOp::kReplace || par.EffectivePartitions() <= 1)
-      << "BlendOp::kReplace is order-dependent and must not be splatted in "
-         "parallel";
-  if (par.EffectivePartitions() <= 1 || count < par.min_points) {
-    return SplatIndexed(indices, count, op, weight, target);
-  }
-  return internal::ReduceParallelSplat(
-      par, vp, count, op,
-      [&](std::size_t, std::size_t begin, std::size_t end,
-          Buffer2D<T>& partial) {
-        return SplatIndexed(indices + begin, end - begin, op,
-                            [&](std::size_t k) { return weight(begin + k); },
-                            partial);
-      },
-      target);
 }
 
 }  // namespace urbane::raster

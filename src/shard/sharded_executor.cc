@@ -13,12 +13,6 @@ namespace urbane::shard {
 
 namespace {
 
-/// The per-shard inner context: always serial. Shard-level concurrency is
-/// the only parallelism in a sharded pass, so the shard partials — and
-/// therefore the merged result — depend on the shard plan alone, never on
-/// how many workers the pool happens to have.
-core::ExecutionContext SerialContext() { return core::ExecutionContext(); }
-
 Status ValidateExplicitShards(const std::vector<core::RowRange>& shards,
                               std::uint64_t rows) {
   std::uint64_t expect = 0;
@@ -50,29 +44,24 @@ StatusOr<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   std::unique_ptr<core::SpatialAggregationExecutor> inner;
   switch (method) {
     case core::ExecutionMethod::kScan: {
-      URBANE_ASSIGN_OR_RETURN(
-          inner, core::ScanJoin::Create(points, regions, SerialContext()));
+      URBANE_ASSIGN_OR_RETURN(inner, core::ScanJoin::Create(points, regions));
       break;
     }
     case core::ExecutionMethod::kIndexJoin: {
-      core::IndexJoinOptions opts = index_options;
-      opts.exec = SerialContext();
-      URBANE_ASSIGN_OR_RETURN(inner,
-                              core::IndexJoin::Create(points, regions, opts));
+      URBANE_ASSIGN_OR_RETURN(
+          inner, core::IndexJoin::Create(points, regions, index_options));
       break;
     }
     case core::ExecutionMethod::kBoundedRaster: {
-      core::RasterJoinOptions opts = raster_options;
-      opts.exec = SerialContext();
       URBANE_ASSIGN_OR_RETURN(
-          inner, core::BoundedRasterJoin::Create(points, regions, opts));
+          inner,
+          core::BoundedRasterJoin::Create(points, regions, raster_options));
       break;
     }
     case core::ExecutionMethod::kAccurateRaster: {
-      core::RasterJoinOptions opts = raster_options;
-      opts.exec = SerialContext();
       URBANE_ASSIGN_OR_RETURN(
-          inner, core::AccurateRasterJoin::Create(points, regions, opts));
+          inner,
+          core::AccurateRasterJoin::Create(points, regions, raster_options));
       break;
     }
   }

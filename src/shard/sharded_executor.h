@@ -7,13 +7,13 @@
 #include <vector>
 
 #include "core/accurate_join.h"
-#include "core/execution_context.h"
 #include "core/index_join.h"
 #include "core/planner.h"
 #include "core/query.h"
 #include "core/raster_join.h"
 #include "core/scan_join.h"
 #include "shard/shard_plan.h"
+#include "util/thread_pool.h"
 
 namespace urbane::shard {
 
@@ -78,18 +78,18 @@ struct ShardedExecutorOptions {
 /// `exec.sharded.*` are folded from those slots in shard-index order.
 ///
 /// Determinism contract (DESIGN.md §11): for a fixed shard count the result
-/// is reproducible on any pool size and any completion order. COUNT and
+/// is reproducible on any pool size and any completion order, because each
+/// shard's pass is serial and the gather merges in shard order. COUNT and
 /// MIN/MAX are bit-identical to the unsharded executor at every M; float
 /// SUM/AVG merge per-shard partial sums in shard order, so they are
 /// bit-identical whenever double addition over the data is exact (the
 /// conformance suite constructs such data to pin the merge order) and
-/// within summation-reorder noise otherwise — the same contract
-/// ExecutionContext documents for thread partitioning.
+/// within summation-reorder noise (1e-6 relative) otherwise.
 class ShardedExecutor : public core::SpatialAggregationExecutor {
  public:
-  /// Builds the one inner executor for `method`. The raster/index options
-  /// are taken as configured EXCEPT their ExecutionContext, which is
-  /// forced serial — parallelism lives at the shard level.
+  /// Builds the one inner executor for `method` from the raster/index
+  /// options as configured. Executors are serial, so shards are the only
+  /// parallelism in a sharded pass.
   static StatusOr<std::unique_ptr<ShardedExecutor>> Create(
       const data::PointTable& points, const data::RegionSet& regions,
       core::ExecutionMethod method, const ShardedExecutorOptions& options,

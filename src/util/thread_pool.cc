@@ -40,7 +40,6 @@ void ThreadPool::Batch::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(pool_->mutex_);
     pool_->queue_.push_back({std::move(task), state_});
     ++state_->pending;
-    ++pool_->in_flight_;
   }
   pool_->work_available_.notify_one();
   // A Wait() sleeping on this batch must wake to help with the new task
@@ -77,30 +76,10 @@ void ThreadPool::Batch::Wait() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    queue_.push_back({std::move(task), nullptr});
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::FinishTaskLocked(const std::shared_ptr<BatchState>& batch) {
-  --in_flight_;
-  if (in_flight_ == 0) {
-    all_done_.notify_all();
-  }
-  if (batch != nullptr) {
-    --batch->pending;
-    if (batch->pending == 0) {
-      batch->done.notify_all();
-    }
+  --batch->pending;
+  if (batch->pending == 0) {
+    batch->done.notify_all();
   }
 }
 
@@ -123,28 +102,6 @@ void ThreadPool::WorkerLoop() {
       FinishTaskLocked(entry.batch);
     }
   }
-}
-
-void ParallelFor(ThreadPool* pool, std::size_t count,
-                 const std::function<void(std::size_t, std::size_t)>& body,
-                 std::size_t min_chunk) {
-  if (count == 0) {
-    return;
-  }
-  const std::size_t workers = pool == nullptr ? 1 : pool->num_threads();
-  if (workers <= 1 || count <= min_chunk) {
-    body(0, count);
-    return;
-  }
-  // Aim for a few chunks per worker for load balance, but respect min_chunk.
-  const std::size_t target_chunks = workers * 4;
-  std::size_t chunk = std::max(min_chunk, (count + target_chunks - 1) / target_chunks);
-  ThreadPool::Batch batch = pool->CreateBatch();
-  for (std::size_t begin = 0; begin < count; begin += chunk) {
-    const std::size_t end = std::min(count, begin + chunk);
-    batch.Submit([&body, begin, end] { body(begin, end); });
-  }
-  batch.Wait();
 }
 
 ThreadPool* DefaultThreadPool() {

@@ -13,18 +13,17 @@
 
 namespace urbane {
 
-/// Fixed-size worker pool. Tasks are `std::function<void()>`.
+/// Fixed-size worker pool. Tasks are `std::function<void()>`, submitted
+/// through a `Batch` — a wait token scoping a group of tasks.
+/// `Batch::Wait()` blocks only on that group, so concurrent callers sharing
+/// one pool never wait on each other's work, and a task may submit-then-wait
+/// a nested batch without deadlocking (the waiter executes its own queued
+/// tasks while it waits).
 ///
-/// Two waiting granularities exist:
-///  * `Batch` — a wait token scoping a group of tasks. `Batch::Wait()`
-///    blocks only on that group, so concurrent callers sharing one pool
-///    never wait on each other's work, and a task may submit-then-wait a
-///    nested batch without deadlocking (the waiter executes its own
-///    queued tasks while it waits).
-///  * pool-wide `Submit()`/`Wait()` — legacy drain of everything.
-///
-/// The software rasterizer uses this to mimic the GPU's parallel fragment
-/// processing: each render tile / point partition becomes one task.
+/// The sharded executor scatters one task per row-range shard onto a pool,
+/// the software stand-in for the GPU's parallel fragment processing;
+/// concurrent sharded queries share the default pool through their own
+/// batches.
 class ThreadPool {
  public:
   struct BatchState;
@@ -64,18 +63,10 @@ class ThreadPool {
   /// Creates an independent wait token.
   Batch CreateBatch();
 
-  /// Enqueues a batch-less task. Never blocks.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task — all batches plus batch-less
-  /// tasks — has completed. Prefer `Batch::Wait()` when several callers
-  /// share the pool.
-  void Wait();
-
  private:
   struct TaskEntry {
     std::function<void()> fn;
-    std::shared_ptr<BatchState> batch;  // null for batch-less tasks
+    std::shared_ptr<BatchState> batch;
   };
 
   void WorkerLoop();
@@ -86,19 +77,8 @@ class ThreadPool {
   std::deque<TaskEntry> queue_;
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
-
-/// Splits `[0, count)` into contiguous chunks and runs
-/// `body(begin, end)` for each chunk on the pool, blocking until done.
-/// With a null pool (or a single worker and small `count`) runs inline.
-/// Each call uses its own `Batch`, so concurrent ParallelFor callers on
-/// one pool do not wait on each other.
-void ParallelFor(ThreadPool* pool, std::size_t count,
-                 const std::function<void(std::size_t, std::size_t)>& body,
-                 std::size_t min_chunk = 1024);
 
 /// Returns a lazily-constructed process-wide pool sized to the hardware.
 ThreadPool* DefaultThreadPool();

@@ -18,7 +18,6 @@
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "testing/test_worlds.h"
-#include "util/thread_pool.h"
 
 namespace urbane::core {
 namespace {
@@ -158,9 +157,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Observability must be a pure observer: with metrics enabled and a
 // QueryProfile attached, every executor returns bit-identical results to
-// the obs-off run — at 1 and at 4 threads. Guards against instrumentation
-// accidentally perturbing execution (reordered reductions, skipped work,
-// shared state).
+// the obs-off run — unsharded and at 4 shards. Guards against
+// instrumentation accidentally perturbing execution (reordered reductions,
+// skipped work, shared state).
 TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
   const auto points = testing::MakeUniformPoints(12'000, 424242);
   const data::RegionSet regions = testing::MakeRandomRegions(8, 424242 ^ 0xBEEF);
@@ -174,16 +173,9 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
       ExecutionMethod::kBoundedRaster, ExecutionMethod::kAccurateRaster};
 
   const bool metrics_was = obs::MetricsEnabled();
-  ThreadPool pool(4);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ExecutionContext exec;
-    if (threads > 1) {
-      exec.pool = &pool;
-      exec.num_threads = threads;
-      exec.min_parallel_points = 1;  // small world: force real partitioning
-    }
-    SpatialAggregation engine(points, regions, RasterJoinOptions(),
-                              IndexJoinOptions(), exec);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SpatialAggregation engine(points, regions);
+    engine.set_num_shards(shards);
     for (const ExecutionMethod method : methods) {
       obs::SetMetricsEnabled(false);
       const auto baseline = engine.Execute(query, method);
@@ -202,23 +194,23 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
         const double got = observed->values[r];
         if (std::isnan(expect)) {
           EXPECT_TRUE(std::isnan(got))
-              << ExecutionMethodToString(method) << " threads=" << threads
+              << ExecutionMethodToString(method) << " shards=" << shards
               << " region " << r;
         } else {
           EXPECT_EQ(got, expect)  // bitwise, not NEAR
-              << ExecutionMethodToString(method) << " threads=" << threads
+              << ExecutionMethodToString(method) << " shards=" << shards
               << " region " << r;
         }
         EXPECT_EQ(observed->counts[r], baseline->counts[r])
-            << ExecutionMethodToString(method) << " threads=" << threads
+            << ExecutionMethodToString(method) << " shards=" << shards
             << " region " << r;
       }
 
-      // The profile actually recorded the execution it observed, at the
-      // facade-level thread count.
-      EXPECT_EQ(profile.method, ExecutionMethodToString(method));
-      EXPECT_EQ(profile.threads_used, threads)
-          << ExecutionMethodToString(method);
+      // The profile actually recorded the execution it observed: the plain
+      // executor (one thread) or the sharded pass (one thread per shard).
+      const std::string name = ExecutionMethodToString(method);
+      EXPECT_EQ(profile.method, shards > 1 ? "sharded-" + name : name);
+      EXPECT_EQ(profile.threads_used, shards) << name;
       EXPECT_GT(profile.totals.points_scanned, 0u)
           << ExecutionMethodToString(method);
     }

@@ -41,6 +41,9 @@ TEST(QueryCacheFingerprintTest, EveryKeyComponentSplitsTheKey) {
   // Canvas resolution (the ε axis — the headline stale-ε bug).
   EXPECT_NE(key, QueryCache::Fingerprint(base, ExecutionMethod::kBoundedRaster,
                                          1024, 7));
+  // ... which shapes only raster answers: a scan key ignores it.
+  EXPECT_EQ(QueryCache::Fingerprint(base, ExecutionMethod::kScan, 512, 7),
+            QueryCache::Fingerprint(base, ExecutionMethod::kScan, 1024, 7));
   // Executor-config epoch.
   EXPECT_NE(key, QueryCache::Fingerprint(base, ExecutionMethod::kBoundedRaster,
                                          512, 8));

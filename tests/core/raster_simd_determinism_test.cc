@@ -1,5 +1,5 @@
 // The SIMD level must be invisible in results: for both raster executors,
-// every aggregate, and 1 or 4 worker threads, running with URBANE_SIMD=off
+// every aggregate, unsharded or at 4 shards, running with URBANE_SIMD=off
 // must reproduce the SSE2/AVX2 runs bit for bit — values, counts and error
 // bounds. The kernels are specified in integer / IEEE-754 terms that do not
 // depend on lane count, and executors rebuild their caches per Create, so a
@@ -15,6 +15,7 @@
 #include "core/accurate_join.h"
 #include "core/raster_join.h"
 #include "raster/simd.h"
+#include "shard/sharded_executor.h"
 #include "testing/test_worlds.h"
 #include "util/thread_pool.h"
 
@@ -52,16 +53,32 @@ struct SimdDetConfig {
   }
 };
 
+/// Runs `query` on a fresh raster executor at `level`: the plain executor
+/// when `shards` is 1, else a ShardedExecutor of that many row-range shards
+/// scattered onto `pool`.
 StatusOr<QueryResult> RunAtLevel(const SimdDetConfig& config,
                                  raster::SimdLevel level,
                                  const data::PointTable& points,
                                  const data::RegionSet& regions,
                                  const AggregationQuery& query,
-                                 const ExecutionContext& exec) {
+                                 std::size_t shards = 1,
+                                 ThreadPool* pool = nullptr) {
   ScopedSimdLevel scoped(level);
   RasterJoinOptions options;
   options.resolution = 128;
-  options.exec = exec;
+  if (shards > 1) {
+    shard::ShardedExecutorOptions shard_options;
+    shard_options.num_shards = shards;
+    shard_options.pool = pool;
+    URBANE_ASSIGN_OR_RETURN(
+        auto join,
+        shard::ShardedExecutor::Create(
+            points, regions,
+            config.accurate ? ExecutionMethod::kAccurateRaster
+                            : ExecutionMethod::kBoundedRaster,
+            shard_options, options));
+    return join->Execute(query);
+  }
   if (config.accurate) {
     URBANE_ASSIGN_OR_RETURN(
         auto join, AccurateRasterJoin::Create(points, regions, options));
@@ -108,22 +125,15 @@ TEST_P(RasterSimdDeterminismTest, LevelsProduceBitIdenticalResults) {
   // covers the Z-ordered splat path too.
   query.filter.WithTime(5000, 82000);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ThreadPool pool(threads);
-    ExecutionContext exec;
-    if (threads > 1) {
-      exec.pool = &pool;
-      exec.num_threads = threads;
-      exec.min_parallel_points = 1;
-    }
-
+  ThreadPool pool(4);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
     const auto reference = RunAtLevel(config, raster::SimdLevel::kOff,
-                                      points, regions, query, exec);
+                                      points, regions, query, shards, &pool);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const raster::SimdLevel level : AvailableLevels()) {
       const auto result =
-          RunAtLevel(config, level, points, regions, query, exec);
+          RunAtLevel(config, level, points, regions, query, shards, &pool);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectBitIdentical(*result, *reference, raster::SimdLevelName(level));
     }
@@ -163,12 +173,11 @@ TEST(RasterSimdDeterminismTest, SparseSelectionLevelsAgree) {
   query.filter.WithTime(1000, 9000);  // ~9% selectivity: gate closed
 
   const SimdDetConfig bounded{false, AggregateKind::kSum};
-  const auto reference = RunAtLevel(bounded, raster::SimdLevel::kOff, points,
-                                    regions, query, ExecutionContext());
+  const auto reference =
+      RunAtLevel(bounded, raster::SimdLevel::kOff, points, regions, query);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (const raster::SimdLevel level : AvailableLevels()) {
-    const auto result = RunAtLevel(bounded, level, points, regions, query,
-                                   ExecutionContext());
+    const auto result = RunAtLevel(bounded, level, points, regions, query);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectBitIdentical(*result, *reference, raster::SimdLevelName(level));
   }

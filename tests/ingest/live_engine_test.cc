@@ -1,7 +1,7 @@
 // Ingest-equivalence oracle (ISSUE 10 acceptance): at every stage of an
 // append/seal/flush/compact interleaving, a LiveEngine's snapshot-composed
-// answer must be BIT-identical — per executor, aggregate, filter, thread
-// count and shard fan-out — to a stop-the-world SpatialAggregation rebuilt
+// answer must be BIT-identical — per executor, aggregate, filter and shard
+// fan-out — to a stop-the-world SpatialAggregation rebuilt
 // over the same rows concatenated in canonical order (base, runs in
 // generation order, hot). The dyadic world (v = k/256) makes every double
 // sum exact, so "equal" is a NaN-aware byte compare, not a tolerance.
@@ -149,7 +149,6 @@ void ExpectBitIdentical(const core::QueryResult& live,
 }
 
 struct OracleConfig {
-  std::size_t threads = 1;
   std::size_t shards = 1;
   bool store_backed_base = false;
   const char* name = "";
@@ -198,13 +197,8 @@ TEST_P(LiveEngineOracleTest, MatchesStopTheWorldRebuildAtEveryStage) {
       LiveTable::Open(dir, VSchema(), base, base_zone_maps, ingest_options);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
 
-  core::ExecutionContext exec;
-  exec.num_threads = config.threads;
-  exec.min_parallel_points = 1;  // parallelize even these small components
-
   LiveEngineOptions options;
   options.raster_options = SmallCanvas();
-  options.exec = exec;
   options.num_shards = config.shards;
   LiveEngine live(table->get(), &regions, options);
 
@@ -212,8 +206,7 @@ TEST_P(LiveEngineOracleTest, MatchesStopTheWorldRebuildAtEveryStage) {
     const LiveSnapshot snapshot = (*table)->Snapshot();
     const data::PointTable rebuilt_rows = ConcatSnapshot(snapshot);
     ASSERT_EQ(rebuilt_rows.size(), snapshot.watermark);
-    core::SpatialAggregation rebuilt(rebuilt_rows, regions, SmallCanvas(),
-                                     core::IndexJoinOptions(), exec);
+    core::SpatialAggregation rebuilt(rebuilt_rows, regions, SmallCanvas());
     for (core::ExecutionMethod method : kAllMethods) {
       for (const core::AggregateSpec& aggregate : AllAggregates()) {
         std::size_t filter_index = 0;
@@ -261,9 +254,8 @@ TEST_P(LiveEngineOracleTest, MatchesStopTheWorldRebuildAtEveryStage) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, LiveEngineOracleTest,
-    ::testing::Values(OracleConfig{1, 1, false, "serial"},
-                      OracleConfig{1, 4, true, "sharded_store"},
-                      OracleConfig{4, 4, true, "threaded_sharded_store"}),
+    ::testing::Values(OracleConfig{1, false, "serial"},
+                      OracleConfig{4, true, "sharded_store"}),
     [](const ::testing::TestParamInfo<OracleConfig>& info) {
       return info.param.name;
     });

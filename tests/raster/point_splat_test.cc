@@ -95,26 +95,17 @@ TEST(SplatPointsTest, TotalMassConserved) {
   EXPECT_EQ(total, n);
 }
 
-TEST(ParallelSplatTest, MatchesSerialSplat) {
-  Rng rng(13);
-  const std::size_t n = 1 << 17;  // above the parallel threshold
-  std::vector<float> xs(n);
-  std::vector<float> ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = static_cast<float>(rng.NextDouble(0.0, 50.0));
-    ys[i] = static_cast<float>(rng.NextDouble(0.0, 50.0));
-  }
-  const Viewport vp(BoundingBox(0, 0, 50.001, 50.001), 64, 64);
-  Buffer2D<std::uint32_t> serial(64, 64, 0);
-  SplatPoints(vp, xs.data(), ys.data(), n, BlendOp::kAdd,
-              [](std::size_t) { return 1u; }, serial);
-  ThreadPool pool(4);
-  Buffer2D<std::uint32_t> parallel(64, 64, 0);
-  const std::size_t hits = ParallelSplatPoints(
-      &pool, vp, xs.data(), ys.data(), n, BlendOp::kAdd,
-      [](std::size_t) { return 1u; }, parallel);
-  EXPECT_EQ(hits, n);
-  EXPECT_EQ(serial.data(), parallel.data());
+// kReplace is order-dependent: the splat keeps the last write per pixel.
+TEST(SplatPointsTest, ReplaceKeepsLastWrite) {
+  const Viewport vp(BoundingBox(0, 0, 8, 8), 8, 8);
+  const std::vector<float> xs = {1.5f, 1.5f};
+  const std::vector<float> ys = {2.5f, 2.5f};
+  Buffer2D<float> target(8, 8, 0.0f);
+  const std::size_t hits =
+      SplatPoints(vp, xs.data(), ys.data(), xs.size(), BlendOp::kReplace,
+                  [](std::size_t i) { return 3.0f + i; }, target);
+  EXPECT_EQ(hits, 2u);
+  EXPECT_EQ(target.at(1, 2), 4.0f);  // last write wins
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "raster/tile_raster.h"
 #include "raster/viewport.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace urbane::raster {
 namespace {
@@ -379,45 +378,6 @@ TEST(MortonSplat, PerPixelAggregatesBitIdenticalPerBlendOp) {
                  morton);
     ExpectBuffersBitEqual(row_order, morton);
   }
-}
-
-// ---------------------------------------------------------------------------
-// BlendOp::kReplace cannot be splatted in parallel — hard error.
-// ---------------------------------------------------------------------------
-
-using ParallelSplatDeathTest = ::testing::Test;
-
-TEST(ParallelSplatDeathTest, ReplaceWithPartitionsAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const Viewport vp = LatticeCanvas(8, 8);
-  std::vector<float> xs(16, 1.5f);
-  std::vector<float> ys(16, 2.5f);
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        SplatParallelism par;
-        par.pool = &pool;
-        par.min_points = 0;
-        Buffer2D<float> target(8, 8, 0.0f);
-        ParallelSplatPoints(par, vp, xs.data(), ys.data(), xs.size(),
-                            BlendOp::kReplace,
-                            [](std::size_t) { return 1.0f; }, target);
-      },
-      "kReplace");
-}
-
-TEST(ParallelSplatDeathTest, ReplaceSerialStillWorks) {
-  // The guard rejects parallel kReplace only; the serial path (no pool)
-  // keeps its historical behavior.
-  const Viewport vp = LatticeCanvas(8, 8);
-  std::vector<float> xs = {1.5f, 1.5f};
-  std::vector<float> ys = {2.5f, 2.5f};
-  Buffer2D<float> target(8, 8, 0.0f);
-  const std::size_t hits = ParallelSplatPoints(
-      SplatParallelism(), vp, xs.data(), ys.data(), xs.size(),
-      BlendOp::kReplace, [](std::size_t i) { return 3.0f + i; }, target);
-  EXPECT_EQ(hits, 2u);
-  EXPECT_EQ(target.at(1, 2), 4.0f);  // last write wins
 }
 
 }  // namespace

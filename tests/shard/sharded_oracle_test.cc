@@ -4,8 +4,9 @@
 // values k/256, every double sum exact — "equal" is literal bit-identity
 // (NaN-aware byte compare, including float SUM/AVG and the bounded
 // raster's error bounds). On a random-float world the contract is the
-// house one (execution_context.h): reproducible at a fixed shard count on
-// any pool, and within 1e-6-relative of the serial summation order.
+// one ShardedExecutor documents (DESIGN.md §11): reproducible at a fixed
+// shard count on any pool, and within 1e-6-relative of the unsharded
+// summation order.
 #include <gtest/gtest.h>
 
 #include <cmath>

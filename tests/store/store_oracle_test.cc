@@ -2,7 +2,7 @@
 // BIT-IDENTICAL results when the points come from a store (the mmap view,
 // or the owning copy the reader falls back to when it cannot map the file,
 // each with zone-map pruning attached) instead of an owning in-memory
-// table — at 1 and at 4 threads. This is the contract that makes the
+// table — unsharded and at 4 shards. This is the contract that makes the
 // out-of-core path a drop-in substitute: not "close", equal.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "store/store_writer.h"
 #include "testing/test_worlds.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace urbane::store {
 namespace {
@@ -93,27 +92,26 @@ void ExpectBitIdentical(const core::QueryResult& store_result,
 
 TEST(StoreOracleTest, EveryMethodAndAggregateBitIdenticalFromDiskBlocks) {
   auto oracle = MakeOracle("oracle_methods.ust");
-  ThreadPool pool(4);
   const core::ExecutionMethod methods[] = {
       core::ExecutionMethod::kScan, core::ExecutionMethod::kIndexJoin,
       core::ExecutionMethod::kBoundedRaster,
       core::ExecutionMethod::kAccurateRaster};
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    core::ExecutionContext exec;
-    if (threads > 1) {
-      exec.pool = &pool;
-      exec.num_threads = threads;
-      exec.min_parallel_points = 1;  // 20k rows must actually parallelize
-    }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     // The store-backed engine queries the mmap view with zone maps
     // attached; the oracle engine queries an owning copy of the same rows.
-    core::SpatialAggregation store_engine(oracle->view, oracle->regions,
-                                          core::RasterJoinOptions(),
-                                          core::IndexJoinOptions(), exec);
+    core::SpatialAggregation store_engine(oracle->view, oracle->regions);
     store_engine.AttachZoneMaps(&oracle->reader->zone_maps());
-    core::SpatialAggregation memory_engine(
-        oracle->materialized, oracle->regions, core::RasterJoinOptions(),
-        core::IndexJoinOptions(), exec);
+    store_engine.set_num_shards(shards);
+    core::SpatialAggregation memory_engine(oracle->materialized,
+                                           oracle->regions);
+    if (shards > 1) {
+      // Zone maps make the shard plan block-aligned, and float SUM/AVG
+      // depend on the plan: the copy's rows are in store order, so the
+      // reader's zone maps describe it too and give both engines one plan.
+      // The unsharded round keeps the unpruned in-memory engine.
+      memory_engine.AttachZoneMaps(&oracle->reader->zone_maps());
+    }
+    memory_engine.set_num_shards(shards);
     for (const core::ExecutionMethod method : methods) {
       for (const core::AggregateSpec& aggregate : AllAggregates()) {
         for (const core::FilterSpec& filter : OracleFilters()) {
@@ -126,8 +124,8 @@ TEST(StoreOracleTest, EveryMethodAndAggregateBitIdenticalFromDiskBlocks) {
           ASSERT_TRUE(from_memory.ok()) << from_memory.status().ToString();
           const std::string what =
               std::string(core::ExecutionMethodToString(method)) + "/" +
-              core::AggregateKindToString(aggregate.kind) + "/t" +
-              std::to_string(threads);
+              core::AggregateKindToString(aggregate.kind) + "/m" +
+              std::to_string(shards);
           ExpectBitIdentical(*from_store, *from_memory, what.c_str());
         }
       }

@@ -4,83 +4,15 @@
 
 #include <atomic>
 #include <future>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 namespace urbane {
 namespace {
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, MultipleWaitCycles) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardware) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
-}
-
-TEST(ParallelForTest, CoversFullRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(10000);
-  ParallelFor(&pool, touched.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      touched[i].fetch_add(1);
-    }
-  });
-  for (const auto& t : touched) {
-    EXPECT_EQ(t.load(), 1);
-  }
-}
-
-TEST(ParallelForTest, NullPoolRunsInline) {
-  int count = 0;
-  ParallelFor(nullptr, 100,
-              [&](std::size_t begin, std::size_t end) {
-                count += static_cast<int>(end - begin);
-              });
-  EXPECT_EQ(count, 100);
-}
-
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  ParallelFor(&pool, 0, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, SmallCountRunsInline) {
-  ThreadPool pool(4);
-  std::size_t total = 0;  // safe: inline path runs on this thread
-  ParallelFor(
-      &pool, 10,
-      [&](std::size_t begin, std::size_t end) { total += end - begin; },
-      /*min_chunk=*/1024);
-  EXPECT_EQ(total, 10u);
 }
 
 TEST(ThreadPoolBatchTest, WaitScopedToOwnTasks) {
@@ -107,19 +39,24 @@ TEST(ThreadPoolBatchTest, BatchIsReusableAfterWait) {
   }
 }
 
-// Regression: with the old pool-wide in_flight_ counter, two ParallelFor
-// callers sharing one pool would each block until BOTH finished. Each
-// caller's Wait must scope to its own chunks only.
-TEST(ThreadPoolBatchTest, ConcurrentParallelForCallersDoNotEntangle) {
+// Regression: with the old pool-wide in-flight counter, two callers
+// sharing one pool would each block until BOTH finished. Each caller's
+// Wait must scope to its own tasks only — concurrent sharded queries on
+// the default pool rely on exactly that.
+TEST(ThreadPoolBatchTest, ConcurrentBatchCallersDoNotEntangle) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
   auto caller = [&] {
     for (int round = 0; round < 20; ++round) {
-      ParallelFor(&pool, 2048,
-                  [&](std::size_t begin, std::size_t end) {
-                    total.fetch_add(static_cast<int>(end - begin));
-                  },
-                  /*min_chunk=*/64);
+      ThreadPool::Batch batch = pool.CreateBatch();
+      std::atomic<int> mine{0};
+      for (int task = 0; task < 32; ++task) {
+        batch.Submit([&mine] { mine.fetch_add(64); });
+      }
+      batch.Wait();
+      // Every task of this caller's batch has finished once Wait returns.
+      EXPECT_EQ(mine.load(), 32 * 64);
+      total.fetch_add(mine.load());
     }
   };
   std::thread a(caller);

@@ -4,7 +4,6 @@
 # Default mode is the TSan gate for the concurrent query path: builds the
 # test suite with -DURBANE_SANITIZE=thread and runs the suites that
 # exercise cross-thread behavior:
-#   * the parallel-executor determinism suite (parallel == serial),
 #   * the shared-engine concurrency tests (N sessions on one facade) and
 #     the shared-executor concurrency tests (N threads on one instance of
 #     each executor: executors are immutable after Create, so any
@@ -19,7 +18,7 @@
 #   * the query-server suites (concurrent HTTP round trips, admission
 #     control, graceful drain, per-request deadlines, a half-open client
 #     beside /healthz scrapes) and the net substrate,
-#   * the block-store suites: the store-vs-in-memory oracle (4-thread
+#   * the block-store suites: the store-vs-in-memory oracle (4-shard
 #     reads of a memory-mapped store, and the pread fallback copy), plus
 #     the corrupt-file corpus so the hardened I/O layer is swept by the
 #     sanitizer too,
@@ -119,7 +118,7 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" \
 URBANE_SIMD=off \
 TSAN_OPTIONS="halt_on_error=1 abort_on_error=1${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}" \
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'ParallelDeterminism|EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|StoreOracle|StoreCorruption|StoreTruncation' \
+  -R 'EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|StoreOracle|StoreCorruption|StoreTruncation' \
   "$@"
 
 # The adversarial-interleaving merge suite and the rest of the shard layer
