@@ -1,8 +1,8 @@
 // T2 — memory footprint and preprocessing time per method (Raster Join
-// evaluation): the raster joins need no point index (the bounded variant
-// keeps only a canvas-sized stamp buffer); the index baseline pays an O(P)
-// build and O(P) memory; the accurate variant's pixel index is also O(P)
-// but built once per canvas.
+// evaluation): the raster joins need no point index — their auxiliary
+// memory is the Morton splat order (O(P), built once per canvas) and the
+// per-region sweep spans, and the accurate variant adds one point run per
+// boundary pixel; the index baseline pays an O(P) build and O(P) memory.
 #include <cstdio>
 
 #include "bench/harness.h"

@@ -1,8 +1,11 @@
 #include "core/accurate_join.h"
 
+#include <algorithm>
+
 #include "core/observe.h"
 #include "core/raster_targets.h"
 #include "raster/rasterizer.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace urbane::core {
@@ -14,42 +17,60 @@ StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
                           MakeValidatedCanvas(points, regions, options));
   auto executor = std::unique_ptr<AccurateRasterJoin>(new AccurateRasterJoin(
       points, regions, options, viewport));
-  executor->BuildPixelIndex();
   executor->morton_ = raster::MortonSplatOrder::Build(
       viewport, points.xs(), points.ys(), points.size());
+  if (!executor->morton_.enabled()) {
+    return Status::InvalidArgument(StringPrintf(
+        "accurate raster join canvas %dx%d exceeds 65535 pixels a side",
+        viewport.width(), viewport.height()));
+  }
   executor->sweep_ = internal::BuildSweepGeometry(
       viewport, regions, internal::SweepMode::kAccurate,
-      /*with_boundary=*/true, /*triangle_pipeline=*/false);
+      /*with_boundary=*/true);
+  executor->LocateBoundaryRuns();
   return executor;
 }
 
-void AccurateRasterJoin::BuildPixelIndex() {
-  const std::size_t num_pixels =
-      static_cast<std::size_t>(viewport_.width()) * viewport_.height();
-  const std::size_t n = points_.size();
-  // Pixel per point through the SIMD kernels (bit-identical to
-  // PixelForPoint at every level; kInvalidPixel marks points off canvas).
-  std::vector<std::uint32_t> pixel_of_point(n);
-  raster::ComputeSplatIndices(viewport_, points_.xs(), points_.ys(), n,
-                              pixel_of_point.data());
-  std::vector<std::uint32_t> counts(num_pixels, 0);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pixel_of_point[i] == raster::kInvalidPixel) continue;
-    ++counts[pixel_of_point[i]];
-    ++kept;
+void AccurateRasterJoin::LocateBoundaryRuns() {
+  // The Morton key is pixel-granular and its sort stable, so one pixel's
+  // points form one contiguous run of morton_, in row order. List the runs
+  // by Z-order key (ascending along the order; off-canvas points carry no
+  // pixel and sort last), then look up each boundary pixel's key.
+  const std::size_t n = morton_.size();
+  std::vector<std::uint32_t> pixels(n);
+  raster::ComputeSplatIndices(viewport_, morton_.xs().data(),
+                              morton_.ys().data(), n, pixels.data());
+  const auto width = static_cast<std::uint32_t>(viewport_.width());
+  const auto key_of = [width](std::uint32_t pixel) {
+    return raster::MortonPixelKey(pixel % width, pixel / width);
+  };
+  std::vector<std::uint32_t> run_keys;
+  std::vector<std::uint32_t> run_begins;
+  std::uint32_t k = 0;
+  for (; k < n && pixels[k] != raster::kInvalidPixel; ++k) {
+    if (k == 0 || pixels[k] != pixels[k - 1]) {
+      run_keys.push_back(key_of(pixels[k]));
+      run_begins.push_back(k);
+    }
   }
-  pixel_offsets_.assign(num_pixels + 1, 0);
-  for (std::size_t p = 0; p < num_pixels; ++p) {
-    pixel_offsets_[p + 1] = pixel_offsets_[p] + counts[p];
+  run_begins.push_back(k);
+
+  std::size_t boundary_pixels = 0;
+  for (const internal::RegionSpanCache& cache : sweep_.regions) {
+    boundary_pixels += cache.boundary.size();
   }
-  pixel_points_.resize(kept);
-  std::vector<std::uint32_t> cursor(pixel_offsets_.begin(),
-                                    pixel_offsets_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pixel_of_point[i] == raster::kInvalidPixel) continue;
-    pixel_points_[cursor[pixel_of_point[i]]++] =
-        static_cast<std::uint32_t>(i);
+  boundary_runs_.reserve(boundary_pixels);
+  for (const internal::RegionSpanCache& cache : sweep_.regions) {
+    for (const std::uint32_t pixel : cache.boundary) {
+      const std::uint32_t key = key_of(pixel);
+      const auto it = std::lower_bound(run_keys.begin(), run_keys.end(), key);
+      MortonRun run;
+      if (it != run_keys.end() && *it == key) {
+        const std::size_t r = static_cast<std::size_t>(it - run_keys.begin());
+        run = {run_begins[r], run_begins[r + 1]};
+      }
+      boundary_runs_.push_back(run);
+    }
   }
 }
 
@@ -80,7 +101,6 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
   internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(viewport_, schedule, attr,
                                   query.aggregate.kind,
-                                  options_.use_float32_targets,
                                   /*need_abs_sum=*/false, targets);
   costs.splat_seconds = splat_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
@@ -105,6 +125,10 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
       obs::MetricsEnabled() || query.profile != nullptr;
   std::vector<std::uint32_t> scratch(
       static_cast<std::size_t>(viewport_.width()));
+  const std::vector<std::uint32_t>& morton_ids = morton_.ids();
+  const std::vector<float>& morton_xs = morton_.xs();
+  const std::vector<float>& morton_ys = morton_.ys();
+  const MortonRun* region_runs = boundary_runs_.data();
   WallTimer refine_timer;
   for (std::size_t r = 0; r < num_regions; ++r) {
     const internal::RegionSpanCache& cache = sweep_.regions[r];
@@ -121,16 +145,14 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
         refine_timer.Restart();
       }
       for (std::uint32_t b = b_begin; b < b_end; ++b) {
-        const std::uint32_t pixel = cache.boundary[b];
-        const std::uint32_t pt_begin = pixel_offsets_[pixel];
-        const std::uint32_t pt_end = pixel_offsets_[pixel + 1];
-        for (std::uint32_t k = pt_begin; k < pt_end; ++k) {
-          const std::uint32_t id = pixel_points_[k];
+        const MortonRun run = region_runs[b];
+        for (std::uint32_t k = run.begin; k < run.end; ++k) {
+          const std::uint32_t id = morton_ids[k];
           if (!selection.bitmap[id]) {
             continue;
           }
           ++costs.pip_tests;
-          const geometry::Vec2 pt{points_.x(id), points_.y(id)};
+          const geometry::Vec2 pt{morton_xs[k], morton_ys[k]};
           if (region_part.Contains(pt)) {
             acc.Add(attr ? static_cast<double>(attr[id]) : 1.0);
           }
@@ -154,6 +176,7 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
     }
     costs.pixels_touched += cache.pixels;
     costs.tiles_visited += cache.tiles;
+    region_runs += cache.boundary.size();
   }
   costs.sweep_seconds = sweep_timer.ElapsedSeconds();
   costs.query_seconds = timer.ElapsedSeconds();
@@ -162,9 +185,8 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
 }
 
 std::size_t AccurateRasterJoin::MemoryBytes() const {
-  return pixel_offsets_.capacity() * sizeof(std::uint32_t) +
-         pixel_points_.capacity() * sizeof(std::uint32_t) +
-         morton_.MemoryBytes() + sweep_.MemoryBytes();
+  return morton_.MemoryBytes() + sweep_.MemoryBytes() +
+         boundary_runs_.capacity() * sizeof(MortonRun);
 }
 
 }  // namespace urbane::core

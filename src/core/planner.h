@@ -36,9 +36,8 @@ struct WorkloadProfile {
   geometry::BoundingBox world;
   /// Estimated filter selectivity in [0, 1] (1 = no filter).
   double selectivity = 1.0;
-  /// Whether a reusable point index / pixel index already exists.
+  /// Whether a reusable point index already exists.
   bool has_point_index = false;
-  bool has_pixel_index = false;
   /// Shard fan-out the engine is configured for (SpatialAggregation::
   /// set_num_shards); 1 = unsharded. Sharding never changes which method
   /// is cheapest — every method shards the same way (by row range) — so

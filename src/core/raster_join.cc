@@ -85,8 +85,7 @@ StatusOr<std::unique_ptr<BoundedRasterJoin>> BoundedRasterJoin::Create(
       viewport, points.xs(), points.ys(), points.size());
   executor->sweep_ = internal::BuildSweepGeometry(
       viewport, regions, internal::SweepMode::kBounded,
-      /*with_boundary=*/options.compute_error_bounds,
-      options.use_triangle_pipeline);
+      /*with_boundary=*/options.compute_error_bounds);
   return executor;
 }
 
@@ -121,7 +120,6 @@ StatusOr<PartialResult> BoundedRasterJoin::ExecutePartial(
   internal::AggregateTargets& targets = *lease;
   internal::BuildAggregateTargets(
       viewport_, schedule, attr, query.aggregate.kind,
-      options_.use_float32_targets,
       /*need_abs_sum=*/options_.compute_error_bounds &&
           query.aggregate.kind == AggregateKind::kSum,
       targets);

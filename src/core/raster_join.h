@@ -28,14 +28,6 @@ struct RasterJoinOptions {
   /// Bounded variant: also compute per-region error bounds (costs one
   /// boundary rasterization per region).
   bool compute_error_bounds = true;
-  /// Ablation: rasterize region interiors through ear-clipping triangles
-  /// (the literal GPU path) instead of the scanline filler. Identical pixel
-  /// coverage, different constant factors.
-  bool use_triangle_pipeline = false;
-  /// Ablation: accumulate pixel sums in float32 render targets exactly like
-  /// the GPU implementation (default double keeps SUM/AVG bit-comparable to
-  /// the scan oracle).
-  bool use_float32_targets = false;
 };
 
 /// Canvas construction shared by the executors and the resolution planner.

@@ -90,21 +90,17 @@ inline SplatSchedule BuildSplatSchedule(
 /// Per-pixel aggregate render targets produced by the point-splat pass
 /// (pass 1 of Raster Join). Which targets exist depends on the aggregate:
 /// COUNT -> count only; SUM/AVG -> count + sum; MIN/MAX -> count + min/max.
+/// Sums are double (the GPU original blends float32), which keeps SUM/AVG
+/// bit-comparable to the scan oracle.
 struct AggregateTargets {
   raster::Buffer2D<std::uint32_t> count;
-  raster::Buffer2D<double> sum;       // default precision
-  raster::Buffer2D<float> sum32;      // GPU-authentic float32 ablation
+  raster::Buffer2D<double> sum;
   raster::Buffer2D<double> abs_sum;   // for SUM error bounds (optional)
   raster::Buffer2D<float> min_value;
   raster::Buffer2D<float> max_value;
   bool need_sum = false;
   bool need_minmax = false;
   bool need_abs_sum = false;
-  bool float32 = false;
-
-  double SumAt(int x, int y) const {
-    return float32 ? static_cast<double>(sum32.at(x, y)) : sum.at(x, y);
-  }
 };
 
 /// Render targets for the concurrent ExecutePartial calls of one immutable
@@ -193,9 +189,7 @@ inline std::size_t ScatterSchedule(AggregateTargets& t,
   const bool need_sum = t.need_sum;
   const bool need_abs = t.need_abs_sum;
   const bool need_minmax = t.need_minmax;
-  const bool float32 = t.float32;
   double* sum = t.sum.empty() ? nullptr : t.sum.data().data();
-  float* sum32 = t.sum32.empty() ? nullptr : t.sum32.data().data();
   double* abs_sum = t.abs_sum.empty() ? nullptr : t.abs_sum.data().data();
   float* min_v = t.min_value.empty() ? nullptr : t.min_value.data().data();
   float* max_v = t.max_value.empty() ? nullptr : t.max_value.data().data();
@@ -207,11 +201,7 @@ inline std::size_t ScatterSchedule(AggregateTargets& t,
     const float v = attr[schedule.ids[k]];
     const bool first = c == 1;
     if (need_sum) {
-      if (float32) {
-        sum32[idx] = (first ? 0.0f : sum32[idx]) + v;
-      } else {
-        sum[idx] = (first ? 0.0 : sum[idx]) + static_cast<double>(v);
-      }
+      sum[idx] = (first ? 0.0 : sum[idx]) + static_cast<double>(v);
       if (need_abs) {
         abs_sum[idx] = (first ? 0.0 : abs_sum[idx]) +
                        std::abs(static_cast<double>(v));
@@ -234,9 +224,7 @@ inline std::size_t ScatterSchedule(AggregateTargets& t,
 inline void BuildAggregateTargets(const raster::Viewport& vp,
                                   const SplatSchedule& schedule,
                                   const float* attr, AggregateKind kind,
-                                  bool float32, bool need_abs_sum,
-                                  AggregateTargets& t) {
-  t.float32 = float32;
+                                  bool need_abs_sum, AggregateTargets& t) {
   t.need_sum = kind == AggregateKind::kSum || kind == AggregateKind::kAvg;
   t.need_minmax = kind == AggregateKind::kMin || kind == AggregateKind::kMax;
   t.need_abs_sum = need_abs_sum && t.need_sum;
@@ -245,11 +233,7 @@ inline void BuildAggregateTargets(const raster::Viewport& vp,
   const int h = vp.height();
   EnsureFilled(t.count, w, h, 0u);
   if (t.need_sum) {
-    if (float32) {
-      EnsureAllocated(t.sum32, w, h);
-    } else {
-      EnsureAllocated(t.sum, w, h);
-    }
+    EnsureAllocated(t.sum, w, h);
     if (t.need_abs_sum) EnsureAllocated(t.abs_sum, w, h);
   }
   if (t.need_minmax) {
@@ -266,7 +250,7 @@ inline void AccumulatePixel(const AggregateTargets& t, int x, int y,
   if (c == 0) {
     return;
   }
-  acc.AddBulk(c, t.need_sum ? t.SumAt(x, y) : static_cast<double>(c) * 0.0);
+  acc.AddBulk(c, t.need_sum ? t.sum.at(x, y) : static_cast<double>(c) * 0.0);
   if (t.need_minmax) {
     acc.MergeMinMax(t.min_value.at(x, y), t.max_value.at(x, y));
   }

@@ -1,7 +1,6 @@
 #include "core/region_spans.h"
 
 #include "core/raster_targets.h"
-#include "raster/kernels.h"
 #include "raster/rasterizer.h"
 #include "raster/tile.h"
 
@@ -24,14 +23,12 @@ std::size_t SweepGeometry::MemoryBytes() const {
 
 SweepGeometry BuildSweepGeometry(const raster::Viewport& vp,
                                  const data::RegionSet& regions,
-                                 SweepMode mode, bool with_boundary,
-                                 bool triangle_pipeline) {
+                                 SweepMode mode, bool with_boundary) {
   SweepGeometry geometry;
   geometry.regions.resize(regions.size());
   const std::size_t num_pixels =
       static_cast<std::size_t>(vp.width()) * vp.height();
   StampBuffer stamp(with_boundary ? num_pixels : 0);
-  const raster::RasterKernels& kernels = raster::ActiveKernels();
 
   for (std::size_t r = 0; r < regions.size(); ++r) {
     RegionSpanCache& cache = geometry.regions[r];
@@ -59,7 +56,8 @@ SweepGeometry BuildSweepGeometry(const raster::Viewport& vp,
         });
       }
 
-      const auto emit = [&](int y, int x_begin, int x_end) {
+      raster::ScanlineFillPolygon(vp, part, [&](int y, int x_begin,
+                                                int x_end) {
         if (x_begin >= x_end) return;
         cache.pixels += static_cast<std::uint64_t>(x_end - x_begin);
         tiles.AddSpan(y, x_begin, x_end);
@@ -79,12 +77,7 @@ SweepGeometry BuildSweepGeometry(const raster::Viewport& vp,
         } else {
           cache.spans.push_back({y, x_begin, x_end});
         }
-      };
-      if (triangle_pipeline) {
-        raster::TiledRasterizePolygonTriangles(vp, part, kernels, emit);
-      } else {
-        raster::ScanlineFillPolygon(vp, part, emit);
-      }
+      });
 
       cache.span_part_offsets.push_back(
           static_cast<std::uint32_t>(cache.spans.size()));

@@ -66,13 +66,10 @@ struct SweepGeometry {
 
 /// Rasterizes every region of `regions` once. `with_boundary` skips the
 /// boundary lists when the executor never reads them (bounded join with
-/// error bounds off). `triangle_pipeline` scan converts interiors through
-/// the tiled triangle rasterizer instead of the scanline filler (the
-/// GPU-authentic ablation; same pixels, tile-major emission order).
+/// error bounds off).
 SweepGeometry BuildSweepGeometry(const raster::Viewport& vp,
                                  const data::RegionSet& regions,
-                                 SweepMode mode, bool with_boundary,
-                                 bool triangle_pipeline);
+                                 SweepMode mode, bool with_boundary);
 
 }  // namespace urbane::core::internal
 

@@ -258,7 +258,6 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
     }
     profile.world = *plan_world_;
     profile.has_point_index = index_ != nullptr;
-    profile.has_pixel_index = accurate_ != nullptr;
     plan = PlanQuery(profile, accuracy, raster_options_.resolution);
     last_plan_ = plan;
   }

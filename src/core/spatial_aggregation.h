@@ -24,8 +24,9 @@ namespace urbane::core {
 /// Facade over the four executors — the library's main entry point.
 ///
 /// Owns nothing heavy until first use: each executor is built lazily on the
-/// first query routed to it and then reused (Raster Join's point textures,
-/// pixel index, and the grid index are all query-independent). Typical use:
+/// first query routed to it and then reused (the raster joins' Morton
+/// orders and sweep spans, and the grid index, are all query-independent).
+/// Typical use:
 ///
 ///   SpatialAggregation engine(taxis, neighborhoods);
 ///   AggregationQuery q;
@@ -107,14 +108,6 @@ class SpatialAggregation {
   void set_result_cache_capacity(std::size_t capacity);
   void set_result_cache_max_bytes(std::size_t max_bytes);
 
-  /// Scoped cache invalidation for appendable row sets (the ingest layer's
-  /// LiveEngine): drops exactly the cached answers whose time filter
-  /// intersects the appended half-open interval, plus every entry with no
-  /// time filter. No epoch bump — answers over fully-closed time ranges
-  /// outside the interval stay served from cache. Returns entries dropped.
-  std::size_t InvalidateTimeRange(std::int64_t begin, std::int64_t end) {
-    return cache_.InvalidateTimeOverlap(begin, end);
-  }
   QueryCacheStats result_cache_stats() const { return cache_.stats(); }
   std::size_t result_cache_hits() const { return cache_.stats().hits; }
   std::size_t result_cache_size() const { return cache_.stats().entries; }

@@ -1,6 +1,7 @@
 #include "core/temporal_canvas.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "raster/rasterizer.h"
 #include "util/timer.h"
@@ -15,27 +16,17 @@ StatusOr<std::unique_ptr<TemporalCanvasIndex>> TemporalCanvasIndex::Build(
         "temporal canvas needs positive resolution and time_bins");
   }
   WallTimer timer;
-  // Reuse the raster-join canvas validation/derivation.
+  // The raster joins' canvas derivation and validation.
   RasterJoinOptions raster_options;
   raster_options.resolution = options.resolution;
   raster_options.world = options.world;
   URBANE_ASSIGN_OR_RETURN(
-      std::unique_ptr<BoundedRasterJoin> probe,
-      BoundedRasterJoin::Create(points, regions, raster_options));
+      const raster::Viewport canvas,
+      MakeValidatedCanvas(points, regions, raster_options));
 
-  auto index = std::unique_ptr<TemporalCanvasIndex>(new TemporalCanvasIndex(
-      points, regions, probe->canvas(), options.time_bins));
-  if (options.time_domain.has_value()) {
-    if (options.time_domain->second < options.time_domain->first) {
-      return Status::InvalidArgument("temporal canvas time_domain inverted");
-    }
-    index->min_time_ = options.time_domain->first;
-    index->max_time_ = options.time_domain->second;
-  } else {
-    const auto [t0, t1] = points.TimeRange();
-    index->min_time_ = t0;
-    index->max_time_ = t1;
-  }
+  auto index = std::unique_ptr<TemporalCanvasIndex>(
+      new TemporalCanvasIndex(points, regions, canvas, options.time_bins));
+  std::tie(index->min_time_, index->max_time_) = points.TimeRange();
   index->pixels_per_canvas_ =
       static_cast<std::size_t>(index->viewport_.width()) *
       index->viewport_.height();
@@ -70,25 +61,6 @@ StatusOr<std::unique_ptr<TemporalCanvasIndex>> TemporalCanvasIndex::Build(
   }
   index->build_seconds_ = timer.ElapsedSeconds();
   return index;
-}
-
-Status TemporalCanvasIndex::Append(const data::PointTable& batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    int ix;
-    int iy;
-    if (!viewport_.PixelForPoint({batch.x(i), batch.y(i)}, ix, iy)) {
-      continue;
-    }
-    const int bin = BinForTime(batch.t(i));
-    const std::size_t pixel =
-        static_cast<std::size_t>(iy) * viewport_.width() + ix;
-    // Only the prefix canvases above this bin change: prefix_[p] counts all
-    // bins < p, so a point in `bin` is visible from p = bin + 1 upward.
-    for (int p = bin + 1; p <= time_bins_; ++p) {
-      ++prefix_[static_cast<std::size_t>(p) * pixels_per_canvas_ + pixel];
-    }
-  }
-  return Status::OK();
 }
 
 int TemporalCanvasIndex::BinForTime(std::int64_t t) const {

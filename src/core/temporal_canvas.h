@@ -21,12 +21,6 @@ struct TemporalCanvasOptions {
   /// Number of equal-width time bins over the data's time span.
   int time_bins = 64;
   std::optional<geometry::BoundingBox> world;
-  /// Pins the bin layout to the closed time span [first, second] instead of
-  /// deriving it from the build-time points. Required for appendable use:
-  /// Append() keeps the layout fixed (times outside the domain clamp into
-  /// the edge bins), so an incrementally-maintained index is identical to a
-  /// rebuild with the same pinned domain.
-  std::optional<std::pair<std::int64_t, std::int64_t>> time_domain;
 };
 
 /// Time-brushing accelerator: a stack of per-time-bin COUNT canvases stored
@@ -43,7 +37,8 @@ struct TemporalCanvasOptions {
 ///    snaps its slider to the same bins).
 ///
 /// Supports COUNT (the brushing workload); other aggregates fall back to
-/// the regular executors.
+/// the regular executors. The index is built once over a fixed table and
+/// never updated: rows appended later need a rebuild.
 class TemporalCanvasIndex {
  public:
   static StatusOr<std::unique_ptr<TemporalCanvasIndex>> Build(
@@ -57,18 +52,6 @@ class TemporalCanvasIndex {
                                         std::int64_t t_end,
                                         std::int64_t* snapped_begin = nullptr,
                                         std::int64_t* snapped_end = nullptr);
-
-  /// Incrementally folds appended points into the index without a rebuild:
-  /// each point splats into its time bin and updates only the prefix
-  /// canvases at or above that bin (the affected temporal levels), so an
-  /// append over a recent window costs O(rows * bins_above) instead of
-  /// O(all_points * bins). The bin layout and canvas stay fixed — build
-  /// with a pinned `world` and `time_domain` so the layout does not depend
-  /// on which rows arrived first; out-of-domain times clamp into the edge
-  /// bins and out-of-world points are skipped, exactly as Build does.
-  /// The result equals a from-scratch Build over base+appended rows with
-  /// the same pinned options (counts are integers, so equality is exact).
-  Status Append(const data::PointTable& batch);
 
   const raster::Viewport& canvas() const { return viewport_; }
   int time_bins() const { return time_bins_; }

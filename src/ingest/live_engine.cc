@@ -16,10 +16,7 @@ LiveEngine::LiveEngine(LiveTable* table, const data::RegionSet* regions,
     : table_(table),
       regions_(regions),
       options_(options),
-      cache_(core::QueryCacheOptions{options.cache_entries,
-                                     options.cache_max_bytes,
-                                     /*shards=*/8}),
-      canvas_seed_(table->schema()) {}
+      cache_(core::QueryCacheOptions{options.cache_entries}) {}
 
 LiveEngine::~LiveEngine() = default;
 
@@ -58,12 +55,11 @@ Status LiveEngine::RefreshLocked(const LiveSnapshot& snapshot) {
   }
   if (!(world == world_)) {
     // Growth changes every raster canvas, so nothing built under the old
-    // world — engines, cached answers, the brush index — is reusable.
+    // world — engines or cached answers — is reusable.
     world_ = world;
     ++epoch_;
     components_.clear();
     cache_.Clear();
-    canvas_.reset();
   }
 
   // Reconcile the component stack in canonical order, reusing engines whose
@@ -132,7 +128,6 @@ Status LiveEngine::RefreshLocked(const LiveSnapshot& snapshot) {
       table_->EntriesSince(seen_seq_, &overflowed);
   if (overflowed) {
     cache_.Clear();
-    canvas_.reset();
   } else {
     for (const AppendLogEntry& entry : entries) {
       cache_.InvalidateTimeOverlap(entry.t_begin, entry.t_end);
@@ -279,65 +274,6 @@ StatusOr<core::QueryResult> LiveEngine::ExecuteAuto(
     query.profile->planner_explanation = chosen.explanation;
   }
   return Execute(std::move(query), chosen.method, watermark);
-}
-
-Status LiveEngine::EnsureCanvasLocked(const LiveSnapshot& snapshot) {
-  if (canvas_ != nullptr) {
-    bool overflowed = false;
-    const std::vector<AppendLogEntry> entries =
-        table_->EntriesSince(canvas_seq_, &overflowed);
-    if (!overflowed) {
-      for (const AppendLogEntry& entry : entries) {
-        if (entry.seq > snapshot.append_seq) {
-          break;  // rows not in this snapshot; fold them in next time
-        }
-        if (entry.rows != nullptr) {
-          URBANE_RETURN_IF_ERROR(canvas_->Append(*entry.rows));
-        }
-        canvas_seq_ = entry.seq;
-      }
-      return Status::OK();
-    }
-    canvas_.reset();  // unknown batches dropped: rebuild below
-  }
-
-  core::TemporalCanvasOptions options = options_.canvas_options;
-  options.world = world_;
-  if (!options.time_domain.has_value()) {
-    // Pin the bin layout to the combined span so later appends never shift
-    // it (out-of-domain times clamp into the edge bins).
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    bool any = false;
-    for (const auto& component : components_) {
-      const auto [t0, t1] = component->table->TimeRange();
-      lo = any ? std::min(lo, t0) : t0;
-      hi = any ? std::max(hi, t1) : t1;
-      any = true;
-    }
-    options.time_domain = std::make_pair(lo, hi);
-  }
-  URBANE_ASSIGN_OR_RETURN(
-      canvas_,
-      core::TemporalCanvasIndex::Build(canvas_seed_, *regions_, options));
-  for (const auto& component : components_) {
-    URBANE_RETURN_IF_ERROR(canvas_->Append(*component->table));
-  }
-  canvas_seq_ = snapshot.append_seq;
-  return Status::OK();
-}
-
-StatusOr<core::QueryResult> LiveEngine::BrushTimeWindow(
-    std::int64_t t_begin, std::int64_t t_end, std::int64_t* snapped_begin,
-    std::int64_t* snapped_end, std::uint64_t* watermark) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const LiveSnapshot snapshot = table_->Snapshot();
-  URBANE_RETURN_IF_ERROR(RefreshLocked(snapshot));
-  URBANE_RETURN_IF_ERROR(EnsureCanvasLocked(snapshot));
-  if (watermark != nullptr) {
-    *watermark = snapshot.watermark;
-  }
-  return canvas_->QueryTimeWindow(t_begin, t_end, snapped_begin, snapped_end);
 }
 
 void LiveEngine::set_num_shards(std::size_t num_shards) {

@@ -41,7 +41,6 @@
 #include "core/query.h"
 #include "core/query_cache.h"
 #include "core/spatial_aggregation.h"
-#include "core/temporal_canvas.h"
 #include "data/region.h"
 #include "ingest/live_table.h"
 #include "util/status.h"
@@ -56,10 +55,6 @@ struct LiveEngineOptions {
   std::size_t num_shards = 1;
   /// Result cache bound (0 disables, like the facade's default).
   std::size_t cache_entries = 0;
-  std::size_t cache_max_bytes = 256u << 20;
-  /// Layout of the lazily-built time-brushing index (world/time_domain are
-  /// pinned internally so incremental Append stays rebuild-identical).
-  core::TemporalCanvasOptions canvas_options;
 };
 
 class LiveEngine {
@@ -95,15 +90,6 @@ class LiveEngine {
       core::AggregationQuery query, const core::AccuracyRequirement& accuracy,
       std::uint64_t* watermark = nullptr, core::QueryPlan* plan = nullptr);
 
-  /// COUNT per region over a bin-snapped time window, served by the
-  /// incrementally-maintained TemporalCanvasIndex (built lazily on first
-  /// use, appended to — never rebuilt — as rows arrive, unless the world
-  /// grows or the append log overflowed).
-  StatusOr<core::QueryResult> BrushTimeWindow(
-      std::int64_t t_begin, std::int64_t t_end,
-      std::int64_t* snapped_begin = nullptr,
-      std::int64_t* snapped_end = nullptr, std::uint64_t* watermark = nullptr);
-
   /// Reconfigures the component fan-out; bumps the epoch (cached results
   /// from a different fan-out could differ bitwise).
   void set_num_shards(std::size_t num_shards);
@@ -131,7 +117,7 @@ class LiveEngine {
 
   /// Reconciles components with the snapshot, handles world growth
   /// (rebuild everything + clear cache) and catches up the append log
-  /// (scoped cache invalidation + canvas appends). Requires mu_ held.
+  /// (scoped cache invalidation). Requires mu_ held.
   Status RefreshLocked(const LiveSnapshot& snapshot);
   Status RebuildComponentEngineLocked(Component& component);
   /// The query's result-cache key, which is also its journal and slowlog
@@ -149,7 +135,6 @@ class LiveEngine {
   StatusOr<core::QueryResult> ExecuteSnapshot(
       const core::AggregationQuery& query, core::ExecutionMethod method,
       std::uint64_t* watermark, bool* cache_hit);
-  Status EnsureCanvasLocked(const LiveSnapshot& snapshot);
 
   LiveTable* const table_;
   const data::RegionSet* const regions_;
@@ -167,10 +152,6 @@ class LiveEngine {
   std::uint64_t hot_generation_ = 0;
   std::uint64_t hot_rows_ = 0;
   core::QueryCache cache_;
-
-  std::unique_ptr<core::TemporalCanvasIndex> canvas_;
-  data::PointTable canvas_seed_;  // empty table the canvas is built over
-  std::uint64_t canvas_seq_ = 0;  // append-log position folded into canvas
 
   /// Identity tag for the hot component (see Component::identity).
   static const char kHotTag;

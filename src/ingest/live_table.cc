@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -45,21 +44,6 @@ Status EnsureDirectory(const std::string& path) {
 bool FileExists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Deep copy of a (possibly view-mode) batch for the retained append log.
-std::shared_ptr<const data::PointTable> CopyOwned(
-    const data::PointTable& batch) {
-  auto copy = std::make_shared<data::PointTable>(batch.schema());
-  copy->Reserve(batch.size());
-  std::vector<float> attrs(batch.schema().attribute_count(), 0.0f);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    for (std::size_t c = 0; c < attrs.size(); ++c) {
-      attrs[c] = batch.attribute(i, c);
-    }
-    (void)copy->AppendRow(batch.x(i), batch.y(i), batch.t(i), attrs);
-  }
-  return copy;
 }
 
 std::pair<std::int64_t, std::int64_t> BatchTimeExtent(
@@ -129,14 +113,6 @@ LiveTable::LiveTable(std::string directory, data::Schema schema,
       base_rows_(base == nullptr ? 0 : base->size()) {}
 
 LiveTable::~LiveTable() {
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    flush_cv_.notify_all();
-    background_.join();
-  }
   // Make the active segment durable, but deliberately do NOT flush runs:
   // reopening must reach the same state through manifest + WAL replay (the
   // recovery tests rely on it).
@@ -297,12 +273,6 @@ StatusOr<std::unique_ptr<LiveTable>> LiveTable::Open(
   for (const auto& run : table->runs_) {
     table->watermark_ += run->rows;
   }
-
-  if (options.auto_flush_rows > 0) {
-    table->background_ = std::thread([raw = table.get()] {
-      raw->BackgroundLoop();
-    });
-  }
   return table;
 }
 
@@ -355,21 +325,11 @@ StatusOr<std::uint64_t> LiveTable::Append(const data::PointTable& batch) {
   counters_.rows_appended += batch.size();
 
   const auto [t_lo, t_hi] = BatchTimeExtent(batch);
-  AppendLogEntry entry;
-  entry.seq = ++append_seq_;
-  entry.t_begin = t_lo;
-  entry.t_end = t_hi + 1;
-  entry.rows = CopyOwned(batch);
-  LogLocked(std::move(entry));
+  LogLocked({++append_seq_, t_lo, t_hi + 1});
 
   const std::uint64_t watermark = watermark_;
-  const bool wake_flusher =
-      options_.auto_flush_rows > 0 && hot_->size() >= options_.auto_flush_rows;
   lock.unlock();
 
-  if (wake_flusher) {
-    flush_cv_.notify_all();
-  }
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("ingest.appends").Add(1);
@@ -501,13 +461,10 @@ StatusOr<bool> LiveTable::FlushOldestSealed() {
     runs_snapshot = runs_;
     ++counters_.flushes;
 
-    AppendLogEntry entry;
-    entry.seq = ++append_seq_;
-    entry.t_begin = store_run->time_range.first;
-    entry.t_end = store_run->time_range.second + 1;
-    // No rows: the row *set* is unchanged — but the Morton re-order changes
-    // float summation order, so cached results over this interval must drop.
-    LogLocked(std::move(entry));
+    // The row *set* is unchanged — but the Morton re-order changes float
+    // summation order, so cached results over this interval must drop.
+    LogLocked({++append_seq_, store_run->time_range.first,
+               store_run->time_range.second + 1});
   }
 
   URBANE_RETURN_IF_ERROR(CommitManifest(runs_snapshot, new_floor));
@@ -594,11 +551,8 @@ Status LiveTable::Compact() {
     runs_snapshot = runs_;
     ++counters_.compactions;
 
-    AppendLogEntry entry;
-    entry.seq = ++append_seq_;
-    entry.t_begin = merged->time_range.first;
-    entry.t_end = merged->time_range.second + 1;
-    LogLocked(std::move(entry));
+    LogLocked({++append_seq_, merged->time_range.first,
+               merged->time_range.second + 1});
   }
   URBANE_RETURN_IF_ERROR(CommitManifest(runs_snapshot, wal_floor));
   for (const auto& run : prefix) {
@@ -652,16 +606,9 @@ IngestStats LiveTable::stats() const {
 }
 
 void LiveTable::LogLocked(AppendLogEntry entry) {
-  append_log_bytes_ +=
-      entry.rows == nullptr ? 0 : entry.rows->MemoryBytes();
-  append_log_.push_back(std::move(entry));
-  while (append_log_.size() > options_.append_log_entries ||
-         (append_log_bytes_ > options_.append_log_bytes &&
-          !append_log_.empty())) {
-    const AppendLogEntry& oldest = append_log_.front();
-    append_log_bytes_ -=
-        oldest.rows == nullptr ? 0 : oldest.rows->MemoryBytes();
-    append_log_floor_ = oldest.seq;
+  append_log_.push_back(entry);
+  while (append_log_.size() > options_.append_log_entries) {
+    append_log_floor_ = append_log_.front().seq;
     append_log_.pop_front();
   }
 }
@@ -679,35 +626,6 @@ std::vector<AppendLogEntry> LiveTable::EntriesSince(std::uint64_t since,
     }
   }
   return entries;
-}
-
-void LiveTable::BackgroundLoop() {
-  for (;;) {
-    bool seal_due = false;
-    bool sealed_pending = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      flush_cv_.wait_for(lock, std::chrono::milliseconds(20), [&] {
-        return stop_ || hot_->size() >= options_.auto_flush_rows;
-      });
-      if (stop_) {
-        return;
-      }
-      seal_due = hot_->size() >= options_.auto_flush_rows;
-      if (seal_due) {
-        // Errors surface through the explicit Flush()/Append() paths; the
-        // background loop just retries on its next tick.
-        (void)SealLocked();
-      }
-      for (const auto& run : runs_) {
-        sealed_pending = sealed_pending || !run->store_backed();
-      }
-    }
-    if (sealed_pending) {
-      std::lock_guard<std::mutex> flush_lock(flush_mu_);
-      (void)FlushOldestSealed();
-    }
-  }
 }
 
 }  // namespace urbane::ingest

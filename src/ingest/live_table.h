@@ -33,13 +33,11 @@
 // record at or above the floor into a fresh memtable, truncating any torn
 // tail. Replay therefore reaches exactly the pre-crash visible state.
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/zone_map.h"
@@ -58,23 +56,19 @@ struct IngestOptions {
   /// batch does not fit and no seal can make room.
   std::size_t memtable_rows = 256 * 1024;
   /// Un-flushed sealed runs allowed before appends push back. The write
-  /// path can absorb bursts of max_sealed_runs * memtable_rows rows while
-  /// the flusher catches up.
+  /// path absorbs bursts of max_sealed_runs * memtable_rows rows between
+  /// Flush() calls; nothing flushes on its own (the memtable seals only at
+  /// capacity).
   std::size_t max_sealed_runs = 4;
-  /// > 0: a background thread seals the memtable at this row count and
-  /// flushes sealed runs as they appear. 0 (default): sealing happens only
-  /// at capacity and flushing only via Flush() — deterministic for tests.
-  std::size_t auto_flush_rows = 0;
   /// fsync the WAL segment after every append (a durability point per
   /// batch). Off by default: the OS page cache absorbs the stream and
   /// Seal/Flush/Close sync — the trade every LSM write path offers.
   bool sync_wal_each_append = false;
   /// Block size of flushed UST1 run files (StoreWriterOptions::block_rows).
   std::uint64_t run_block_rows = 64 * 1024;
-  /// Retained-append-log bound for incremental index/cache maintenance
-  /// (see AppendLogEntry); oldest entries are dropped past either bound.
+  /// Retained-append-log bound for scoped cache invalidation (see
+  /// AppendLogEntry); the oldest entries are dropped past it.
   std::size_t append_log_entries = 1024;
-  std::size_t append_log_bytes = 64u << 20;
 };
 
 /// One immutable run in the component stack. Either memory-backed (a
@@ -129,18 +123,15 @@ struct LiveSnapshot {
   std::uint64_t append_seq = 0;
 };
 
-/// One entry of the bounded append log that engines use for incremental
-/// maintenance: scoped cache invalidation needs the time interval, the
-/// temporal-canvas catch-up needs the rows. Flush/compact events carry an
-/// interval but no rows (the row set did not change, only its order — a
-/// cached float SUM over that interval may differ bitwise from a
-/// re-execution, so it must drop, but index counts are unaffected).
+/// One entry of the bounded append log that engines use for scoped cache
+/// invalidation: the time interval an append, flush or compaction touched.
+/// Flush/compact entries matter too: the row set did not change, only its
+/// order, but a cached float SUM over that interval may differ bitwise from
+/// a re-execution, so it must drop.
 struct AppendLogEntry {
   std::uint64_t seq = 0;
   std::int64_t t_begin = 0;  // half-open [t_begin, t_end)
   std::int64_t t_end = 0;
-  /// Owning copy of the appended batch; null for flush/compact entries.
-  std::shared_ptr<const data::PointTable> rows;
 };
 
 struct IngestStats {
@@ -225,7 +216,6 @@ class LiveTable {
   StatusOr<bool> FlushOldestSealed();
   /// Appends an entry to the bounded append log. Requires mu_ held.
   void LogLocked(AppendLogEntry entry);
-  void BackgroundLoop();
 
   const std::string directory_;
   const data::Schema schema_;
@@ -236,7 +226,6 @@ class LiveTable {
 
   /// Guards the component stack, the WAL writer, and the counters.
   mutable std::mutex mu_;
-  std::condition_variable flush_cv_;
   std::shared_ptr<Memtable> hot_;
   std::uint64_t hot_generation_ = 1;  // bumped on every seal
   std::uint64_t hot_sequence_ = 0;    // bumped on every append
@@ -252,14 +241,10 @@ class LiveTable {
   std::deque<AppendLogEntry> append_log_;
   std::uint64_t append_seq_ = 0;
   std::uint64_t append_log_floor_ = 0;  // seq of the oldest retained - 1
-  std::size_t append_log_bytes_ = 0;
   IngestStats counters_;
 
   /// Serializes flush/compact (file writes happen outside mu_).
   std::mutex flush_mu_;
-
-  std::thread background_;
-  bool stop_ = false;
 };
 
 }  // namespace urbane::ingest

@@ -104,15 +104,4 @@ TriangleTileSetup SetupTriangle(const Viewport& vp,
 
 }  // namespace internal
 
-std::size_t AppendPolygonSpans(const Viewport& vp,
-                               const geometry::Polygon& polygon,
-                               std::vector<PixelSpan>& out) {
-  std::size_t pixels = 0;
-  ScanlineFillPolygon(vp, polygon, [&](int y, int x_begin, int x_end) {
-    out.push_back({y, x_begin, x_end});
-    pixels += static_cast<std::size_t>(x_end - x_begin);
-  });
-  return pixels;
-}
-
 }  // namespace urbane::raster

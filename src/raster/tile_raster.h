@@ -183,30 +183,6 @@ void TiledRasterizeTriangle(const Viewport& vp, const geometry::Triangle& tri,
   }
 }
 
-/// Rasterizes a polygon via its triangulation through the tile walk.
-/// Returns false when triangulation fails (degenerate polygon).
-template <typename EmitSpan>
-bool TiledRasterizePolygonTriangles(const Viewport& vp,
-                                    const geometry::Polygon& polygon,
-                                    const RasterKernels& kernels,
-                                    EmitSpan&& emit,
-                                    TileRasterStats* stats = nullptr) {
-  auto triangles = geometry::TriangulatePolygon(polygon);
-  if (!triangles.ok()) return false;
-  for (const geometry::Triangle& tri : triangles.value()) {
-    TiledRasterizeTriangle(vp, tri, kernels, emit, stats);
-  }
-  return true;
-}
-
-/// Collects a polygon's scanline spans (ScanlineFillPolygon, unchanged
-/// geometry) into a row-major vector — the form the sweep caches per region
-/// so repeated queries skip scan conversion entirely. Returns the number of
-/// covered pixels appended.
-std::size_t AppendPolygonSpans(const Viewport& vp,
-                               const geometry::Polygon& polygon,
-                               std::vector<PixelSpan>& out);
-
 }  // namespace urbane::raster
 
 #endif  // URBANE_RASTER_TILE_RASTER_H_

@@ -202,5 +202,45 @@ TEST(AccurateRasterJoinTest, HigherResolutionNeedsFewerExactTests) {
   EXPECT_LT(fine_tests, coarse_tests);
 }
 
+// The refine finds a boundary pixel's points in the Morton order, which
+// covers canvases up to 65535 pixels a side; a wider one is rejected.
+TEST(AccurateRasterJoinTest, RejectsCanvasBeyondMortonRange) {
+  data::PointTable points(data::Schema(std::vector<std::string>{"v"}));
+  for (int i = 0; i < 64; ++i) {
+    points.AppendXyt(static_cast<float>(1093.75 * i + 0.5), 0.5f, i);
+    points.mutable_attribute_column(0).push_back(static_cast<float>(i));
+  }
+  data::RegionSet regions;
+  data::Region strip;
+  strip.id = 1;
+  strip.geometry = geometry::MultiPolygon(geometry::MakeRectanglePolygon(
+      geometry::BoundingBox(100.3, 0.2, 41000.7, 0.8)));
+  ASSERT_TRUE(regions.Add(strip).ok());
+  RasterJoinOptions options;
+  options.world = geometry::BoundingBox(0, 0, 70000, 1);
+
+  options.resolution = 70000;  // a 70000x1 canvas
+  const auto too_wide = AccurateRasterJoin::Create(points, regions, options);
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
+
+  options.resolution = 65535;  // a 65535x1 canvas
+  const auto widest = AccurateRasterJoin::Create(points, regions, options);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ((*widest)->canvas().width(), 65535);
+  EXPECT_EQ((*widest)->canvas().height(), 1);
+  auto scan = ScanJoin::Create(points, regions);
+  ASSERT_TRUE(scan.ok());
+  AggregationQuery query;
+  query.points = &points;
+  query.regions = &regions;
+  query.aggregate = AggregateSpec::Sum("v");
+  const auto a = (*widest)->Execute(query);
+  const auto b = (*scan)->Execute(query);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->counts, b->counts);
+  EXPECT_EQ(a->values, b->values);
+}
+
 }  // namespace
 }  // namespace urbane::core

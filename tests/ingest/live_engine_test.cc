@@ -369,52 +369,6 @@ TEST(LiveEngineTest, FlushInvalidatesButStaysRebuildIdentical) {
   ExpectBitIdentical(*live_result, *rebuilt_result, "post-flush sum");
 }
 
-// The incrementally-appended temporal canvas must answer exactly like a
-// canvas built from scratch over the final data (same pinned layout).
-TEST(LiveEngineTest, IncrementalTemporalCanvasMatchesRebuild) {
-  const std::string dir = FreshDir("canvas");
-  StatusOr<std::unique_ptr<LiveTable>> table =
-      LiveTable::Open(dir, VSchema(), nullptr, nullptr);
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->Append(MakeBatchInTime(400, 6, 0, 29999)).ok());
-
-  const data::RegionSet regions = testing::MakeTessellationRegions(3, 7);
-  LiveEngineOptions options;
-  options.canvas_options.time_domain =
-      std::pair<std::int64_t, std::int64_t>{0, 86399};
-  options.canvas_options.world = geometry::BoundingBox(0.0, 0.0, 100.0, 100.0);
-  LiveEngine incremental(table->get(), &regions, options);
-
-  // Build the canvas early, then grow the table through it.
-  std::int64_t b0 = 0, b1 = 0;
-  ASSERT_TRUE(incremental.BrushTimeWindow(0, 86399, &b0, &b1).ok());
-  ASSERT_TRUE((*table)->Append(MakeBatchInTime(300, 8, 30000, 59999)).ok());
-  ASSERT_TRUE((*table)->Append(MakeBatchInTime(300, 9, 60000, 86399)).ok());
-
-  // A second engine first touches the canvas only now: a from-scratch
-  // build over the full table with the identical pinned layout.
-  LiveEngine fresh(table->get(), &regions, options);
-
-  const std::vector<std::pair<std::int64_t, std::int64_t>> windows = {
-      {0, 86399}, {15000, 45000}, {40000, 80000}};
-  for (const auto& [t0, t1] : windows) {
-    std::uint64_t inc_watermark = 0, fresh_watermark = 0;
-    std::int64_t s0 = 0, s1 = 0;
-    StatusOr<core::QueryResult> inc =
-        incremental.BrushTimeWindow(t0, t1, &s0, &s1, &inc_watermark);
-    StatusOr<core::QueryResult> scratch =
-        fresh.BrushTimeWindow(t0, t1, nullptr, nullptr, &fresh_watermark);
-    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-    EXPECT_EQ(inc_watermark, fresh_watermark);
-    EXPECT_EQ(inc_watermark, 1000u);
-    EXPECT_LE(s0, t0);
-    ExpectBitIdentical(*inc, *scratch,
-                       "brush [" + std::to_string(t0) + "," +
-                           std::to_string(t1) + ")");
-  }
-}
-
 // Thread-safety smoke (the TSan gate runs this suite): queries race with
 // appends and a flush; every answer must come from a consistent snapshot,
 // so COUNT over the full tessellation must never exceed the watermark the
@@ -614,15 +568,14 @@ TEST(LiveEngineTest, ObservedOncePerQuery) {
 }
 
 // Shards and live components run the query's own aggregate, so the
-// bounded raster's options reach them unchanged — float32 render targets
-// included: a one-shard ShardedExecutor and a one-component LiveEngine are
+// bounded raster's options reach them unchanged: on non-dyadic floats, a
+// one-shard ShardedExecutor and a one-component LiveEngine are
 // bit-identical to the unsharded executor for every aggregate.
-TEST(LiveEngineTest, Float32TargetsMatchUnshardedWhenShardedAndLive) {
+TEST(LiveEngineTest, BoundedRasterMatchesUnshardedWhenShardedAndLive) {
   const data::PointTable points = testing::MakeUniformPoints(20000, 42);
   const data::RegionSet regions = testing::MakeRandomRegions(4, 43);
   core::RasterJoinOptions raster;
   raster.resolution = 192;
-  raster.use_float32_targets = true;
   auto unsharded = core::BoundedRasterJoin::Create(points, regions, raster);
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
   shard::ShardedExecutorOptions shard_options;
@@ -631,7 +584,7 @@ TEST(LiveEngineTest, Float32TargetsMatchUnshardedWhenShardedAndLive) {
       points, regions, core::ExecutionMethod::kBoundedRaster, shard_options,
       raster);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  const std::string dir = FreshDir("float32");
+  const std::string dir = FreshDir("bounded_raster");
   StatusOr<std::unique_ptr<LiveTable>> table =
       LiveTable::Open(dir, points.schema(), &points, nullptr);
   ASSERT_TRUE(table.ok()) << table.status().ToString();

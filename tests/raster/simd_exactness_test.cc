@@ -284,12 +284,14 @@ TEST(TiledRasterizer, PolygonWithHoleMatchesTriangleOracle) {
   EXPECT_TRUE(std::find(oracle.begin(), oracle.end(), PixelKey(64, 64)) ==
               oracle.end());
 
+  const auto triangles = geometry::TriangulatePolygon(polygon);
+  ASSERT_TRUE(triangles.ok());
   for (const SimdLevel level : AvailableLevels()) {
     std::vector<std::uint64_t> tiled;
-    ASSERT_TRUE(TiledRasterizePolygonTriangles(
-        vp, polygon, KernelsForLevel(level), [&](int y, int xb, int xe) {
-          for (int x = xb; x < xe; ++x) tiled.push_back(PixelKey(x, y));
-        }));
+    for (const geometry::Triangle& tri : triangles.value()) {
+      const std::vector<std::uint64_t> pixels = TiledPixels(vp, tri, level);
+      tiled.insert(tiled.end(), pixels.begin(), pixels.end());
+    }
     std::sort(tiled.begin(), tiled.end());
     EXPECT_EQ(tiled, oracle) << SimdLevelName(level);
   }
