@@ -113,8 +113,7 @@ std::size_t QueryCache::ShardBound(const Shard& shard,
 void QueryCache::TrimLocked(Shard& shard) {
   const std::size_t entry_bound =
       ShardBound(shard, max_entries_.load(std::memory_order_relaxed));
-  const std::size_t byte_bound =
-      ShardBound(shard, max_bytes_.load(std::memory_order_relaxed));
+  const std::size_t byte_bound = ShardBound(shard, max_bytes_);
   while (!shard.lru.empty() &&
          (shard.lru.size() > entry_bound || shard.bytes > byte_bound)) {
     const Entry& victim = shard.lru.back();
@@ -218,15 +217,6 @@ void QueryCache::Clear() {
 
 void QueryCache::set_max_entries(std::size_t max_entries) {
   max_entries_.store(max_entries, std::memory_order_relaxed);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    TrimLocked(shard);
-  }
-}
-
-void QueryCache::set_max_bytes(std::size_t max_bytes) {
-  max_bytes_.store(max_bytes, std::memory_order_relaxed);
   for (std::size_t s = 0; s < shard_count_; ++s) {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);

@@ -116,17 +116,9 @@ class QueryCache {
   /// Drops every entry (counters other than entries/bytes are kept).
   void Clear();
 
-  /// Re-bound the cache; shrinking trims LRU entries immediately.
+  /// Re-bound the entry count; shrinking trims LRU entries immediately.
   /// Setting max_entries to 0 disables and clears it.
   void set_max_entries(std::size_t max_entries);
-  void set_max_bytes(std::size_t max_bytes);
-
-  std::size_t max_entries() const {
-    return max_entries_.load(std::memory_order_relaxed);
-  }
-  std::size_t max_bytes() const {
-    return max_bytes_.load(std::memory_order_relaxed);
-  }
 
   QueryCacheStats stats() const;
 
@@ -164,7 +156,7 @@ class QueryCache {
   void TrimLocked(Shard& shard);
 
   std::atomic<std::size_t> max_entries_;
-  std::atomic<std::size_t> max_bytes_;
+  const std::size_t max_bytes_;
   std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
 };

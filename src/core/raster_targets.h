@@ -16,7 +16,7 @@
 #include "raster/kernels.h"
 #include "raster/morton.h"
 #include "raster/point_splat.h"
-#include "raster/tile_raster.h"
+#include "raster/rasterizer.h"
 #include "raster/viewport.h"
 
 namespace urbane::core::internal {

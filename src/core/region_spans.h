@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "data/region.h"
-#include "raster/tile_raster.h"
+#include "raster/rasterizer.h"
 #include "raster/viewport.h"
 
 namespace urbane::core::internal {

@@ -107,10 +107,6 @@ void SpatialAggregation::set_result_cache_capacity(std::size_t capacity) {
   cache_.set_max_entries(capacity);
 }
 
-void SpatialAggregation::set_result_cache_max_bytes(std::size_t max_bytes) {
-  cache_.set_max_bytes(max_bytes);
-}
-
 std::uint64_t SpatialAggregation::Fingerprint(const AggregationQuery& query,
                                               ExecutionMethod method) const {
   int resolution = 0;

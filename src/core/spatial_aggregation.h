@@ -106,11 +106,9 @@ class SpatialAggregation {
   }
 
   void set_result_cache_capacity(std::size_t capacity);
-  void set_result_cache_max_bytes(std::size_t max_bytes);
 
   QueryCacheStats result_cache_stats() const { return cache_.stats(); }
   std::size_t result_cache_hits() const { return cache_.stats().hits; }
-  std::size_t result_cache_size() const { return cache_.stats().entries; }
 
   /// Rebuild counter mixed into every cache key; bumped whenever an
   /// executor's configuration changes (see ExecuteAuto).

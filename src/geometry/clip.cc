@@ -1,94 +1,6 @@
 #include "geometry/clip.h"
 
-#include <array>
-
 namespace urbane::geometry {
-
-namespace {
-
-enum class Edge { kLeft, kRight, kBottom, kTop };
-
-bool Inside(const Vec2& p, Edge edge, const BoundingBox& box) {
-  switch (edge) {
-    case Edge::kLeft:
-      return p.x >= box.min_x;
-    case Edge::kRight:
-      return p.x <= box.max_x;
-    case Edge::kBottom:
-      return p.y >= box.min_y;
-    case Edge::kTop:
-      return p.y <= box.max_y;
-  }
-  return false;
-}
-
-Vec2 IntersectEdge(const Vec2& a, const Vec2& b, Edge edge,
-                   const BoundingBox& box) {
-  double t = 0.0;
-  switch (edge) {
-    case Edge::kLeft:
-      t = (box.min_x - a.x) / (b.x - a.x);
-      break;
-    case Edge::kRight:
-      t = (box.max_x - a.x) / (b.x - a.x);
-      break;
-    case Edge::kBottom:
-      t = (box.min_y - a.y) / (b.y - a.y);
-      break;
-    case Edge::kTop:
-      t = (box.max_y - a.y) / (b.y - a.y);
-      break;
-  }
-  return a + (b - a) * t;
-}
-
-}  // namespace
-
-Ring ClipRingToBox(const Ring& ring, const BoundingBox& box) {
-  static constexpr std::array<Edge, 4> kEdges = {Edge::kLeft, Edge::kRight,
-                                                 Edge::kBottom, Edge::kTop};
-  Ring current = ring;
-  for (const Edge edge : kEdges) {
-    if (current.empty()) break;
-    Ring next;
-    next.reserve(current.size() + 4);
-    const std::size_t n = current.size();
-    for (std::size_t i = 0, j = n - 1; i < n; j = i++) {
-      const Vec2& prev = current[j];
-      const Vec2& cur = current[i];
-      const bool prev_in = Inside(prev, edge, box);
-      const bool cur_in = Inside(cur, edge, box);
-      if (cur_in) {
-        if (!prev_in) {
-          next.push_back(IntersectEdge(prev, cur, edge, box));
-        }
-        next.push_back(cur);
-      } else if (prev_in) {
-        next.push_back(IntersectEdge(prev, cur, edge, box));
-      }
-    }
-    current = std::move(next);
-  }
-  if (current.size() < 3) {
-    current.clear();
-  }
-  return current;
-}
-
-Polygon ClipPolygonToBox(const Polygon& polygon, const BoundingBox& box) {
-  Ring outer = ClipRingToBox(polygon.outer(), box);
-  if (outer.empty()) {
-    return Polygon();
-  }
-  Polygon out(std::move(outer));
-  for (const Ring& hole : polygon.holes()) {
-    Ring clipped = ClipRingToBox(hole, box);
-    if (clipped.size() >= 3 && RingSignedArea(clipped) != 0.0) {
-      out.add_hole(std::move(clipped));
-    }
-  }
-  return out;
-}
 
 bool ClipSegmentToBox(const BoundingBox& box, Vec2& a, Vec2& b) {
   double t0 = 0.0;

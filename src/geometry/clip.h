@@ -6,18 +6,6 @@
 
 namespace urbane::geometry {
 
-/// Sutherland–Hodgman clip of a ring against an axis-aligned rectangle.
-/// Returns the (possibly empty) clipped ring. Works for convex clip windows;
-/// the ring may be concave.
-Ring ClipRingToBox(const Ring& ring, const BoundingBox& box);
-
-/// Clips every ring of the polygon to the box. Holes that vanish are
-/// dropped; if the outer ring vanishes an empty polygon is returned.
-///
-/// The map view uses this so only the visible viewport portion of each
-/// region is rasterized while panning/zooming.
-Polygon ClipPolygonToBox(const Polygon& polygon, const BoundingBox& box);
-
 /// Liang–Barsky segment clip; true if any part of the segment is inside,
 /// with `a`/`b` replaced by the clipped endpoints.
 bool ClipSegmentToBox(const BoundingBox& box, Vec2& a, Vec2& b);

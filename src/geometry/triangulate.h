@@ -23,8 +23,10 @@ struct Triangle {
 /// first by bridging each hole to the outer ring (earcut-style), so the
 /// result covers exactly polygon-minus-holes.
 ///
-/// This feeds the triangle path of the raster pipeline, mirroring how the
-/// GPU implementation of Raster Join tessellates polygons before rendering.
+/// This feeds the triangle rasterizer, mirroring how the GPU implementation
+/// of Raster Join tessellates polygons before rendering. The raster joins
+/// draw regions with the scanline fill; the triangle path is the oracle its
+/// tests compare against and the microbench's fill-cost baseline.
 /// Returns InvalidArgument for degenerate inputs (< 3 vertices, zero area).
 StatusOr<std::vector<Triangle>> TriangulatePolygon(const Polygon& polygon);
 

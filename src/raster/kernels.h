@@ -38,16 +38,6 @@ struct SplatGeometry {
   }
 };
 
-/// One row segment of the fixed-point triangle rasterizer: three biased
-/// edge values at the segment's first pixel center plus per-pixel steps.
-/// The bias folds the fill rule into a sign test — a pixel is covered iff
-/// all three values are >= 0, i.e. iff (e0 | e1 | e2) has a clear sign bit
-/// (see tile_raster.h for the setup).
-struct EdgeRowSetup {
-  std::int64_t e[3];
-  std::int64_t dx[3];
-};
-
 /// Dispatch table of the data-parallel inner loops shared by the splat and
 /// sweep passes. All kernels are pure functions with lane-count-independent
 /// semantics: the scalar table is the executable specification, and the
@@ -70,10 +60,6 @@ struct RasterKernels {
   /// returns how many were written. `out` must hold at least n entries.
   std::size_t (*gather_nonzero_u32)(const std::uint32_t* v, std::size_t n,
                                     std::uint32_t* out);
-
-  /// Tiled triangle rasterizer: coverage bits of up to 64 consecutive
-  /// pixels (bit i set iff pixel i is covered under `row`). n in [0, 64].
-  std::uint64_t (*edge_coverage_mask)(const EdgeRowSetup& row, int n);
 };
 
 /// Kernel table for a level (levels absent from this build resolve to the

@@ -103,38 +103,6 @@ std::size_t GatherNonZeroU32Avx2(const std::uint32_t* v, std::size_t n,
   return found;
 }
 
-std::uint64_t EdgeCoverageMaskAvx2(const EdgeRowSetup& row, int n) {
-  if (n <= 0) return 0;
-  // Four pixels per iteration: lane k sits k pixels ahead.
-  __m256i e0 = _mm256_set_epi64x(row.e[0] + 3 * row.dx[0],
-                                 row.e[0] + 2 * row.dx[0],
-                                 row.e[0] + row.dx[0], row.e[0]);
-  __m256i e1 = _mm256_set_epi64x(row.e[1] + 3 * row.dx[1],
-                                 row.e[1] + 2 * row.dx[1],
-                                 row.e[1] + row.dx[1], row.e[1]);
-  __m256i e2 = _mm256_set_epi64x(row.e[2] + 3 * row.dx[2],
-                                 row.e[2] + 2 * row.dx[2],
-                                 row.e[2] + row.dx[2], row.e[2]);
-  const __m256i s0 = _mm256_set1_epi64x(4 * row.dx[0]);
-  const __m256i s1 = _mm256_set1_epi64x(4 * row.dx[1]);
-  const __m256i s2 = _mm256_set1_epi64x(4 * row.dx[2]);
-  std::uint64_t mask = 0;
-  for (int i = 0; i < n; i += 4) {
-    const __m256i ored = _mm256_or_si256(_mm256_or_si256(e0, e1), e2);
-    // movemask_pd reads the four 64-bit sign bits: clear sign ⇒ covered.
-    const unsigned covered =
-        ~static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(ored))) &
-        0xFu;
-    mask |= static_cast<std::uint64_t>(covered) << i;
-    e0 = _mm256_add_epi64(e0, s0);
-    e1 = _mm256_add_epi64(e1, s1);
-    e2 = _mm256_add_epi64(e2, s2);
-  }
-  // The loop may compute up to three pixels past n-1; trim them.
-  if (n < 64) mask &= (std::uint64_t{1} << n) - 1;
-  return mask;
-}
-
 }  // namespace
 
 const RasterKernels kAvx2RasterKernels = {
@@ -142,7 +110,6 @@ const RasterKernels kAvx2RasterKernels = {
     &ComputePixelIndicesAvx2,
     &SumSpanU32Avx2,
     &GatherNonZeroU32Avx2,
-    &EdgeCoverageMaskAvx2,
 };
 
 }  // namespace urbane::raster

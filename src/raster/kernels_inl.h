@@ -60,20 +60,6 @@ inline std::size_t ScalarGatherNonZeroU32(const std::uint32_t* v,
   return found;
 }
 
-inline std::uint64_t ScalarEdgeCoverageMask(const EdgeRowSetup& row, int n) {
-  std::uint64_t mask = 0;
-  std::int64_t e0 = row.e[0], e1 = row.e[1], e2 = row.e[2];
-  for (int i = 0; i < n; ++i) {
-    // Biased edges: covered iff every value is non-negative, i.e. the OR of
-    // the three sign bits is clear.
-    if (((e0 | e1 | e2) >> 63) == 0) mask |= std::uint64_t{1} << i;
-    e0 += row.dx[0];
-    e1 += row.dx[1];
-    e2 += row.dx[2];
-  }
-  return mask;
-}
-
 }  // namespace urbane::raster::internal
 
 #endif  // URBANE_RASTER_KERNELS_INL_H_

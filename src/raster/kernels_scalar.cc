@@ -25,10 +25,6 @@ std::size_t GatherNonZeroU32Scalar(const std::uint32_t* v, std::size_t n,
   return internal::ScalarGatherNonZeroU32(v, n, 0, out);
 }
 
-std::uint64_t EdgeCoverageMaskScalar(const EdgeRowSetup& row, int n) {
-  return internal::ScalarEdgeCoverageMask(row, n);
-}
-
 }  // namespace
 
 const RasterKernels kScalarRasterKernels = {
@@ -36,7 +32,6 @@ const RasterKernels kScalarRasterKernels = {
     &ComputePixelIndicesScalar,
     &SumSpanU32Scalar,
     &GatherNonZeroU32Scalar,
-    &EdgeCoverageMaskScalar,
 };
 
 }  // namespace urbane::raster

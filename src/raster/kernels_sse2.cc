@@ -125,31 +125,6 @@ std::size_t GatherNonZeroU32Sse2(const std::uint32_t* v, std::size_t n,
   return found;
 }
 
-std::uint64_t EdgeCoverageMaskSse2(const EdgeRowSetup& row, int n) {
-  if (n <= 0) return 0;
-  // Two pixels per iteration: lane 1 sits one pixel ahead of lane 0.
-  __m128i e0 = _mm_set_epi64x(row.e[0] + row.dx[0], row.e[0]);
-  __m128i e1 = _mm_set_epi64x(row.e[1] + row.dx[1], row.e[1]);
-  __m128i e2 = _mm_set_epi64x(row.e[2] + row.dx[2], row.e[2]);
-  const __m128i s0 = _mm_set1_epi64x(2 * row.dx[0]);
-  const __m128i s1 = _mm_set1_epi64x(2 * row.dx[1]);
-  const __m128i s2 = _mm_set1_epi64x(2 * row.dx[2]);
-  std::uint64_t mask = 0;
-  for (int i = 0; i < n; i += 2) {
-    const __m128i ored = _mm_or_si128(_mm_or_si128(e0, e1), e2);
-    // movemask_pd reads the two 64-bit sign bits: clear sign ⇒ covered.
-    const unsigned covered =
-        ~static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(ored))) & 0x3u;
-    mask |= static_cast<std::uint64_t>(covered) << i;
-    e0 = _mm_add_epi64(e0, s0);
-    e1 = _mm_add_epi64(e1, s1);
-    e2 = _mm_add_epi64(e2, s2);
-  }
-  // The loop may compute one pixel past n-1; trim it.
-  if (n < 64) mask &= (std::uint64_t{1} << n) - 1;
-  return mask;
-}
-
 }  // namespace
 
 const RasterKernels kSse2RasterKernels = {
@@ -157,7 +132,6 @@ const RasterKernels kSse2RasterKernels = {
     &ComputePixelIndicesSse2,
     &SumSpanU32Sse2,
     &GatherNonZeroU32Sse2,
-    &EdgeCoverageMaskSse2,
 };
 
 }  // namespace urbane::raster

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "geometry/polygon.h"
@@ -113,6 +114,13 @@ inline int FirstCenterAtOrAfter(const Viewport& vp, double world_x) {
 }
 
 }  // namespace internal
+
+/// One half-open run of covered pixels: row y, columns [x_begin, x_end).
+struct PixelSpan {
+  std::int32_t y;
+  std::int32_t x_begin;
+  std::int32_t x_end;
+};
 
 /// Scanline (even-odd) fill of a polygon with holes; `emit(iy, x_begin,
 /// x_end)` receives half-open pixel spans on each covered row. Equivalent

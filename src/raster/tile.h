@@ -7,10 +7,9 @@
 
 namespace urbane::raster {
 
-/// Screen-space tiles: the rasterizer walks the canvas in kTileSize²-pixel
-/// blocks so the framebuffer slice a tile touches stays cache-resident, and
-/// so whole tiles can be trivially accepted (fully inside every edge) or
-/// rejected (fully outside one edge) from four corner evaluations.
+/// Screen-space tiles: a fixed grid of kTileSize²-pixel blocks over the
+/// canvas. The raster joins count the tiles a region's spans touch
+/// (raster.tiles), a locality measure of the sweep.
 inline constexpr int kTileBits = 6;
 inline constexpr int kTileSize = 1 << kTileBits;  // 64×64 pixels
 

@@ -93,7 +93,7 @@ TEST(EngineConcurrencyTest, HammeredEngineMatchesSerialOracle) {
   }
   // Revisit traffic must actually have been served from the cache.
   EXPECT_GT(engine.result_cache_hits(), 0u);
-  EXPECT_LE(engine.result_cache_size(), 128u);
+  EXPECT_LE(engine.result_cache_stats().entries, 128u);
 }
 
 TEST(EngineConcurrencyTest, ConcurrentAutoRebuildIsSafe) {

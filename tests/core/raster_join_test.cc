@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/scan_join.h"
 #include "obs/profile.h"
@@ -33,31 +35,65 @@ TEST(ResolutionForEpsilonTest, HonorsErrorBound) {
             ResolutionForEpsilon(world, 50.0));
 }
 
+// |bounded - exact| never exceeds the reported per-region bound, over
+// random worlds (overlapping stars and tessellations), resolutions that are
+// not powers of two, COUNT and SUM, and every filter kind. COUNT must hold
+// exactly; SUM gets 1e-6 for float summation order. AVG/MIN/MAX are left
+// out: their bound is only the count of boundary points.
 TEST(BoundedRasterJoinTest, ApproximationWithinReportedBound) {
-  const auto points = testing::MakeUniformPoints(20000, 31);
-  const auto regions = testing::MakeRandomRegions(6, 32);
-  RasterJoinOptions options;
-  options.resolution = 256;
-  auto raster = BoundedRasterJoin::Create(points, regions, options);
-  auto scan = ScanJoin::Create(points, regions);
-  ASSERT_TRUE(raster.ok());
-  ASSERT_TRUE(scan.ok());
-
-  AggregationQuery query;
-  query.points = &points;
-  query.regions = &regions;
-  const auto approx = (*raster)->Execute(query);
-  const auto exact = (*scan)->Execute(query);
-  ASSERT_TRUE(approx.ok());
-  ASSERT_TRUE(exact.ok());
-  ASSERT_EQ(approx->error_bounds.size(), regions.size());
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    const double error =
-        std::fabs(approx->values[r] - exact->values[r]);
-    EXPECT_LE(error, approx->error_bounds[r] + 1e-9)
-        << "region " << r << " error " << error << " exceeds bound "
-        << approx->error_bounds[r];
+  std::vector<FilterSpec> filters(4);  // [0] is unfiltered
+  filters[1].WithTime(20000, 60000);
+  filters[2].WithRange("v", -3.0, 5.0);
+  filters[3].WithWindow(geometry::BoundingBox(20.0, 30.0, 70.0, 85.0));
+  const AggregateSpec aggregates[] = {AggregateSpec::Count(),
+                                      AggregateSpec::Sum("v")};
+  double total_error = 0.0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto points = testing::MakeUniformPoints(5000, 31 * seed);
+    for (const bool tessellation : {false, true}) {
+      const data::RegionSet regions =
+          tessellation ? testing::MakeTessellationRegions(3, 32 * seed)
+                       : testing::MakeRandomRegions(6, 32 * seed);
+      auto scan = ScanJoin::Create(points, regions);
+      ASSERT_TRUE(scan.ok());
+      for (const int resolution : {24, 97, 400}) {
+        RasterJoinOptions options;
+        options.resolution = resolution;
+        auto raster = BoundedRasterJoin::Create(points, regions, options);
+        ASSERT_TRUE(raster.ok());
+        for (const AggregateSpec& aggregate : aggregates) {
+          const double slack =
+              aggregate.kind == AggregateKind::kCount ? 0.0 : 1e-6;
+          for (std::size_t f = 0; f < filters.size(); ++f) {
+            AggregationQuery query;
+            query.points = &points;
+            query.regions = &regions;
+            query.aggregate = aggregate;
+            query.filter = filters[f];
+            const auto approx = (*raster)->Execute(query);
+            const auto exact = (*scan)->Execute(query);
+            ASSERT_TRUE(approx.ok());
+            ASSERT_TRUE(exact.ok());
+            ASSERT_EQ(approx->error_bounds.size(), regions.size());
+            for (std::size_t r = 0; r < regions.size(); ++r) {
+              const double error =
+                  std::fabs(approx->values[r] - exact->values[r]);
+              total_error += error;
+              EXPECT_LE(error, approx->error_bounds[r] + slack)
+                  << "seed " << seed
+                  << (tessellation ? " tessellation" : " stars")
+                  << " resolution " << resolution << " "
+                  << AggregateKindToString(aggregate.kind) << " filter " << f
+                  << " region " << r << " bound "
+                  << approx->error_bounds[r];
+            }
+          }
+        }
+      }
+    }
   }
+  // The sweep must include real approximation error, or it proves nothing.
+  EXPECT_GT(total_error, 0.0);
 }
 
 TEST(BoundedRasterJoinTest, ErrorShrinksWithResolution) {

@@ -123,14 +123,14 @@ TEST(SpatialAggregationTest, ResultCacheCapacityBounded) {
     query.filter.WithTime(i * 1000, (i + 1) * 1000);
     ASSERT_TRUE(engine.Execute(query, ExecutionMethod::kScan).ok());
   }
-  EXPECT_LE(engine.result_cache_size(), 2u);
+  EXPECT_LE(engine.result_cache_stats().entries, 2u);
   // Capacity 0 (the default) disables caching entirely.
   engine.set_result_cache_capacity(0);
-  EXPECT_EQ(engine.result_cache_size(), 0u);
+  EXPECT_EQ(engine.result_cache_stats().entries, 0u);
   AggregationQuery query;
   ASSERT_TRUE(engine.Execute(query, ExecutionMethod::kScan).ok());
   ASSERT_TRUE(engine.Execute(query, ExecutionMethod::kScan).ok());
-  EXPECT_EQ(engine.result_cache_size(), 0u);
+  EXPECT_EQ(engine.result_cache_stats().entries, 0u);
 }
 
 // Regression for the stale-ε bug: a bounded-raster result memoized at a
@@ -195,9 +195,6 @@ TEST(SpatialAggregationTest, CacheStatsCountersAndByteBound) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_GT(stats.HitRate(), 0.0);
-  // A byte bound of zero retains nothing.
-  engine.set_result_cache_max_bytes(0);
-  EXPECT_EQ(engine.result_cache_size(), 0u);
 }
 
 TEST(SpatialAggregationTest, InvalidQueryRejected) {

@@ -5,65 +5,6 @@
 namespace urbane::geometry {
 namespace {
 
-TEST(ClipRingToBoxTest, FullyInsideUnchanged) {
-  const Ring ring = {{1, 1}, {2, 1}, {2, 2}, {1, 2}};
-  const Ring clipped = ClipRingToBox(ring, BoundingBox(0, 0, 10, 10));
-  EXPECT_NEAR(RingSignedArea(clipped), RingSignedArea(ring), 1e-12);
-}
-
-TEST(ClipRingToBoxTest, FullyOutsideVanishes) {
-  const Ring ring = {{20, 20}, {22, 20}, {22, 22}, {20, 22}};
-  EXPECT_TRUE(ClipRingToBox(ring, BoundingBox(0, 0, 10, 10)).empty());
-}
-
-TEST(ClipRingToBoxTest, HalfOverlapHalvesArea) {
-  const Ring ring = {{-5, 0}, {5, 0}, {5, 10}, {-5, 10}};
-  const Ring clipped = ClipRingToBox(ring, BoundingBox(0, 0, 10, 10));
-  EXPECT_NEAR(std::fabs(RingSignedArea(clipped)), 50.0, 1e-9);
-}
-
-TEST(ClipRingToBoxTest, NeverGrowsArea) {
-  const Ring ring = {{-3, -3}, {13, -2}, {12, 14}, {-4, 12}};
-  const BoundingBox box(0, 0, 10, 10);
-  const Ring clipped = ClipRingToBox(ring, box);
-  EXPECT_LE(std::fabs(RingSignedArea(clipped)),
-            std::fabs(RingSignedArea(ring)) + 1e-9);
-  EXPECT_LE(std::fabs(RingSignedArea(clipped)), box.Area() + 1e-9);
-  for (const Vec2& v : clipped) {
-    EXPECT_TRUE(box.Contains(v));
-  }
-}
-
-TEST(ClipRingToBoxTest, BoxLargerThanWorldIsIdentity) {
-  const Ring ring = {{0, 0}, {4, 0}, {2, 3}};
-  const Ring clipped = ClipRingToBox(ring, BoundingBox(-100, -100, 100, 100));
-  EXPECT_EQ(clipped.size(), 3u);
-}
-
-TEST(ClipPolygonToBoxTest, HolesClippedToo) {
-  Polygon p(Ring{{0, 0}, {10, 0}, {10, 10}, {0, 10}});
-  p.add_hole(Ring{{4, 4}, {6, 4}, {6, 6}, {4, 6}});
-  p.Normalize();
-  const Polygon clipped = ClipPolygonToBox(p, BoundingBox(0, 0, 5, 10));
-  EXPECT_NEAR(clipped.Area(), 50.0 - 2.0, 1e-9);
-  ASSERT_EQ(clipped.holes().size(), 1u);
-}
-
-TEST(ClipPolygonToBoxTest, HoleOutsideWindowDropped) {
-  Polygon p(Ring{{0, 0}, {10, 0}, {10, 10}, {0, 10}});
-  p.add_hole(Ring{{7, 7}, {9, 7}, {9, 9}, {7, 9}});
-  p.Normalize();
-  const Polygon clipped = ClipPolygonToBox(p, BoundingBox(0, 0, 5, 5));
-  EXPECT_TRUE(clipped.holes().empty());
-  EXPECT_NEAR(clipped.Area(), 25.0, 1e-9);
-}
-
-TEST(ClipPolygonToBoxTest, EmptyResultWhenDisjoint) {
-  const Polygon p(Ring{{0, 0}, {1, 0}, {1, 1}});
-  const Polygon clipped = ClipPolygonToBox(p, BoundingBox(5, 5, 6, 6));
-  EXPECT_TRUE(clipped.outer().empty());
-}
-
 TEST(ClipSegmentToBoxTest, InsideSegmentUnchanged) {
   Vec2 a{1, 1};
   Vec2 b{2, 2};

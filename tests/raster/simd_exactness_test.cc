@@ -1,27 +1,24 @@
-// Pixel-exactness fuzz suite for the tiled SIMD rasterizer substrate.
+// Bit-identity fuzz suite for the SIMD splat and sweep kernels.
 //
-// The substrate's contract is bit-identity, not approximation: every kernel
-// table (scalar/SSE2/AVX2) computes the same function, the tiled triangle
-// walk emits the same pixel set as the double-precision oracle on lattice
-// inputs, and a Morton-ordered splat reproduces the row-ordered splat's
-// per-pixel values bit for bit. These tests fuzz each claim directly.
+// The kernels' contract is bit-identity, not approximation: every kernel
+// table (scalar/SSE2/AVX2) computes the same function, and a Morton-ordered
+// splat reproduces the row-ordered splat's per-pixel values bit for bit.
+// These tests fuzz each claim directly. The suite also checks the scanline
+// fill against the triangle oracle on a polygon with a hole.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "geometry/triangulate.h"
 #include "raster/buffer.h"
 #include "raster/kernels.h"
 #include "raster/morton.h"
 #include "raster/point_splat.h"
 #include "raster/rasterizer.h"
 #include "raster/simd.h"
-#include "raster/tile_raster.h"
 #include "raster/viewport.h"
 #include "util/random.h"
 
@@ -41,32 +38,10 @@ std::vector<SimdLevel> AvailableLevels() {
   return levels;
 }
 
-/// Canvas whose world->pixel map is the identity (pixel_w == pixel_h == 1),
-/// so world coordinates of the form k/65536 land exactly on the snap
-/// lattice and the double oracle is exact.
-Viewport LatticeCanvas(int width, int height) {
+/// Canvas whose world->pixel map is the identity (pixel_w == pixel_h == 1).
+Viewport IdentityCanvas(int width, int height) {
   return Viewport(geometry::BoundingBox(0.0, 0.0, width, height), width,
                   height);
-}
-
-double LatticeCoord(Rng& rng, int lo, int hi) {
-  const std::int64_t sub =
-      static_cast<std::int64_t>(rng.NextUint64(
-          static_cast<std::uint64_t>(hi - lo) * 65536)) +
-      static_cast<std::int64_t>(lo) * 65536;
-  return static_cast<double>(sub) / 65536.0;
-}
-
-geometry::Triangle RandomLatticeTriangle(Rng& rng, int size) {
-  const int margin = size / 4;
-  geometry::Triangle tri;
-  tri.a = {LatticeCoord(rng, -margin, size + margin),
-           LatticeCoord(rng, -margin, size + margin)};
-  tri.b = {LatticeCoord(rng, -margin, size + margin),
-           LatticeCoord(rng, -margin, size + margin)};
-  tri.c = {LatticeCoord(rng, -margin, size + margin),
-           LatticeCoord(rng, -margin, size + margin)};
-  return tri;
 }
 
 std::uint64_t PixelKey(int x, int y) {
@@ -74,35 +49,12 @@ std::uint64_t PixelKey(int x, int y) {
          static_cast<std::uint32_t>(x);
 }
 
-std::vector<std::uint64_t> OraclePixels(const Viewport& vp,
-                                        const geometry::Triangle& tri) {
-  std::vector<std::uint64_t> pixels;
-  RasterizeTriangle(vp, tri,
-                    [&](int x, int y) { pixels.push_back(PixelKey(x, y)); });
-  std::sort(pixels.begin(), pixels.end());
-  return pixels;
-}
-
-std::vector<std::uint64_t> TiledPixels(const Viewport& vp,
-                                       const geometry::Triangle& tri,
-                                       SimdLevel level) {
-  std::vector<std::uint64_t> pixels;
-  TiledRasterizeTriangle(vp, tri, KernelsForLevel(level),
-                         [&](int y, int x_begin, int x_end) {
-                           for (int x = x_begin; x < x_end; ++x) {
-                             pixels.push_back(PixelKey(x, y));
-                           }
-                         });
-  std::sort(pixels.begin(), pixels.end());
-  return pixels;
-}
-
 // ---------------------------------------------------------------------------
 // Kernel tables agree bit-for-bit on random inputs.
 // ---------------------------------------------------------------------------
 
 TEST(SimdKernels, PixelIndicesAgreeAcrossLevels) {
-  const Viewport vp = LatticeCanvas(128, 96);
+  const Viewport vp = IdentityCanvas(128, 96);
   const SplatGeometry geom = SplatGeometry::From(vp);
   Rng rng(0xC0FFEE);
   for (int round = 0; round < 50; ++round) {
@@ -175,101 +127,13 @@ TEST(SimdKernels, SpanSumAndGatherAgreeAcrossLevels) {
   }
 }
 
-TEST(SimdKernels, CoverageMasksAgreeAcrossLevels) {
-  Rng rng(0x5EED);
-  for (int round = 0; round < 400; ++round) {
-    EdgeRowSetup row;
-    for (int k = 0; k < 3; ++k) {
-      row.e[k] = static_cast<std::int64_t>(rng.NextUint64()) >> 20;
-      row.dx[k] = static_cast<std::int64_t>(rng.NextUint64()) >> 28;
-    }
-    const int n = 1 + static_cast<int>(rng.NextUint64(64));
-    const std::uint64_t reference =
-        kScalarRasterKernels.edge_coverage_mask(row, n);
-    for (const SimdLevel level : AvailableLevels()) {
-      EXPECT_EQ(KernelsForLevel(level).edge_coverage_mask(row, n), reference)
-          << SimdLevelName(level) << " n=" << n;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Tiled triangle walk == double-precision oracle on lattice inputs.
+// Scanline fill == triangle oracle on a polygon with a hole. (The suite name
+// is older than the test body; it is kept so recorded test names stay put.)
 // ---------------------------------------------------------------------------
-
-TEST(TiledRasterizer, RandomLatticeTrianglesMatchOracle) {
-  const Viewport vp = LatticeCanvas(128, 128);
-  Rng rng(0xF1E1D);
-  for (int round = 0; round < 200; ++round) {
-    const geometry::Triangle tri = RandomLatticeTriangle(rng, 128);
-    const std::vector<std::uint64_t> oracle = OraclePixels(vp, tri);
-    for (const SimdLevel level : AvailableLevels()) {
-      EXPECT_EQ(TiledPixels(vp, tri, level), oracle)
-          << SimdLevelName(level) << " round=" << round;
-    }
-  }
-}
-
-TEST(TiledRasterizer, SliverTrianglesMatchOracle) {
-  const Viewport vp = LatticeCanvas(128, 128);
-  Rng rng(0x511FE2);
-  for (int round = 0; round < 200; ++round) {
-    // Nearly-degenerate: a long thin wedge whose apex offset is a handful
-    // of subpixel steps, the regime where incremental-evaluation drift
-    // would flip pixels.
-    geometry::Triangle tri;
-    tri.a = {LatticeCoord(rng, 0, 128), LatticeCoord(rng, 0, 128)};
-    const double len = rng.NextDouble(10.0, 100.0);
-    const std::int64_t thin = 1 + static_cast<std::int64_t>(rng.NextUint64(64));
-    tri.b = {tri.a.x + std::floor(len * 65536.0) / 65536.0,
-             tri.a.y + static_cast<double>(thin) / 65536.0};
-    tri.c = {tri.a.x + std::floor(len * 0.5 * 65536.0) / 65536.0, tri.a.y};
-    const std::vector<std::uint64_t> oracle = OraclePixels(vp, tri);
-    for (const SimdLevel level : AvailableLevels()) {
-      EXPECT_EQ(TiledPixels(vp, tri, level), oracle)
-          << SimdLevelName(level) << " round=" << round;
-    }
-  }
-}
-
-TEST(TiledRasterizer, SharedEdgePairsCoverEachPixelOnce) {
-  const Viewport vp = LatticeCanvas(128, 128);
-  Rng rng(0xED6E);
-  for (int round = 0; round < 200; ++round) {
-    // Two triangles sharing edge (p, q): every pixel near the shared edge
-    // must land in exactly one of them (the half-open tie rule), at every
-    // SIMD level, exactly as in the oracle.
-    const geometry::Vec2 p = {LatticeCoord(rng, 10, 118),
-                              LatticeCoord(rng, 10, 118)};
-    const geometry::Vec2 q = {LatticeCoord(rng, 10, 118),
-                              LatticeCoord(rng, 10, 118)};
-    const geometry::Vec2 r1 = {LatticeCoord(rng, 0, 128),
-                               LatticeCoord(rng, 0, 128)};
-    const geometry::Vec2 r2 = {p.x + q.x - r1.x, p.y + q.y - r1.y};
-    const geometry::Triangle t1 = {p, q, r1};
-    const geometry::Triangle t2 = {q, p, r2};
-
-    std::vector<std::uint64_t> oracle = OraclePixels(vp, t1);
-    const std::vector<std::uint64_t> oracle2 = OraclePixels(vp, t2);
-    oracle.insert(oracle.end(), oracle2.begin(), oracle2.end());
-    std::sort(oracle.begin(), oracle.end());
-    // The oracle itself must not double-cover along the shared edge.
-    ASSERT_TRUE(std::adjacent_find(oracle.begin(), oracle.end()) ==
-                oracle.end())
-        << "oracle double-covered a pixel, round=" << round;
-
-    for (const SimdLevel level : AvailableLevels()) {
-      std::vector<std::uint64_t> tiled = TiledPixels(vp, t1, level);
-      const std::vector<std::uint64_t> tiled2 = TiledPixels(vp, t2, level);
-      tiled.insert(tiled.end(), tiled2.begin(), tiled2.end());
-      std::sort(tiled.begin(), tiled.end());
-      EXPECT_EQ(tiled, oracle) << SimdLevelName(level) << " round=" << round;
-    }
-  }
-}
 
 TEST(TiledRasterizer, PolygonWithHoleMatchesTriangleOracle) {
-  const Viewport vp = LatticeCanvas(128, 128);
+  const Viewport vp = IdentityCanvas(128, 128);
   geometry::Ring outer = {{8, 8}, {120, 8}, {120, 120}, {8, 120}};
   geometry::Ring hole = {{40, 40}, {40, 88}, {88, 88}, {88, 40}};
   const geometry::Polygon polygon(outer, {hole});
@@ -284,38 +148,12 @@ TEST(TiledRasterizer, PolygonWithHoleMatchesTriangleOracle) {
   EXPECT_TRUE(std::find(oracle.begin(), oracle.end(), PixelKey(64, 64)) ==
               oracle.end());
 
-  const auto triangles = geometry::TriangulatePolygon(polygon);
-  ASSERT_TRUE(triangles.ok());
-  for (const SimdLevel level : AvailableLevels()) {
-    std::vector<std::uint64_t> tiled;
-    for (const geometry::Triangle& tri : triangles.value()) {
-      const std::vector<std::uint64_t> pixels = TiledPixels(vp, tri, level);
-      tiled.insert(tiled.end(), pixels.begin(), pixels.end());
-    }
-    std::sort(tiled.begin(), tiled.end());
-    EXPECT_EQ(tiled, oracle) << SimdLevelName(level);
-  }
-}
-
-TEST(TiledRasterizer, LevelsAgreeOnArbitraryNonLatticeInputs) {
-  // Off the lattice the snapped pixel set may differ from the double
-  // oracle, but it must still be identical at every SIMD level — the
-  // emitted spans depend only on the snapped geometry.
-  const Viewport vp =
-      Viewport(geometry::BoundingBox(0.0, 0.0, 97.3, 61.7), 128, 81);
-  Rng rng(0xAB1E);
-  for (int round = 0; round < 200; ++round) {
-    geometry::Triangle tri;
-    tri.a = {rng.NextDouble(-10.0, 107.0), rng.NextDouble(-10.0, 70.0)};
-    tri.b = {rng.NextDouble(-10.0, 107.0), rng.NextDouble(-10.0, 70.0)};
-    tri.c = {rng.NextDouble(-10.0, 107.0), rng.NextDouble(-10.0, 70.0)};
-    const std::vector<std::uint64_t> reference =
-        TiledPixels(vp, tri, SimdLevel::kOff);
-    for (const SimdLevel level : AvailableLevels()) {
-      EXPECT_EQ(TiledPixels(vp, tri, level), reference)
-          << SimdLevelName(level) << " round=" << round;
-    }
-  }
+  std::vector<std::uint64_t> scanline;
+  ScanlineFillPolygonPixels(vp, polygon, [&](int x, int y) {
+    scanline.push_back(PixelKey(x, y));
+  });
+  std::sort(scanline.begin(), scanline.end());
+  EXPECT_EQ(scanline, oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +173,7 @@ void ExpectBuffersBitEqual(const Buffer2D<T>& a, const Buffer2D<T>& b) {
 }
 
 TEST(MortonSplat, PerPixelAggregatesBitIdenticalPerBlendOp) {
-  const Viewport vp = LatticeCanvas(64, 64);
+  const Viewport vp = IdentityCanvas(64, 64);
   Rng rng(0x2024);
   const std::size_t n = 20000;
   std::vector<float> xs(n);

@@ -31,12 +31,16 @@
 #
 # `--fast` instead builds a plain (unsanitized) tree and runs only the
 # suites labeled `fast` in tests/CMakeLists.txt — the seconds-scale
-# inner-loop gate. The fast gate then re-runs the `simd` label (kernel
-# tables, tiled rasterizer, raster-executor bit-identity) once per
+# inner-loop gate. It also builds every bench/ binary and examples/
+# walkthrough, so a change that breaks one fails here rather than in the
+# full build. The fast gate then re-runs the `simd` label (kernel tables,
+# Morton splat order, raster-executor bit-identity) once per
 # URBANE_SIMD level — off, sse2 and, when the CPU has it, avx2 — so every
 # dispatchable code path is exercised even though `auto` would pick only
 # the widest one. Levels the CPU lacks clamp down, so the loop is safe on
-# any machine.
+# any machine. It then runs bench_micro_substrate's BM_SimdKernel once at a
+# short minimum time: every kernel-table entry at every level goes through
+# the bench, so a workload list and argument list that disagree fail here.
 #
 # The fast gate finally builds the end-to-end benchmark (perfbench/, its
 # own CMake project compiled from this checkout's src/) into
@@ -65,12 +69,16 @@ fi
 if [[ "${MODE}" == "fast" ]]; then
   BUILD_DIR=${BUILD_DIR:-build-fast}
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  # Each bench/bench_*.cc and examples/*.cpp is a target of the same name.
+  BENCH_TARGETS=$(basename -s .cc bench/bench_*.cc)
+  EXAMPLE_TARGETS=$(basename -s .cpp examples/*.cpp)
   cmake --build "${BUILD_DIR}" -j "${JOBS}" \
     --target util_test geometry_test raster_test simd_test index_test \
              core_test data_test obs_test obs_pipeline_test net_test \
              store_test shard_unit_test shard_test server_shard_test \
              profile_test server_profile_test \
-             ingest_unit_test ingest_test server_ingest_test
+             ingest_unit_test ingest_test server_ingest_test \
+             ${BENCH_TARGETS} ${EXAMPLE_TARGETS}
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L fast "$@"
   # The full shard conformance gate (oracle, property, interleave, fault,
   # store/server surfaces) — slow-labeled suites included on purpose: the
@@ -94,6 +102,9 @@ if [[ "${MODE}" == "fast" ]]; then
     URBANE_SIMD="${level}" \
       ctest --test-dir "${BUILD_DIR}" --output-on-failure -L simd "$@"
   done
+  echo "== bench_micro_substrate kernels @ every level =="
+  "${BUILD_DIR}/bench/bench_micro_substrate" \
+    --benchmark_filter=BM_SimdKernel --benchmark_min_time=0.01
   echo "== perfbench build + unit tests =="
   cmake -B "${BUILD_DIR}/perfbench" -S perfbench \
     -DCMAKE_BUILD_TYPE=Release >/dev/null
