@@ -3,16 +3,18 @@
 // fill (the pipeline ablation), point splatting (z-order-sorted vs shuffled
 // input — memory-locality ablation), grid-index probes, boundary
 // rasterization, and the splat/sweep SIMD kernel tables (scalar vs sse2 vs
-// avx2 ns/fragment). The kernel workloads additionally emit a harness
-// ResultTable sidecar (micro_substrate_kernels.json when URBANE_BENCH_CSV
-// is set) so tools/bench_report tracks kernel regressions in
-// BENCH_TRAJECTORY.json without a full fig4/fig8 run.
+// avx2 ns/fragment). On an unfiltered run the kernel workloads additionally
+// emit a harness ResultTable sidecar (micro_substrate_kernels.json when
+// URBANE_BENCH_CSV is set) so tools/bench_report tracks kernel regressions
+// in BENCH_TRAJECTORY.json without a full fig4/fig8 run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/harness.h"
@@ -161,9 +163,9 @@ BENCHMARK(BM_Triangulate)->Arg(16)->Arg(64)->Arg(256);
 // Splat/sweep SIMD kernels. One workload per RasterKernels entry point; each
 // runs at every URBANE_SIMD level available on this CPU. Registered twice:
 // as BM_SimdKernel below for interactive runs, and through
-// EmitKernelSidecar() (called from main after the benchmark pass) as a
-// harness ResultTable so the numbers land in the JSON sidecar bench_report
-// aggregates.
+// EmitKernelSidecar() (called from main after an unfiltered benchmark pass)
+// as a harness ResultTable so the numbers land in the JSON sidecar
+// bench_report aggregates.
 
 std::vector<raster::SimdLevel> AvailableKernelLevels() {
   std::vector<raster::SimdLevel> levels = {raster::SimdLevel::kOff};
@@ -314,10 +316,18 @@ void EmitKernelSidecar() {
 }  // namespace urbane
 
 int main(int argc, char** argv) {
+  // A filtered run (e.g. --benchmark_filter=BM_SimdKernel) asked for some
+  // benchmarks only, so it skips the sidecar pass. Initialize strips the
+  // flag from argv, so look before it runs.
+  const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* arg) {
+    return std::string_view(arg).starts_with("--benchmark_filter");
+  });
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  urbane::EmitKernelSidecar();
+  if (!filtered) {
+    urbane::EmitKernelSidecar();
+  }
   return 0;
 }

@@ -1,6 +1,39 @@
 #include "core/filter.h"
 
 namespace urbane::core {
+namespace {
+
+/// Rows EstimateFilterSelectivity tests at most.
+constexpr std::size_t kSelectivitySampleRows = 65536;
+
+/// FilterSpec resolved against a concrete schema (attribute names bound to
+/// column indices): the row test behind EvaluateFilter and
+/// EstimateFilterSelectivity.
+class CompiledFilter {
+ public:
+  /// Fails on an unknown attribute, an empty attribute range or an empty
+  /// spatial window.
+  static StatusOr<CompiledFilter> Compile(const FilterSpec& spec,
+                                          const data::PointTable& table);
+
+  /// Row-level predicate.
+  bool Matches(const data::PointTable& table, std::size_t row) const;
+
+  bool IsTrivial() const {
+    return !time_range_ && ranges_.empty() && !window_;
+  }
+
+ private:
+  struct BoundRange {
+    std::size_t column;
+    float lo;
+    float hi;
+  };
+
+  std::optional<TimeRange> time_range_;
+  std::vector<BoundRange> ranges_;
+  std::optional<geometry::BoundingBox> window_;
+};
 
 StatusOr<CompiledFilter> CompiledFilter::Compile(
     const FilterSpec& spec, const data::PointTable& table) {
@@ -46,9 +79,10 @@ bool CompiledFilter::Matches(const data::PointTable& table,
   return true;
 }
 
+}  // namespace
+
 StatusOr<double> EstimateFilterSelectivity(const FilterSpec& spec,
-                                           const data::PointTable& table,
-                                           std::size_t max_sample) {
+                                           const data::PointTable& table) {
   URBANE_ASSIGN_OR_RETURN(CompiledFilter compiled,
                           CompiledFilter::Compile(spec, table));
   const std::size_t n = table.size();
@@ -58,11 +92,10 @@ StatusOr<double> EstimateFilterSelectivity(const FilterSpec& spec,
   if (compiled.IsTrivial()) {
     return 1.0;
   }
-  if (max_sample == 0) {
-    max_sample = 1;
-  }
   const std::size_t stride =
-      n <= max_sample ? 1 : (n + max_sample - 1) / max_sample;
+      n <= kSelectivitySampleRows
+          ? 1
+          : (n + kSelectivitySampleRows - 1) / kSelectivitySampleRows;
   std::size_t tested = 0;
   std::size_t matched = 0;
   for (std::size_t i = 0; i < n; i += stride) {

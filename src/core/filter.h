@@ -60,64 +60,31 @@ struct FilterSpec {
   }
 };
 
-/// FilterSpec resolved against a concrete schema (attribute names bound to
-/// column indices). Immutable after construction.
-class CompiledFilter {
- public:
-  /// Fails if an attribute name is unknown.
-  static StatusOr<CompiledFilter> Compile(const FilterSpec& spec,
-                                          const data::PointTable& table);
-
-  /// Row-level predicate.
-  bool Matches(const data::PointTable& table, std::size_t row) const;
-
-  bool IsTrivial() const {
-    return !time_range_ && ranges_.empty() && !window_;
-  }
-
- private:
-  struct BoundRange {
-    std::size_t column;
-    float lo;
-    float hi;
-  };
-
-  std::optional<TimeRange> time_range_;
-  std::vector<BoundRange> ranges_;
-  std::optional<geometry::BoundingBox> window_;
-};
-
 /// Filter evaluation output shared by all executors: a dense row bitmap and
 /// the surviving row ids.
 struct FilterSelection {
   std::vector<std::uint8_t> bitmap;   // size == table.size()
   std::vector<std::uint32_t> ids;     // rows where bitmap != 0
-
-  std::size_t passing() const { return ids.size(); }
-  double Selectivity(std::size_t total) const {
-    return total == 0 ? 0.0
-                      : static_cast<double>(ids.size()) /
-                            static_cast<double>(total);
-  }
 };
 
 /// Evaluates the filter over every row, or — zone-map-aware — only over
 /// the rows in `candidates` (null = all rows). Pruned rows cannot match the
 /// filter, so the selection is identical to the unpruned evaluation; the
 /// pruning only saves the per-row work. Ids come out ascending.
+/// The only code that decides whether a row passes: every executor calls
+/// it once per query, timed as `filter_seconds`. Fails on an unknown
+/// attribute, an empty attribute range or an empty spatial window.
 StatusOr<FilterSelection> EvaluateFilter(
     const FilterSpec& spec, const data::PointTable& table,
     const RowRangeSet* candidates = nullptr);
 
-/// Planning-time selectivity estimate: compiles the filter and counts
-/// matches over an evenly strided sample of at most `max_sample` rows — no
-/// bitmap or id vector is materialized, so the cost is O(min(n, max_sample))
-/// time and O(1) memory (vs the O(n) allocation of EvaluateFilter). Exact
-/// when the table fits in the sample; deterministic either way (stride
-/// sampling, no RNG).
+/// Planning-time selectivity estimate: applies EvaluateFilter's row test to
+/// an evenly strided sample of at most 65,536 rows — no bitmap or id vector
+/// is materialized, so the cost is O(min(n, 65536)) time and O(1) memory
+/// (vs the O(n) allocation of EvaluateFilter). Exact when the table fits in
+/// the sample; deterministic either way (stride sampling, no RNG).
 StatusOr<double> EstimateFilterSelectivity(const FilterSpec& spec,
-                                           const data::PointTable& table,
-                                           std::size_t max_sample = 65536);
+                                           const data::PointTable& table);
 
 }  // namespace urbane::core
 

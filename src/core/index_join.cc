@@ -34,11 +34,12 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
   WallTimer timer;
 
   WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
-                          CompiledFilter::Compile(query.filter, points_));
+  URBANE_ASSIGN_OR_RETURN(
+      FilterSelection selection,
+      EvaluateFilter(query.filter, points_, query.candidate_ranges));
   costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  const bool trivial_filter = filter.IsTrivial();
+  costs.points_scanned = selection.ids.size();
 
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -46,12 +47,6 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
   }
   auto value_of = [&](std::uint32_t id) {
     return attr ? static_cast<double>(attr[id]) : 1.0;
-  };
-  // Zone-map gate: a pruned id cannot match the filter, so skipping it
-  // before Matches only saves the predicate work.
-  const RowRangeSet* cand = query.candidate_ranges;
-  auto pruned = [&](std::uint32_t id) {
-    return cand != nullptr && !cand->Contains(id);
   };
 
   const std::size_t num_regions = regions_.size();
@@ -69,10 +64,7 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
             const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
             const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
             for (const std::uint32_t* it = cell_begin; it != cell_end; ++it) {
-              if (pruned(*it)) {
-                continue;
-              }
-              if (!trivial_filter && !filter.Matches(points_, *it)) {
+              if (selection.bitmap[*it] == 0) {
                 continue;
               }
               acc.Add(value_of(*it));
@@ -84,17 +76,13 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
             const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
             const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
             for (const std::uint32_t* it = cell_begin; it != cell_end; ++it) {
-              if (pruned(*it)) {
-                continue;
-              }
-              if (!trivial_filter && !filter.Matches(points_, *it)) {
+              if (selection.bitmap[*it] == 0) {
                 continue;
               }
               ++costs.pip_tests;
               const geometry::Vec2 p{points_.x(*it), points_.y(*it)};
               if (part.Contains(p)) {
                 acc.Add(value_of(*it));
-                ++costs.points_scanned;
               }
             }
           });

@@ -16,8 +16,10 @@ struct IndexJoinOptions {
 };
 
 /// Exact index-based join baseline: a uniform grid is built over the points
-/// once; each region probe classifies overlapping cells as interior (take
-/// every point, filter only) or boundary (filter + exact point-in-polygon).
+/// once. Each query evaluates its filter once (EvaluateFilter); each region
+/// probe then classifies overlapping cells as interior (take every point
+/// whose selection bit is set) or boundary (selection bit + exact
+/// point-in-polygon).
 ///
 /// This mirrors the "index-based join" the Raster Join paper compares
 /// against: preprocessing buys per-query speed, but boundary cells still

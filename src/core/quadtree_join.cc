@@ -35,22 +35,19 @@ StatusOr<PartialResult> QuadtreeJoin::ExecutePartial(
   WallTimer timer;
 
   WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
-                          CompiledFilter::Compile(query.filter, points_));
+  URBANE_ASSIGN_OR_RETURN(
+      FilterSelection selection,
+      EvaluateFilter(query.filter, points_, query.candidate_ranges));
   costs.filter_seconds = filter_timer.ElapsedSeconds();
-  const bool trivial_filter = filter.IsTrivial();
+  URBANE_RETURN_IF_ERROR(query.CheckControl());
+  costs.points_scanned = selection.ids.size();
+
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
     attr = points_.AttributeByName(query.aggregate.attribute);
   }
   auto value_of = [&](std::uint32_t id) {
     return attr ? static_cast<double>(attr[id]) : 1.0;
-  };
-  // Zone-map gate: a pruned id cannot match the filter, so skipping it
-  // before Matches only saves the predicate work.
-  const RowRangeSet* cand = query.candidate_ranges;
-  auto pruned = [&](std::uint32_t id) {
-    return cand != nullptr && !cand->Contains(id);
   };
 
   PartialResult result;
@@ -64,10 +61,7 @@ StatusOr<PartialResult> QuadtreeJoin::ExecutePartial(
           /*take_all=*/
           [&](const std::uint32_t* ids, std::size_t n) {
             for (std::size_t k = 0; k < n; ++k) {
-              if (pruned(ids[k])) {
-                continue;
-              }
-              if (!trivial_filter && !filter.Matches(points_, ids[k])) {
+              if (selection.bitmap[ids[k]] == 0) {
                 continue;
               }
               acc.Add(value_of(ids[k]));
@@ -77,17 +71,13 @@ StatusOr<PartialResult> QuadtreeJoin::ExecutePartial(
           /*test_each=*/
           [&](const std::uint32_t* ids, std::size_t n) {
             for (std::size_t k = 0; k < n; ++k) {
-              if (pruned(ids[k])) {
-                continue;
-              }
-              if (!trivial_filter && !filter.Matches(points_, ids[k])) {
+              if (selection.bitmap[ids[k]] == 0) {
                 continue;
               }
               ++costs.pip_tests;
               const geometry::Vec2 p{points_.x(ids[k]), points_.y(ids[k])};
               if (part.Contains(p)) {
                 acc.Add(value_of(ids[k]));
-                ++costs.points_scanned;
               }
             }
           });

@@ -15,12 +15,13 @@ struct QuadtreeJoinOptions {
 };
 
 /// Exact quadtree-join baseline: the adaptive sibling of IndexJoin. A
-/// bucket PR-quadtree is built over the points once; region probes take
-/// whole subtrees that are provably inside the polygon and run exact tests
-/// only on straddling leaves. Under the heavy spatial skew of urban data
-/// the adaptive subdivision puts small leaves exactly where the uniform
-/// grid drowns in points — the trade the index-structure comparison in the
-/// companion evaluation examines.
+/// bucket PR-quadtree is built over the points once. Each query evaluates
+/// its filter once (EvaluateFilter); region probes then take the selected
+/// points of whole subtrees that are provably inside the polygon and run
+/// exact tests only on the selected points of straddling leaves. Under the
+/// heavy spatial skew of urban data the adaptive subdivision puts small
+/// leaves exactly where the uniform grid drowns in points — the trade the
+/// index-structure comparison in the companion evaluation examines.
 class QuadtreeJoin : public SpatialAggregationExecutor {
  public:
   static StatusOr<std::unique_ptr<QuadtreeJoin>> Create(

@@ -85,10 +85,10 @@ struct AggregationQuery {
 
   /// Optional zone-map pruning output (ZoneMapIndex::Prune over this
   /// query's filter): rows outside these ranges are known not to match the
-  /// filter, so executors skip them before the per-point predicate. Null —
-  /// the in-memory common case — means all rows are candidates. Borrowed
-  /// for the duration of Execute; not part of the query's identity, since
-  /// pruning never changes results (see ZoneMapIndex).
+  /// filter, so EvaluateFilter skips them before the per-point predicate.
+  /// Null — the in-memory common case — means all rows are candidates.
+  /// Borrowed for the duration of Execute; not part of the query's
+  /// identity, since pruning never changes results (see ZoneMapIndex).
   const RowRangeSet* candidate_ranges = nullptr;
 
   /// Pass-boundary deadline poll (see QueryControl).

@@ -20,16 +20,16 @@ struct RowRange {
 };
 
 /// Sorted, disjoint, coalesced set of row ranges — the output of zone-map
-/// pruning. Executors either walk the ranges directly (scan) or probe
-/// membership per row id (index/quadtree); both observe the same set, so
-/// every executor skips exactly the same pruned rows.
+/// pruning. EvaluateFilter walks only these ranges, and every executor
+/// reads its rows from that one selection, so every executor skips exactly
+/// the same pruned rows.
 class RowRangeSet {
  public:
   RowRangeSet() = default;
 
   /// `ranges` must be sorted by begin, non-overlapping, and non-empty per
-  /// element; adjacent ranges are coalesced here so Contains and the range
-  /// walk touch as few intervals as possible.
+  /// element; adjacent ranges are coalesced here so the range walk touches
+  /// as few intervals as possible.
   explicit RowRangeSet(std::vector<RowRange> ranges) {
     for (RowRange& r : ranges) {
       if (r.begin >= r.end) continue;
@@ -46,24 +46,15 @@ class RowRangeSet {
   bool empty() const { return ranges_.empty(); }
   std::uint64_t total_rows() const { return total_rows_; }
 
-  /// Membership probe: O(log #ranges).
-  bool Contains(std::uint64_t row) const {
-    const auto it = std::upper_bound(
-        ranges_.begin(), ranges_.end(), row,
-        [](std::uint64_t r, const RowRange& range) { return r < range.end; });
-    return it != ranges_.end() && row >= it->begin;
-  }
-
  private:
   std::vector<RowRange> ranges_;
   std::uint64_t total_rows_ = 0;
 };
 
 /// Calls `fn(i)` for every row in [begin, end) ∩ candidates, ascending.
-/// A null candidate set means "all rows". This is the scan executors' row
-/// loop: candidate ranges replace the dense `for` so fully-pruned blocks
-/// cost nothing, while the visit order (ascending) — and hence every
-/// accumulator's fold order — is unchanged.
+/// A null candidate set means "all rows". This is EvaluateFilter's row
+/// walk: candidate ranges replace the dense `for` so fully-pruned blocks
+/// cost nothing, while the ids still come out ascending.
 template <typename Fn>
 inline void ForEachCandidateRow(const RowRangeSet* candidates,
                                 std::uint64_t begin, std::uint64_t end,

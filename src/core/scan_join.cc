@@ -24,10 +24,12 @@ StatusOr<PartialResult> ScanJoin::ExecutePartial(
   WallTimer timer;
 
   WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(CompiledFilter filter,
-                          CompiledFilter::Compile(query.filter, points_));
+  URBANE_ASSIGN_OR_RETURN(
+      FilterSelection selection,
+      EvaluateFilter(query.filter, points_, query.candidate_ranges));
   costs.filter_seconds = filter_timer.ElapsedSeconds();
   URBANE_RETURN_IF_ERROR(query.CheckControl());
+  costs.points_scanned = selection.ids.size();
 
   const float* attr = nullptr;
   if (query.aggregate.NeedsAttribute()) {
@@ -37,15 +39,8 @@ StatusOr<PartialResult> ScanJoin::ExecutePartial(
   PartialResult result;
   result.regions.resize(regions_.size());
   WallTimer reduce_timer;
-  // Candidate ranges (zone-map pruning) narrow the walk to rows the filter
-  // might match; visit order stays ascending, so accumulation is
-  // bit-identical to the dense loop.
-  ForEachCandidateRow(query.candidate_ranges, 0, points_.size(),
-                      [&](std::uint64_t i) {
-    if (!filter.Matches(points_, i)) {
-      return;
-    }
-    ++costs.points_scanned;
+  // The ids ascend, so every region accumulates in row order.
+  for (const std::uint32_t i : selection.ids) {
     const geometry::Vec2 p{points_.x(i), points_.y(i)};
     const double value = attr ? static_cast<double>(attr[i]) : 1.0;
     rtree_.QueryPoint(p, [&](std::uint32_t region_index) {
@@ -54,7 +49,7 @@ StatusOr<PartialResult> ScanJoin::ExecutePartial(
         result.regions[region_index].Add(value);
       }
     });
-  });
+  }
   costs.reduce_seconds = reduce_timer.ElapsedSeconds();
   costs.query_seconds = timer.ElapsedSeconds();
   PublishExecution(*this, "scan", 1, costs, query.profile);

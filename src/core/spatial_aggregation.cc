@@ -224,7 +224,8 @@ StatusOr<QueryResult> SpatialAggregation::Execute(AggregationQuery query,
 }
 
 StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
-    AggregationQuery query, const AccuracyRequirement& accuracy) {
+    AggregationQuery query, const AccuracyRequirement& accuracy,
+    QueryPlan* plan) {
   query.points = &points_;
   query.regions = &regions_;
   URBANE_RETURN_IF_ERROR(query.Validate());
@@ -242,7 +243,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   URBANE_ASSIGN_OR_RETURN(profile.selectivity,
                           EstimateSelectivity(query.filter));
   profile.available_shards = num_shards();
-  QueryPlan plan;
+  QueryPlan chosen;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     // Points and regions are immutable, so their union extent — an O(n)
@@ -254,45 +255,42 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
     }
     profile.world = *plan_world_;
     profile.has_point_index = index_ != nullptr;
-    plan = PlanQuery(profile, accuracy, raster_options_.resolution);
-    last_plan_ = plan;
+    chosen = PlanQuery(profile, accuracy, raster_options_.resolution);
+  }
+  if (plan != nullptr) {
+    *plan = chosen;
   }
   if (query.profile != nullptr) {
-    query.profile->planner_choice = ExecutionMethodToString(plan.method);
-    query.profile->planner_explanation = plan.explanation;
+    query.profile->planner_choice = ExecutionMethodToString(chosen.method);
+    query.profile->planner_explanation = chosen.explanation;
   }
   if (obs::JournalEnabled()) {
     obs::Event chose;
     chose.kind = obs::EventKind::kPlannerChoose;
-    chose.method = static_cast<std::uint8_t>(plan.method);
-    chose.fingerprint = Fingerprint(query, plan.method);
-    chose.value = plan.method == ExecutionMethod::kScan ? plan.cost_scan
-                  : plan.method == ExecutionMethod::kIndexJoin
-                      ? plan.cost_index
-                      : plan.cost_raster;
+    chose.method = static_cast<std::uint8_t>(chosen.method);
+    chose.fingerprint = Fingerprint(query, chosen.method);
+    chose.value = chosen.method == ExecutionMethod::kScan ? chosen.cost_scan
+                  : chosen.method == ExecutionMethod::kIndexJoin
+                      ? chosen.cost_index
+                      : chosen.cost_raster;
     obs::EmitEvent(chose);
   }
   // Honor a tighter epsilon by rebuilding the bounded executor's canvas.
   // The rebuild holds the raster method mutex (no session can be mid-query
   // on the old executor) and bumps the config epoch, which retires every
   // cache entry computed at the old, coarser ε.
-  if (plan.method == ExecutionMethod::kBoundedRaster) {
+  if (chosen.method == ExecutionMethod::kBoundedRaster) {
     std::scoped_lock rebuild(
         method_mu_[MethodIndex(ExecutionMethod::kBoundedRaster)], state_mu_);
-    if (plan.resolution > raster_options_.resolution) {
-      raster_options_.resolution = plan.resolution;
+    if (chosen.resolution > raster_options_.resolution) {
+      raster_options_.resolution = chosen.resolution;
       raster_.reset();
       // The sharded wrapper's inner rasters carry the old canvas too.
       sharded_[MethodIndex(ExecutionMethod::kBoundedRaster)].reset();
       config_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
-  return Execute(std::move(query), plan.method);
-}
-
-QueryPlan SpatialAggregation::last_plan() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return last_plan_;
+  return Execute(std::move(query), chosen.method);
 }
 
 StatusOr<double> SpatialAggregation::EstimateSelectivity(

@@ -138,18 +138,14 @@ class SpatialAggregation {
   StatusOr<PartialResult> ExecutePartial(AggregationQuery query,
                                          ExecutionMethod method);
 
-  /// Plans by cost model, then executes. `last_plan()` exposes the choice,
-  /// and the query's profile (the armed recorder's, if it attaches one)
-  /// records it.
+  /// Plans by cost model, then executes. `plan` (optional) receives this
+  /// call's choice, and the query's profile (the armed recorder's, if it
+  /// attaches one) records it.
   /// A plan that tightens the bounded-raster resolution rebuilds that
   /// executor and bumps the config epoch (invalidating stale-ε entries).
   StatusOr<QueryResult> ExecuteAuto(AggregationQuery query,
-                                    const AccuracyRequirement& accuracy);
-
-  /// Plan chosen by the most recent ExecuteAuto (copied under the state
-  /// lock — safe against concurrent planners, though "last" is then
-  /// whichever session planned most recently).
-  QueryPlan last_plan() const;
+                                    const AccuracyRequirement& accuracy,
+                                    QueryPlan* plan = nullptr);
 
   /// Estimated selectivity of a filter: a count-only pass over an evenly
   /// strided sample (no bitmap / id materialization), so planning costs
@@ -194,7 +190,7 @@ class SpatialAggregation {
   const IndexJoinOptions index_options_;
   const ZoneMapIndex* zone_maps_ = nullptr;  // set before first query
 
-  /// Guards executor pointers, raster_options_, plan_world_ and last_plan_.
+  /// Guards executor pointers, raster_options_ and plan_world_.
   mutable std::mutex state_mu_;
   /// Serializes Execute per method: protects in-flight executions against
   /// a concurrent rebuild and caps render-target memory (see the class
@@ -210,7 +206,6 @@ class SpatialAggregation {
   /// above whenever num_shards_ > 1 (each owns the one inner executor its
   /// shards share — the plain ones above stay untouched).
   std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded_;
-  QueryPlan last_plan_;
   /// The planner's world (point bounds ∪ region bounds), set by the first
   /// ExecuteAuto.
   std::optional<geometry::BoundingBox> plan_world_;

@@ -16,6 +16,7 @@
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/slow_query_log.h"
+#include "server/json_api.h"
 #include "urbane/map_view.h"
 #include "util/csv.h"
 #include "util/random.h"
@@ -361,18 +362,15 @@ Status CommandInterpreter::CmdMethod(const std::vector<std::string>& args,
     return Status::InvalidArgument(
         "usage: method scan|index|raster|accurate");
   }
-  const std::string name = ToLowerAscii(args[1]);
-  if (name == "scan") {
-    method_ = core::ExecutionMethod::kScan;
-  } else if (name == "index") {
-    method_ = core::ExecutionMethod::kIndexJoin;
-  } else if (name == "raster") {
-    method_ = core::ExecutionMethod::kBoundedRaster;
-  } else if (name == "accurate") {
-    method_ = core::ExecutionMethod::kAccurateRaster;
-  } else {
-    return Status::InvalidArgument("unknown method: " + args[1]);
+  URBANE_ASSIGN_OR_RETURN(const std::optional<core::ExecutionMethod> method,
+                          server::ParseMethodName(ToLowerAscii(args[1])));
+  // The interpreter holds one method, so the server's "auto" has no place.
+  if (!method.has_value()) {
+    return Status::InvalidArgument(
+        "method auto is not a CLI method (expected scan | index | raster | "
+        "accurate)");
   }
+  method_ = *method;
   out << "execution method = " << core::ExecutionMethodToString(method_)
       << "\n";
   return Status::OK();

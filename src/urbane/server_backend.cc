@@ -59,9 +59,9 @@ StatusOr<server::BackendResult> DatasetManagerBackend::ExecuteSql(
         core::SpatialAggregation * engine,
         manager_->Engine(parsed.points_dataset, parsed.regions_layer));
     core::AccuracyRequirement accuracy;  // exact; the planner picks the engine
-    URBANE_ASSIGN_OR_RETURN(result,
-                            engine->ExecuteAuto(std::move(query), accuracy));
-    const core::QueryPlan plan = engine->last_plan();
+    core::QueryPlan plan;
+    URBANE_ASSIGN_OR_RETURN(
+        result, engine->ExecuteAuto(std::move(query), accuracy, &plan));
     out.method = core::ExecutionMethodToString(plan.method);
     out.exact = plan.method != core::ExecutionMethod::kBoundedRaster;
   }

@@ -159,7 +159,8 @@ INSTANTIATE_TEST_SUITE_P(
 // QueryProfile attached, every executor returns bit-identical results to
 // the obs-off run — unsharded and at 4 shards. Guards against
 // instrumentation accidentally perturbing execution (reordered reductions,
-// skipped work, shared state).
+// skipped work, shared state). Every executor also counts its filter the
+// same way: `points_scanned` is the number of rows past EvaluateFilter.
 TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
   const auto points = testing::MakeUniformPoints(12'000, 424242);
   const data::RegionSet regions = testing::MakeRandomRegions(8, 424242 ^ 0xBEEF);
@@ -167,6 +168,10 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
   AggregationQuery query;
   query.aggregate = AggregateSpec::Avg("v");
   query.filter.WithTime(10000, 80000).WithRange("v", -8.0, 8.0);
+  const auto selection = EvaluateFilter(query.filter, points);
+  ASSERT_TRUE(selection.ok());
+  const std::uint64_t passing = selection->ids.size();
+  ASSERT_GT(passing, 0u);
 
   const ExecutionMethod methods[] = {
       ExecutionMethod::kScan, ExecutionMethod::kIndexJoin,
@@ -211,13 +216,13 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
       const std::string name = ExecutionMethodToString(method);
       EXPECT_EQ(profile.method, shards > 1 ? "sharded-" + name : name);
       EXPECT_EQ(profile.threads_used, shards) << name;
-      EXPECT_GT(profile.totals.points_scanned, 0u)
-          << ExecutionMethodToString(method);
+      EXPECT_EQ(profile.totals.points_scanned, passing)
+          << name << " shards=" << shards;
     }
   }
 
   // The serial quadtree executor, which lives outside the facade and so
-  // reports through the metrics registry only.
+  // reports through its attached profile and the metrics registry only.
   auto quadtree = QuadtreeJoin::Create(points, regions);
   ASSERT_TRUE(quadtree.ok());
   AggregationQuery direct = query;
@@ -243,6 +248,7 @@ TEST(ObservabilityDeterminismTest, ResultsBitIdenticalWithObservationOnAndOff) {
   }
   EXPECT_EQ(registry.GetCounter("exec.quadtree.queries").Value(),
             queries_before + 1);
+  EXPECT_EQ(profile.totals.points_scanned, passing) << "quadtree";
 }
 
 }  // namespace

@@ -37,55 +37,56 @@ TEST(CompiledFilterTest, TimeOnly) {
   const data::PointTable table = SmallTable();
   FilterSpec spec;
   spec.WithTime(150, 300);
-  const auto filter = CompiledFilter::Compile(spec, table);
-  ASSERT_TRUE(filter.ok());
-  EXPECT_FALSE(filter->Matches(table, 0));
-  EXPECT_TRUE(filter->Matches(table, 1));
-  EXPECT_FALSE(filter->Matches(table, 2));  // 300 excluded (half-open)
+  const auto selection = EvaluateFilter(spec, table);
+  ASSERT_TRUE(selection.ok());
+  EXPECT_EQ(selection->bitmap[0], 0);
+  EXPECT_EQ(selection->bitmap[1], 1);
+  EXPECT_EQ(selection->bitmap[2], 0);  // 300 excluded (half-open)
 }
 
 TEST(CompiledFilterTest, AttributeRangeClosed) {
   const data::PointTable table = SmallTable();
   FilterSpec spec;
   spec.WithRange("v", 1.0, 5.0);
-  const auto filter = CompiledFilter::Compile(spec, table);
-  ASSERT_TRUE(filter.ok());
-  EXPECT_TRUE(filter->Matches(table, 0));   // v == 1 (closed lower)
-  EXPECT_TRUE(filter->Matches(table, 1));   // v == 5 (closed upper)
-  EXPECT_FALSE(filter->Matches(table, 2));  // v == -3
+  const auto selection = EvaluateFilter(spec, table);
+  ASSERT_TRUE(selection.ok());
+  EXPECT_EQ(selection->bitmap[0], 1);  // v == 1 (closed lower)
+  EXPECT_EQ(selection->bitmap[1], 1);  // v == 5 (closed upper)
+  EXPECT_EQ(selection->bitmap[2], 0);  // v == -3
 }
 
 TEST(CompiledFilterTest, ConjunctionOfConditions) {
   const data::PointTable table = SmallTable();
   FilterSpec spec;
   spec.WithTime(0, 250).WithRange("v", 0.0, 10.0);
-  const auto filter = CompiledFilter::Compile(spec, table);
-  ASSERT_TRUE(filter.ok());
-  EXPECT_TRUE(filter->Matches(table, 0));
-  EXPECT_TRUE(filter->Matches(table, 1));
-  EXPECT_FALSE(filter->Matches(table, 2));  // fails both
+  const auto selection = EvaluateFilter(spec, table);
+  ASSERT_TRUE(selection.ok());
+  EXPECT_EQ(selection->bitmap[0], 1);
+  EXPECT_EQ(selection->bitmap[1], 1);
+  EXPECT_EQ(selection->bitmap[2], 0);  // fails both
 }
 
 TEST(CompiledFilterTest, UnknownAttributeRejected) {
   const data::PointTable table = SmallTable();
   FilterSpec spec;
   spec.WithRange("nope", 0, 1);
-  EXPECT_FALSE(CompiledFilter::Compile(spec, table).ok());
+  EXPECT_EQ(EvaluateFilter(spec, table).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CompiledFilterTest, EmptyRangeRejected) {
   const data::PointTable table = SmallTable();
   FilterSpec spec;
   spec.WithRange("v", 5.0, 1.0);
-  EXPECT_FALSE(CompiledFilter::Compile(spec, table).ok());
+  EXPECT_EQ(EvaluateFilter(spec, table).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EvaluateFilterTest, TrivialFilterSelectsAll) {
   const data::PointTable table = SmallTable();
   const auto selection = EvaluateFilter(FilterSpec(), table);
   ASSERT_TRUE(selection.ok());
-  EXPECT_EQ(selection->passing(), 3u);
-  EXPECT_DOUBLE_EQ(selection->Selectivity(3), 1.0);
+  EXPECT_EQ(selection->ids.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(selection->bitmap[i], 1);
     EXPECT_EQ(selection->ids[i], i);
@@ -103,8 +104,8 @@ TEST(EvaluateFilterTest, BitmapAndIdsConsistent) {
     bit_count += bit;
   }
   EXPECT_EQ(bit_count, selection->ids.size());
-  EXPECT_GT(selection->passing(), 700u);
-  EXPECT_LT(selection->passing(), 1300u);
+  EXPECT_GT(selection->ids.size(), 700u);
+  EXPECT_LT(selection->ids.size(), 1300u);
   for (const std::uint32_t id : selection->ids) {
     EXPECT_EQ(selection->bitmap[id], 1);
     EXPECT_GE(table.attribute(id, 0), 0.0f);
@@ -117,8 +118,13 @@ TEST(CompiledFilterTest, SpatialWindow) {
   spec.WithWindow(geometry::BoundingBox(25, 25, 75, 75));
   const auto selection = EvaluateFilter(spec, table);
   ASSERT_TRUE(selection.ok());
-  EXPECT_GT(selection->passing(), 0u);
-  EXPECT_LT(selection->passing(), table.size());
+  EXPECT_GT(selection->ids.size(), 0u);
+  EXPECT_LT(selection->ids.size(), table.size());
+  for (std::size_t id = 0; id < table.size(); ++id) {
+    const bool inside = table.x(id) >= 25.0f && table.x(id) <= 75.0f &&
+                        table.y(id) >= 25.0f && table.y(id) <= 75.0f;
+    EXPECT_EQ(selection->bitmap[id], inside ? 1 : 0) << id;
+  }
   for (const std::uint32_t id : selection->ids) {
     EXPECT_GE(table.x(id), 25.0f);
     EXPECT_LE(table.x(id), 75.0f);
@@ -126,14 +132,17 @@ TEST(CompiledFilterTest, SpatialWindow) {
     EXPECT_LE(table.y(id), 75.0f);
   }
   // Roughly a quarter of a uniform square.
-  EXPECT_NEAR(selection->Selectivity(table.size()), 0.25, 0.08);
+  EXPECT_NEAR(static_cast<double>(selection->ids.size()) /
+                  static_cast<double>(table.size()),
+              0.25, 0.08);
 }
 
 TEST(CompiledFilterTest, EmptyWindowRejected) {
   const data::PointTable table = testing::MakeUniformPoints(10, 9);
   FilterSpec spec;
   spec.spatial_window = geometry::BoundingBox();  // empty
-  EXPECT_FALSE(CompiledFilter::Compile(spec, table).ok());
+  EXPECT_EQ(EvaluateFilter(spec, table).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FilterSpecTest, WindowMakesSpecNonTrivial) {
@@ -147,7 +156,8 @@ TEST(EvaluateFilterTest, SelectivityOfEmptyTable) {
   data::PointTable table(data::Schema({"v"}));
   const auto selection = EvaluateFilter(FilterSpec(), table);
   ASSERT_TRUE(selection.ok());
-  EXPECT_DOUBLE_EQ(selection->Selectivity(0), 0.0);
+  EXPECT_TRUE(selection->bitmap.empty());
+  EXPECT_TRUE(selection->ids.empty());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/scan_join.h"
 #include "obs/profile.h"
 #include "testing/test_worlds.h"
@@ -48,6 +52,65 @@ TEST(QuadtreeJoinTest, FilteredAggregatesMatchScan) {
       EXPECT_NEAR(a->values[r], b->values[r], 1e-9) << r;
     }
   }
+}
+
+// Partials over a 3-way row split (candidate ranges, as shards pass them)
+// merge into the unrestricted answer: dyadic values make every SUM/AVG
+// fold exact, so all five aggregates must match bit for bit.
+TEST(QuadtreeJoinTest, CandidateRangeSplitMergesToTheWholeAnswer) {
+  const auto points = testing::MakeDyadicPoints(5000, 39);
+  const auto regions = testing::MakeTessellationRegions(3, 40);
+  auto quad = QuadtreeJoin::Create(points, regions);
+  ASSERT_TRUE(quad.ok());
+  const std::uint64_t n = points.size();
+  const std::vector<RowRangeSet> thirds = {
+      RowRangeSet({RowRange{0, n / 3}}),
+      RowRangeSet({RowRange{n / 3, 2 * n / 3}}),
+      RowRangeSet({RowRange{2 * n / 3, n}})};
+  for (const AggregateSpec& aggregate :
+       {AggregateSpec::Count(), AggregateSpec::Sum("v"),
+        AggregateSpec::Avg("v"), AggregateSpec::Min("v"),
+        AggregateSpec::Max("v")}) {
+    AggregationQuery query;
+    query.points = &points;
+    query.regions = &regions;
+    query.aggregate = aggregate;
+    query.filter.WithTime(5000, 80000).WithRange("v", -8.0, 9.0);
+    const auto whole = (*quad)->Execute(query);
+    ASSERT_TRUE(whole.ok());
+    PartialResult merged;
+    merged.regions.resize(regions.size());
+    for (const RowRangeSet& third : thirds) {
+      query.candidate_ranges = &third;
+      const auto partial = (*quad)->ExecutePartial(query);
+      ASSERT_TRUE(partial.ok());
+      ASSERT_TRUE(merged.Merge(*partial).ok());
+    }
+    const QueryResult split = merged.Finalize(aggregate.kind);
+    EXPECT_EQ(split.counts, whole->counts);
+    ASSERT_EQ(split.values.size(), whole->values.size());
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(split.values[r]),
+                std::bit_cast<std::uint64_t>(whole->values[r]))
+          << AggregateKindToString(aggregate.kind) << " region " << r;
+    }
+  }
+}
+
+TEST(QuadtreeJoinTest, CancelledControlReturnsDeadlineExceeded) {
+  const auto points = testing::MakeUniformPoints(2000, 41);
+  const auto regions = testing::MakeRandomRegions(3, 42);
+  auto quad = QuadtreeJoin::Create(points, regions);
+  ASSERT_TRUE(quad.ok());
+  QueryControl control;
+  control.cancelled.store(true);
+  AggregationQuery query;
+  query.points = &points;
+  query.regions = &regions;
+  query.control = &control;
+  const auto result = (*quad)->Execute(query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(QuadtreeJoinTest, BulkSubtreesDominateForLargeRegions) {

@@ -48,9 +48,10 @@ TEST(SpatialAggregationTest, ExecuteAutoExactAgreesWithScan) {
   const auto regions = testing::MakeRandomRegions(4, 76);
   SpatialAggregation engine(points, regions);
   AggregationQuery query;
-  const auto auto_result = engine.ExecuteAuto(query, {.exact = true});
+  QueryPlan plan;
+  const auto auto_result = engine.ExecuteAuto(query, {.exact = true}, &plan);
   ASSERT_TRUE(auto_result.ok());
-  EXPECT_FALSE(engine.last_plan().explanation.empty());
+  EXPECT_FALSE(plan.explanation.empty());
   const auto scan_result = engine.Execute(query, ExecutionMethod::kScan);
   ASSERT_TRUE(scan_result.ok());
   for (std::size_t r = 0; r < regions.size(); ++r) {
@@ -63,11 +64,12 @@ TEST(SpatialAggregationTest, ExecuteAutoApproximateWithinEpsilonBound) {
   const auto regions = testing::MakeRandomRegions(4, 78);
   SpatialAggregation engine(points, regions);
   AggregationQuery query;
+  QueryPlan plan;
   const auto result =
-      engine.ExecuteAuto(query, {.exact = false, .epsilon_world = 2.0});
+      engine.ExecuteAuto(query, {.exact = false, .epsilon_world = 2.0}, &plan);
   ASSERT_TRUE(result.ok());
   // The planner should have picked a raster method for 20k points.
-  EXPECT_EQ(engine.last_plan().method, ExecutionMethod::kBoundedRaster);
+  EXPECT_EQ(plan.method, ExecutionMethod::kBoundedRaster);
   const auto scan_result = engine.Execute(query, ExecutionMethod::kScan);
   ASSERT_TRUE(scan_result.ok());
   if (!result->error_bounds.empty()) {
@@ -154,11 +156,12 @@ TEST(SpatialAggregationTest, AutoResolutionBumpInvalidatesStaleEpsilonHits) {
   EXPECT_GE(engine.result_cache_hits(), 1u);
 
   const std::uint64_t epoch_before = engine.config_epoch();
+  QueryPlan plan;
   const auto fine =
-      engine.ExecuteAuto(query, {.exact = false, .epsilon_world = 0.5});
+      engine.ExecuteAuto(query, {.exact = false, .epsilon_world = 0.5}, &plan);
   ASSERT_TRUE(fine.ok());
-  ASSERT_EQ(engine.last_plan().method, ExecutionMethod::kBoundedRaster);
-  ASSERT_GT(engine.last_plan().resolution, 32);
+  ASSERT_EQ(plan.method, ExecutionMethod::kBoundedRaster);
+  ASSERT_GT(plan.resolution, 32);
   EXPECT_GT(engine.config_epoch(), epoch_before);
 
   // Post-bump, the plain Execute must return the fine-ε answer, not the

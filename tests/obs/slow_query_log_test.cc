@@ -214,11 +214,12 @@ TEST(SlowQueryLogIntegrationTest, ArmedExecuteAutoRecordsThePlan) {
   core::SpatialAggregation engine(points, regions);
   core::AggregationQuery query;
   query.aggregate = core::AggregateSpec::Count();
-  const auto result = engine.ExecuteAuto(query, core::AccuracyRequirement());
+  core::QueryPlan plan;
+  const auto result =
+      engine.ExecuteAuto(query, core::AccuracyRequirement(), &plan);
   recorder.Disarm();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  const core::QueryPlan plan = engine.last_plan();
   ASSERT_FALSE(plan.explanation.empty());
   const auto records = recorder.Records();
   ASSERT_GE(records.size(), 1u);

@@ -19,6 +19,7 @@
 
 #include "data/json.h"
 #include "net/socket.h"
+#include "obs/profile.h"
 #include "server/json_api.h"
 #include "testing/test_worlds.h"
 #include "urbane/dataset_manager.h"
@@ -289,6 +290,64 @@ TEST_F(QueryServerRoundTripTest, ErrorTaxonomyOverTheWire) {
   EXPECT_EQ(Get(port, "/healthz").status, 200);
 
   server.Stop();
+}
+
+// An `auto` statement on a static data set reports the plan its own
+// ExecuteAuto chose, even while another session plans a different method
+// on the same shared engine. Each response's method must equal its own
+// profile's planner choice.
+TEST(QueryServerBackendTest, ConcurrentAutoStatementsNameTheirOwnPlan) {
+  app::DatasetManager manager;
+  ASSERT_TRUE(
+      manager.AddPointDataset("pts", testing::MakeUniformPoints(5000, 43))
+          .ok());
+  ASSERT_TRUE(
+      manager.AddRegionLayer("cells", testing::MakeTessellationRegions(3, 44))
+          .ok());
+  // A coarse canvas makes the raster join the cheapest plan for the whole
+  // table, while a one-minute brush stays cheapest as a scan.
+  core::RasterJoinOptions coarse;
+  coarse.resolution = 64;
+  ASSERT_TRUE(manager.Engine("pts", "cells", coarse).ok());
+  app::DatasetManagerBackend backend(&manager);
+  const std::string statements[] = {
+      "SELECT COUNT(*) FROM pts, cells",
+      "SELECT COUNT(*) FROM pts, cells WHERE t IN [0, 60)"};
+
+  // Serially, the two statements plan different methods.
+  std::string planned[2];
+  for (int s = 0; s < 2; ++s) {
+    obs::QueryProfile profile;
+    const StatusOr<BackendResult> result =
+        backend.ExecuteSql(statements[s], std::nullopt, nullptr, &profile);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->method, profile.planner_choice);
+    planned[s] = result->method;
+  }
+  ASSERT_NE(planned[0], planned[1]);
+
+  constexpr int kStatementsPerThread = 200;
+  std::atomic<int> failures{0};
+  std::atomic<int> wrong_method{0};
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < 2; ++s) {
+    sessions.emplace_back([&, s] {
+      for (int i = 0; i < kStatementsPerThread; ++i) {
+        obs::QueryProfile profile;
+        const StatusOr<BackendResult> result =
+            backend.ExecuteSql(statements[s], std::nullopt, nullptr, &profile);
+        if (!result.ok()) {
+          failures.fetch_add(1);
+        } else if (result->method != profile.planner_choice) {
+          wrong_method.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& session : sessions) session.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wrong_method.load(), 0)
+      << "of " << 2 * kStatementsPerThread << " responses";
 }
 
 TEST(QueryServerAdmissionTest, OverloadShedsWith429AndServesEveryAdmission) {

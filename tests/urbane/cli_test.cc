@@ -98,6 +98,9 @@ TEST(CliTest, MethodSwitching) {
   EXPECT_NE(RunCommand(cli, "method raster").find("raster"), std::string::npos);
   EXPECT_EQ(cli.method(), core::ExecutionMethod::kBoundedRaster);
   EXPECT_NE(RunCommand(cli, "method bogus").find("error"), std::string::npos);
+  // The CLI holds one method: the server's "auto" is rejected.
+  EXPECT_NE(RunCommand(cli, "method auto").find("error"), std::string::npos);
+  EXPECT_EQ(cli.method(), core::ExecutionMethod::kBoundedRaster);
 }
 
 TEST(CliTest, RasterMethodReportsErrorBounds) {
