@@ -39,6 +39,7 @@
 #include "ingest/live_table.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "util/latency.h"
 #include "util/timer.h"
 
 namespace {
@@ -51,24 +52,12 @@ double Now() {
       .count();
 }
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 // One writer pass: streams rows [begin, end) of `trips` into the table in
 // `batch_rows` slices (zero-copy views), flushing and retrying whenever the
 // write path is saturated. Appends each successful batch latency to `out`.
 Status StreamRows(ingest::LiveTable& table, const data::PointTable& trips,
                   std::size_t begin, std::size_t end, std::size_t batch_rows,
-                  std::vector<double>* out) {
+                  LatencyRecorder* out) {
   obs::Histogram& append_hist =
       obs::MetricsRegistry::Global().GetHistogram("ingest.bench.append_seconds");
   for (std::size_t offset = begin; offset < end; offset += batch_rows) {
@@ -89,7 +78,7 @@ Status StreamRows(ingest::LiveTable& table, const data::PointTable& trips,
       StatusOr<std::uint64_t> watermark = table.Append(*batch);
       if (watermark.ok()) {
         const double seconds = Now() - start;
-        out->push_back(seconds);
+        out->Record(seconds);
         append_hist.Observe(seconds);
         break;
       }
@@ -106,24 +95,6 @@ Status StreamRows(ingest::LiveTable& table, const data::PointTable& trips,
   return Status::OK();
 }
 
-struct FrameStats {
-  std::size_t frames = 0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-};
-
-FrameStats Summarize(const std::vector<double>& latencies) {
-  FrameStats stats;
-  stats.frames = latencies.size();
-  stats.p50 = Percentile(latencies, 0.50);
-  stats.p95 = Percentile(latencies, 0.95);
-  stats.max = latencies.empty()
-                  ? 0.0
-                  : *std::max_element(latencies.begin(), latencies.end());
-  return stats;
-}
-
 constexpr core::ExecutionMethod kMethods[] = {
     core::ExecutionMethod::kBoundedRaster,
     core::ExecutionMethod::kAccurateRaster, core::ExecutionMethod::kIndexJoin,
@@ -136,7 +107,7 @@ constexpr core::ExecutionMethod kMethods[] = {
 template <typename ExecuteFrame>
 Status ReplaySession(std::int64_t t0, std::int64_t t1,
                      std::size_t frames_per_method, const char* metric_phase,
-                     std::vector<std::vector<double>>* latencies,
+                     std::vector<LatencyRecorder>* latencies,
                      const ExecuteFrame& execute) {
   const std::int64_t span = std::max<std::int64_t>(t1 - t0, 32);
   latencies->assign(std::size(kMethods), {});
@@ -151,7 +122,7 @@ Status ReplaySession(std::int64_t t0, std::int64_t t1,
       if (!seconds.ok()) {
         return seconds.status();
       }
-      (*latencies)[m].push_back(*seconds);
+      (*latencies)[m].Record(*seconds);
       obs::MetricsRegistry::Global()
           .GetHistogram(std::string("ingest.bench.query_seconds.") +
                         core::ExecutionMethodToString(kMethods[m]) + "." +
@@ -209,7 +180,7 @@ int Run() {
        "vs_static"});
 
   // Phase 1: unloaded append throughput over the first half.
-  std::vector<double> append_latencies;
+  LatencyRecorder append_latencies;
   {
     const double start = Now();
     Status streamed =
@@ -219,8 +190,8 @@ int Run() {
       return 1;
     }
     const double elapsed = Now() - start;
-    const FrameStats stats = Summarize(append_latencies);
-    result.AddRow({"append", "-", std::to_string(stats.frames),
+    const LatencySummary stats = append_latencies.Summarize();
+    result.AddRow({"append", "-", std::to_string(stats.count),
                    FormatDuration(stats.p50), FormatDuration(stats.p95),
                    FormatDuration(stats.max),
                    bench::ResultTable::Cell(
@@ -230,8 +201,8 @@ int Run() {
 
   // Phase 2: the writer streams the second half while this thread replays
   // the brushing session against the LiveEngine.
-  std::vector<std::vector<double>> concurrent;
-  std::vector<double> loaded_append_latencies;
+  std::vector<LatencyRecorder> concurrent;
+  LatencyRecorder loaded_append_latencies;
   {
     Status writer_status = Status::OK();
     std::thread writer([&] {
@@ -282,7 +253,7 @@ int Run() {
       static_cast<unsigned long long>(ingest_stats.flushes),
       static_cast<unsigned long long>(ingest_stats.compactions));
 
-  std::vector<std::vector<double>> static_latencies;
+  std::vector<LatencyRecorder> static_latencies;
   {
     const ingest::LiveSnapshot snapshot = (*table)->Snapshot();
     data::PointTable all(trips.schema());
@@ -326,27 +297,27 @@ int Run() {
   }
 
   {
-    const FrameStats stats = Summarize(loaded_append_latencies);
+    const LatencySummary stats = loaded_append_latencies.Summarize();
     result.AddRow(
-        {"append (loaded)", "-", std::to_string(stats.frames),
+        {"append (loaded)", "-", std::to_string(stats.count),
          FormatDuration(stats.p50), FormatDuration(stats.p95),
          FormatDuration(stats.max), "-", "-"});
   }
   for (std::size_t m = 0; m < std::size(kMethods); ++m) {
-    const FrameStats st = Summarize(static_latencies[m]);
+    const LatencySummary st = static_latencies[m].Summarize();
     result.AddRow({"query static", core::ExecutionMethodToString(kMethods[m]),
-                   std::to_string(st.frames), FormatDuration(st.p50),
+                   std::to_string(st.count), FormatDuration(st.p50),
                    FormatDuration(st.p95), FormatDuration(st.max), "-", "-"});
   }
   for (std::size_t m = 0; m < std::size(kMethods); ++m) {
-    const FrameStats live_stats = Summarize(concurrent[m]);
-    const FrameStats static_stats = Summarize(static_latencies[m]);
+    const LatencySummary live_stats = concurrent[m].Summarize();
+    const LatencySummary static_stats = static_latencies[m].Summarize();
     const double ratio = static_stats.p50 > 0.0
                              ? live_stats.p50 / static_stats.p50
                              : 0.0;
     result.AddRow(
         {"query+ingest", core::ExecutionMethodToString(kMethods[m]),
-         std::to_string(live_stats.frames), FormatDuration(live_stats.p50),
+         std::to_string(live_stats.count), FormatDuration(live_stats.p50),
          FormatDuration(live_stats.p95), FormatDuration(live_stats.max), "-",
          bench::ResultTable::Cell("%.2fx", ratio)});
   }

@@ -106,9 +106,9 @@ struct QueryResult {
 /// The unfinalized result every executor produces and every merge consumes:
 /// one accumulator per region (region order) plus, for the bounded raster
 /// join, the per-region error bounds (QueryResult::error_bounds semantics
-/// for the query's aggregate). A sharded pass or a live data set answers
-/// one query from several partials over disjoint row subsets — shards,
-/// components — folds them with Merge in a fixed order and finalizes once,
+/// for the query's aggregate). A sharded pass and the facade answer one
+/// query from several partials over disjoint row subsets — shards, row
+/// components — folded with Merge in a fixed order and finalized once,
 /// so AVG divides the summed (sum, count) pairs, never averages averages.
 struct PartialResult {
   std::vector<Accumulator> regions;

@@ -71,8 +71,10 @@ bool CompiledFilter::Matches(const data::PointTable& table,
     return false;
   }
   for (const BoundRange& range : ranges_) {
+    // Written so that NaN fails: a NaN row lies in no range, which is the
+    // rule the store's zone maps prune by.
     const float v = table.attribute(row, range.column);
-    if (v < range.lo || v > range.hi) {
+    if (!(v >= range.lo && v <= range.hi)) {
       return false;
     }
   }

@@ -10,9 +10,10 @@
 // concurrent calls on one instance share no mutable state.
 //
 // Per query: ObserveQuery wraps the one entry point that answers a query
-// as a whole — the facade's Execute, or the live engine's, whose component
-// engines run unobserved partials — so a query is journaled, timed and
-// offered to the slow-query recorder exactly once.
+// as a whole — the facade's Execute, over however many row components the
+// query spans (a live data set answers through the same facade) — so a
+// query is journaled, timed and offered to the slow-query recorder exactly
+// once.
 //
 // With metrics off and no profile attached a publish is one relaxed load
 // and a pointer test, and QueryUnobserved lets a caller skip ObserveQuery

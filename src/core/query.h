@@ -87,8 +87,10 @@ struct AggregationQuery {
   /// query's filter): rows outside these ranges are known not to match the
   /// filter, so EvaluateFilter skips them before the per-point predicate.
   /// Null — the in-memory common case — means all rows are candidates.
-  /// Borrowed for the duration of Execute; not part of the query's
-  /// identity, since pruning never changes results (see ZoneMapIndex).
+  /// The facade sets it per component and the sharded executor per shard;
+  /// the facade ignores a caller's. Borrowed for the duration of the
+  /// executor call; not part of the query's identity, since pruning never
+  /// changes results (see ZoneMapIndex).
   const RowRangeSet* candidate_ranges = nullptr;
 
   /// Pass-boundary deadline poll (see QueryControl).
@@ -116,8 +118,8 @@ class SpatialAggregationExecutor {
   /// Executes the query over the rows it selects (all rows, or
   /// `query.candidate_ranges`), producing one unfinalized accumulator per
   /// region (region order). Partials over disjoint rows merge with
-  /// PartialResult::Merge — the sharded executor and the live engine
-  /// compose queries that way.
+  /// PartialResult::Merge — the sharded executor composes shards and the
+  /// facade composes row components that way.
   virtual StatusOr<PartialResult> ExecutePartial(
       const AggregationQuery& query) const = 0;
 

@@ -37,8 +37,8 @@ raster::Viewport MakeCanvas(const geometry::BoundingBox& world,
 /// The finishing step of default canvas-world derivation: empty worlds
 /// fall back to the unit box and the edges are padded so points sitting
 /// exactly on the max edge stay inside after float32 -> double round
-/// trips. Exposed so composed engines (ingest::LiveEngine) that pin an
-/// explicit world from a union of component bounds produce a canvas
+/// trips. Exposed so a live data set (ingest::LiveEngine), which pins an
+/// explicit world from a union of component bounds, produces a canvas
 /// BIT-identical to the one a stop-the-world engine would derive from the
 /// concatenated rows.
 geometry::BoundingBox PadCanvasWorld(geometry::BoundingBox world);

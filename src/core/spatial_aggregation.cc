@@ -22,67 +22,100 @@ SpatialAggregation::SpatialAggregation(const data::PointTable& points,
     : points_(points),
       regions_(regions),
       index_options_(index_options),
-      raster_options_(raster_options) {}
+      raster_options_(raster_options) {
+  components_.emplace_back();
+  components_.front().rows.table = &points;
+}
+
+void SpatialAggregation::AttachZoneMaps(const ZoneMapIndex* zone_maps) {
+  std::lock_guard<std::mutex> lock(state_mu_);
+  components_.front().rows.zone_maps = zone_maps;
+}
+
+void SpatialAggregation::SetComponents(std::vector<Component> components,
+                                       const geometry::BoundingBox& world) {
+  const auto name = [](const Component& c) -> const void* {
+    return c.owner != nullptr ? c.owner.get() : c.table;
+  };
+  std::scoped_lock lock(method_mu_[0], method_mu_[1], method_mu_[2],
+                        method_mu_[3], state_mu_);
+  if (!(raster_options_.world == world)) {
+    // Every raster canvas changes, so nothing built under the old world —
+    // executors or cached answers — is reusable.
+    raster_options_.world = world;
+    components_.clear();
+    cache_.Clear();
+    config_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  std::vector<ComponentExecutors> next(components.size());
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    for (ComponentExecutors& held : components_) {
+      if (held.rows.table != nullptr &&
+          name(held.rows) == name(components[i])) {
+        next[i] = std::move(held);
+        held.rows = Component();
+        break;
+      }
+    }
+    next[i].rows = std::move(components[i]);
+  }
+  components_ = std::move(next);
+  plan_world_.reset();
+}
 
 StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
-    ExecutionMethod method) {
-  switch (method) {
-    case ExecutionMethod::kScan:
-      if (!scan_) {
-        URBANE_ASSIGN_OR_RETURN(scan_, ScanJoin::Create(points_, regions_));
-      }
-      return static_cast<const SpatialAggregationExecutor*>(scan_.get());
-    case ExecutionMethod::kIndexJoin:
-      if (!index_) {
-        URBANE_ASSIGN_OR_RETURN(
-            index_, IndexJoin::Create(points_, regions_, index_options_));
-      }
-      return static_cast<const SpatialAggregationExecutor*>(index_.get());
-    case ExecutionMethod::kBoundedRaster:
-      if (!raster_) {
-        URBANE_ASSIGN_OR_RETURN(
-            raster_,
-            BoundedRasterJoin::Create(points_, regions_, raster_options_));
-      }
-      return static_cast<const SpatialAggregationExecutor*>(raster_.get());
-    case ExecutionMethod::kAccurateRaster:
-      if (!accurate_) {
-        URBANE_ASSIGN_OR_RETURN(
-            accurate_,
-            AccurateRasterJoin::Create(points_, regions_, raster_options_));
-      }
-      return static_cast<const SpatialAggregationExecutor*>(accurate_.get());
-  }
-  return Status::InvalidArgument("unknown execution method");
-}
-
-StatusOr<const SpatialAggregationExecutor*>
-SpatialAggregation::ActiveExecutorLocked(ExecutionMethod method) {
+    ComponentExecutors& component, ExecutionMethod method) {
+  const data::PointTable& table = *component.rows.table;
   const std::size_t n = num_shards_.load(std::memory_order_relaxed);
-  if (n <= 1) {
-    return ExecutorLocked(method);
-  }
-  std::unique_ptr<shard::ShardedExecutor>& slot = sharded_[MethodIndex(method)];
-  if (!slot) {
-    shard::ShardedExecutorOptions options;
-    options.num_shards = n;
-    // Block-aligned shard boundaries over a store-backed table: no block
-    // straddles two shards, so per-shard pruning stays whole-block.
-    if (zone_maps_ != nullptr && !zone_maps_->blocks().empty()) {
-      options.align_rows = zone_maps_->blocks().front().row_count;
+  if (n > 1) {
+    std::unique_ptr<shard::ShardedExecutor>& slot =
+        component.sharded[MethodIndex(method)];
+    if (!slot) {
+      shard::ShardedExecutorOptions options;
+      options.num_shards = n;
+      // Block-aligned shard boundaries over a store-backed table: no block
+      // straddles two shards, so per-shard pruning stays whole-block.
+      const ZoneMapIndex* zone_maps = component.rows.zone_maps;
+      if (zone_maps != nullptr && !zone_maps->blocks().empty()) {
+        options.align_rows = zone_maps->blocks().front().row_count;
+      }
+      URBANE_ASSIGN_OR_RETURN(
+          slot, shard::ShardedExecutor::Create(table, regions_, method,
+                                               options, raster_options_,
+                                               index_options_));
     }
-    URBANE_ASSIGN_OR_RETURN(
-        slot, shard::ShardedExecutor::Create(points_, regions_, method,
-                                             options, raster_options_,
-                                             index_options_));
+    return static_cast<const SpatialAggregationExecutor*>(slot.get());
+  }
+  std::unique_ptr<SpatialAggregationExecutor>& slot =
+      component.plain[MethodIndex(method)];
+  if (!slot) {
+    switch (method) {
+      case ExecutionMethod::kScan: {
+        URBANE_ASSIGN_OR_RETURN(slot, ScanJoin::Create(table, regions_));
+        break;
+      }
+      case ExecutionMethod::kIndexJoin: {
+        URBANE_ASSIGN_OR_RETURN(
+            slot, IndexJoin::Create(table, regions_, index_options_));
+        break;
+      }
+      case ExecutionMethod::kBoundedRaster: {
+        URBANE_ASSIGN_OR_RETURN(
+            slot, BoundedRasterJoin::Create(table, regions_, raster_options_));
+        break;
+      }
+      case ExecutionMethod::kAccurateRaster: {
+        URBANE_ASSIGN_OR_RETURN(
+            slot,
+            AccurateRasterJoin::Create(table, regions_, raster_options_));
+        break;
+      }
+    }
+    if (!slot) {
+      return Status::InvalidArgument("unknown execution method");
+    }
   }
   return static_cast<const SpatialAggregationExecutor*>(slot.get());
-}
-
-StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::Executor(
-    ExecutionMethod method) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return ActiveExecutorLocked(method);
 }
 
 void SpatialAggregation::set_num_shards(std::size_t num_shards) {
@@ -97,8 +130,10 @@ void SpatialAggregation::set_num_shards(std::size_t num_shards) {
     return;
   }
   num_shards_.store(num_shards, std::memory_order_release);
-  for (std::unique_ptr<shard::ShardedExecutor>& slot : sharded_) {
-    slot.reset();
+  for (ComponentExecutors& component : components_) {
+    for (std::unique_ptr<shard::ShardedExecutor>& slot : component.sharded) {
+      slot.reset();
+    }
   }
   config_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -118,56 +153,73 @@ std::uint64_t SpatialAggregation::Fingerprint(const AggregationQuery& query,
   return QueryCache::Fingerprint(query, method, resolution, config_epoch());
 }
 
-StatusOr<PartialResult> SpatialAggregation::ExecutePartial(
-    AggregationQuery query, ExecutionMethod method) {
-  query.points = &points_;
-  query.regions = &regions_;
-  std::lock_guard<std::mutex> serialize(method_mu_[MethodIndex(method)]);
-  return ExecutePartialLocked(std::move(query), method);
-}
-
-StatusOr<PartialResult> SpatialAggregation::ExecutePartialLocked(
-    AggregationQuery query, ExecutionMethod method) {
-  const SpatialAggregationExecutor* executor = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    URBANE_ASSIGN_OR_RETURN(executor, ActiveExecutorLocked(method));
-  }
+StatusOr<PartialResult> SpatialAggregation::ExecuteComponentsLocked(
+    const AggregationQuery& query, ExecutionMethod method) {
+  URBANE_RETURN_IF_ERROR(query.Validate());
   // A query whose deadline expired while queued (e.g. behind the method
   // lock) aborts here instead of paying for a doomed execution. Cache hits
   // are deliberately exempt: they are cheaper than the check is useful.
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  // Zone-map pruning (store-backed tables): skip blocks the filter rules
-  // out. Computed after the cache probes (hits never pay for it) and kept
-  // alive on this frame through the execution. A caller-supplied range set
-  // wins.
-  PruneResult prune;
-  if (zone_maps_ != nullptr && query.candidate_ranges == nullptr &&
-      !query.filter.IsTrivial()) {
-    prune = zone_maps_->Prune(query.filter, points_.schema());
-    if (obs::MetricsEnabled()) {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
-      registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
+  obs::QueryProfile* const profile = query.profile;
+  PartialResult merged;
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    const SpatialAggregationExecutor* executor = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(state_mu_);
+      URBANE_ASSIGN_OR_RETURN(executor, ExecutorLocked(components_[i], method));
     }
-    if (query.profile != nullptr) {
-      query.profile->blocks_total = prune.blocks_total;
-      query.profile->blocks_pruned = prune.blocks_pruned;
-      query.profile->rows_pruned = prune.rows_pruned;
+    const Component& rows = components_[i].rows;
+    // Each component fills a profile part of its own, folded into the
+    // caller's below: one shared profile would keep only the last
+    // component's costs.
+    obs::QueryProfile part;
+    AggregationQuery component_query = query;
+    component_query.points = rows.table;
+    component_query.profile = profile != nullptr ? &part : nullptr;
+    component_query.candidate_ranges = nullptr;
+    // Zone-map pruning (store-backed components): skip blocks the filter
+    // rules out. Computed after the cache probes (hits never pay for it)
+    // and kept alive on this frame through the execution.
+    PruneResult prune;
+    if (rows.zone_maps != nullptr && !query.filter.IsTrivial()) {
+      prune = rows.zone_maps->Prune(query.filter, rows.table->schema());
+      if (obs::MetricsEnabled()) {
+        obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+        registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
+        registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
+      }
+      part.blocks_total = prune.blocks_total;
+      part.blocks_pruned = prune.blocks_pruned;
+      part.rows_pruned = prune.rows_pruned;
+      component_query.candidate_ranges = &prune.candidates;
     }
-    query.candidate_ranges = &prune.candidates;
+    // Thread-CPU attribution for the dispatch: exact for an unsharded
+    // executor; for a sharded pass it is the coordinator's share, and each
+    // shard row carries its own worker's CPU (DESIGN.md §12).
+    const double cpu_begin =
+        profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
+    URBANE_ASSIGN_OR_RETURN(PartialResult partial,
+                            executor->ExecutePartial(component_query));
+    if (profile != nullptr) {
+      part.cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
+      if (!part.method.empty()) profile->method = part.method;
+      profile->AddComponent(part);
+    }
+    if (i == 0) {
+      merged = std::move(partial);
+    } else {
+      URBANE_RETURN_IF_ERROR(merged.Merge(partial));
+    }
   }
-  // Thread-CPU attribution for the dispatch: exact for an unsharded
-  // executor; for a sharded pass it is the coordinator's share, and each
-  // shard row carries its own worker's CPU (DESIGN.md §12).
-  const double cpu_begin =
-      query.profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
-  URBANE_ASSIGN_OR_RETURN(PartialResult partial,
-                          executor->ExecutePartial(query));
-  if (query.profile != nullptr) {
-    query.profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
+  if (components_.empty()) {
+    // No rows: the answer of an engine over zero rows.
+    merged.regions.resize(regions_.size());
+    if (method == ExecutionMethod::kBoundedRaster &&
+        raster_options_.compute_error_bounds) {
+      merged.error_bounds.assign(regions_.size(), 0.0);
+    }
   }
-  return partial;
+  return merged;
 }
 
 StatusOr<QueryResult> SpatialAggregation::ExecuteCached(
@@ -201,7 +253,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteCached(
     }
   }
   URBANE_ASSIGN_OR_RETURN(PartialResult partial,
-                          ExecutePartialLocked(query, method));
+                          ExecuteComponentsLocked(query, method));
   QueryResult result = partial.Finalize(query.aggregate.kind);
   if (use_cache) {
     cache_.Insert(key, result, query.filter);
@@ -237,24 +289,34 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
                                           : nullptr;
 
   WorkloadProfile profile;
-  profile.num_points = points_.size();
   profile.num_regions = regions_.size();
   profile.total_region_vertices = regions_.TotalVertexCount();
+  // Sampled without state_mu_: concurrent sessions plan in parallel.
   URBANE_ASSIGN_OR_RETURN(profile.selectivity,
                           EstimateSelectivity(query.filter));
   profile.available_shards = num_shards();
   QueryPlan chosen;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    // Points and regions are immutable, so their union extent — an O(n)
-    // scan of an in-memory table — is computed by the first plan only.
+    // The components are immutable, so their joint extent — an O(n) scan
+    // of an in-memory table — is computed once per component list.
     if (!plan_world_.has_value()) {
-      geometry::BoundingBox world = points_.Bounds();
+      geometry::BoundingBox world;
+      for (const ComponentExecutors& component : components_) {
+        world.Extend(component.rows.table->Bounds());
+      }
       world.Extend(regions_.Bounds());
       plan_world_ = world;
     }
     profile.world = *plan_world_;
-    profile.has_point_index = index_ != nullptr;
+    const std::size_t index = MethodIndex(ExecutionMethod::kIndexJoin);
+    profile.has_point_index = !components_.empty();
+    for (const ComponentExecutors& component : components_) {
+      profile.num_points += component.rows.table->size();
+      profile.has_point_index = profile.has_point_index &&
+                                (component.plain[index] != nullptr ||
+                                 component.sharded[index] != nullptr);
+    }
     chosen = PlanQuery(profile, accuracy, raster_options_.resolution);
   }
   if (plan != nullptr) {
@@ -275,18 +337,20 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
                       : chosen.cost_raster;
     obs::EmitEvent(chose);
   }
-  // Honor a tighter epsilon by rebuilding the bounded executor's canvas.
+  // Honor a tighter epsilon by rebuilding the bounded executors' canvas.
   // The rebuild holds the raster method mutex (no session can be mid-query
-  // on the old executor) and bumps the config epoch, which retires every
+  // on the old executors) and bumps the config epoch, which retires every
   // cache entry computed at the old, coarser ε.
   if (chosen.method == ExecutionMethod::kBoundedRaster) {
-    std::scoped_lock rebuild(
-        method_mu_[MethodIndex(ExecutionMethod::kBoundedRaster)], state_mu_);
+    const std::size_t bounded = MethodIndex(ExecutionMethod::kBoundedRaster);
+    std::scoped_lock rebuild(method_mu_[bounded], state_mu_);
     if (chosen.resolution > raster_options_.resolution) {
       raster_options_.resolution = chosen.resolution;
-      raster_.reset();
-      // The sharded wrapper's inner rasters carry the old canvas too.
-      sharded_[MethodIndex(ExecutionMethod::kBoundedRaster)].reset();
+      for (ComponentExecutors& component : components_) {
+        component.plain[bounded].reset();
+        // The sharded wrapper's inner rasters carry the old canvas too.
+        component.sharded[bounded].reset();
+      }
       config_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
@@ -298,15 +362,33 @@ StatusOr<double> SpatialAggregation::EstimateSelectivity(
   if (filter.IsTrivial()) {
     return 1.0;
   }
-  URBANE_ASSIGN_OR_RETURN(double estimate,
-                          EstimateFilterSelectivity(filter, points_));
-  // Zone maps give an exact upper bound (pruned rows cannot match), which
-  // sharpens the strided sample when the filter is clustered in few blocks.
-  if (zone_maps_ != nullptr) {
-    estimate = std::min(
-        estimate, zone_maps_->CandidateFraction(filter, points_.schema()));
+  std::vector<Component> components;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    components.reserve(components_.size());
+    for (const ComponentExecutors& component : components_) {
+      components.push_back(component.rows);
+    }
   }
-  return estimate;
+  double weighted = 0.0;
+  std::size_t rows = 0;
+  for (const Component& component : components) {
+    URBANE_ASSIGN_OR_RETURN(double estimate,
+                            EstimateFilterSelectivity(filter, *component.table));
+    // Zone maps give an exact upper bound (pruned rows cannot match), which
+    // sharpens the strided sample when the filter is clustered in few
+    // blocks.
+    if (component.zone_maps != nullptr) {
+      estimate = std::min(estimate, component.zone_maps->CandidateFraction(
+                                        filter, component.table->schema()));
+    }
+    if (components.size() == 1) {
+      return estimate;
+    }
+    weighted += estimate * static_cast<double>(component.table->size());
+    rows += component.table->size();
+  }
+  return rows == 0 ? 1.0 : weighted / static_cast<double>(rows);
 }
 
 }  // namespace urbane::core

@@ -21,12 +21,22 @@
 
 namespace urbane::core {
 
-/// Facade over the four executors — the library's main entry point.
+/// Facade over the four executors — the library's main entry point, and
+/// the one query front of static and live data sets alike.
 ///
-/// Owns nothing heavy until first use: each executor is built lazily on the
-/// first query routed to it and then reused (the raster joins' Morton
-/// orders and sweep spans, and the grid index, are all query-independent).
-/// Typical use:
+/// A query runs over an ordered list of row components: a static data set
+/// is one component (the constructor's `points`), and a live data set's
+/// snapshot is its base, then its runs, then its hot rows
+/// (ingest::LiveEngine hands them over with SetComponents). Each component
+/// is pruned by its own zone maps and runs the chosen method's executor
+/// built over its rows; the partials merge with PartialResult::Merge in
+/// component order and finalize once, exactly the merge a sharded pass
+/// applies to row-range shards.
+///
+/// Owns nothing heavy until first use: each component's executor is built
+/// lazily on the first query routed to it and then reused (the raster
+/// joins' Morton orders and sweep spans, and the grid index, are all
+/// query-independent). Typical use:
 ///
 ///   SpatialAggregation engine(taxis, neighborhoods);
 ///   AggregationQuery q;
@@ -40,13 +50,13 @@ namespace urbane::core {
 ///                                        .epsilon_world = 15.0});
 ///
 /// Thread-safety contract: one engine serves many concurrent sessions.
-/// Execute / ExecutePartial / ExecuteAuto / EstimateSelectivity may be
-/// called from any number of threads. Executor construction and any
-/// rebuild (the ExecuteAuto resolution bump) happen under a mutex. The
-/// executors themselves are immutable and safe to share, yet execution
-/// still takes a per-method lock (two sessions can run scan and raster
-/// concurrently, but not two rasters). The lock does two jobs: it excludes
-/// rebuilds (the ExecuteAuto ε ratchet and set_num_shards swap executors
+/// Execute / ExecuteAuto / EstimateSelectivity may be called from any
+/// number of threads. Executor construction and any rebuild (the
+/// ExecuteAuto resolution bump) happen under a mutex. The executors
+/// themselves are immutable and safe to share, yet execution still takes a
+/// per-method lock (two sessions can run scan and raster concurrently, but
+/// not two rasters). The lock does two jobs: it excludes rebuilds (the
+/// ExecuteAuto ε ratchet, set_num_shards and SetComponents swap executors
 /// only while no query of that method is in flight), and it holds
 /// render-target memory to one canvas-sized set per unsharded raster
 /// method, where N concurrent same-method queries would otherwise lease N
@@ -55,8 +65,22 @@ namespace urbane::core {
 /// revisited brush states concurrent.
 class SpatialAggregation {
  public:
-  /// `points`/`regions` must outlive this object. Every executor runs
-  /// serially; `set_num_shards` is how one query uses several cores.
+  /// One row component of a query.
+  struct Component {
+    const data::PointTable* table = nullptr;
+    /// Block zone maps of a store-backed table; null otherwise.
+    const ZoneMapIndex* zone_maps = nullptr;
+    /// Keeps `table` alive while the engine holds the component, and names
+    /// it: a component whose owner the engine already holds keeps the
+    /// executors built for it. Null for a table borrowed for the engine's
+    /// lifetime, which its address names.
+    std::shared_ptr<const void> owner;
+  };
+
+  /// `points`/`regions` must outlive this object; `points` is the one
+  /// component until SetComponents replaces it, and the table every query
+  /// is validated against. Every executor runs serially; `set_num_shards`
+  /// is how one query uses several cores.
   SpatialAggregation(const data::PointTable& points,
                      const data::RegionSet& regions,
                      const RasterJoinOptions& raster_options =
@@ -67,22 +91,21 @@ class SpatialAggregation {
   const data::PointTable& points() const { return points_; }
   const data::RegionSet& regions() const { return regions_; }
 
-  /// Attaches the block zone maps of a store-backed table: every query's
-  /// filter is pruned against them and executors skip the pruned blocks
-  /// (`AggregationQuery::candidate_ranges`). Call once, before the first
-  /// query; `zone_maps` is borrowed and must outlive the engine. Pruning
-  /// never changes results (see ZoneMapIndex), only the rows visited.
-  void AttachZoneMaps(const ZoneMapIndex* zone_maps) {
-    zone_maps_ = zone_maps;
-  }
-  const ZoneMapIndex* zone_maps() const { return zone_maps_; }
+  /// Attaches the block zone maps of a store-backed `points` table: every
+  /// query's filter is pruned against them and executors skip the pruned
+  /// blocks. Call once, before the first query; `zone_maps` is borrowed
+  /// and must outlive the engine. Pruning never changes results (see
+  /// ZoneMapIndex), only the rows visited.
+  void AttachZoneMaps(const ZoneMapIndex* zone_maps);
 
-  /// Builds (or returns the cached) executor for a method. Construction is
-  /// thread-safe; the pointer stays valid until the engine rebuilds that
-  /// executor (e.g. an ExecuteAuto resolution bump), so concurrent sessions
-  /// should prefer Execute over holding executor pointers.
-  StatusOr<const SpatialAggregationExecutor*> Executor(
-      ExecutionMethod method);
+  /// Replaces the row components, in row order, and pins the raster canvas
+  /// to `world` (every component's canvas then aligns with the one an
+  /// engine over the concatenated rows derives; see PadCanvasWorld).
+  /// Components already held keep their executors. A new world rebuilds
+  /// every executor, clears the result cache and bumps the config epoch.
+  /// Takes every method mutex, so no query is in flight meanwhile.
+  void SetComponents(std::vector<Component> components,
+                     const geometry::BoundingBox& world);
 
   /// Result cache (core::QueryCache): interactive sessions revisit query
   /// states (brushing back to a previous window), so Execute memoizes
@@ -92,23 +115,30 @@ class SpatialAggregation {
   /// in particular a coarser ε — can never hit again. Disabled by default
   /// (capacity 0) so latency measurements see real executor cost; Urbane's
   /// session layer / the CLI `cache` command turn it on.
-  /// Scatter-gather fan-out: with `num_shards > 1` every Execute runs as a
-  /// sharded pass — the row space splits into that many contiguous shards
-  /// (block-aligned when zone maps are attached), each shard executes the
-  /// chosen method serially on the shared pool, and the partials merge per
-  /// the shard-merge contract (PartialResult::Merge). 0 and 1 both mean
-  /// unsharded. Takes every method mutex (no query can be in flight on the
-  /// old configuration) and bumps the config epoch, so cached results from
-  /// a different fan-out can never hit.
-  void set_num_shards(std::size_t num_shards);
-  std::size_t num_shards() const {
-    return num_shards_.load(std::memory_order_acquire);
-  }
-
   void set_result_cache_capacity(std::size_t capacity);
 
   QueryCacheStats result_cache_stats() const { return cache_.stats(); }
   std::size_t result_cache_hits() const { return cache_.stats().hits; }
+
+  /// Drops the cached answers that rows appended over the half-open time
+  /// interval [begin, end) can change (QueryCache::InvalidateTimeOverlap).
+  void InvalidateTimeOverlap(std::int64_t begin, std::int64_t end) {
+    cache_.InvalidateTimeOverlap(begin, end);
+  }
+  void ClearResultCache() { cache_.Clear(); }
+
+  /// Scatter-gather fan-out: with `num_shards > 1` every component runs as
+  /// a sharded pass — its row space splits into that many contiguous
+  /// shards (block-aligned when zone maps are attached), each shard
+  /// executes the chosen method serially on the shared pool, and the
+  /// partials merge per the shard-merge contract (PartialResult::Merge).
+  /// 0 and 1 both mean unsharded. Takes every method mutex (no query can
+  /// be in flight on the old configuration) and bumps the config epoch, so
+  /// cached results from a different fan-out can never hit.
+  void set_num_shards(std::size_t num_shards);
+  std::size_t num_shards() const {
+    return num_shards_.load(std::memory_order_acquire);
+  }
 
   /// Rebuild counter mixed into every cache key; bumped whenever an
   /// executor's configuration changes (see ExecuteAuto).
@@ -117,39 +147,34 @@ class SpatialAggregation {
   }
 
   /// Fills in the query's points/regions and runs it with the given method:
-  /// a result-cache probe, then ExecutePartial's dispatch on a miss,
-  /// finalized once.
+  /// a result-cache probe, then on a miss one executor pass per component,
+  /// merged in component order and finalized once.
   ///
   /// Telemetry: the query is observed once through core::ObserveQuery —
   /// journal `query.start` / `query.finish` (and `error`) events, the
   /// armed slow-query recorder's profile and record, the
-  /// `query.wall_seconds` histogram. With everything off and no profile
-  /// attached the cost is three relaxed loads and a pointer test before the
-  /// baseline path.
+  /// `query.wall_seconds` histogram — never once per component. With
+  /// everything off and no profile attached the cost is three relaxed
+  /// loads and a pointer test before the baseline path.
   StatusOr<QueryResult> Execute(AggregationQuery query,
                                 ExecutionMethod method);
 
-  /// The dispatch half of Execute: fills in points/regions, takes the
-  /// method lock, checks the deadline, prunes by zone map and runs the
-  /// active executor's ExecutePartial, attributing coordinator CPU to the
-  /// profile. No result cache and no per-query observation — composed
-  /// engines (ingest::LiveEngine) merge the partials of several facades
-  /// and observe the whole query once themselves.
-  StatusOr<PartialResult> ExecutePartial(AggregationQuery query,
-                                         ExecutionMethod method);
-
-  /// Plans by cost model, then executes. `plan` (optional) receives this
-  /// call's choice, and the query's profile (the armed recorder's, if it
-  /// attaches one) records it.
-  /// A plan that tightens the bounded-raster resolution rebuilds that
-  /// executor and bumps the config epoch (invalidating stale-ε entries).
+  /// Plans by cost model over every component (rows summed, selectivity
+  /// weighted by rows, the regions' and components' joint bounds), journals
+  /// the choice as `planner.choose`, then executes. `plan` (optional)
+  /// receives this call's choice, and the query's profile (the armed
+  /// recorder's, if it attaches one) records it.
+  /// A plan that tightens the bounded-raster resolution rebuilds every
+  /// component's bounded executor and bumps the config epoch (invalidating
+  /// stale-ε entries).
   StatusOr<QueryResult> ExecuteAuto(AggregationQuery query,
                                     const AccuracyRequirement& accuracy,
                                     QueryPlan* plan = nullptr);
 
   /// Estimated selectivity of a filter: a count-only pass over an evenly
-  /// strided sample (no bitmap / id materialization), so planning costs
-  /// O(min(n, sample)) time and O(1) memory.
+  /// strided sample of each component (no bitmap / id materialization),
+  /// weighted by rows, so planning costs O(min(n, sample)) time per
+  /// component and O(1) memory.
   StatusOr<double> EstimateSelectivity(const FilterSpec& filter) const;
 
  private:
@@ -158,23 +183,32 @@ class SpatialAggregation {
     return static_cast<std::size_t>(method);
   }
 
-  /// Requires state_mu_ held.
+  /// A component and the executors built over its rows: per method, the
+  /// plain executor and the sharded wrapper used when `num_shards() > 1`
+  /// (each owns the one inner executor its shards share). Slots are built
+  /// lazily under state_mu_.
+  struct ComponentExecutors {
+    Component rows;
+    std::array<std::unique_ptr<SpatialAggregationExecutor>, kNumMethods>
+        plain;
+    std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded;
+  };
+
+  /// The executor a query of `method` runs on `component` at the current
+  /// fan-out, built on first use. Requires state_mu_ held.
   StatusOr<const SpatialAggregationExecutor*> ExecutorLocked(
-      ExecutionMethod method);
+      ComponentExecutors& component, ExecutionMethod method);
 
-  /// The executor Execute dispatches to: the sharded wrapper when
-  /// `num_shards() > 1`, the plain executor otherwise. Requires state_mu_
-  /// held.
-  StatusOr<const SpatialAggregationExecutor*> ActiveExecutorLocked(
-      ExecutionMethod method);
+  /// The dispatch loop: validates, polls the deadline, then runs every
+  /// component (zone-map pruning, its executor, its own profile part
+  /// folded in with QueryProfile::AddComponent) and merges the partials in
+  /// component order. Requires the method's mutex held.
+  StatusOr<PartialResult> ExecuteComponentsLocked(
+      const AggregationQuery& query, ExecutionMethod method);
 
-  /// ExecutePartial with the method lock already held.
-  StatusOr<PartialResult> ExecutePartialLocked(AggregationQuery query,
-                                               ExecutionMethod method);
-
-  /// The baseline query path (cache probe + ExecutePartialLocked on a
-  /// miss), free of per-query observation. `cache_hit`, when non-null,
-  /// reports whether the result came from the cache.
+  /// The baseline query path (cache probe + the dispatch loop on a miss),
+  /// free of per-query observation. `cache_hit`, when non-null, reports
+  /// whether the result came from the cache.
   StatusOr<QueryResult> ExecuteCached(const AggregationQuery& query,
                                       ExecutionMethod method,
                                       bool* cache_hit);
@@ -188,26 +222,20 @@ class SpatialAggregation {
   const data::PointTable& points_;
   const data::RegionSet& regions_;
   const IndexJoinOptions index_options_;
-  const ZoneMapIndex* zone_maps_ = nullptr;  // set before first query
 
-  /// Guards executor pointers, raster_options_ and plan_world_.
+  /// Guards the components and their executor slots, raster_options_ and
+  /// plan_world_.
   mutable std::mutex state_mu_;
   /// Serializes Execute per method: protects in-flight executions against
   /// a concurrent rebuild and caps render-target memory (see the class
   /// comment).
   std::array<std::mutex, kNumMethods> method_mu_;
 
-  RasterJoinOptions raster_options_;  // resolution mutates in ExecuteAuto
-  std::unique_ptr<ScanJoin> scan_;
-  std::unique_ptr<IndexJoin> index_;
-  std::unique_ptr<BoundedRasterJoin> raster_;
-  std::unique_ptr<AccurateRasterJoin> accurate_;
-  /// Sharded wrappers, one per method, built lazily like the executors
-  /// above whenever num_shards_ > 1 (each owns the one inner executor its
-  /// shards share — the plain ones above stay untouched).
-  std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded_;
-  /// The planner's world (point bounds ∪ region bounds), set by the first
-  /// ExecuteAuto.
+  /// The resolution ratchets in ExecuteAuto; SetComponents pins the world.
+  RasterJoinOptions raster_options_;
+  std::vector<ComponentExecutors> components_;
+  /// The planner's world (component bounds ∪ region bounds), computed by
+  /// the first ExecuteAuto after the components last changed.
   std::optional<geometry::BoundingBox> plan_world_;
 
   std::atomic<std::size_t> num_shards_{1};

@@ -24,8 +24,9 @@
 // site, preserving the obs-off == baseline contract. All mutation happens
 // on the coordinator thread; each shard task writes its own slot profile
 // on a pool worker, and the slots are folded in after the gather fence
-// (see shard/sharded_executor.cc). A live data set's engine runs one facade per
-// component and folds each component's profile into the caller's with
+// (see shard/sharded_executor.cc). The facade runs one executor pass per
+// row component (one for a static data set; base, runs and hot rows for a
+// live one) and folds each component's profile part into the caller's with
 // QueryProfile::AddComponent.
 //
 // Determinism contract (DESIGN.md §12): for a fixed shard count every
@@ -140,7 +141,7 @@ struct QueryProfile {
   std::string planner_choice;       // set when the planner picked `method`
   std::string planner_explanation;  // planner cost-model rationale
   std::string cache = "off";        // "hit" | "miss" | "off"
-  double wall_seconds = 0.0;        // facade / live-engine Execute wall time
+  double wall_seconds = 0.0;        // facade Execute wall time
   double cpu_seconds = 0.0;         // coordinator thread-CPU inside Execute
 
   /// Store layer (zone-map pruning; zero when no store is attached).
@@ -167,13 +168,13 @@ struct QueryProfile {
   /// JSON: header lines, a totals row, then one row per shard.
   std::string ToTable() const;
 
-  /// Folds one component of a composed execution (a live data set runs
-  /// one engine per base, run and hot component, in order) into this
-  /// profile: CPU time, pruning, pass costs, and scatter/merge
-  /// times add up, `threads_used` is the maximum, and per-shard rows
-  /// append with their indexes continued (row ranges stay relative to the
-  /// component). Request, method, planner, cache and wall fields are the
-  /// composing caller's to set.
+  /// Folds one row component's part of an execution (the facade runs one
+  /// executor pass per component, in order: one for a static data set;
+  /// base, runs and hot rows for a live one) into this profile: CPU time,
+  /// pruning, pass costs, and scatter/merge times add up, `threads_used`
+  /// is the maximum, and per-shard rows append with their indexes
+  /// continued (row ranges stay relative to the component). Request,
+  /// method, planner, cache and wall fields are the facade's to set.
   void AddComponent(const QueryProfile& component);
 };
 

@@ -1,6 +1,7 @@
 #include "urbane/cli.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/sql.h"
@@ -533,12 +534,11 @@ Status CommandInterpreter::CmdSql(const std::string& sql, std::ostream& out) {
   URBANE_ASSIGN_OR_RETURN(const data::RegionSet* regions,
                           manager_.RegionLayer(parsed.regions_layer));
   WallTimer timer;
-  std::uint64_t watermark = 0;
-  URBANE_ASSIGN_OR_RETURN(core::QueryResult result,
-                          manager_.ExecuteSql(sql, method_, nullptr,
-                                              &watermark));
+  URBANE_ASSIGN_OR_RETURN(DatasetManager::StatementResult answer,
+                          manager_.ExecuteStatement(std::move(parsed),
+                                                    method_));
   const double seconds = timer.ElapsedSeconds();
-  const bool live = manager_.IsLive(parsed.points_dataset);
+  const core::QueryResult& result = answer.result;
 
   // Top regions by value.
   std::vector<std::size_t> order(result.size());
@@ -558,8 +558,8 @@ Status CommandInterpreter::CmdSql(const std::string& sql, std::ostream& out) {
   out << result.size() << " groups, " << total << " matching points, "
       << FormatDuration(seconds) << " ("
       << core::ExecutionMethodToString(method_);
-  if (live) {
-    out << ", as of watermark " << watermark;
+  if (answer.watermark.has_value()) {
+    out << ", as of watermark " << *answer.watermark;
   }
   out << ")\n";
   const std::size_t top = std::min<std::size_t>(10, order.size());

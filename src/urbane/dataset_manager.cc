@@ -386,25 +386,58 @@ Status DatasetManager::SaveWorkspace(const std::string& directory) const {
   return catalog.WriteFile(directory + "/urbane.workspace.json");
 }
 
+StatusOr<DatasetManager::StatementResult> DatasetManager::ExecuteStatement(
+    core::ParsedQuery statement, std::optional<core::ExecutionMethod> method,
+    const core::QueryControl* control, obs::QueryProfile* profile) {
+  core::AggregationQuery query;
+  query.aggregate = std::move(statement.aggregate);
+  query.filter = std::move(statement.filter);
+  query.control = control;
+  query.profile = profile;
+  const core::AccuracyRequirement exact;
+  core::QueryPlan plan;
+  StatementResult answer;
+  if (IsLive(statement.points_dataset)) {
+    // Live data sets execute against a consistent as-of snapshot; the
+    // watermark says exactly which one, so clients can reason about
+    // appends racing their queries.
+    URBANE_ASSIGN_OR_RETURN(
+        ingest::LiveEngine * engine,
+        Live(statement.points_dataset, statement.regions_layer));
+    std::uint64_t watermark = 0;
+    URBANE_ASSIGN_OR_RETURN(
+        answer.result,
+        method.has_value()
+            ? engine->Execute(std::move(query), *method, &watermark)
+            : engine->ExecuteAuto(std::move(query), exact, &watermark,
+                                  &plan));
+    answer.watermark = watermark;
+  } else {
+    URBANE_ASSIGN_OR_RETURN(
+        core::SpatialAggregation * engine,
+        Engine(statement.points_dataset, statement.regions_layer));
+    URBANE_ASSIGN_OR_RETURN(
+        answer.result, method.has_value()
+                           ? engine->Execute(std::move(query), *method)
+                           : engine->ExecuteAuto(std::move(query), exact,
+                                                 &plan));
+  }
+  answer.method = method.value_or(plan.method);
+  return answer;
+}
+
 StatusOr<core::QueryResult> DatasetManager::ExecuteSql(
     const std::string& sql, core::ExecutionMethod method,
     obs::QueryProfile* profile, std::uint64_t* watermark) {
   URBANE_ASSIGN_OR_RETURN(core::ParsedQuery parsed,
                           core::ParseQuerySql(sql));
-  core::AggregationQuery query;
-  query.aggregate = std::move(parsed.aggregate);
-  query.filter = std::move(parsed.filter);
-  query.profile = profile;
-  if (IsLive(parsed.points_dataset)) {
-    URBANE_ASSIGN_OR_RETURN(
-        ingest::LiveEngine * engine,
-        Live(parsed.points_dataset, parsed.regions_layer));
-    return engine->Execute(std::move(query), method, watermark);
-  }
   URBANE_ASSIGN_OR_RETURN(
-      core::SpatialAggregation * engine,
-      Engine(parsed.points_dataset, parsed.regions_layer));
-  return engine->Execute(std::move(query), method);
+      StatementResult answer,
+      ExecuteStatement(std::move(parsed), method, nullptr, profile));
+  if (watermark != nullptr && answer.watermark.has_value()) {
+    *watermark = *answer.watermark;
+  }
+  return std::move(answer.result);
 }
 
 }  // namespace urbane::app

@@ -4,10 +4,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/spatial_aggregation.h"
+#include "core/sql.h"
 #include "data/point_table.h"
 #include "data/region.h"
 #include "ingest/live_engine.h"
@@ -124,14 +126,31 @@ class DatasetManager {
   /// row order bit for bit, but need not match the pre-save bits.
   Status SaveWorkspace(const std::string& directory) const;
 
+  /// One statement's answer (ExecuteStatement).
+  struct StatementResult {
+    core::QueryResult result;
+    /// The method that ran: the one asked for, or the planner's choice.
+    core::ExecutionMethod method = core::ExecutionMethod::kScan;
+    /// As-of row count the answer is exact for; live data sets only.
+    std::optional<std::uint64_t> watermark;
+  };
+
+  /// Runs a parsed statement on the engine its FROM names bind to: a live
+  /// data set's snapshot engine, or a registered data set's engine. Without
+  /// a `method` the planner picks one that answers exactly. `control` and
+  /// `profile` (both nullable, borrowed) ride on the query: the deadline
+  /// hook and the per-query breakdown (see obs/profile.h).
+  StatusOr<StatementResult> ExecuteStatement(
+      core::ParsedQuery statement,
+      std::optional<core::ExecutionMethod> method,
+      const core::QueryControl* control = nullptr,
+      obs::QueryProfile* profile = nullptr);
+
   /// Parses and runs a statement in the paper's SQL dialect, e.g.
   ///   "SELECT AVG(fare_amount) FROM taxi, neighborhoods
   ///    WHERE t IN [1230768000, 1233446400) AND passenger_count IN [1, 2]"
-  /// binding the FROM names to registered data sets / region layers; a
-  /// live data set routes to its snapshot-composed engine, and a non-null
-  /// `watermark` receives the as-of row count the answer is exact for.
-  /// A non-null `profile` collects the per-query breakdown (CLI `explain
-  /// analyze`, see obs/profile.h).
+  /// through ExecuteStatement with `method`; a non-null `watermark`
+  /// receives a live data set's as-of row count.
   StatusOr<core::QueryResult> ExecuteSql(const std::string& sql,
                                          core::ExecutionMethod method,
                                          obs::QueryProfile* profile = nullptr,

@@ -13,58 +13,17 @@ StatusOr<server::BackendResult> DatasetManagerBackend::ExecuteSql(
   URBANE_ASSIGN_OR_RETURN(const data::RegionSet* regions,
                           manager_->RegionLayer(parsed.regions_layer));
 
-  core::AggregationQuery query;
-  query.aggregate = std::move(parsed.aggregate);
-  query.filter = std::move(parsed.filter);
-  query.control = control;
-  query.profile = profile;
-
   server::BackendResult out;
   out.dataset = parsed.points_dataset;
   out.regions_layer = parsed.regions_layer;
-  core::QueryResult result;
-  if (manager_->IsLive(parsed.points_dataset)) {
-    // Live data sets execute against a consistent as-of snapshot; the
-    // watermark says exactly which one, so clients can reason about
-    // appends racing their queries.
-    URBANE_ASSIGN_OR_RETURN(
-        ingest::LiveEngine * engine,
-        manager_->Live(parsed.points_dataset, parsed.regions_layer));
-    std::uint64_t watermark = 0;
-    if (method.has_value()) {
-      URBANE_ASSIGN_OR_RETURN(
-          result, engine->Execute(std::move(query), *method, &watermark));
-      out.method = core::ExecutionMethodToString(*method);
-      out.exact = *method != core::ExecutionMethod::kBoundedRaster;
-    } else {
-      core::AccuracyRequirement accuracy;
-      core::QueryPlan plan;
-      URBANE_ASSIGN_OR_RETURN(
-          result, engine->ExecuteAuto(std::move(query), accuracy, &watermark,
-                                      &plan));
-      out.method = core::ExecutionMethodToString(plan.method);
-      out.exact = plan.method != core::ExecutionMethod::kBoundedRaster;
-    }
-    out.watermark = watermark;
-  } else if (method.has_value()) {
-    URBANE_ASSIGN_OR_RETURN(
-        core::SpatialAggregation * engine,
-        manager_->Engine(parsed.points_dataset, parsed.regions_layer));
-    URBANE_ASSIGN_OR_RETURN(result, engine->Execute(std::move(query),
-                                                    *method));
-    out.method = core::ExecutionMethodToString(*method);
-    out.exact = *method != core::ExecutionMethod::kBoundedRaster;
-  } else {
-    URBANE_ASSIGN_OR_RETURN(
-        core::SpatialAggregation * engine,
-        manager_->Engine(parsed.points_dataset, parsed.regions_layer));
-    core::AccuracyRequirement accuracy;  // exact; the planner picks the engine
-    core::QueryPlan plan;
-    URBANE_ASSIGN_OR_RETURN(
-        result, engine->ExecuteAuto(std::move(query), accuracy, &plan));
-    out.method = core::ExecutionMethodToString(plan.method);
-    out.exact = plan.method != core::ExecutionMethod::kBoundedRaster;
-  }
+  URBANE_ASSIGN_OR_RETURN(
+      DatasetManager::StatementResult answer,
+      manager_->ExecuteStatement(std::move(parsed), method, control,
+                                 profile));
+  out.method = core::ExecutionMethodToString(answer.method);
+  out.exact = answer.method != core::ExecutionMethod::kBoundedRaster;
+  out.watermark = answer.watermark;
+  const core::QueryResult& result = answer.result;
 
   out.rows.reserve(result.size());
   for (std::size_t i = 0; i < result.size(); ++i) {

@@ -6,6 +6,7 @@
 #include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "util/latency.h"
 #include "util/random.h"
 
 namespace urbane::app {
@@ -32,9 +33,9 @@ SessionSummary SummarizeFrames(const std::vector<FrameRecord>& frames,
                                double interactive_budget_seconds) {
   SessionSummary summary;
   summary.frames = frames.size();
-  LatencyStats stats;
+  LatencyRecorder latencies;
   for (const FrameRecord& frame : frames) {
-    stats.AddSample(frame.latency_seconds);
+    latencies.Record(frame.latency_seconds);
     summary.total_seconds += frame.latency_seconds;
     if (frame.latency_seconds <= interactive_budget_seconds) {
       ++summary.interactive_frames;
@@ -43,9 +44,10 @@ SessionSummary SummarizeFrames(const std::vector<FrameRecord>& frames,
       ++summary.cache_hit_frames;
     }
   }
-  summary.p50_seconds = stats.PercentileSeconds(50.0);
-  summary.p95_seconds = stats.PercentileSeconds(95.0);
-  summary.max_seconds = stats.MaxSeconds();
+  const LatencySummary stats = latencies.Summarize();
+  summary.p50_seconds = stats.p50;
+  summary.p95_seconds = stats.p95;
+  summary.max_seconds = stats.max;
   return summary;
 }
 

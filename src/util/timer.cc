@@ -1,48 +1,8 @@
 #include "util/timer.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <numeric>
 
 namespace urbane {
-
-double LatencyStats::MinSeconds() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double LatencyStats::MaxSeconds() const {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double LatencyStats::MeanSeconds() const {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
-double LatencyStats::PercentileSeconds(double pct) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(pct, 0.0, 100.0);
-  const double rank =
-      clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-std::string LatencyStats::Summary() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s (p95 %s, n=%zu)",
-                FormatDuration(MedianSeconds()).c_str(),
-                FormatDuration(PercentileSeconds(95.0)).c_str(), count());
-  return buf;
-}
 
 std::string FormatDuration(double seconds) {
   char buf[64];

@@ -2,9 +2,7 @@
 #define URBANE_UTIL_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace urbane {
 
@@ -26,30 +24,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Collects repeated latency samples and summarizes them. Used by the
-/// benchmark harnesses to report min/median/mean/p95 per configuration.
-class LatencyStats {
- public:
-  void AddSample(double seconds) { samples_.push_back(seconds); }
-  void Clear() { samples_.clear(); }
-
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double MinSeconds() const;
-  double MaxSeconds() const;
-  double MeanSeconds() const;
-  /// Interpolated percentile in [0, 100]. Returns 0 when empty.
-  double PercentileSeconds(double pct) const;
-  double MedianSeconds() const { return PercentileSeconds(50.0); }
-
-  /// e.g. "12.3ms (p95 15.0ms, n=8)".
-  std::string Summary() const;
-
- private:
-  std::vector<double> samples_;
 };
 
 /// Formats a duration with an adaptive unit, e.g. "1.24s", "18.2ms", "640us".

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -90,6 +95,26 @@ TEST(EvaluateFilterTest, TrivialFilterSelectsAll) {
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(selection->bitmap[i], 1);
     EXPECT_EQ(selection->ids[i], i);
+  }
+}
+
+// A NaN attribute lies in no closed range, not even an unbounded one: the
+// rule the store's zone maps prune by (see ZoneMapIndex).
+TEST(EvaluateFilterTest, NanRowFailsAttributeRange) {
+  data::PointTable table = SmallTable();
+  ASSERT_TRUE(
+      table.AppendRow(0, 0, 400, {std::numeric_limits<float>::quiet_NaN()})
+          .ok());
+  for (const auto& [lo, hi] :
+       {std::pair<double, double>{-10.0, 10.0},
+        {-std::numeric_limits<double>::infinity(),
+         std::numeric_limits<double>::infinity()}}) {
+    FilterSpec spec;
+    spec.WithRange("v", lo, hi);
+    const auto selection = EvaluateFilter(spec, table);
+    ASSERT_TRUE(selection.ok());
+    EXPECT_EQ(selection->bitmap[3], 0) << "[" << lo << ", " << hi << "]";
+    EXPECT_EQ(selection->ids, (std::vector<std::uint32_t>{0, 1, 2}));
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "testing/test_worlds.h"
 
 namespace urbane::core {
@@ -32,15 +34,29 @@ TEST(SpatialAggregationTest, ExecuteWithEachMethod) {
   EXPECT_EQ(bounded->size(), regions.size());
 }
 
+// An executor built by one query is kept for the next: after an index
+// query the planner sees the point index, unsharded and sharded alike (a
+// sharded engine builds it inside its sharded wrapper).
 TEST(SpatialAggregationTest, ExecutorsAreCached) {
   const auto points = testing::MakeUniformPoints(1000, 73);
   const auto regions = testing::MakeRandomRegions(3, 74);
-  SpatialAggregation engine(points, regions);
-  const auto a = engine.Executor(ExecutionMethod::kScan);
-  const auto b = engine.Executor(ExecutionMethod::kScan);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
+  for (const std::size_t shards : {1u, 2u}) {
+    SpatialAggregation engine(points, regions);
+    engine.set_num_shards(shards);
+    const auto explanation = [&engine] {
+      QueryPlan plan;
+      EXPECT_TRUE(engine.ExecuteAuto(AggregationQuery(), {.exact = true},
+                                     &plan)
+                      .ok());
+      return plan.explanation;
+    };
+    EXPECT_NE(explanation().find("[no index]"), std::string::npos)
+        << shards << " shards";
+    ASSERT_TRUE(
+        engine.Execute(AggregationQuery(), ExecutionMethod::kIndexJoin).ok());
+    EXPECT_EQ(explanation().find("[no index]"), std::string::npos)
+        << shards << " shards";
+  }
 }
 
 TEST(SpatialAggregationTest, ExecuteAutoExactAgreesWithScan) {

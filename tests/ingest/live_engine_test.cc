@@ -30,6 +30,7 @@
 #include "data/point_table.h"
 #include "data/schema.h"
 #include "ingest/live_table.h"
+#include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
@@ -278,6 +279,109 @@ TEST(LiveEngineTest, EmptyLiveTableExecutes) {
   for (std::size_t r = 0; r < result->size(); ++r) {
     EXPECT_EQ(result->counts[r], 0u);
   }
+}
+
+// An empty live table validates a statement like every other data set:
+// an unknown attribute is InvalidArgument, not an OK answer of zeros.
+TEST(LiveEngineTest, EmptyLiveTableRejectsUnknownAttribute) {
+  const std::string dir = FreshDir("empty_unknown_attribute");
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, VSchema(), nullptr, nullptr);
+  ASSERT_TRUE(table.ok());
+  const data::RegionSet regions = testing::MakeTessellationRegions(2, 1);
+  LiveEngine live(table->get(), &regions, LiveEngineOptions());
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Sum("no_such_column");
+  const StatusOr<core::QueryResult> explicit_method =
+      live.Execute(query, core::ExecutionMethod::kScan);
+  EXPECT_EQ(explicit_method.status().code(), StatusCode::kInvalidArgument)
+      << explicit_method.status().ToString();
+  const StatusOr<core::QueryResult> planned =
+      live.ExecuteAuto(query, core::AccuracyRequirement());
+  EXPECT_EQ(planned.status().code(), StatusCode::kInvalidArgument)
+      << planned.status().ToString();
+}
+
+// A live ExecuteAuto honors the ε the planner resolved: over the same rows
+// it plans exactly as a static facade does, and answers at the planned
+// canvas resolution, not at the engine's configured one.
+TEST(LiveEngineTest, ExecuteAutoHonorsPlannedEpsilonResolution) {
+  const data::PointTable points = testing::MakeUniformPoints(20000, 0xE1);
+  const data::RegionSet regions = testing::MakeRandomRegions(16, 0xE2);
+  core::RasterJoinOptions coarse;
+  coarse.resolution = 64;
+  const std::string dir = FreshDir("epsilon");
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, points.schema(), &points, nullptr);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  LiveEngineOptions options;
+  options.raster_options = coarse;
+  LiveEngine live(table->get(), &regions, options);
+  core::SpatialAggregation facade(points, regions, coarse);
+
+  const core::AccuracyRequirement accuracy{.exact = false,
+                                           .epsilon_world = 0.5};
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Count();
+  core::QueryPlan live_plan;
+  const StatusOr<core::QueryResult> from_live =
+      live.ExecuteAuto(query, accuracy, nullptr, &live_plan);
+  ASSERT_TRUE(from_live.ok()) << from_live.status().ToString();
+  core::QueryPlan static_plan;
+  ASSERT_TRUE(facade.ExecuteAuto(query, accuracy, &static_plan).ok());
+  EXPECT_EQ(live_plan.method, static_plan.method);
+  EXPECT_EQ(live_plan.resolution, static_plan.resolution);
+  EXPECT_EQ(live_plan.explanation, static_plan.explanation);
+  ASSERT_EQ(live_plan.method, core::ExecutionMethod::kBoundedRaster);
+  ASSERT_GT(live_plan.resolution, coarse.resolution);
+
+  core::RasterJoinOptions planned;
+  planned.resolution = live_plan.resolution;
+  auto bounded = core::BoundedRasterJoin::Create(points, regions, planned);
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  query.points = &points;
+  query.regions = &regions;
+  const StatusOr<core::QueryResult> want = (*bounded)->Execute(query);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectBitIdentical(*from_live, *want, "live at the planned resolution");
+}
+
+// The planner's choice over a live table is journaled like a static
+// engine's: one `planner.choose` event naming the chosen method.
+TEST(LiveEngineTest, ExecuteAutoJournalsPlannerChoice) {
+  const std::string dir = FreshDir("journal");
+  const data::PointTable base = testing::MakeDyadicPoints(800, 0xC1);
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, VSchema(), &base, nullptr);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(200, 0xC2)).ok());
+  const data::RegionSet regions = testing::MakeTessellationRegions(2, 0xC3);
+  LiveEngineOptions options;
+  options.raster_options = SmallCanvas();
+  LiveEngine live(table->get(), &regions, options);
+
+  obs::EventJournal& journal = obs::EventJournal::Global();
+  journal.Reset();
+  obs::SetJournalEnabled(true);
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Count();
+  core::QueryPlan plan;
+  const StatusOr<core::QueryResult> result =
+      live.ExecuteAuto(query, core::AccuracyRequirement(), nullptr, &plan);
+  obs::SetJournalEnabled(false);
+  std::vector<obs::Event> events;
+  journal.Drain(&events);
+  journal.Reset();
+
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::size_t chosen = 0;
+  for (const obs::Event& event : events) {
+    if (event.kind == obs::EventKind::kPlannerChoose) {
+      ++chosen;
+      EXPECT_EQ(event.method, static_cast<std::uint8_t>(plan.method));
+    }
+  }
+  EXPECT_EQ(chosen, 1u);
 }
 
 // Satellite regression: an answer over a fully-closed time range must stay

@@ -127,6 +127,24 @@ TEST_F(ServerIngestTest, IngestedRowsAreVisibleToTheNextQuery) {
   EXPECT_EQ(after_json->Find("watermark")->AsNumber(), 4.0);
 }
 
+// An empty live data set validates a statement like every other data set:
+// an unknown attribute is a 400, whether the method is named or planned.
+TEST_F(ServerIngestTest, EmptyLiveDatasetRejectsUnknownAttribute) {
+  ASSERT_TRUE(
+      manager_.EnableIngest("live", FreshDir("unknown_attr"), {"v"}).ok());
+  QueryServer server(backend_.get());
+  ASSERT_TRUE(server.Start().ok());
+  const HttpReply named = Post(
+      server.port(), "/v1/query",
+      "{\"sql\": \"SELECT SUM(no_such_column) FROM live, cells\", "
+      "\"method\": \"scan\"}");
+  EXPECT_EQ(named.status, 400) << named.body;
+  const HttpReply planned =
+      Post(server.port(), "/v1/query",
+           "{\"sql\": \"SELECT SUM(no_such_column) FROM live, cells\"}");
+  EXPECT_EQ(planned.status, 400) << planned.body;
+}
+
 TEST_F(ServerIngestTest, MalformedIngestRequestsAreRejected) {
   ASSERT_TRUE(manager_.EnableIngest("live", FreshDir("reject"), {"v"}).ok());
   QueryServer server(backend_.get());

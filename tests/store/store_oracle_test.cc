@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/spatial_aggregation.h"
@@ -236,6 +238,54 @@ TEST(StoreOracleTest, BoundedRasterCountsRowsPruned) {
   EXPECT_GT(profile.blocks_pruned, 0u);
   EXPECT_GT(profile.rows_pruned, 0u);
   EXPECT_EQ(counted, profile.rows_pruned);
+}
+
+// NaN rows fail an attribute range in memory exactly as the zone maps
+// assume when they prune them from a store: both answer the non-NaN half.
+TEST(StoreOracleTest, NanRowsFailAttributeRangeInMemoryAndFromStore) {
+  data::PointTable table = testing::MakeUniformPoints(4096, 0x7A7A);
+  std::vector<float>& v = table.mutable_attribute_column(0);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = i < v.size() / 2 ? 5.0f : std::numeric_limits<float>::quiet_NaN();
+  }
+  const std::string path = ::testing::TempDir() + "/oracle_nan.ust";
+  // Blocks sort only within themselves, so the NaN half fills whole
+  // blocks, whose inverted attribute extents prune them.
+  StoreWriterOptions write_options;
+  write_options.block_rows = 512;
+  write_options.sort_batch_rows = 512;
+  ASSERT_TRUE(WritePointStore(table, path, write_options).ok());
+  auto reader = StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  auto view = reader->MappedTable();
+  ASSERT_TRUE(view.ok());
+  const data::RegionSet regions = testing::MakeTessellationRegions(2, 0x7A7B);
+  core::SpatialAggregation store_engine(*view, regions);
+  store_engine.AttachZoneMaps(&reader->zone_maps());
+  core::SpatialAggregation memory_engine(table, regions);
+
+  core::AggregationQuery query;
+  query.aggregate = core::AggregateSpec::Count();
+  query.filter.WithRange("v", 0.0, 10.0);
+  for (const core::ExecutionMethod method :
+       {core::ExecutionMethod::kScan, core::ExecutionMethod::kAccurateRaster}) {
+    const std::string what = core::ExecutionMethodToString(method);
+    const auto from_store = store_engine.Execute(query, method);
+    const auto from_memory = memory_engine.Execute(query, method);
+    ASSERT_TRUE(from_store.ok()) << from_store.status().ToString();
+    ASSERT_TRUE(from_memory.ok()) << from_memory.status().ToString();
+    std::uint64_t store_total = 0;
+    std::uint64_t memory_total = 0;
+    for (const std::uint64_t count : from_store->counts) store_total += count;
+    for (const std::uint64_t count : from_memory->counts) memory_total += count;
+    EXPECT_EQ(memory_total, 2048u) << what;
+    EXPECT_EQ(store_total, 2048u) << what;
+  }
+  obs::QueryProfile profile;
+  query.profile = &profile;
+  ASSERT_TRUE(store_engine.Execute(query, core::ExecutionMethod::kScan).ok());
+  EXPECT_EQ(profile.blocks_pruned, 4u);
+  std::remove(path.c_str());
 }
 
 TEST(StoreOracleTest, ViewBoundsDriveIdenticalCanvases) {

@@ -27,7 +27,11 @@ TEST(LatencyRecorderTest, SummarizesOrderStatistics) {
 TEST(LatencyRecorderTest, EmptyPhaseSummarizesToZeros) {
   const LatencySummary s = LatencyRecorder().Summarize();
   EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
+  EXPECT_EQ(s.mean, 0.0);
   EXPECT_EQ(s.p50, 0.0);
+  EXPECT_EQ(s.p95, 0.0);
   EXPECT_EQ(s.p99, 0.0);
 }
 

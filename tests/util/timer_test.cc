@@ -29,45 +29,6 @@ TEST(WallTimerTest, UnitConversions) {
   EXPECT_GE(timer.ElapsedMicros(), s * 1e6);
 }
 
-TEST(LatencyStatsTest, EmptyStatsAreZero) {
-  LatencyStats stats;
-  EXPECT_TRUE(stats.empty());
-  EXPECT_EQ(stats.MinSeconds(), 0.0);
-  EXPECT_EQ(stats.MaxSeconds(), 0.0);
-  EXPECT_EQ(stats.MeanSeconds(), 0.0);
-  EXPECT_EQ(stats.PercentileSeconds(95), 0.0);
-}
-
-TEST(LatencyStatsTest, MinMaxMean) {
-  LatencyStats stats;
-  stats.AddSample(1.0);
-  stats.AddSample(2.0);
-  stats.AddSample(3.0);
-  EXPECT_DOUBLE_EQ(stats.MinSeconds(), 1.0);
-  EXPECT_DOUBLE_EQ(stats.MaxSeconds(), 3.0);
-  EXPECT_DOUBLE_EQ(stats.MeanSeconds(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.MedianSeconds(), 2.0);
-}
-
-TEST(LatencyStatsTest, PercentileInterpolates) {
-  LatencyStats stats;
-  for (int i = 1; i <= 100; ++i) {
-    stats.AddSample(static_cast<double>(i));
-  }
-  EXPECT_NEAR(stats.PercentileSeconds(0), 1.0, 1e-9);
-  EXPECT_NEAR(stats.PercentileSeconds(100), 100.0, 1e-9);
-  EXPECT_NEAR(stats.PercentileSeconds(50), 50.5, 1e-9);
-  // Out-of-range pct clamps.
-  EXPECT_NEAR(stats.PercentileSeconds(150), 100.0, 1e-9);
-}
-
-TEST(LatencyStatsTest, ClearResets) {
-  LatencyStats stats;
-  stats.AddSample(1.0);
-  stats.Clear();
-  EXPECT_TRUE(stats.empty());
-}
-
 TEST(FormatDurationTest, PicksAdaptiveUnits) {
   EXPECT_EQ(FormatDuration(2.5), "2.50s");
   EXPECT_EQ(FormatDuration(0.0125), "12.50ms");

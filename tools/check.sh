@@ -8,6 +8,9 @@
 #     the shared-executor concurrency tests (N threads on one instance of
 #     each executor: executors are immutable after Create, so any
 #     per-query state left on one is a data race here),
+#   * the thread-pool tests (ThreadPool::Batch runs every sharded pass:
+#     its task hand-off and Wait fence are the synchronization every shard
+#     result crosses),
 #   * the QueryCache unit tests (sharded LRU under mixed traffic),
 #   * the facade cache tests (stale-ε regression included),
 #   * the obs metrics concurrency tests (threads vs serial oracle) and the
@@ -121,15 +124,15 @@ cmake -B "${BUILD_DIR}" -S . \
   -DURBANE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-  --target core_test obs_test obs_pipeline_test net_test server_test \
-           store_test shard_unit_test shard_test server_shard_test \
-           profile_test server_profile_test \
+  --target util_test core_test obs_test obs_pipeline_test net_test \
+           server_test store_test shard_unit_test shard_test \
+           server_shard_test profile_test server_profile_test \
            ingest_unit_test ingest_test server_ingest_test
 
 URBANE_SIMD=off \
 TSAN_OPTIONS="halt_on_error=1 abort_on_error=1${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}" \
 ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-  -R 'EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|StoreOracle|StoreCorruption|StoreTruncation' \
+  -R 'ThreadPool|EngineConcurrency|ExecutorConcurrency|QueryCache|SpatialAggregation|MetricsConcurrency|ObservabilityDeterminism|EventJournal|SlowQuery|TelemetryExporter|QueryServer|QueryControl|Socket|HttpRequestParser|StoreOracle|StoreCorruption|StoreTruncation' \
   "$@"
 
 # The adversarial-interleaving merge suite and the rest of the shard layer
