@@ -2,14 +2,16 @@
 // executors compose: point-in-polygon tests, scanline vs triangle polygon
 // fill (the pipeline ablation), point splatting (z-order-sorted vs shuffled
 // input — memory-locality ablation), grid-index probes, boundary
-// rasterization, and the splat/sweep SIMD kernel tables (scalar vs sse2 vs
-// avx2 ns/fragment). On an unfiltered run the kernel workloads additionally
+// rasterization, and the SIMD kernel tables — splat, sweep and the filter's
+// predicate kernels (scalar vs sse2 vs avx2 ns/fragment, one fragment per
+// pixel or row). On an unfiltered run the kernel workloads additionally
 // emit a harness ResultTable sidecar (micro_substrate_kernels.json when
 // URBANE_BENCH_CSV is set) so tools/bench_report tracks kernel regressions
 // in BENCH_TRAJECTORY.json without a full fig4/fig8 run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -160,7 +162,7 @@ void BM_Triangulate(benchmark::State& state) {
 BENCHMARK(BM_Triangulate)->Arg(16)->Arg(64)->Arg(256);
 
 // ---------------------------------------------------------------------------
-// Splat/sweep SIMD kernels. One workload per RasterKernels entry point; each
+// SIMD kernels. One workload per RasterKernels entry point; each
 // runs at every URBANE_SIMD level available on this CPU. Registered twice:
 // as BM_SimdKernel below for interactive runs, and through
 // EmitKernelSidecar() (called from main after an unfiltered benchmark pass)
@@ -181,7 +183,7 @@ std::vector<raster::SimdLevel> AvailableKernelLevels() {
 
 struct KernelWorkload {
   const char* name;
-  std::size_t fragments;  // pixels one run() call pushes through the kernel
+  std::size_t fragments;  // pixels or rows one run() pushes through the kernel
   std::function<void(const raster::RasterKernels&)> run;
 };
 
@@ -252,6 +254,51 @@ std::vector<KernelWorkload> MakeKernelWorkloads() {
          }});
   }
 
+  // Filter predicates over 1M rows with `selective`-shaped bounds (a 12 h
+  // brush over a month, a 0.3-mile trip-distance window, a centre-quarter
+  // viewport). Each run ANDs into the same mask; the kernels are
+  // branch-free, so the work does not depend on what the mask holds.
+  {
+    const std::size_t n = 1 << 20;
+    constexpr std::int64_t kMonthSeconds = 30 * 86400;
+    auto ts = std::make_shared<std::vector<std::int64_t>>(n);
+    auto distance = std::make_shared<std::vector<float>>(n);
+    Rng rng(5);
+    for (std::size_t i = 0; i < n; ++i) {
+      (*ts)[i] = rng.NextInt(0, kMonthSeconds - 1);
+      (*distance)[i] =
+          static_cast<float>(std::exp(rng.NextGaussian(0.6, 0.7)));
+    }
+    const data::PointTable points = testing::MakeUniformPoints(n, 12);
+    auto xs = std::make_shared<std::vector<float>>(points.xs(),
+                                                   points.xs() + n);
+    auto ys = std::make_shared<std::vector<float>>(points.ys(),
+                                                   points.ys() + n);
+    auto mask = std::make_shared<std::vector<std::uint8_t>>(n, 1);
+    const std::int64_t brush_begin = 9 * 86400 + 6 * 3600;
+    const std::int64_t brush_end = brush_begin + 12 * 3600;
+    workloads.push_back(
+        {"filter_time_range", n, [=](const raster::RasterKernels& k) {
+           k.and_time_range(ts->data(), n, brush_begin, brush_end,
+                            mask->data());
+           benchmark::DoNotOptimize(mask->data());
+           benchmark::ClobberMemory();
+         }});
+    workloads.push_back(
+        {"filter_float_range", n, [=](const raster::RasterKernels& k) {
+           k.and_float_range(distance->data(), n, 1.8f, 2.1f, mask->data());
+           benchmark::DoNotOptimize(mask->data());
+           benchmark::ClobberMemory();
+         }});
+    const geometry::BoundingBox window(25.0, 25.0, 75.0, 75.0);
+    workloads.push_back(
+        {"filter_window", n, [=](const raster::RasterKernels& k) {
+           k.and_window(window, xs->data(), ys->data(), n, mask->data());
+           benchmark::DoNotOptimize(mask->data());
+           benchmark::ClobberMemory();
+         }});
+  }
+
   return workloads;
 }
 
@@ -279,7 +326,7 @@ void BM_SimdKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(w.fragments));
   state.SetLabel(std::string(w.name) + "/" + raster::SimdLevelName(level));
 }
-BENCHMARK(BM_SimdKernel)->ArgsProduct({{0, 1, 2}, {0, 1, 2}});
+BENCHMARK(BM_SimdKernel)->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}});
 
 }  // namespace
 
@@ -288,7 +335,7 @@ BENCHMARK(BM_SimdKernel)->ArgsProduct({{0, 1, 2}, {0, 1, 2}});
 // bench_report's baseline comparison covers the kernels.
 void EmitKernelSidecar() {
   bench::PrintHeader("micro_substrate_kernels",
-                     "splat/sweep kernel ns-per-fragment across "
+                     "splat/sweep/filter kernel ns-per-fragment across "
                      "URBANE_SIMD levels (scalar oracle = off)");
   bench::ResultTable table("micro_substrate_kernels",
                            {"kernel", "level", "fragments", "ns_per_fragment",

@@ -70,7 +70,16 @@ struct FilterSelection {
 /// Evaluates the filter over every row, or — zone-map-aware — only over
 /// the rows in `candidates` (null = all rows). Pruned rows cannot match the
 /// filter, so the selection is identical to the unpruned evaluation; the
-/// pruning only saves the per-row work. Ids come out ascending.
+/// pruning only saves the work. Ids come out ascending.
+///
+/// Evaluation is column at a time over chunks of 4,096 rows: a chunk's
+/// slice of the bitmap starts at 1, each conjunct (time range, spatial
+/// window, each attribute range) ANDs its column into that slice through a
+/// predicate kernel of raster::RasterKernels (same bits at every SIMD
+/// level), and the chunk's ids are collected from the slice 8 bytes at a
+/// time. A row passes when t is in [begin, end), (x, y) lies in the closed
+/// window compared in double, and every attribute v satisfies
+/// v >= lo && v <= hi with the bounds rounded to float (NaN fails).
 /// The only code that decides whether a row passes: every executor calls
 /// it once per query, timed as `filter_seconds`. Fails on an unknown
 /// attribute, an empty attribute range or an empty spatial window.
@@ -78,8 +87,9 @@ StatusOr<FilterSelection> EvaluateFilter(
     const FilterSpec& spec, const data::PointTable& table,
     const RowRangeSet* candidates = nullptr);
 
-/// Planning-time selectivity estimate: applies EvaluateFilter's row test to
-/// an evenly strided sample of at most 65,536 rows — no bitmap or id vector
+/// Planning-time selectivity estimate: gathers an evenly strided sample of
+/// at most 65,536 rows one 4,096-row chunk at a time and runs it through
+/// EvaluateFilter's predicate kernels — no table-sized bitmap or id vector
 /// is materialized, so the cost is O(min(n, 65536)) time and O(1) memory
 /// (vs the O(n) allocation of EvaluateFilter). Exact when the table fits in
 /// the sample; deterministic either way (stride sampling, no RNG).

@@ -85,7 +85,7 @@ struct AggregationQuery {
 
   /// Optional zone-map pruning output (ZoneMapIndex::Prune over this
   /// query's filter): rows outside these ranges are known not to match the
-  /// filter, so EvaluateFilter skips them before the per-point predicate.
+  /// filter, so EvaluateFilter's predicate kernels never read them.
   /// Null — the in-memory common case — means all rows are candidates.
   /// The facade sets it per component and the sharded executor per shard;
   /// the facade ignores a caller's. Borrowed for the duration of the

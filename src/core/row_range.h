@@ -1,9 +1,7 @@
 #ifndef URBANE_CORE_ROW_RANGE_H_
 #define URBANE_CORE_ROW_RANGE_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace urbane::core {
@@ -50,33 +48,6 @@ class RowRangeSet {
   std::vector<RowRange> ranges_;
   std::uint64_t total_rows_ = 0;
 };
-
-/// Calls `fn(i)` for every row in [begin, end) ∩ candidates, ascending.
-/// A null candidate set means "all rows". This is EvaluateFilter's row
-/// walk: candidate ranges replace the dense `for` so fully-pruned blocks
-/// cost nothing, while the ids still come out ascending.
-template <typename Fn>
-inline void ForEachCandidateRow(const RowRangeSet* candidates,
-                                std::uint64_t begin, std::uint64_t end,
-                                Fn&& fn) {
-  if (candidates == nullptr) {
-    for (std::uint64_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  const std::vector<RowRange>& ranges = candidates->ranges();
-  auto it = std::upper_bound(
-      ranges.begin(), ranges.end(), begin,
-      [](std::uint64_t r, const RowRange& range) { return r < range.end; });
-  for (; it != ranges.end() && it->begin < end; ++it) {
-    const std::uint64_t lo = std::max(begin, it->begin);
-    const std::uint64_t hi = std::min(end, it->end);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      fn(i);
-    }
-  }
-}
 
 }  // namespace urbane::core
 

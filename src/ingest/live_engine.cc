@@ -30,7 +30,7 @@ void LiveEngine::RefreshLocked(std::uint64_t* watermark) {
   geometry::BoundingBox world = regions_->Bounds();
   std::vector<core::SpatialAggregation::Component> components;
   if (snapshot.base != nullptr && !snapshot.base->empty()) {
-    world.Extend(snapshot.base->Bounds());
+    world.Extend(snapshot.base_bounds);
     components.push_back({snapshot.base, snapshot.base_zone_maps, nullptr});
   }
   for (const auto& run : snapshot.runs) {

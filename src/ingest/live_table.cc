@@ -110,7 +110,9 @@ LiveTable::LiveTable(std::string directory, data::Schema schema,
       base_(base),
       base_zone_maps_(base_zone_maps),
       options_(options),
-      base_rows_(base == nullptr ? 0 : base->size()) {}
+      base_rows_(base == nullptr ? 0 : base->size()),
+      base_bounds_(base == nullptr ? geometry::BoundingBox()
+                                   : base->Bounds()) {}
 
 LiveTable::~LiveTable() {
   // Make the active segment durable, but deliberately do NOT flush runs:
@@ -569,6 +571,7 @@ LiveSnapshot LiveTable::Snapshot() const {
   LiveSnapshot snapshot;
   snapshot.base = base_;
   snapshot.base_zone_maps = base_zone_maps_;
+  snapshot.base_bounds = base_bounds_;
   snapshot.runs = runs_;
   snapshot.hot_owner = hot_;
   snapshot.hot_rows = hot_->size();

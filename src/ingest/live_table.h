@@ -105,6 +105,9 @@ struct LiveRun {
 struct LiveSnapshot {
   const data::PointTable* base = nullptr;  // null when the table has none
   const core::ZoneMapIndex* base_zone_maps = nullptr;
+  /// Exact extents of the base (empty box when none). The base is borrowed
+  /// and immutable, so LiveTable computes them once, at Open.
+  geometry::BoundingBox base_bounds;
   std::vector<std::shared_ptr<const LiveRun>> runs;  // generation order
   /// Hot prefix: owner + a view over its first `hot_rows` rows.
   std::shared_ptr<Memtable> hot_owner;
@@ -223,6 +226,7 @@ class LiveTable {
   const core::ZoneMapIndex* const base_zone_maps_;
   const IngestOptions options_;
   const std::uint64_t base_rows_;
+  const geometry::BoundingBox base_bounds_;
 
   /// Guards the component stack, the WAL writer, and the counters.
   mutable std::mutex mu_;

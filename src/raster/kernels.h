@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "geometry/bounding_box.h"
 #include "raster/simd.h"
 #include "raster/viewport.h"
 
@@ -38,8 +39,9 @@ struct SplatGeometry {
   }
 };
 
-/// Dispatch table of the data-parallel inner loops shared by the splat and
-/// sweep passes. All kernels are pure functions with lane-count-independent
+/// Dispatch table of the data-parallel inner loops: the splat and sweep
+/// passes, and the predicate kernels core::EvaluateFilter runs over row
+/// chunks. All kernels are pure functions with lane-count-independent
 /// semantics: the scalar table is the executable specification, and the
 /// SSE2/AVX2 tables must match it bit-for-bit on every input (the simd test
 /// suite enforces this).
@@ -60,6 +62,24 @@ struct RasterKernels {
   /// returns how many were written. `out` must hold at least n entries.
   std::size_t (*gather_nonzero_u32)(const std::uint32_t* v, std::size_t n,
                                     std::uint32_t* out);
+
+  /// Filter predicates. Each ANDs one conjunct into a row mask:
+  /// mask[i] &= (row i passes ? 1 : 0) for i in [0, n), so 0/1 mask bytes
+  /// stay 0/1. `mask` may alias nothing else.
+  ///
+  /// Half-open time range: begin <= t[i] < end (TimeRange::Contains);
+  /// begin >= end selects nothing.
+  void (*and_time_range)(const std::int64_t* t, std::size_t n,
+                         std::int64_t begin, std::int64_t end,
+                         std::uint8_t* mask);
+  /// Closed float range with ordered compares: v[i] >= lo && v[i] <= hi,
+  /// so a NaN value fails every range (the rule the zone maps prune by).
+  void (*and_float_range)(const float* v, std::size_t n, float lo, float hi,
+                          std::uint8_t* mask);
+  /// Closed box, bit for bit BoundingBox::Contains: each float is widened
+  /// to double and compared against the double bounds; NaN fails.
+  void (*and_window)(const geometry::BoundingBox& box, const float* xs,
+                     const float* ys, std::size_t n, std::uint8_t* mask);
 };
 
 /// Kernel table for a level (levels absent from this build resolve to the

@@ -60,6 +60,38 @@ inline std::size_t ScalarGatherNonZeroU32(const std::uint32_t* v,
   return found;
 }
 
+// The predicate bodies combine their compares with `&` rather than `&&`:
+// the same truth value (the compares have no side effects) without a
+// data-dependent branch per row.
+
+inline void ScalarAndTimeRange(const std::int64_t* t, std::size_t n,
+                               std::int64_t begin, std::int64_t end,
+                               std::uint8_t* mask) {
+  for (std::size_t i = 0; i < n; ++i) {
+    mask[i] &= static_cast<std::uint8_t>((t[i] >= begin) & (t[i] < end));
+  }
+}
+
+/// Ordered compares: a NaN value fails.
+inline void ScalarAndFloatRange(const float* v, std::size_t n, float lo,
+                                float hi, std::uint8_t* mask) {
+  for (std::size_t i = 0; i < n; ++i) {
+    mask[i] &= static_cast<std::uint8_t>((v[i] >= lo) & (v[i] <= hi));
+  }
+}
+
+/// BoundingBox::Contains on the widened point: closed box in double.
+inline void ScalarAndWindow(const geometry::BoundingBox& box, const float* xs,
+                            const float* ys, std::size_t n,
+                            std::uint8_t* mask) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = xs[i];
+    const double y = ys[i];
+    mask[i] &= static_cast<std::uint8_t>((x >= box.min_x) & (x <= box.max_x) &
+                                         (y >= box.min_y) & (y <= box.max_y));
+  }
+}
+
 }  // namespace urbane::raster::internal
 
 #endif  // URBANE_RASTER_KERNELS_INL_H_

@@ -25,6 +25,22 @@ std::size_t GatherNonZeroU32Scalar(const std::uint32_t* v, std::size_t n,
   return internal::ScalarGatherNonZeroU32(v, n, 0, out);
 }
 
+void AndTimeRangeScalar(const std::int64_t* t, std::size_t n,
+                        std::int64_t begin, std::int64_t end,
+                        std::uint8_t* mask) {
+  internal::ScalarAndTimeRange(t, n, begin, end, mask);
+}
+
+void AndFloatRangeScalar(const float* v, std::size_t n, float lo, float hi,
+                         std::uint8_t* mask) {
+  internal::ScalarAndFloatRange(v, n, lo, hi, mask);
+}
+
+void AndWindowScalar(const geometry::BoundingBox& box, const float* xs,
+                     const float* ys, std::size_t n, std::uint8_t* mask) {
+  internal::ScalarAndWindow(box, xs, ys, n, mask);
+}
+
 }  // namespace
 
 const RasterKernels kScalarRasterKernels = {
@@ -32,6 +48,9 @@ const RasterKernels kScalarRasterKernels = {
     &ComputePixelIndicesScalar,
     &SumSpanU32Scalar,
     &GatherNonZeroU32Scalar,
+    &AndTimeRangeScalar,
+    &AndFloatRangeScalar,
+    &AndWindowScalar,
 };
 
 }  // namespace urbane::raster

@@ -125,6 +125,76 @@ std::size_t GatherNonZeroU32Sse2(const std::uint32_t* v, std::size_t n,
   return found;
 }
 
+// mask[k] &= bit k of `bits` for k in [0, 16): broadcast byte 0 of `bits`
+// to mask bytes 0-7 and byte 1 to bytes 8-15, keep each byte's own bit,
+// then clamp the survivors to 1.
+inline void AndMaskBits16(std::uint8_t* mask, unsigned bits) {
+  __m128i spread = _mm_cvtsi32_si128(static_cast<int>(bits));
+  spread = _mm_unpacklo_epi8(spread, spread);
+  spread = _mm_unpacklo_epi16(spread, spread);
+  spread = _mm_unpacklo_epi32(spread, spread);
+  const __m128i select = _mm_set1_epi64x(0x8040201008040201LL);
+  const __m128i pass =
+      _mm_min_epu8(_mm_and_si128(spread, select), _mm_set1_epi8(1));
+  __m128i* at = reinterpret_cast<__m128i*>(mask);
+  _mm_storeu_si128(at, _mm_and_si128(_mm_loadu_si128(at), pass));
+}
+
+// SSE2 has no 64-bit compare (pcmpgtq is SSE4.2), so the time range runs
+// the scalar specification at this level.
+void AndTimeRangeSse2(const std::int64_t* t, std::size_t n,
+                      std::int64_t begin, std::int64_t end,
+                      std::uint8_t* mask) {
+  internal::ScalarAndTimeRange(t, n, begin, end, mask);
+}
+
+void AndFloatRangeSse2(const float* v, std::size_t n, float lo, float hi,
+                       std::uint8_t* mask) {
+  const __m128 vlo = _mm_set1_ps(lo);
+  const __m128 vhi = _mm_set1_ps(hi);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    unsigned bits = 0;
+    for (int q = 0; q < 4; ++q) {
+      const __m128 x = _mm_loadu_ps(v + i + 4 * q);
+      // cmpge/cmple are ordered: NaN lanes fail, as in the scalar path.
+      const __m128 in = _mm_and_ps(_mm_cmpge_ps(x, vlo), _mm_cmple_ps(x, vhi));
+      bits |= static_cast<unsigned>(_mm_movemask_ps(in)) << (4 * q);
+    }
+    AndMaskBits16(mask + i, bits);
+  }
+  internal::ScalarAndFloatRange(v + i, n - i, lo, hi, mask + i);
+}
+
+void AndWindowSse2(const geometry::BoundingBox& box, const float* xs,
+                   const float* ys, std::size_t n, std::uint8_t* mask) {
+  const __m128d min_x = _mm_set1_pd(box.min_x);
+  const __m128d max_x = _mm_set1_pd(box.max_x);
+  const __m128d min_y = _mm_set1_pd(box.min_y);
+  const __m128d max_y = _mm_set1_pd(box.max_y);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    unsigned bits = 0;
+    for (int q = 0; q < 4; ++q) {
+      const __m128 xf = _mm_loadu_ps(xs + i + 4 * q);
+      const __m128 yf = _mm_loadu_ps(ys + i + 4 * q);
+      for (int half = 0; half < 2; ++half) {
+        const __m128d xd = half == 0 ? _mm_cvtps_pd(xf)
+                                     : _mm_cvtps_pd(_mm_movehl_ps(xf, xf));
+        const __m128d yd = half == 0 ? _mm_cvtps_pd(yf)
+                                     : _mm_cvtps_pd(_mm_movehl_ps(yf, yf));
+        const __m128d in = _mm_and_pd(
+            _mm_and_pd(_mm_cmpge_pd(xd, min_x), _mm_cmple_pd(xd, max_x)),
+            _mm_and_pd(_mm_cmpge_pd(yd, min_y), _mm_cmple_pd(yd, max_y)));
+        bits |= static_cast<unsigned>(_mm_movemask_pd(in))
+                << (4 * q + 2 * half);
+      }
+    }
+    AndMaskBits16(mask + i, bits);
+  }
+  internal::ScalarAndWindow(box, xs + i, ys + i, n - i, mask + i);
+}
+
 }  // namespace
 
 const RasterKernels kSse2RasterKernels = {
@@ -132,6 +202,9 @@ const RasterKernels kSse2RasterKernels = {
     &ComputePixelIndicesSse2,
     &SumSpanU32Sse2,
     &GatherNonZeroU32Sse2,
+    &AndTimeRangeSse2,
+    &AndFloatRangeSse2,
+    &AndWindowSse2,
 };
 
 }  // namespace urbane::raster

@@ -12,9 +12,9 @@ namespace urbane::raster {
 ///
 /// Every level computes the *same* function bit-for-bit: the kernels are
 /// specified in integer / IEEE-754 terms that do not depend on lane count
-/// (see DESIGN.md "SIMD splat and sweep kernels"), so switching levels can
-/// change speed but never results. That is what lets the determinism suites
-/// run the identical assertions at every level.
+/// (see DESIGN.md "SIMD splat, sweep and filter kernels"), so switching
+/// levels can change speed but never results. That is what lets the
+/// determinism suites run the identical assertions at every level.
 enum class SimdLevel : int {
   kOff = 0,   // portable scalar kernels
   kSse2 = 1,  // 128-bit kernels (x86-64 baseline)

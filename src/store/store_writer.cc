@@ -136,8 +136,8 @@ void StoreWriter::FoldRowIntoZoneMap(float x, float y, std::int64_t t,
                                      std::size_t row_in_batch) {
   // NaN-safe fold: comparisons with NaN are false, so NaN values leave the
   // extents untouched (an all-NaN column keeps its inverted range, which
-  // every pruning overlap test rejects — matching Matches(), which a NaN
-  // row always fails).
+  // every pruning overlap test rejects — matching EvaluateFilter's
+  // attribute-range kernel, which a NaN row always fails).
   if (x < current_.min_x) current_.min_x = x;
   if (x > current_.max_x) current_.max_x = x;
   if (y < current_.min_y) current_.min_y = y;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer / quick-check gate (see CONTRIBUTING.md).
 #
-# Default mode is the TSan gate for the concurrent query path: builds the
-# test suite with -DURBANE_SANITIZE=thread and runs the suites that
-# exercise cross-thread behavior:
+# Default mode is the sanitizer gate. First, TSan for the concurrent query
+# path: builds the test suite with -DURBANE_SANITIZE=thread and runs the
+# suites that exercise cross-thread behavior:
 #   * the shared-engine concurrency tests (N sessions on one facade) and
 #     the shared-executor concurrency tests (N threads on one instance of
 #     each executor: executors are immutable after Create, so any
@@ -32,6 +32,13 @@
 #     exactly the kind of contract TSan can falsify.
 # Any data race aborts the run: TSAN_OPTIONS makes warnings fatal.
 #
+# The default gate then builds simd_test and core_test under
+# AddressSanitizer (-DURBANE_SANITIZE=address, in ${ASAN_BUILD_DIR}) and
+# runs the `simd` label once per URBANE_SIMD level, then the filter unit
+# tests once. The vector kernels load whole vectors up to the last full
+# block of a column or mask and finish with scalar tails, so a load past a
+# column end is a heap overflow this step reports; any report aborts.
+#
 # `--fast` instead builds a plain (unsanitized) tree and runs only the
 # suites labeled `fast` in tests/CMakeLists.txt — the seconds-scale
 # inner-loop gate. It also builds every bench/ binary and examples/
@@ -57,6 +64,7 @@
 #
 # Usage: tools/check.sh [--fast] [extra ctest args...]
 #   BUILD_DIR=build-tsan  override the build directory (build-fast in --fast)
+#   ASAN_BUILD_DIR=build-asan  override the AddressSanitizer build directory
 #   JOBS=N                override the build parallelism
 set -euo pipefail
 
@@ -67,6 +75,12 @@ MODE=tsan
 if [[ "${1:-}" == "--fast" ]]; then
   MODE=fast
   shift
+fi
+
+# Every URBANE_SIMD level this CPU can run (levels it lacks clamp down).
+SIMD_LEVELS="off sse2"
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  SIMD_LEVELS="${SIMD_LEVELS} avx2"
 fi
 
 if [[ "${MODE}" == "fast" ]]; then
@@ -96,10 +110,6 @@ if [[ "${MODE}" == "fast" ]]; then
   # stage bit-identical to a stop-the-world rebuild), and the HTTP ingest
   # surface (slow-labeled, so -L fast above does not already cover it).
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -L ingest "$@"
-  SIMD_LEVELS="off sse2"
-  if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-    SIMD_LEVELS="${SIMD_LEVELS} avx2"
-  fi
   for level in ${SIMD_LEVELS}; do
     echo "== simd suite @ URBANE_SIMD=${level} =="
     URBANE_SIMD="${level}" \
@@ -159,3 +169,22 @@ TSAN_OPTIONS="halt_on_error=1 abort_on_error=1${TSAN_OPTIONS:+ ${TSAN_OPTIONS}}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L ingest "$@"
 
 echo "tsan check OK"
+
+ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
+cmake -B "${ASAN_BUILD_DIR}" -S . \
+  -DURBANE_SANITIZE=address \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" --target simd_test core_test
+for level in ${SIMD_LEVELS}; do
+  echo "== asan simd suite @ URBANE_SIMD=${level} =="
+  URBANE_SIMD="${level}" \
+  ASAN_OPTIONS="halt_on_error=1 abort_on_error=1${ASAN_OPTIONS:+ ${ASAN_OPTIONS}}" \
+  ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure -L simd "$@"
+done
+echo "== asan filter tests =="
+ASAN_OPTIONS="halt_on_error=1 abort_on_error=1${ASAN_OPTIONS:+ ${ASAN_OPTIONS}}" \
+ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
+  -R '^(FilterSpecTest|TimeRangeTest|CompiledFilterTest|EvaluateFilterTest)\.' \
+  "$@"
+
+echo "asan check OK"
