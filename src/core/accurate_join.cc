@@ -1,11 +1,10 @@
 #include "core/accurate_join.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "core/observe.h"
 #include "core/raster_targets.h"
 #include "raster/rasterizer.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace urbane::core {
@@ -15,63 +14,20 @@ StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
     const RasterJoinOptions& options) {
   URBANE_ASSIGN_OR_RETURN(raster::Viewport viewport,
                           MakeValidatedCanvas(points, regions, options));
-  auto executor = std::unique_ptr<AccurateRasterJoin>(new AccurateRasterJoin(
-      points, regions, options, viewport));
-  executor->morton_ = raster::MortonSplatOrder::Build(
-      viewport, points.xs(), points.ys(), points.size());
-  if (!executor->morton_.enabled()) {
-    return Status::InvalidArgument(StringPrintf(
-        "accurate raster join canvas %dx%d exceeds 65535 pixels a side",
-        viewport.width(), viewport.height()));
-  }
-  executor->sweep_ = internal::BuildSweepGeometry(
-      viewport, regions, internal::SweepMode::kAccurate,
-      /*with_boundary=*/true);
-  executor->LocateBoundaryRuns();
-  return executor;
+  URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const RasterRegionState> region,
+                          BuildRegionState(regions, viewport));
+  URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const RasterPointSource> source,
+                          RasterPointSource::Build(*region, points));
+  return std::make_unique<AccurateRasterJoin>(
+      points, regions, std::move(region), RasterSources{std::move(source)});
 }
 
-void AccurateRasterJoin::LocateBoundaryRuns() {
-  // The Morton key is pixel-granular and its sort stable, so one pixel's
-  // points form one contiguous run of morton_, in row order. List the runs
-  // by Z-order key (ascending along the order; off-canvas points carry no
-  // pixel and sort last), then look up each boundary pixel's key.
-  const std::size_t n = morton_.size();
-  std::vector<std::uint32_t> pixels(n);
-  raster::ComputeSplatIndices(viewport_, morton_.xs().data(),
-                              morton_.ys().data(), n, pixels.data());
-  const auto width = static_cast<std::uint32_t>(viewport_.width());
-  const auto key_of = [width](std::uint32_t pixel) {
-    return raster::MortonPixelKey(pixel % width, pixel / width);
-  };
-  std::vector<std::uint32_t> run_keys;
-  std::vector<std::uint32_t> run_begins;
-  std::uint32_t k = 0;
-  for (; k < n && pixels[k] != raster::kInvalidPixel; ++k) {
-    if (k == 0 || pixels[k] != pixels[k - 1]) {
-      run_keys.push_back(key_of(pixels[k]));
-      run_begins.push_back(k);
-    }
-  }
-  run_begins.push_back(k);
-
-  std::size_t boundary_pixels = 0;
-  for (const internal::RegionSpanCache& cache : sweep_.regions) {
-    boundary_pixels += cache.boundary.size();
-  }
-  boundary_runs_.reserve(boundary_pixels);
-  for (const internal::RegionSpanCache& cache : sweep_.regions) {
-    for (const std::uint32_t pixel : cache.boundary) {
-      const std::uint32_t key = key_of(pixel);
-      const auto it = std::lower_bound(run_keys.begin(), run_keys.end(), key);
-      MortonRun run;
-      if (it != run_keys.end() && *it == key) {
-        const std::size_t r = static_cast<std::size_t>(it - run_keys.begin());
-        run = {run_begins[r], run_begins[r + 1]};
-      }
-      boundary_runs_.push_back(run);
-    }
-  }
+StatusOr<std::shared_ptr<const RasterRegionState>>
+AccurateRasterJoin::BuildRegionState(const data::RegionSet& regions,
+                                     const raster::Viewport& canvas) {
+  return RasterRegionState::Build(regions, canvas,
+                                  internal::SweepMode::kAccurate,
+                                  /*with_boundary=*/true);
 }
 
 StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
@@ -84,37 +40,43 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
   obs::ProfilePassCosts costs;
   WallTimer timer;
 
-  WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(query.filter, points_, query.candidate_ranges));
-  costs.filter_seconds = filter_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(query.CheckControl());
-  const float* attr = nullptr;
-  if (query.aggregate.NeedsAttribute()) {
-    attr = points_.AttributeByName(query.aggregate.attribute);
-  }
-  WallTimer splat_timer;
-  const internal::SplatSchedule schedule =
-      internal::BuildSplatSchedule(viewport_, points_, selection, &morton_);
-  const internal::TargetPool::Lease lease = targets_.Acquire();
+  const internal::TargetPool::Lease lease = region_->targets.Acquire();
   internal::AggregateTargets& targets = *lease;
-  internal::BuildAggregateTargets(viewport_, schedule, attr,
-                                  query.aggregate.kind,
-                                  /*need_abs_sum=*/false, targets);
-  costs.splat_seconds = splat_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(query.CheckControl());
-  costs.points_scanned = selection.ids.size();
+  URBANE_ASSIGN_OR_RETURN(
+      const std::vector<internal::SourcePass> passes,
+      internal::FilterAndSplat(*region_, sources_, query,
+                               /*need_abs_sum=*/false, targets, costs));
 
   // Pass 2: each region part's cached boundary pixels are refined exactly
   // (in cached emission order) and its cached interior spans — boundary
-  // already cut out at Create — reduce wholesale through the SIMD span
-  // kernels. Both walks follow the order of the uncached loops they
-  // replace, so results are bit-identical.
+  // already cut out by the region state — reduce wholesale through the
+  // SIMD span kernels. Both walks follow the order of the uncached loops
+  // they replace, so results are bit-identical.
   WallTimer sweep_timer;
+  const internal::SweepGeometry& sweep = region_->sweep;
   const std::size_t num_regions = regions_.size();
   PartialResult result;
   result.regions.resize(num_regions);
+
+  // The sources the refine walks: those with a selected row, in source
+  // order. `runs` is indexed by boundary key slot.
+  struct RefineSource {
+    const MortonRun* runs;
+    const std::uint32_t* ids;
+    const float* xs;
+    const float* ys;
+    const std::uint8_t* bitmap;
+    const float* attr;
+  };
+  std::vector<RefineSource> refine_sources;
+  for (std::size_t s = 0; s < sources_.size(); ++s) {
+    if (passes[s].selection.ids.empty()) continue;
+    const RasterPointSource& source = *sources_[s];
+    refine_sources.push_back(
+        {source.boundary_runs.data(), source.morton.ids().data(),
+         source.morton.xs().data(), source.morton.ys().data(),
+         passes[s].selection.bitmap.data(), passes[s].attr});
+  }
 
   const raster::RasterKernels& kernels = raster::ActiveKernels();
   // Refine time (the exact boundary-pixel tests interleaved with the sweep)
@@ -124,20 +86,19 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
   const bool measure_refine =
       obs::MetricsEnabled() || query.profile != nullptr;
   std::vector<std::uint32_t> scratch(
-      static_cast<std::size_t>(viewport_.width()));
-  const std::vector<std::uint32_t>& morton_ids = morton_.ids();
-  const std::vector<float>& morton_xs = morton_.xs();
-  const std::vector<float>& morton_ys = morton_.ys();
-  const MortonRun* region_runs = boundary_runs_.data();
+      static_cast<std::size_t>(region_->viewport.width()));
+  const std::uint32_t* count_data = targets.count.data().data();
+  const std::uint32_t* region_slots = sweep.boundary_slots.data();
   WallTimer refine_timer;
   for (std::size_t r = 0; r < num_regions; ++r) {
-    const internal::RegionSpanCache& cache = sweep_.regions[r];
+    const internal::RegionSpanCache& cache = sweep.regions[r];
     const auto& parts = regions_[r].geometry.parts();
     Accumulator& acc = result.regions[r];
     for (std::size_t p = 0; p < parts.size(); ++p) {
       const geometry::Polygon& region_part = parts[p];
 
-      // --- boundary pixels: exact tests against this part ---
+      // --- boundary pixels: exact tests against this part. A pixel no
+      //     selected point hit holds nothing to test in any source. ---
       const std::uint32_t b_begin = cache.boundary_part_offsets[p];
       const std::uint32_t b_end = cache.boundary_part_offsets[p + 1];
       costs.boundary_pixels += b_end - b_begin;
@@ -145,16 +106,24 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
         refine_timer.Restart();
       }
       for (std::uint32_t b = b_begin; b < b_end; ++b) {
-        const MortonRun run = region_runs[b];
-        for (std::uint32_t k = run.begin; k < run.end; ++k) {
-          const std::uint32_t id = morton_ids[k];
-          if (!selection.bitmap[id]) {
-            continue;
-          }
-          ++costs.pip_tests;
-          const geometry::Vec2 pt{morton_xs[k], morton_ys[k]};
-          if (region_part.Contains(pt)) {
-            acc.Add(attr ? static_cast<double>(attr[id]) : 1.0);
+        if (count_data[cache.boundary[b]] == 0) {
+          continue;
+        }
+        const std::uint32_t slot = region_slots[b];
+        for (const RefineSource& source : refine_sources) {
+          const MortonRun run = source.runs[slot];
+          costs.refine_rows += run.end - run.begin;
+          for (std::uint32_t k = run.begin; k < run.end; ++k) {
+            const std::uint32_t id = source.ids[k];
+            if (!source.bitmap[id]) {
+              continue;
+            }
+            ++costs.pip_tests;
+            const geometry::Vec2 pt{source.xs[k], source.ys[k]};
+            if (region_part.Contains(pt)) {
+              acc.Add(source.attr ? static_cast<double>(source.attr[id])
+                                  : 1.0);
+            }
           }
         }
       }
@@ -176,7 +145,7 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
     }
     costs.pixels_touched += cache.pixels;
     costs.tiles_visited += cache.tiles;
-    region_runs += cache.boundary.size();
+    region_slots += cache.boundary.size();
   }
   costs.sweep_seconds = sweep_timer.ElapsedSeconds();
   costs.query_seconds = timer.ElapsedSeconds();
@@ -185,8 +154,11 @@ StatusOr<PartialResult> AccurateRasterJoin::ExecutePartial(
 }
 
 std::size_t AccurateRasterJoin::MemoryBytes() const {
-  return morton_.MemoryBytes() + sweep_.MemoryBytes() +
-         boundary_runs_.capacity() * sizeof(MortonRun);
+  std::size_t total = region_->MemoryBytes();
+  for (const std::shared_ptr<const RasterPointSource>& source : sources_) {
+    total += source->MemoryBytes();
+  }
+  return total;
 }
 
 }  // namespace urbane::core

@@ -107,8 +107,9 @@ struct QueryResult {
 /// one accumulator per region (region order) plus, for the bounded raster
 /// join, the per-region error bounds (QueryResult::error_bounds semantics
 /// for the query's aggregate). A sharded pass and the facade answer one
-/// query from several partials over disjoint row subsets — shards, row
-/// components — folded with Merge in a fixed order and finalized once,
+/// query from several partials over disjoint row subsets — shards, a scan
+/// or index query's row components — folded with Merge in a fixed order
+/// and finalized once,
 /// so AVG divides the summed (sum, count) pairs, never averages averages.
 struct PartialResult {
   std::vector<Accumulator> regions;

@@ -52,6 +52,7 @@ void PublishExecution(const SpatialAggregationExecutor& executor,
   ObserveCount(registry, prefix, "points_scanned", costs.points_scanned);
   ObserveCount(registry, prefix, "points_bulk", costs.points_bulk);
   ObserveCount(registry, prefix, "pip_tests", costs.pip_tests);
+  ObserveCount(registry, prefix, "refine_rows", costs.refine_rows);
   ObserveCount(registry, prefix, "pixels_touched", costs.pixels_touched);
   ObserveCount(registry, prefix, "boundary_pixels", costs.boundary_pixels);
   ObserveCount(registry, prefix, "raster.tiles", costs.tiles_visited);

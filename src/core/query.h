@@ -87,8 +87,10 @@ struct AggregationQuery {
   /// query's filter): rows outside these ranges are known not to match the
   /// filter, so EvaluateFilter's predicate kernels never read them.
   /// Null — the in-memory common case — means all rows are candidates.
-  /// The facade sets it per component and the sharded executor per shard;
-  /// the facade ignores a caller's. Borrowed for the duration of the
+  /// The facade sets it per component (for a composed raster join, over
+  /// the components' concatenated rows, which the join splits back per
+  /// component) and the sharded executor per shard; the facade ignores a
+  /// caller's. Borrowed for the duration of the
   /// executor call; not part of the query's identity, since pruning never
   /// changes results (see ZoneMapIndex).
   const RowRangeSet* candidate_ranges = nullptr;
@@ -119,7 +121,7 @@ class SpatialAggregationExecutor {
   /// `query.candidate_ranges`), producing one unfinalized accumulator per
   /// region (region order). Partials over disjoint rows merge with
   /// PartialResult::Merge — the sharded executor composes shards and the
-  /// facade composes row components that way.
+  /// facade composes scan and index components that way.
   virtual StatusOr<PartialResult> ExecutePartial(
       const AggregationQuery& query) const = 0;
 

@@ -103,14 +103,15 @@ struct AggregateTargets {
   bool need_abs_sum = false;
 };
 
-/// Render targets for the concurrent ExecutePartial calls of one immutable
-/// raster join. Acquire hands out a free set when there is one — refilling
+/// Render targets for the concurrent queries of one raster join's
+/// region-side state: one set per query, however many point sources it
+/// splats. Acquire hands out a free set when there is one — refilling
 /// a warm set is several times cheaper than a fresh page-faulting
 /// allocation, and the fused scatter first-touch-initializes value
 /// targets, so most queries only clear the count plane — and allocates a
 /// new set otherwise.
 /// A lease returns its set when destroyed, so the pool never holds more
-/// sets than the most calls that overlapped on its executor.
+/// sets than the most queries that overlapped on it.
 class TargetPool {
  public:
   struct Release {
@@ -216,15 +217,17 @@ inline std::size_t ScatterSchedule(AggregateTargets& t,
   return hits;
 }
 
-/// Splats a schedule into `t` (a leased set, reused across queries).
-/// `attr` is the aggregate attribute column (nullptr for COUNT). Every
-/// target reuses the schedule's precomputed pixel indices. Value targets
-/// are first-touch-initialized by the fused scatter, so they only need to
-/// exist — no whole-canvas clear.
-inline void BuildAggregateTargets(const raster::Viewport& vp,
-                                  const SplatSchedule& schedule,
-                                  const float* attr, AggregateKind kind,
-                                  bool need_abs_sum, AggregateTargets& t) {
+/// Readies `t` (a leased set, reused across queries) for one query's
+/// splats: sizes the targets the aggregate needs to the canvas and clears
+/// the count plane. Value targets are first-touch-initialized by the fused
+/// scatter, so they only need to exist — no whole-canvas clear. Every
+/// source of the query then scatters its schedule into `t` in turn
+/// (ScatterSchedule): a pixel's first touch is decided by the shared count
+/// plane, so each pixel accumulates its points across sources in source
+/// order.
+inline void PrepareAggregateTargets(const raster::Viewport& vp,
+                                    AggregateKind kind, bool need_abs_sum,
+                                    AggregateTargets& t) {
   t.need_sum = kind == AggregateKind::kSum || kind == AggregateKind::kAvg;
   t.need_minmax = kind == AggregateKind::kMin || kind == AggregateKind::kMax;
   t.need_abs_sum = need_abs_sum && t.need_sum;
@@ -240,7 +243,6 @@ inline void BuildAggregateTargets(const raster::Viewport& vp,
     EnsureAllocated(t.min_value, w, h);
     EnsureAllocated(t.max_value, w, h);
   }
-  ScatterSchedule(t, schedule, attr);
 }
 
 /// Folds one covered pixel into a region accumulator.

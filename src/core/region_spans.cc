@@ -1,6 +1,9 @@
 #include "core/region_spans.h"
 
+#include <algorithm>
+
 #include "core/raster_targets.h"
+#include "raster/morton.h"
 #include "raster/rasterizer.h"
 #include "raster/tile.h"
 
@@ -14,7 +17,9 @@ std::size_t RegionSpanCache::MemoryBytes() const {
 }
 
 std::size_t SweepGeometry::MemoryBytes() const {
-  std::size_t total = regions.capacity() * sizeof(RegionSpanCache);
+  std::size_t total = regions.capacity() * sizeof(RegionSpanCache) +
+                      boundary_keys.capacity() * sizeof(std::uint32_t) +
+                      boundary_slots.capacity() * sizeof(std::uint32_t);
   for (const RegionSpanCache& cache : regions) {
     total += cache.MemoryBytes();
   }
@@ -87,6 +92,25 @@ SweepGeometry BuildSweepGeometry(const raster::Viewport& vp,
     cache.tiles = static_cast<std::uint32_t>(tiles.count());
     cache.spans.shrink_to_fit();
     cache.boundary.shrink_to_fit();
+  }
+
+  if (mode == SweepMode::kAccurate && with_boundary) {
+    const auto width = static_cast<std::uint32_t>(vp.width());
+    for (const RegionSpanCache& cache : geometry.regions) {
+      for (const std::uint32_t pixel : cache.boundary) {
+        geometry.boundary_slots.push_back(
+            raster::MortonPixelKey(pixel % width, pixel / width));
+      }
+    }
+    std::vector<std::uint32_t>& keys = geometry.boundary_keys;
+    keys = geometry.boundary_slots;
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    keys.shrink_to_fit();
+    for (std::uint32_t& slot : geometry.boundary_slots) {
+      slot = static_cast<std::uint32_t>(
+          std::lower_bound(keys.begin(), keys.end(), slot) - keys.begin());
+    }
   }
   return geometry;
 }

@@ -5,11 +5,12 @@
 //
 // Scan-converting every region on every query made pass 2 pay for edge
 // walking, crossing sorts and boundary dedup over and over, even though the
-// covered pixels depend only on (region set, canvas) — both fixed at
-// executor Create. This cache rasterizes each region once into flat span
-// and boundary-pixel arrays; the per-query sweep then degenerates into a
-// linear walk over those arrays, which is the memory-bound loop the SIMD
-// span kernels (raster/kernels.h) accelerate.
+// covered pixels depend only on (region set, canvas). This cache — part of
+// a raster join's region-side state (RasterRegionState), shared by every
+// point source the join composes — rasterizes each region once into flat
+// span and boundary-pixel arrays; the per-query sweep then degenerates
+// into a linear walk over those arrays, which is the memory-bound loop the
+// SIMD span kernels (raster/kernels.h) accelerate.
 //
 // Emission order is preserved exactly — spans are part-major and row-major
 // within a part (the order ScanlineFillPolygon emits), boundary pixels are
@@ -60,13 +61,22 @@ enum class SweepMode {
 /// Query-independent sweep geometry for a whole region set.
 struct SweepGeometry {
   std::vector<RegionSpanCache> regions;
+  /// Accurate mode only: the Z-order keys (raster::MortonPixelKey) of the
+  /// distinct boundary pixels, ascending, and for every boundary entry —
+  /// region-major, each region's `boundary` in order — the index of its
+  /// pixel's key. A point source locates its boundary runs by one merge of
+  /// its Morton runs against `boundary_keys` and stores them per key, so
+  /// the sweep finds entry b's points at `boundary_slots[b]`.
+  std::vector<std::uint32_t> boundary_keys;
+  std::vector<std::uint32_t> boundary_slots;
 
   std::size_t MemoryBytes() const;
 };
 
 /// Rasterizes every region of `regions` once. `with_boundary` skips the
 /// boundary lists when the executor never reads them (bounded join with
-/// error bounds off).
+/// error bounds off). Accurate mode needs a canvas at most 65535 pixels a
+/// side, the range of the Z-order key.
 SweepGeometry BuildSweepGeometry(const raster::Viewport& vp,
                                  const data::RegionSet& regions,
                                  SweepMode mode, bool with_boundary);

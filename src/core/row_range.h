@@ -1,7 +1,9 @@
 #ifndef URBANE_CORE_ROW_RANGE_H_
 #define URBANE_CORE_ROW_RANGE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace urbane::core {
@@ -48,6 +50,20 @@ class RowRangeSet {
   std::vector<RowRange> ranges_;
   std::uint64_t total_rows_ = 0;
 };
+
+/// The part of `ranges` inside [begin, end), shifted down by `begin`: the
+/// candidate rows of one source whose rows sit at [begin, end) of a
+/// concatenated row space, in the source's own row numbers.
+inline RowRangeSet SliceRowRanges(const RowRangeSet& ranges,
+                                  std::uint64_t begin, std::uint64_t end) {
+  std::vector<RowRange> slice;
+  for (const RowRange& range : ranges.ranges()) {
+    const std::uint64_t lo = std::max(range.begin, begin);
+    const std::uint64_t hi = std::min(range.end, end);
+    if (lo < hi) slice.push_back({lo - begin, hi - begin});
+  }
+  return RowRangeSet(std::move(slice));
+}
 
 }  // namespace urbane::core
 

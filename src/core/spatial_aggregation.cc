@@ -12,6 +12,7 @@
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/slow_query_log.h"
+#include "util/timer.h"
 
 namespace urbane::core {
 
@@ -41,81 +42,167 @@ void SpatialAggregation::SetComponents(std::vector<Component> components,
                         method_mu_[3], state_mu_);
   if (!(raster_options_.world == world)) {
     // Every raster canvas changes, so nothing built under the old world —
-    // executors or cached answers — is reusable.
+    // region- or point-side state, executors or cached answers — is
+    // reusable.
     raster_options_.world = world;
     components_.clear();
+    raster_ = {};
     cache_.Clear();
     config_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
-  std::vector<ComponentExecutors> next(components.size());
+  bool changed = components.size() != components_.size();
+  std::vector<ComponentState> next(components.size());
   for (std::size_t i = 0; i < components.size(); ++i) {
-    for (ComponentExecutors& held : components_) {
+    for (std::size_t j = 0; j < components_.size(); ++j) {
+      ComponentState& held = components_[j];
       if (held.rows.table != nullptr &&
           name(held.rows) == name(components[i])) {
         next[i] = std::move(held);
         held.rows = Component();
+        changed = changed || i != j;
         break;
       }
     }
+    changed = changed || next[i].rows.table == nullptr;
     next[i].rows = std::move(components[i]);
   }
   components_ = std::move(next);
-  plan_world_.reset();
+  if (changed) {
+    // The composed raster executors list the old components; the region-
+    // side state they share stays.
+    for (RasterJoinState& join : raster_) join.executor.reset();
+    plan_world_.reset();
+  }
 }
 
+namespace {
+
+// Shard options for a fan-out of `num_shards` over rows that start with
+// `first`: block-aligned boundaries over a store-backed table, so no block
+// straddles two shards and per-shard pruning stays whole-block.
+shard::ShardedExecutorOptions ShardOptions(
+    const SpatialAggregation::Component& first, std::size_t num_shards) {
+  shard::ShardedExecutorOptions options;
+  options.num_shards = num_shards;
+  if (first.zone_maps != nullptr && !first.zone_maps->blocks().empty()) {
+    options.align_rows = first.zone_maps->blocks().front().row_count;
+  }
+  return options;
+}
+
+// Zone-map pruning of a store-backed component: the blocks `filter` rules
+// out, booked into `part` and the store.* counters. Empty for an in-memory
+// component or a trivial filter, which prune nothing.
+std::optional<PruneResult> PruneComponent(
+    const SpatialAggregation::Component& rows, const FilterSpec& filter,
+    obs::QueryProfile& part) {
+  if (rows.zone_maps == nullptr || filter.IsTrivial()) {
+    return std::nullopt;
+  }
+  PruneResult prune = rows.zone_maps->Prune(filter, rows.table->schema());
+  if (obs::MetricsEnabled()) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
+    registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
+  }
+  part.blocks_total += prune.blocks_total;
+  part.blocks_pruned += prune.blocks_pruned;
+  part.rows_pruned += prune.rows_pruned;
+  return prune;
+}
+
+}  // namespace
+
 StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
-    ComponentExecutors& component, ExecutionMethod method) {
+    ComponentState& component, ExecutionMethod method, PrepareTally* tally) {
   const data::PointTable& table = *component.rows.table;
   const std::size_t n = num_shards_.load(std::memory_order_relaxed);
   if (n > 1) {
     std::unique_ptr<shard::ShardedExecutor>& slot =
         component.sharded[MethodIndex(method)];
     if (!slot) {
-      shard::ShardedExecutorOptions options;
-      options.num_shards = n;
-      // Block-aligned shard boundaries over a store-backed table: no block
-      // straddles two shards, so per-shard pruning stays whole-block.
-      const ZoneMapIndex* zone_maps = component.rows.zone_maps;
-      if (zone_maps != nullptr && !zone_maps->blocks().empty()) {
-        options.align_rows = zone_maps->blocks().front().row_count;
-      }
+      WallTimer timer;
       URBANE_ASSIGN_OR_RETURN(
-          slot, shard::ShardedExecutor::Create(table, regions_, method,
-                                               options, raster_options_,
-                                               index_options_));
+          slot, shard::ShardedExecutor::Create(
+                    table, regions_, method, ShardOptions(component.rows, n),
+                    raster_options_, index_options_));
+      tally->seconds += timer.ElapsedSeconds();
     }
     return static_cast<const SpatialAggregationExecutor*>(slot.get());
   }
   std::unique_ptr<SpatialAggregationExecutor>& slot =
       component.plain[MethodIndex(method)];
   if (!slot) {
-    switch (method) {
-      case ExecutionMethod::kScan: {
-        URBANE_ASSIGN_OR_RETURN(slot, ScanJoin::Create(table, regions_));
-        break;
-      }
-      case ExecutionMethod::kIndexJoin: {
-        URBANE_ASSIGN_OR_RETURN(
-            slot, IndexJoin::Create(table, regions_, index_options_));
-        break;
-      }
-      case ExecutionMethod::kBoundedRaster: {
-        URBANE_ASSIGN_OR_RETURN(
-            slot, BoundedRasterJoin::Create(table, regions_, raster_options_));
-        break;
-      }
-      case ExecutionMethod::kAccurateRaster: {
-        URBANE_ASSIGN_OR_RETURN(
-            slot,
-            AccurateRasterJoin::Create(table, regions_, raster_options_));
-        break;
-      }
+    WallTimer timer;
+    if (method == ExecutionMethod::kScan) {
+      URBANE_ASSIGN_OR_RETURN(slot, ScanJoin::Create(table, regions_));
+    } else {
+      URBANE_ASSIGN_OR_RETURN(
+          slot, IndexJoin::Create(table, regions_, index_options_));
     }
-    if (!slot) {
-      return Status::InvalidArgument("unknown execution method");
-    }
+    tally->seconds += timer.ElapsedSeconds();
   }
   return static_cast<const SpatialAggregationExecutor*>(slot.get());
+}
+
+StatusOr<const SpatialAggregationExecutor*>
+SpatialAggregation::RasterExecutorLocked(ExecutionMethod method,
+                                         PrepareTally* tally) {
+  RasterJoinState& join = raster_[RasterIndex(method)];
+  if (join.executor) {
+    return static_cast<const SpatialAggregationExecutor*>(
+        join.executor.get());
+  }
+  WallTimer timer;
+  const bool accurate = method == ExecutionMethod::kAccurateRaster;
+  if (!join.region) {
+    // A static facade derives the canvas from its one component; several
+    // components come only with a pinned world (SetComponents), and each
+    // point source checks that it covers its own rows.
+    URBANE_ASSIGN_OR_RETURN(
+        const raster::Viewport canvas,
+        MakeValidatedCanvas(*components_.front().rows.table, regions_,
+                            raster_options_));
+    if (accurate) {
+      URBANE_ASSIGN_OR_RETURN(
+          join.region, AccurateRasterJoin::BuildRegionState(regions_, canvas));
+    } else {
+      URBANE_ASSIGN_OR_RETURN(join.region,
+                              BoundedRasterJoin::BuildRegionState(
+                                  regions_, canvas, raster_options_));
+    }
+    ++tally->region_states;
+  }
+  RasterSources sources;
+  std::uint64_t rows = 0;
+  for (ComponentState& component : components_) {
+    std::shared_ptr<const RasterPointSource>& source =
+        component.raster[RasterIndex(method)];
+    if (!source) {
+      URBANE_ASSIGN_OR_RETURN(
+          source, RasterPointSource::Build(*join.region, *component.rows.table));
+      ++tally->point_states;
+    }
+    sources.push_back(source);
+    rows += component.rows.table->size();
+  }
+  std::unique_ptr<SpatialAggregationExecutor> executor;
+  if (accurate) {
+    executor = std::make_unique<AccurateRasterJoin>(
+        points_, regions_, join.region, std::move(sources));
+  } else {
+    executor = std::make_unique<BoundedRasterJoin>(
+        points_, regions_, raster_options_, join.region, std::move(sources));
+  }
+  const std::size_t n = num_shards_.load(std::memory_order_relaxed);
+  if (n > 1) {
+    executor = shard::ShardedExecutor::Wrap(
+        std::move(executor), rows, method,
+        ShardOptions(components_.front().rows, n));
+  }
+  join.executor = std::move(executor);
+  tally->seconds += timer.ElapsedSeconds();
+  return static_cast<const SpatialAggregationExecutor*>(join.executor.get());
 }
 
 void SpatialAggregation::set_num_shards(std::size_t num_shards) {
@@ -130,11 +217,12 @@ void SpatialAggregation::set_num_shards(std::size_t num_shards) {
     return;
   }
   num_shards_.store(num_shards, std::memory_order_release);
-  for (ComponentExecutors& component : components_) {
+  for (ComponentState& component : components_) {
     for (std::unique_ptr<shard::ShardedExecutor>& slot : component.sharded) {
       slot.reset();
     }
   }
+  for (RasterJoinState& join : raster_) join.executor.reset();
   config_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -160,57 +248,7 @@ StatusOr<PartialResult> SpatialAggregation::ExecuteComponentsLocked(
   // lock) aborts here instead of paying for a doomed execution. Cache hits
   // are deliberately exempt: they are cheaper than the check is useful.
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  obs::QueryProfile* const profile = query.profile;
   PartialResult merged;
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    const SpatialAggregationExecutor* executor = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      URBANE_ASSIGN_OR_RETURN(executor, ExecutorLocked(components_[i], method));
-    }
-    const Component& rows = components_[i].rows;
-    // Each component fills a profile part of its own, folded into the
-    // caller's below: one shared profile would keep only the last
-    // component's costs.
-    obs::QueryProfile part;
-    AggregationQuery component_query = query;
-    component_query.points = rows.table;
-    component_query.profile = profile != nullptr ? &part : nullptr;
-    component_query.candidate_ranges = nullptr;
-    // Zone-map pruning (store-backed components): skip blocks the filter
-    // rules out. Computed after the cache probes (hits never pay for it)
-    // and kept alive on this frame through the execution.
-    PruneResult prune;
-    if (rows.zone_maps != nullptr && !query.filter.IsTrivial()) {
-      prune = rows.zone_maps->Prune(query.filter, rows.table->schema());
-      if (obs::MetricsEnabled()) {
-        obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-        registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
-        registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
-      }
-      part.blocks_total = prune.blocks_total;
-      part.blocks_pruned = prune.blocks_pruned;
-      part.rows_pruned = prune.rows_pruned;
-      component_query.candidate_ranges = &prune.candidates;
-    }
-    // Thread-CPU attribution for the dispatch: exact for an unsharded
-    // executor; for a sharded pass it is the coordinator's share, and each
-    // shard row carries its own worker's CPU (DESIGN.md §12).
-    const double cpu_begin =
-        profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
-    URBANE_ASSIGN_OR_RETURN(PartialResult partial,
-                            executor->ExecutePartial(component_query));
-    if (profile != nullptr) {
-      part.cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-      if (!part.method.empty()) profile->method = part.method;
-      profile->AddComponent(part);
-    }
-    if (i == 0) {
-      merged = std::move(partial);
-    } else {
-      URBANE_RETURN_IF_ERROR(merged.Merge(partial));
-    }
-  }
   if (components_.empty()) {
     // No rows: the answer of an engine over zero rows.
     merged.regions.resize(regions_.size());
@@ -218,6 +256,98 @@ StatusOr<PartialResult> SpatialAggregation::ExecuteComponentsLocked(
         raster_options_.compute_error_bounds) {
       merged.error_bounds.assign(regions_.size(), 0.0);
     }
+    return merged;
+  }
+  obs::QueryProfile* const profile = query.profile;
+  PrepareTally tally;
+  // One executor pass over the rows of `points` — a component's table, or
+  // for a raster method every component's rows, concatenated — into a
+  // profile part of its own, folded into the caller's: one shared profile
+  // would keep only the last component's costs.
+  const auto run = [&](const SpatialAggregationExecutor& executor,
+                       const data::PointTable* points,
+                       const RowRangeSet* candidates,
+                       obs::QueryProfile& part) -> StatusOr<PartialResult> {
+    AggregationQuery pass = query;
+    pass.points = points;
+    pass.profile = profile != nullptr ? &part : nullptr;
+    pass.candidate_ranges = candidates;
+    // Thread-CPU attribution for the dispatch: exact for an unsharded
+    // executor; for a sharded pass it is the coordinator's share, and each
+    // shard row carries its own worker's CPU (DESIGN.md §12).
+    const double cpu_begin =
+        profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
+    URBANE_ASSIGN_OR_RETURN(PartialResult partial,
+                            executor.ExecutePartial(pass));
+    if (profile != nullptr) {
+      part.cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
+      if (!part.method.empty()) profile->method = part.method;
+      profile->AddComponent(part);
+    }
+    return partial;
+  };
+
+  if (Composes(method)) {
+    const SpatialAggregationExecutor* executor = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(state_mu_);
+      URBANE_ASSIGN_OR_RETURN(executor, RasterExecutorLocked(method, &tally));
+    }
+    // Zone-map pruning per store-backed component, its candidate blocks
+    // offset by the component's first row in the concatenated row space.
+    // Computed after the cache probes (hits never pay for it).
+    obs::QueryProfile part;
+    std::vector<RowRange> candidates;
+    bool pruned = false;
+    std::uint64_t first = 0;
+    for (const ComponentState& component : components_) {
+      const std::uint64_t rows = component.rows.table->size();
+      if (std::optional<PruneResult> prune =
+              PruneComponent(component.rows, query.filter, part)) {
+        pruned = true;
+        for (const RowRange& range : prune->candidates.ranges()) {
+          candidates.push_back({first + range.begin, first + range.end});
+        }
+      } else {
+        candidates.push_back({first, first + rows});
+      }
+      first += rows;
+    }
+    const RowRangeSet candidate_set(std::move(candidates));
+    URBANE_ASSIGN_OR_RETURN(
+        merged, run(*executor, query.points,
+                    pruned ? &candidate_set : nullptr, part));
+  } else {
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+      const SpatialAggregationExecutor* executor = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(state_mu_);
+        URBANE_ASSIGN_OR_RETURN(
+            executor, ExecutorLocked(components_[i], method, &tally));
+      }
+      obs::QueryProfile part;
+      const std::optional<PruneResult> prune =
+          PruneComponent(components_[i].rows, query.filter, part);
+      URBANE_ASSIGN_OR_RETURN(
+          PartialResult partial,
+          run(*executor, components_[i].rows.table,
+              prune ? &prune->candidates : nullptr, part));
+      if (i == 0) {
+        merged = std::move(partial);
+      } else {
+        URBANE_RETURN_IF_ERROR(merged.Merge(partial));
+      }
+    }
+  }
+
+  if (profile != nullptr) {
+    profile->prepare_seconds += tally.seconds;
+  }
+  if (tally.seconds > 0.0 && obs::MetricsEnabled()) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    registry.GetHistogram("query.prepare_seconds").Observe(tally.seconds);
+    registry.GetCounter("query.region_state_builds").Add(tally.region_states);
+    registry.GetCounter("query.point_state_builds").Add(tally.point_states);
   }
   return merged;
 }
@@ -302,7 +432,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
     // of an in-memory table — is computed once per component list.
     if (!plan_world_.has_value()) {
       geometry::BoundingBox world;
-      for (const ComponentExecutors& component : components_) {
+      for (const ComponentState& component : components_) {
         world.Extend(component.rows.table->Bounds());
       }
       world.Extend(regions_.Bounds());
@@ -311,7 +441,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
     profile.world = *plan_world_;
     const std::size_t index = MethodIndex(ExecutionMethod::kIndexJoin);
     profile.has_point_index = !components_.empty();
-    for (const ComponentExecutors& component : components_) {
+    for (const ComponentState& component : components_) {
       profile.num_points += component.rows.table->size();
       profile.has_point_index = profile.has_point_index &&
                                 (component.plain[index] != nullptr ||
@@ -337,19 +467,21 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
                       : chosen.cost_raster;
     obs::EmitEvent(chose);
   }
-  // Honor a tighter epsilon by rebuilding the bounded executors' canvas.
-  // The rebuild holds the raster method mutex (no session can be mid-query
-  // on the old executors) and bumps the config epoch, which retires every
-  // cache entry computed at the old, coarser ε.
+  // Honor a tighter epsilon by rebuilding the bounded join on a finer
+  // canvas: its region-side state, every component's point-side state and
+  // the composed executor. The rebuild holds the raster method mutex (no
+  // session can be mid-query on the old state) and bumps the config epoch,
+  // which retires every cache entry computed at the old, coarser ε.
   if (chosen.method == ExecutionMethod::kBoundedRaster) {
-    const std::size_t bounded = MethodIndex(ExecutionMethod::kBoundedRaster);
-    std::scoped_lock rebuild(method_mu_[bounded], state_mu_);
+    std::scoped_lock rebuild(
+        method_mu_[MethodIndex(ExecutionMethod::kBoundedRaster)], state_mu_);
     if (chosen.resolution > raster_options_.resolution) {
       raster_options_.resolution = chosen.resolution;
-      for (ComponentExecutors& component : components_) {
-        component.plain[bounded].reset();
-        // The sharded wrapper's inner rasters carry the old canvas too.
-        component.sharded[bounded].reset();
+      const std::size_t bounded =
+          RasterIndex(ExecutionMethod::kBoundedRaster);
+      raster_[bounded] = RasterJoinState();
+      for (ComponentState& component : components_) {
+        component.raster[bounded].reset();
       }
       config_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
@@ -366,7 +498,7 @@ StatusOr<double> SpatialAggregation::EstimateSelectivity(
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     components.reserve(components_.size());
-    for (const ComponentExecutors& component : components_) {
+    for (const ComponentState& component : components_) {
       components.push_back(component.rows);
     }
   }

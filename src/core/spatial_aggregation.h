@@ -27,16 +27,22 @@ namespace urbane::core {
 /// A query runs over an ordered list of row components: a static data set
 /// is one component (the constructor's `points`), and a live data set's
 /// snapshot is its base, then its runs, then its hot rows
-/// (ingest::LiveEngine hands them over with SetComponents). Each component
-/// is pruned by its own zone maps and runs the chosen method's executor
-/// built over its rows; the partials merge with PartialResult::Merge in
-/// component order and finalize once, exactly the merge a sharded pass
-/// applies to row-range shards.
+/// (ingest::LiveEngine hands them over with SetComponents). Each
+/// store-backed component is pruned by its own zone maps. The raster
+/// methods compose the components on one canvas: one executor splats every
+/// component into the query's one leased target set, in component order,
+/// and sweeps the regions once, so the answer is bit-identical to one table
+/// holding the concatenated rows. Scan and index run each component's own
+/// executor; their partials merge with PartialResult::Merge in component
+/// order and finalize once, exactly the merge a sharded pass applies to
+/// row-range shards.
 ///
-/// Owns nothing heavy until first use: each component's executor is built
-/// lazily on the first query routed to it and then reused (the raster
-/// joins' Morton orders and sweep spans, and the grid index, are all
-/// query-independent). Typical use:
+/// Owns nothing heavy until first use; all of it is query-independent and
+/// reused. A raster method's region-side state (canvas, sweep geometry,
+/// render-target pool) is built once, on its first query, and each
+/// component's point-side state (its Morton order and boundary runs) on the
+/// first query that reaches it; scan and index build one executor per
+/// component. Typical use:
 ///
 ///   SpatialAggregation engine(taxis, neighborhoods);
 ///   AggregationQuery q;
@@ -58,9 +64,10 @@ namespace urbane::core {
 /// not two rasters). The lock does two jobs: it excludes rebuilds (the
 /// ExecuteAuto ε ratchet, set_num_shards and SetComponents swap executors
 /// only while no query of that method is in flight), and it holds
-/// render-target memory to one canvas-sized set per unsharded raster
-/// method, where N concurrent same-method queries would otherwise lease N
-/// sets (DESIGN.md §4 has the measured trade). Result-cache hits bypass the
+/// render-target memory to one canvas-sized set per raster method per
+/// facade when unsharded — one set however many components a query
+/// composes — where N concurrent same-method queries would otherwise lease
+/// N sets (DESIGN.md §4 has the measured trade). Result-cache hits bypass the
 /// lock entirely, taking only a cache shard mutex, which is what keeps
 /// revisited brush states concurrent.
 class SpatialAggregation {
@@ -99,11 +106,12 @@ class SpatialAggregation {
   void AttachZoneMaps(const ZoneMapIndex* zone_maps);
 
   /// Replaces the row components, in row order, and pins the raster canvas
-  /// to `world` (every component's canvas then aligns with the one an
-  /// engine over the concatenated rows derives; see PadCanvasWorld).
-  /// Components already held keep their executors. A new world rebuilds
-  /// every executor, clears the result cache and bumps the config epoch.
-  /// Takes every method mutex, so no query is in flight meanwhile.
+  /// to `world` (the canvas then aligns with the one an engine over the
+  /// concatenated rows derives; see PadCanvasWorld). Components already
+  /// held keep their point-side state and executors, and the raster region-
+  /// side state stays. A new world rebuilds all of it, clears the result
+  /// cache and bumps the config epoch. Takes every method mutex, so no
+  /// query is in flight meanwhile.
   void SetComponents(std::vector<Component> components,
                      const geometry::BoundingBox& world);
 
@@ -127,11 +135,13 @@ class SpatialAggregation {
   }
   void ClearResultCache() { cache_.Clear(); }
 
-  /// Scatter-gather fan-out: with `num_shards > 1` every component runs as
-  /// a sharded pass — its row space splits into that many contiguous
-  /// shards (block-aligned when zone maps are attached), each shard
-  /// executes the chosen method serially on the shared pool, and the
-  /// partials merge per the shard-merge contract (PartialResult::Merge).
+  /// Scatter-gather fan-out: with `num_shards > 1` a query runs as a
+  /// sharded pass — a raster method over the components' concatenated
+  /// rows, scan and index over each component — whose row space splits
+  /// into that many contiguous shards (block-aligned when the first
+  /// component has zone maps), each shard executes the chosen method
+  /// serially on the shared pool, and the partials merge per the
+  /// shard-merge contract (PartialResult::Merge).
   /// 0 and 1 both mean unsharded. Takes every method mutex (no query can
   /// be in flight on the old configuration) and bumps the config epoch, so
   /// cached results from a different fan-out can never hit.
@@ -147,8 +157,9 @@ class SpatialAggregation {
   }
 
   /// Fills in the query's points/regions and runs it with the given method:
-  /// a result-cache probe, then on a miss one executor pass per component,
-  /// merged in component order and finalized once.
+  /// a result-cache probe, then on a miss the dispatch loop (one composed
+  /// pass for a raster method, one pass per component merged in component
+  /// order for scan and index), finalized once.
   ///
   /// Telemetry: the query is observed once through core::ObserveQuery —
   /// journal `query.start` / `query.finish` (and `error`) events, the
@@ -164,9 +175,10 @@ class SpatialAggregation {
   /// the choice as `planner.choose`, then executes. `plan` (optional)
   /// receives this call's choice, and the query's profile (the armed
   /// recorder's, if it attaches one) records it.
-  /// A plan that tightens the bounded-raster resolution rebuilds every
-  /// component's bounded executor and bumps the config epoch (invalidating
-  /// stale-ε entries).
+  /// A plan that tightens the bounded-raster resolution rebuilds the bounded
+  /// join's region-side state and every component's point-side state on the
+  /// finer canvas, and bumps the config epoch (invalidating stale-ε
+  /// entries).
   StatusOr<QueryResult> ExecuteAuto(AggregationQuery query,
                                     const AccuracyRequirement& accuracy,
                                     QueryPlan* plan = nullptr);
@@ -182,27 +194,67 @@ class SpatialAggregation {
   static std::size_t MethodIndex(ExecutionMethod method) {
     return static_cast<std::size_t>(method);
   }
+  /// The raster methods compose every component on one canvas; scan and
+  /// index run once per component and merge.
+  static bool Composes(ExecutionMethod method) {
+    return method == ExecutionMethod::kBoundedRaster ||
+           method == ExecutionMethod::kAccurateRaster;
+  }
+  /// Slot of a raster method in `raster_` and ComponentState::raster.
+  static std::size_t RasterIndex(ExecutionMethod method) {
+    return method == ExecutionMethod::kAccurateRaster ? 1 : 0;
+  }
 
-  /// A component and the executors built over its rows: per method, the
-  /// plain executor and the sharded wrapper used when `num_shards() > 1`
-  /// (each owns the one inner executor its shards share). Slots are built
-  /// lazily under state_mu_.
-  struct ComponentExecutors {
+  /// A component and the state built over its rows, lazily under
+  /// state_mu_: the scan and index executors by MethodIndex — the plain one
+  /// and the sharded wrapper used when `num_shards() > 1` (each owns the
+  /// one inner executor its shards share) — and each raster method's
+  /// point-side state by RasterIndex.
+  struct ComponentState {
     Component rows;
-    std::array<std::unique_ptr<SpatialAggregationExecutor>, kNumMethods>
-        plain;
-    std::array<std::unique_ptr<shard::ShardedExecutor>, kNumMethods> sharded;
+    std::array<std::unique_ptr<SpatialAggregationExecutor>, 2> plain;
+    std::array<std::unique_ptr<shard::ShardedExecutor>, 2> sharded;
+    std::array<std::shared_ptr<const RasterPointSource>, 2> raster;
   };
 
-  /// The executor a query of `method` runs on `component` at the current
+  /// One raster method's join over every component, built lazily under
+  /// state_mu_: the region-side state, built once and dropped only by a new
+  /// pinned world or a finer bounded resolution, and the executor composing
+  /// every component's point-side state on it (inside a sharded wrapper
+  /// when `num_shards() > 1`), rebuilt after the components or the fan-out
+  /// change.
+  struct RasterJoinState {
+    std::shared_ptr<const RasterRegionState> region;
+    std::unique_ptr<SpatialAggregationExecutor> executor;
+  };
+
+  /// What one query's executor lookups built: the time it took (the
+  /// profile's `prepare_seconds`) and the raster region- and point-side
+  /// states among it.
+  struct PrepareTally {
+    double seconds = 0.0;
+    std::uint64_t region_states = 0;
+    std::uint64_t point_states = 0;
+  };
+
+  /// The executor a scan or index query runs on `component` at the current
   /// fan-out, built on first use. Requires state_mu_ held.
   StatusOr<const SpatialAggregationExecutor*> ExecutorLocked(
-      ComponentExecutors& component, ExecutionMethod method);
+      ComponentState& component, ExecutionMethod method,
+      PrepareTally* tally);
 
-  /// The dispatch loop: validates, polls the deadline, then runs every
-  /// component (zone-map pruning, its executor, its own profile part
-  /// folded in with QueryProfile::AddComponent) and merges the partials in
-  /// component order. Requires the method's mutex held.
+  /// The composed executor a raster query of `method` runs over every
+  /// component, building whatever state it lacks. Requires state_mu_ held.
+  StatusOr<const SpatialAggregationExecutor*> RasterExecutorLocked(
+      ExecutionMethod method, PrepareTally* tally);
+
+  /// The dispatch loop: validates, polls the deadline, then runs the
+  /// query. A raster method runs its composed executor once, over the
+  /// components' concatenated rows, each store-backed component pruned by
+  /// its own zone maps; scan and index run every component (zone-map
+  /// pruning, its executor, its own profile part folded in with
+  /// QueryProfile::AddComponent) and merge the partials in component
+  /// order. Requires the method's mutex held.
   StatusOr<PartialResult> ExecuteComponentsLocked(
       const AggregationQuery& query, ExecutionMethod method);
 
@@ -223,7 +275,7 @@ class SpatialAggregation {
   const data::RegionSet& regions_;
   const IndexJoinOptions index_options_;
 
-  /// Guards the components and their executor slots, raster_options_ and
+  /// Guards the components and their state, raster_, raster_options_ and
   /// plan_world_.
   mutable std::mutex state_mu_;
   /// Serializes Execute per method: protects in-flight executions against
@@ -233,7 +285,9 @@ class SpatialAggregation {
 
   /// The resolution ratchets in ExecuteAuto; SetComponents pins the world.
   RasterJoinOptions raster_options_;
-  std::vector<ComponentExecutors> components_;
+  std::vector<ComponentState> components_;
+  /// By RasterIndex.
+  std::array<RasterJoinState, 2> raster_;
   /// The planner's world (component bounds ∪ region bounds), computed by
   /// the first ExecuteAuto after the components last changed.
   std::optional<geometry::BoundingBox> plan_world_;

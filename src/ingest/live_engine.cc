@@ -43,8 +43,9 @@ void LiveEngine::RefreshLocked(std::uint64_t* watermark) {
     hot_.reset();
   } else {
     world.Extend(snapshot.hot_bounds);
-    // The facade keeps executors per component owner, so an unchanged hot
-    // prefix (same generation, same rows) keeps its view.
+    // The facade keeps point-side state and executors per component owner,
+    // so an unchanged hot prefix (same generation, same rows) keeps its
+    // view.
     if (hot_ == nullptr || hot_->generation != snapshot.hot_generation ||
         hot_->table.size() != snapshot.hot_rows) {
       auto hot = std::make_shared<HotView>();

@@ -9,19 +9,25 @@
 // the watermark it reports is exactly the row count it executed over.
 // Under its mutex the engine hands the snapshot's components (base, runs in
 // generation order, hot) to its one facade (SpatialAggregation::
-// SetComponents) and asks that facade for the answer. The facade runs each
-// component's executor (zone maps for store-backed components, the
-// configured shard fan-out for all of them), merges the partials in
-// component order with PartialResult::Merge and finalizes once — exactly
-// the merge a sharded engine applies to row-range shards: a component is
-// just a shard whose boundary is a run boundary. It also observes, caches
-// and plans the query as it does for a static data set, ε ratchet and
-// `planner.choose` event included. All components pin one shared canvas
-// world (the union of every component's bounds and the region bounds), so
-// raster canvases align bit-for-bit with a stop-the-world engine over the
-// concatenated rows: the ingest-equivalence oracle in
-// tests/ingest/live_engine_test.cc checks bit-identity per executor,
-// aggregate, filter and shard fan-out.
+// SetComponents) and asks that facade for the answer. A raster query
+// composes the components on one canvas: each splats into the query's one
+// leased target set, in component order, and the regions sweep once, so
+// an append costs only the new hot rows' point-side state (Morton order,
+// boundary runs) while the region-side state stays built. Scan and index
+// run each component's executor and merge the partials in component order
+// with PartialResult::Merge — exactly the merge a sharded engine applies to
+// row-range shards: a component is just a shard whose boundary is a run
+// boundary. Zone maps prune the store-backed components, and the
+// configured shard fan-out splits the composed rows (raster) or each
+// component (scan, index). The facade also observes, caches and plans the
+// query as it does for a static data set, ε ratchet and `planner.choose`
+// event included. All components pin one shared canvas world (the union
+// of every component's bounds and the region bounds), so the raster canvas
+// aligns bit-for-bit with a stop-the-world engine over the concatenated
+// rows: the ingest-equivalence oracle in tests/ingest/live_engine_test.cc
+// checks bit-identity per executor, aggregate, filter and shard fan-out on
+// dyadic data, and for the raster methods at one shard on arbitrary
+// floats (each pixel accumulates in concatenated-row order).
 //
 // Result caching & watermark semantics: the facade's QueryCache keys
 // deliberately exclude the watermark. Appends invalidate by *time overlap*
@@ -49,8 +55,9 @@ namespace urbane::ingest {
 struct LiveEngineOptions {
   core::RasterJoinOptions raster_options;  // world is pinned internally
   core::IndexJoinOptions index_options;
-  /// Shard fan-out applied to every component (1 = unsharded): the
-  /// engine's only parallelism setting.
+  /// Shard fan-out (1 = unsharded): the engine's only parallelism setting.
+  /// A raster query shards the components' concatenated rows, a scan or
+  /// index query each component.
   std::size_t num_shards = 1;
   /// Result cache bound (0 disables, like the facade's default).
   std::size_t cache_entries = 0;
@@ -71,8 +78,10 @@ class LiveEngine {
   /// result is exact for. Safe to call concurrently with appends and
   /// flushes; concurrent Execute calls serialize on the engine mutex. The
   /// facade observes the query once, after the snapshot refresh, and a
-  /// query profile describes the whole composed run: the cache outcome and
-  /// the components' costs summed (obs::QueryProfile::AddComponent).
+  /// query profile describes the whole composed run: the cache outcome, the
+  /// one composed raster pass or the scan/index components' costs summed
+  /// (obs::QueryProfile::AddComponent), and the state the query built
+  /// (`prepare_seconds`).
   StatusOr<core::QueryResult> Execute(core::AggregationQuery query,
                                       core::ExecutionMethod method,
                                       std::uint64_t* watermark = nullptr);
@@ -85,8 +94,7 @@ class LiveEngine {
       core::AggregationQuery query, const core::AccuracyRequirement& accuracy,
       std::uint64_t* watermark = nullptr, core::QueryPlan* plan = nullptr);
 
-  /// Reconfigures the component fan-out (SpatialAggregation::
-  /// set_num_shards).
+  /// Reconfigures the shard fan-out (SpatialAggregation::set_num_shards).
   void set_num_shards(std::size_t num_shards) {
     engine_.set_num_shards(num_shards);
   }

@@ -146,6 +146,7 @@ void ProfilePassCosts::AddCounters(const ProfilePassCosts& other) {
   points_scanned += other.points_scanned;
   points_bulk += other.points_bulk;
   pip_tests += other.pip_tests;
+  refine_rows += other.refine_rows;
   pixels_touched += other.pixels_touched;
   boundary_pixels += other.boundary_pixels;
   tiles_visited += other.tiles_visited;
@@ -157,6 +158,7 @@ data::JsonValue ProfilePassCosts::ToJson() const {
   doc.emplace_back("points_scanned", U64(points_scanned));
   doc.emplace_back("points_bulk", U64(points_bulk));
   doc.emplace_back("pip_tests", U64(pip_tests));
+  doc.emplace_back("refine_rows", U64(refine_rows));
   doc.emplace_back("pixels_touched", U64(pixels_touched));
   doc.emplace_back("boundary_pixels", U64(boundary_pixels));
   doc.emplace_back("tiles_visited", U64(tiles_visited));
@@ -188,6 +190,7 @@ data::JsonValue QueryProfile::ToJson() const {
                        data::JsonValue(queue_wait_seconds));
   request.emplace_back("wall_seconds", data::JsonValue(wall_seconds));
   request.emplace_back("cpu_seconds", data::JsonValue(cpu_seconds));
+  request.emplace_back("prepare_seconds", data::JsonValue(prepare_seconds));
   doc.emplace_back("request", data::JsonValue(std::move(request)));
 
   data::JsonValue::Object store;
@@ -227,9 +230,10 @@ data::JsonValue QueryProfile::ToJson() const {
 std::string QueryProfile::ToTable() const {
   std::string out;
   out += "trace    " + context.TraceIdHex() + "\n";
-  out += StringPrintf("query    method=%s cache=%s wall=%.3fms cpu=%.3fms",
-                      method.c_str(), cache.c_str(), wall_seconds * 1e3,
-                      cpu_seconds * 1e3);
+  out += StringPrintf(
+      "query    method=%s cache=%s wall=%.3fms cpu=%.3fms prepare=%.3fms",
+      method.c_str(), cache.c_str(), wall_seconds * 1e3, cpu_seconds * 1e3,
+      prepare_seconds * 1e3);
   if (queue_wait_seconds > 0.0) {
     out += StringPrintf(" queue_wait=%.3fms", queue_wait_seconds * 1e3);
   }
@@ -253,11 +257,12 @@ std::string QueryProfile::ToTable() const {
       totals.sweep_seconds * 1e3, totals.reduce_seconds * 1e3,
       totals.refine_seconds * 1e3);
   out += StringPrintf(
-      "counters points=%llu bulk=%llu pip=%llu pixels=%llu boundary=%llu "
-      "tiles=%llu simd=%llu threads=%llu\n",
+      "counters points=%llu bulk=%llu pip=%llu refine_rows=%llu pixels=%llu "
+      "boundary=%llu tiles=%llu simd=%llu threads=%llu\n",
       static_cast<unsigned long long>(totals.points_scanned),
       static_cast<unsigned long long>(totals.points_bulk),
       static_cast<unsigned long long>(totals.pip_tests),
+      static_cast<unsigned long long>(totals.refine_rows),
       static_cast<unsigned long long>(totals.pixels_touched),
       static_cast<unsigned long long>(totals.boundary_pixels),
       static_cast<unsigned long long>(totals.tiles_visited),

@@ -24,10 +24,12 @@
 // site, preserving the obs-off == baseline contract. All mutation happens
 // on the coordinator thread; each shard task writes its own slot profile
 // on a pool worker, and the slots are folded in after the gather fence
-// (see shard/sharded_executor.cc). The facade runs one executor pass per
-// row component (one for a static data set; base, runs and hot rows for a
-// live one) and folds each component's profile part into the caller's with
-// QueryProfile::AddComponent.
+// (see shard/sharded_executor.cc). The facade runs one executor pass for a
+// raster query, composed over every row component (one for a static data
+// set; base, runs and hot rows for a live one), and one pass per component
+// for scan and index; it folds each pass's profile part into the caller's
+// with QueryProfile::AddComponent, and adds the time the query spent
+// building executor state as `prepare_seconds`.
 //
 // Determinism contract (DESIGN.md §12): for a fixed shard count every
 // structural and counter field of the profile is bit-stable
@@ -88,6 +90,8 @@ struct ProfilePassCosts {
   std::uint64_t points_scanned = 0;   // points touched individually
   std::uint64_t points_bulk = 0;      // points taken without a PIP test
   std::uint64_t pip_tests = 0;        // exact point-in-polygon tests run
+  std::uint64_t refine_rows = 0;      // accurate raster: rows the boundary
+                                      // refine walked, selected or not
   std::uint64_t pixels_touched = 0;   // raster: canvas pixels visited
   std::uint64_t boundary_pixels = 0;  // raster: boundary cells visited
   std::uint64_t tiles_visited = 0;    // raster: distinct 64x64 canvas
@@ -143,6 +147,10 @@ struct QueryProfile {
   std::string cache = "off";        // "hit" | "miss" | "off"
   double wall_seconds = 0.0;        // facade Execute wall time
   double cpu_seconds = 0.0;         // coordinator thread-CPU inside Execute
+  double prepare_seconds = 0.0;     // building the executor state the
+                                    // query needed (raster region- and
+                                    // point-side state, scan and index
+                                    // executors); 0 when all was built
 
   /// Store layer (zone-map pruning; zero when no store is attached).
   std::uint64_t blocks_total = 0;
@@ -168,13 +176,15 @@ struct QueryProfile {
   /// JSON: header lines, a totals row, then one row per shard.
   std::string ToTable() const;
 
-  /// Folds one row component's part of an execution (the facade runs one
-  /// executor pass per component, in order: one for a static data set;
-  /// base, runs and hot rows for a live one) into this profile: CPU time,
+  /// Folds one executor pass's part of an execution (the facade runs one
+  /// composed pass for a raster query, and for scan and index one pass per
+  /// component, in order: one for a static data set; base, runs and hot
+  /// rows for a live one) into this profile: CPU time,
   /// pruning, pass costs, and scatter/merge times add up, `threads_used`
   /// is the maximum, and per-shard rows append with their indexes
-  /// continued (row ranges stay relative to the component). Request,
-  /// method, planner, cache and wall fields are the facade's to set.
+  /// continued (row ranges stay relative to the pass's rows). Request,
+  /// method, planner, cache, wall and prepare fields are the facade's to
+  /// set.
   void AddComponent(const QueryProfile& component);
 };
 

@@ -14,11 +14,12 @@
 // accumulation is therefore bit-identical to the unsorted splat, for every
 // blend op.
 //
-// Lifecycle: executors build one order per (dataset, viewport) at Create
-// and reuse it across queries. Executors are themselves rebuilt whenever
-// the facade bumps its dataset epoch, which is what keeps the cache
-// consistent with QueryCache invalidation — there is no cross-epoch reuse
-// to guard against.
+// Lifecycle: a raster join builds one order per (point source, canvas) —
+// part of the source's point-side state (core::RasterPointSource) — and
+// reuses it across queries. Point sources are rebuilt whenever their
+// canvas changes, and the facade bumps its config epoch then, which is
+// what keeps the cache consistent with QueryCache invalidation — there is
+// no cross-epoch reuse to guard against.
 
 #include <cstddef>
 #include <cstdint>

@@ -36,11 +36,6 @@ StatusOr<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
     core::ExecutionMethod method, const ShardedExecutorOptions& options,
     const core::RasterJoinOptions& raster_options,
     const core::IndexJoinOptions& index_options) {
-  std::size_t m = options.num_shards == 0 ? 1 : options.num_shards;
-  if (!options.explicit_shards.empty()) {
-    m = options.explicit_shards.size();
-  }
-
   std::unique_ptr<core::SpatialAggregationExecutor> inner;
   switch (method) {
     case core::ExecutionMethod::kScan: {
@@ -68,8 +63,19 @@ StatusOr<std::unique_ptr<ShardedExecutor>> ShardedExecutor::Create(
   if (inner == nullptr) {
     return Status::InvalidArgument("unknown execution method");
   }
+  return Wrap(std::move(inner), points.size(), method, options);
+}
+
+std::unique_ptr<ShardedExecutor> ShardedExecutor::Wrap(
+    std::unique_ptr<core::SpatialAggregationExecutor> inner,
+    std::uint64_t rows, core::ExecutionMethod method,
+    const ShardedExecutorOptions& options) {
+  std::size_t m = options.num_shards == 0 ? 1 : options.num_shards;
+  if (!options.explicit_shards.empty()) {
+    m = options.explicit_shards.size();
+  }
   return std::unique_ptr<ShardedExecutor>(
-      new ShardedExecutor(points, method, options, m, std::move(inner)));
+      new ShardedExecutor(rows, method, options, m, std::move(inner)));
 }
 
 StatusOr<core::PartialResult> ShardedExecutor::ExecuteShard(
@@ -90,7 +96,7 @@ StatusOr<core::PartialResult> ShardedExecutor::ExecutePartial(
     const core::AggregationQuery& query) const {
   URBANE_RETURN_IF_ERROR(query.Validate());
 
-  const std::uint64_t rows = points_.size();
+  const std::uint64_t rows = rows_;
   ShardPlan plan;
   if (!options_.explicit_shards.empty()) {
     URBANE_RETURN_IF_ERROR(

@@ -62,13 +62,15 @@ struct ShardedExecutorOptions {
 ///
 /// Scatter: the row space is split by ShardPlan; every shard runs the one
 /// shared inner executor (scan/index/bounded/accurate, built once at
-/// Create) with `candidate_ranges` restricted to its rows ∩ the query's
-/// pruned ranges, serially within the shard, concurrently across shards on
-/// the pool. Executors are immutable after Create, so the shards share the
-/// inner executor's R-tree / grid / splat order / region spans and differ
-/// only in their candidate ranges; a raster inner leases one render-target
-/// set per concurrently running shard. Every shard runs the query's own
-/// aggregate, AVG included, through the inner ExecutePartial.
+/// Create, or a composed raster join handed to Wrap) with
+/// `candidate_ranges` restricted to its rows ∩ the query's pruned ranges,
+/// serially within the shard, concurrently across shards on the pool.
+/// Executors are immutable after Create, so the shards share the inner
+/// executor's R-tree / grid / splat orders / region spans and differ only
+/// in their candidate ranges; a raster inner leases one render-target set
+/// per concurrently running shard and splits a shard's ranges per point
+/// source by offset. Every shard runs the query's own aggregate, AVG
+/// included, through the inner ExecutePartial.
 /// Gather: partials are published into per-shard slots; after all shards
 /// finish, PartialResult::Merge folds the slots in ascending shard index —
 /// canvas-free accumulator merge (counts and sums add, so AVG divides the
@@ -98,6 +100,16 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
       const core::IndexJoinOptions& index_options =
           core::IndexJoinOptions());
 
+  /// Shards the `rows`-row space of an inner executor already built for
+  /// `method`: one table's rows, or the concatenated rows of a composed
+  /// raster join's sources (SpatialAggregation wraps its live raster joins
+  /// this way, so a live query sweeps one canvas per shard, not one per
+  /// shard and component).
+  static std::unique_ptr<ShardedExecutor> Wrap(
+      std::unique_ptr<core::SpatialAggregationExecutor> inner,
+      std::uint64_t rows, core::ExecutionMethod method,
+      const ShardedExecutorOptions& options);
+
   StatusOr<core::PartialResult> ExecutePartial(
       const core::AggregationQuery& query) const override;
 
@@ -108,11 +120,10 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
   std::size_t num_shards() const { return num_shards_; }
 
  private:
-  ShardedExecutor(const data::PointTable& points,
-                  core::ExecutionMethod method,
+  ShardedExecutor(std::uint64_t rows, core::ExecutionMethod method,
                   ShardedExecutorOptions options, std::size_t num_shards,
                   std::unique_ptr<core::SpatialAggregationExecutor> inner)
-      : points_(points),
+      : rows_(rows),
         method_(method),
         options_(std::move(options)),
         num_shards_(num_shards),
@@ -124,11 +135,12 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
       const core::AggregationQuery& query, std::size_t s,
       const core::RowRangeSet& candidates, obs::QueryProfile* slot) const;
 
-  const data::PointTable& points_;
+  /// Rows of the inner executor's row space, which the plan tiles.
+  const std::uint64_t rows_;
   const core::ExecutionMethod method_;
   const ShardedExecutorOptions options_;
   const std::size_t num_shards_;
-  /// The one executor every shard runs, built over the full table; the
+  /// The one executor every shard runs, built over the full row space; the
   /// per-shard restriction is purely candidate_ranges.
   const std::unique_ptr<core::SpatialAggregationExecutor> inner_;
 };

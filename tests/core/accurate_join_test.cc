@@ -180,6 +180,59 @@ TEST(AccurateRasterJoinTest, StatsShowHybridSplit) {
   EXPECT_GT((*accurate)->MemoryBytes(), 0u);
 }
 
+// The refine skips a boundary pixel no selected point hit before walking
+// any run, which is exact: a run holds only its own pixel's points. A
+// filter that selects nothing walks no row; an unfiltered query tests every
+// row it walks; answers match the scan either way.
+TEST(AccurateRasterJoinTest, CountGatedRefineWalksOnlyOccupiedPixels) {
+  const auto points = testing::MakeUniformPoints(5000, 71);
+  const auto regions = testing::MakeTessellationRegions(3, 72);
+  RasterJoinOptions options;
+  options.resolution = 64;
+  auto accurate = AccurateRasterJoin::Create(points, regions, options);
+  auto scan = ScanJoin::Create(points, regions);
+  ASSERT_TRUE(accurate.ok());
+  ASSERT_TRUE(scan.ok());
+
+  const auto run = [&](const FilterSpec& filter, obs::QueryProfile* profile) {
+    AggregationQuery query;
+    query.points = &points;
+    query.regions = &regions;
+    query.aggregate = AggregateSpec::Sum("v");
+    query.filter = filter;
+    query.profile = profile;
+    const auto a = (*accurate)->Execute(query);
+    query.profile = nullptr;
+    const auto b = (*scan)->Execute(query);
+    EXPECT_TRUE(a.ok());
+    EXPECT_TRUE(b.ok());
+    if (a.ok() && b.ok()) {
+      EXPECT_EQ(a->counts, b->counts);
+    }
+  };
+
+  FilterSpec nothing;
+  nothing.WithTime(100000, 200000);  // every t is below 86400
+  obs::QueryProfile none;
+  run(nothing, &none);
+  EXPECT_EQ(none.totals.refine_rows, 0u);
+  EXPECT_EQ(none.totals.pip_tests, 0u);
+  EXPECT_GT(none.totals.boundary_pixels, 0u);
+
+  obs::QueryProfile all;
+  run(FilterSpec(), &all);
+  EXPECT_GT(all.totals.pip_tests, 0u);
+  EXPECT_EQ(all.totals.refine_rows, all.totals.pip_tests);
+
+  FilterSpec half;
+  half.WithTime(0, 43200);
+  obs::QueryProfile some;
+  run(half, &some);
+  EXPECT_GT(some.totals.pip_tests, 0u);
+  EXPECT_LE(some.totals.pip_tests, some.totals.refine_rows);
+  EXPECT_LT(some.totals.refine_rows, all.totals.refine_rows);
+}
+
 TEST(AccurateRasterJoinTest, HigherResolutionNeedsFewerExactTests) {
   const auto points = testing::MakeUniformPoints(20000, 62);
   const auto regions = testing::MakeRandomRegions(4, 63);

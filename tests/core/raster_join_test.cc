@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/accurate_join.h"
 #include "core/scan_join.h"
 #include "obs/profile.h"
 #include "testing/test_worlds.h"
@@ -160,6 +163,96 @@ TEST(BoundedRasterJoinTest, EpsilonMatchesCanvas) {
                    (*raster)->canvas().EpsilonWorld());
   EXPECT_EQ((*raster)->name(), "raster");
   EXPECT_FALSE((*raster)->exact());
+}
+
+// Rows [begin, end) of `table` as a table of their own.
+data::PointTable TakeRows(const data::PointTable& table, std::size_t begin,
+                          std::size_t end) {
+  data::PointTable out(table.schema());
+  for (std::size_t i = begin; i < end; ++i) {
+    EXPECT_TRUE(
+        out.AppendRow(table.x(i), table.y(i), table.t(i),
+                      {table.attribute(i, 0)})
+            .ok());
+  }
+  return out;
+}
+
+// A join composed of point sources answers like the one-table join over
+// their rows concatenated, bit for bit on arbitrary floats: each pixel
+// accumulates across sources in source order. Candidate ranges address the
+// concatenated rows and are split per source, so ranges that straddle a
+// source boundary select the same rows either way.
+TEST(RasterJoinCompositionTest, SourcesMatchConcatenatedTable) {
+  const auto all = testing::MakeUniformPoints(3000, 81);
+  const auto regions = testing::MakeRandomRegions(5, 82);
+  const data::PointTable parts[] = {TakeRows(all, 0, 1700),
+                                    TakeRows(all, 1700, 1701),
+                                    TakeRows(all, 1701, 3000)};
+  RasterJoinOptions options;
+  options.resolution = 96;
+  const auto canvas = MakeValidatedCanvas(all, regions, options);
+  ASSERT_TRUE(canvas.ok());
+  const RowRangeSet straddling({{100, 1700}, {1700, 1702}, {2900, 3000}});
+  std::vector<FilterSpec> filters(2);
+  filters[1].WithTime(20000, 60000).WithRange("v", -4.0, 6.0);
+
+  for (const bool accurate : {false, true}) {
+    const auto region =
+        accurate ? AccurateRasterJoin::BuildRegionState(regions, *canvas)
+                 : BoundedRasterJoin::BuildRegionState(regions, *canvas,
+                                                       options);
+    ASSERT_TRUE(region.ok()) << region.status().ToString();
+    RasterSources sources;
+    for (const data::PointTable& part : parts) {
+      auto source = RasterPointSource::Build(**region, part);
+      ASSERT_TRUE(source.ok()) << source.status().ToString();
+      sources.push_back(*source);
+    }
+    std::unique_ptr<SpatialAggregationExecutor> composed;
+    std::unique_ptr<SpatialAggregationExecutor> whole;
+    if (accurate) {
+      composed = std::make_unique<AccurateRasterJoin>(all, regions, *region,
+                                                      sources);
+      whole = std::move(AccurateRasterJoin::Create(all, regions, options))
+                  .value();
+    } else {
+      composed = std::make_unique<BoundedRasterJoin>(all, regions, options,
+                                                     *region, sources);
+      whole = std::move(BoundedRasterJoin::Create(all, regions, options))
+                  .value();
+    }
+    for (const AggregateSpec& aggregate :
+         {AggregateSpec::Count(), AggregateSpec::Sum("v"),
+          AggregateSpec::Avg("v"), AggregateSpec::Min("v"),
+          AggregateSpec::Max("v")}) {
+      for (const FilterSpec& filter : filters) {
+        for (const RowRangeSet* candidates :
+             {static_cast<const RowRangeSet*>(nullptr), &straddling}) {
+          AggregationQuery query;
+          query.points = &all;
+          query.regions = &regions;
+          query.aggregate = aggregate;
+          query.filter = filter;
+          query.candidate_ranges = candidates;
+          const auto got = composed->Execute(query);
+          const auto want = whole->Execute(query);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          EXPECT_EQ(got->counts, want->counts);
+          EXPECT_EQ(got->error_bounds, want->error_bounds);
+          for (std::size_t r = 0; r < regions.size(); ++r) {
+            EXPECT_TRUE((std::isnan(got->values[r]) &&
+                         std::isnan(want->values[r])) ||
+                        std::bit_cast<std::uint64_t>(got->values[r]) ==
+                            std::bit_cast<std::uint64_t>(want->values[r]))
+                << (accurate ? "accurate " : "bounded ")
+                << AggregateKindToString(aggregate.kind) << " region " << r;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BoundedRasterJoinTest, RejectsBadOptions) {

@@ -4,7 +4,9 @@
 // fan-out — to a stop-the-world SpatialAggregation rebuilt
 // over the same rows concatenated in canonical order (base, runs in
 // generation order, hot). The dyadic world (v = k/256) makes every double
-// sum exact, so "equal" is a NaN-aware byte compare, not a tolerance.
+// sum exact, so "equal" is a NaN-aware byte compare, not a tolerance. The
+// raster methods compose the components on one canvas, so at one shard
+// they are held to the same compare on values whose sums round.
 //
 // Also here: the as-of watermark contract, the scoped cache-invalidation
 // regression (a closed-time-range answer stays a cache hit across appends
@@ -18,6 +20,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -149,6 +153,74 @@ void ExpectBitIdentical(const core::QueryResult& live,
   }
 }
 
+// One oracle check: every method of `methods` x aggregate x filter, asked
+// of the live engine and of a stop-the-world engine rebuilt over the
+// snapshot's rows concatenated, must agree bit for bit.
+void ExpectMatchesRebuild(LiveTable& table, LiveEngine& live,
+                          const data::RegionSet& regions,
+                          const std::vector<core::ExecutionMethod>& methods,
+                          const std::string& stage) {
+  const LiveSnapshot snapshot = table.Snapshot();
+  const data::PointTable rebuilt_rows = ConcatSnapshot(snapshot);
+  ASSERT_EQ(rebuilt_rows.size(), snapshot.watermark);
+  core::SpatialAggregation rebuilt(rebuilt_rows, regions, SmallCanvas());
+  for (core::ExecutionMethod method : methods) {
+    for (const core::AggregateSpec& aggregate : AllAggregates()) {
+      std::size_t filter_index = 0;
+      for (const core::FilterSpec& filter : OracleFilters()) {
+        const std::string what =
+            stage + "/" + core::ExecutionMethodToString(method) + "/agg" +
+            std::to_string(static_cast<int>(aggregate.kind)) + "/filter" +
+            std::to_string(filter_index++);
+        core::AggregationQuery query;
+        query.aggregate = aggregate;
+        query.filter = filter;
+        std::uint64_t watermark = 0;
+        StatusOr<core::QueryResult> live_result =
+            live.Execute(query, method, &watermark);
+        ASSERT_TRUE(live_result.ok())
+            << what << ": " << live_result.status().ToString();
+        EXPECT_EQ(watermark, snapshot.watermark) << what;
+        core::AggregationQuery rebuilt_query;
+        rebuilt_query.aggregate = aggregate;
+        rebuilt_query.filter = filter;
+        StatusOr<core::QueryResult> rebuilt_result =
+            rebuilt.Execute(rebuilt_query, method);
+        ASSERT_TRUE(rebuilt_result.ok()) << what;
+        ExpectBitIdentical(*live_result, *rebuilt_result, what);
+      }
+    }
+  }
+}
+
+// The stages every oracle walks a live table through, calling `check`
+// after each: hot rows, a sealed run beside hot rows, a flushed store run,
+// store run + hot, a compaction and hot rows on top. `batch(count, seed)`
+// makes each appended batch. The table must seal at 600 rows.
+void WalkLifecycle(
+    LiveTable& table,
+    const std::function<data::PointTable(std::size_t, std::uint64_t)>& batch,
+    const std::function<void(const std::string&)>& check) {
+  check("base-only");
+  ASSERT_TRUE(table.Append(batch(500, 0xA1)).ok());
+  check("hot");
+  ASSERT_TRUE(table.Append(batch(400, 0xA2)).ok());
+  check("sealed+hot");
+  ASSERT_TRUE(table.Flush().ok());
+  check("one-store-run");
+  ASSERT_TRUE(table.Append(batch(450, 0xA3)).ok());
+  check("store+hot");
+  ASSERT_TRUE(table.Flush().ok());
+  ASSERT_TRUE(table.Compact().ok());
+  check("compacted");
+  ASSERT_TRUE(table.Append(batch(300, 0xA4)).ok());
+  check("compacted+hot");
+}
+
+data::PointTable DyadicBatch(std::size_t count, std::uint64_t seed) {
+  return testing::MakeDyadicPoints(count, seed);
+}
+
 struct OracleConfig {
   std::size_t shards = 1;
   bool store_backed_base = false;
@@ -203,54 +275,11 @@ TEST_P(LiveEngineOracleTest, MatchesStopTheWorldRebuildAtEveryStage) {
   options.num_shards = config.shards;
   LiveEngine live(table->get(), &regions, options);
 
-  const auto check_stage = [&](const std::string& stage) {
-    const LiveSnapshot snapshot = (*table)->Snapshot();
-    const data::PointTable rebuilt_rows = ConcatSnapshot(snapshot);
-    ASSERT_EQ(rebuilt_rows.size(), snapshot.watermark);
-    core::SpatialAggregation rebuilt(rebuilt_rows, regions, SmallCanvas());
-    for (core::ExecutionMethod method : kAllMethods) {
-      for (const core::AggregateSpec& aggregate : AllAggregates()) {
-        std::size_t filter_index = 0;
-        for (const core::FilterSpec& filter : OracleFilters()) {
-          const std::string what =
-              stage + "/" + core::ExecutionMethodToString(method) + "/agg" +
-              std::to_string(static_cast<int>(aggregate.kind)) + "/filter" +
-              std::to_string(filter_index++);
-          core::AggregationQuery query;
-          query.aggregate = aggregate;
-          query.filter = filter;
-          std::uint64_t watermark = 0;
-          StatusOr<core::QueryResult> live_result =
-              live.Execute(query, method, &watermark);
-          ASSERT_TRUE(live_result.ok()) << what << ": "
-                                        << live_result.status().ToString();
-          EXPECT_EQ(watermark, snapshot.watermark) << what;
-          core::AggregationQuery rebuilt_query;
-          rebuilt_query.aggregate = aggregate;
-          rebuilt_query.filter = filter;
-          StatusOr<core::QueryResult> rebuilt_result =
-              rebuilt.Execute(rebuilt_query, method);
-          ASSERT_TRUE(rebuilt_result.ok()) << what;
-          ExpectBitIdentical(*live_result, *rebuilt_result, what);
-        }
-      }
-    }
-  };
-
-  check_stage("base-only");
-  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(500, 0xA1)).ok());
-  check_stage("hot");
-  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(400, 0xA2)).ok());
-  check_stage("sealed+hot");
-  ASSERT_TRUE((*table)->Flush().ok());
-  check_stage("one-store-run");
-  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(450, 0xA3)).ok());
-  check_stage("store+hot");
-  ASSERT_TRUE((*table)->Flush().ok());
-  ASSERT_TRUE((*table)->Compact().ok());
-  check_stage("compacted");
-  ASSERT_TRUE((*table)->Append(testing::MakeDyadicPoints(300, 0xA4)).ok());
-  check_stage("compacted+hot");
+  const std::vector<core::ExecutionMethod> methods(std::begin(kAllMethods),
+                                                   std::end(kAllMethods));
+  WalkLifecycle(**table, DyadicBatch, [&](const std::string& stage) {
+    ExpectMatchesRebuild(**table, live, regions, methods, stage);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -260,6 +289,63 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OracleConfig>& info) {
       return info.param.name;
     });
+
+// Uniform points in [lo, hi]^2 over one day whose v spans forty binades
+// (sign and |v| = e^U[-14, 14] random): unlike values of one magnitude,
+// whose float32 inputs sum exactly in double, these round, so the bits of
+// a sum depend on the order of its additions.
+data::PointTable WideRangeBatch(std::size_t count, std::uint64_t seed,
+                                double lo = 0.0, double hi = 100.0) {
+  data::PointTable table(VSchema());
+  table.Reserve(count);
+  Rng rng(seed);
+  std::vector<float>& v = table.mutable_attribute_column(0);
+  for (std::size_t i = 0; i < count; ++i) {
+    table.AppendXyt(static_cast<float>(rng.NextDouble(lo, hi)),
+                    static_cast<float>(rng.NextDouble(lo, hi)),
+                    rng.NextInt(0, 86399));
+    const double magnitude = std::exp(rng.NextDouble(-14.0, 14.0));
+    v.push_back(static_cast<float>(rng.NextInt(0, 1) == 0 ? magnitude
+                                                          : -magnitude));
+  }
+  return table;
+}
+
+// The raster joins compose every live component on one canvas, so at one
+// shard each pixel accumulates in concatenated-row order and each boundary
+// pixel's points are refined in that order: live raster answers equal the
+// stop-the-world rebuild bit for bit on arbitrary floats too, where a
+// reordered double sum shows, at every lifecycle stage and after an append
+// outside the current world, which moves the canvas.
+TEST(LiveEngineTest, RasterMatchesStopTheWorldOnArbitraryFloats) {
+  const std::string dir = FreshDir("oracle_arbitrary_floats");
+  const data::RegionSet regions = testing::MakeTessellationRegions(4, 0xBEEF);
+  const data::PointTable base = WideRangeBatch(1500, 0x5EED);
+  IngestOptions ingest_options;
+  ingest_options.memtable_rows = 600;  // the second append forces a seal
+  ingest_options.run_block_rows = 256;
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, VSchema(), &base, nullptr, ingest_options);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  LiveEngineOptions options;
+  options.raster_options = SmallCanvas();
+  LiveEngine live(table->get(), &regions, options);
+
+  const std::vector<core::ExecutionMethod> raster = {
+      core::ExecutionMethod::kBoundedRaster,
+      core::ExecutionMethod::kAccurateRaster};
+  const auto check = [&](const std::string& stage) {
+    ExpectMatchesRebuild(**table, live, regions, raster, stage);
+  };
+  WalkLifecycle(
+      **table,
+      [](std::size_t count, std::uint64_t seed) {
+        return WideRangeBatch(count, seed);
+      },
+      check);
+  ASSERT_TRUE((*table)->Append(WideRangeBatch(200, 0xA5, 100.0, 130.0)).ok());
+  check("outside-world+hot");
+}
 
 TEST(LiveEngineTest, EmptyLiveTableExecutes) {
   const std::string dir = FreshDir("empty");
@@ -344,6 +430,88 @@ TEST(LiveEngineTest, ExecuteAutoHonorsPlannedEpsilonResolution) {
   const StatusOr<core::QueryResult> want = (*bounded)->Execute(query);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ExpectBitIdentical(*from_live, *want, "live at the planned resolution");
+}
+
+// A raster method's region-side state is built once per facade: twenty
+// append + query cycles build it once per raster method and each new hot
+// view only its own point-side state. A finer planned ε rebuilds the
+// bounded one, and an append outside the current world both.
+TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
+  const data::PointTable points = testing::MakeUniformPoints(20000, 0xE1);
+  const data::RegionSet regions = testing::MakeRandomRegions(16, 0xE2);
+  core::RasterJoinOptions coarse;
+  coarse.resolution = 64;
+  const std::string dir = FreshDir("region_state_builds");
+  StatusOr<std::unique_ptr<LiveTable>> table =
+      LiveTable::Open(dir, points.schema(), &points, nullptr);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  LiveEngineOptions options;
+  options.raster_options = coarse;
+  LiveEngine live(table->get(), &regions, options);
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto builds = [&registry](const char* name) {
+    return registry.GetCounter(name).Value();
+  };
+  const std::uint64_t region_before = builds("query.region_state_builds");
+  const std::uint64_t point_before = builds("query.point_state_builds");
+  const auto query_both = [&](const std::string& what) {
+    for (const core::ExecutionMethod method :
+         {core::ExecutionMethod::kBoundedRaster,
+          core::ExecutionMethod::kAccurateRaster}) {
+      core::AggregationQuery query;
+      query.aggregate = core::AggregateSpec::Sum("v");
+      const StatusOr<core::QueryResult> result = live.Execute(query, method);
+      ASSERT_TRUE(result.ok()) << what << ": " << result.status().ToString();
+    }
+  };
+
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    // Inside the base's extent, so the pinned world never moves.
+    ASSERT_TRUE((*table)
+                    ->Append(testing::MakeUniformPoints(
+                        50, 0x100 + static_cast<std::uint64_t>(cycle), 10.0,
+                        90.0))
+                    .ok());
+    query_both("cycle " + std::to_string(cycle));
+  }
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 2u);
+  // The base once per method, then one hot view per append.
+  EXPECT_EQ(builds("query.point_state_builds") - point_before, 2u + 2u * 20u);
+
+  // Nothing new to build: the profile reports no preparation.
+  obs::QueryProfile warm;
+  core::AggregationQuery again;
+  again.aggregate = core::AggregateSpec::Count();
+  again.profile = &warm;
+  ASSERT_TRUE(live.Execute(again, core::ExecutionMethod::kAccurateRaster).ok());
+  EXPECT_EQ(warm.prepare_seconds, 0.0);
+
+  // A finer planned ε rebuilds the bounded region-side state only.
+  core::QueryPlan plan;
+  obs::QueryProfile ratchet;
+  core::AggregationQuery planned;
+  planned.aggregate = core::AggregateSpec::Count();
+  planned.profile = &ratchet;
+  ASSERT_TRUE(live.ExecuteAuto(planned,
+                               {.exact = false, .epsilon_world = 0.5},
+                               nullptr, &plan)
+                  .ok());
+  ASSERT_EQ(plan.method, core::ExecutionMethod::kBoundedRaster);
+  ASSERT_GT(plan.resolution, coarse.resolution);
+  EXPECT_GT(ratchet.prepare_seconds, 0.0);
+  query_both("after the ratchet");
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 3u);
+
+  // An append outside the world moves every canvas.
+  ASSERT_TRUE(
+      (*table)->Append(testing::MakeUniformPoints(10, 0x200, 120.0, 130.0))
+          .ok());
+  query_both("after the world moved");
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 5u);
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 // The planner's choice over a live table is journaled like a static

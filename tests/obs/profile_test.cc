@@ -211,21 +211,45 @@ TEST(ProfileDocumentTest, TopLevelKeyOrderIsStable) {
                 ->Find("points_scanned")->AsNumber(), 0.0);
 }
 
+TEST(ProfileDocumentTest, SectionKeyOrderIsStable) {
+  const data::JsonValue doc = QueryProfile().ToJson();
+  const auto keys = [](const data::JsonValue* section) {
+    std::vector<std::string> names;
+    for (const auto& [key, value] : section->AsObject()) names.push_back(key);
+    return names;
+  };
+  EXPECT_EQ(keys(doc.Find("request")),
+            (std::vector<std::string>{"queue_wait_seconds", "wall_seconds",
+                                      "cpu_seconds", "prepare_seconds"}));
+  EXPECT_EQ(keys(doc.Find("executor")->Find("totals")),
+            (std::vector<std::string>{
+                "points_scanned", "points_bulk", "pip_tests", "refine_rows",
+                "pixels_touched", "boundary_pixels", "tiles_visited",
+                "simd_fragments", "filter_seconds", "splat_seconds",
+                "sweep_seconds", "reduce_seconds", "refine_seconds",
+                "query_seconds"}));
+}
+
 TEST(ProfileDocumentTest, CanonicalizeZeroesOnlyMeasuredFields) {
   QueryProfile profile;
   profile.context = GenerateTraceContext();
   profile.wall_seconds = 1.5;
   profile.queue_wait_seconds = 0.25;
+  profile.prepare_seconds = 0.75;
   profile.totals.points_scanned = 42;
+  profile.totals.refine_rows = 17;
   profile.totals.query_seconds = 9.0;
   data::JsonValue doc = profile.ToJson();
   CanonicalizeProfileJson(&doc);
   EXPECT_EQ(doc.Find("request")->Find("wall_seconds")->AsNumber(), 0.0);
   EXPECT_EQ(doc.Find("request")->Find("queue_wait_seconds")->AsNumber(), 0.0);
+  EXPECT_EQ(doc.Find("request")->Find("prepare_seconds")->AsNumber(), 0.0);
   EXPECT_EQ(doc.Find("executor")->Find("totals")
                 ->Find("query_seconds")->AsNumber(), 0.0);
   EXPECT_EQ(doc.Find("executor")->Find("totals")
                 ->Find("points_scanned")->AsNumber(), 42.0);
+  EXPECT_EQ(doc.Find("executor")->Find("totals")
+                ->Find("refine_rows")->AsNumber(), 17.0);
   EXPECT_EQ(doc.Find("trace_id")->AsString(), profile.context.TraceIdHex());
 }
 
