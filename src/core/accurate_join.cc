@@ -13,13 +13,12 @@ StatusOr<std::unique_ptr<AccurateRasterJoin>> AccurateRasterJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const RasterJoinOptions& options) {
   URBANE_ASSIGN_OR_RETURN(raster::Viewport viewport,
-                          MakeValidatedCanvas(points, regions, options));
+                          MakeValidatedCanvas(regions, options.resolution));
   URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const RasterRegionState> region,
                           BuildRegionState(regions, viewport));
-  URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const RasterPointSource> source,
-                          RasterPointSource::Build(*region, points));
+  RasterSources sources{RasterPointSource::Build(*region, points)};
   return std::make_unique<AccurateRasterJoin>(
-      points, regions, std::move(region), RasterSources{std::move(source)});
+      points, regions, std::move(region), std::move(sources));
 }
 
 StatusOr<std::shared_ptr<const RasterRegionState>>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/observe.h"
 #include "core/raster_targets.h"
@@ -36,44 +37,22 @@ int ResolutionForEpsilon(const geometry::BoundingBox& world,
   return std::max(1, static_cast<int>(std::ceil(r)));
 }
 
-geometry::BoundingBox PadCanvasWorld(geometry::BoundingBox world) {
+geometry::BoundingBox CanvasWorld(const data::RegionSet& regions) {
+  geometry::BoundingBox world = regions.Bounds();
   if (world.IsEmpty()) {
     world = geometry::BoundingBox(0, 0, 1, 1);
   }
-  // Pad so points sitting exactly on the max edge stay inside after
-  // float32 -> double round trips.
   const double pad =
       1e-9 * std::max({1.0, std::fabs(world.max_x), std::fabs(world.max_y)});
   return world.Expanded(std::max(pad, 1e-7 * std::max(1.0, world.Width())));
 }
 
-namespace {
-
-geometry::BoundingBox ComputeCanvasWorld(const data::PointTable& points,
-                                         const data::RegionSet& regions) {
-  geometry::BoundingBox world = points.Bounds();
-  world.Extend(regions.Bounds());
-  return PadCanvasWorld(world);
-}
-
-}  // namespace
-
-StatusOr<raster::Viewport> MakeValidatedCanvas(
-    const data::PointTable& points, const data::RegionSet& regions,
-    const RasterJoinOptions& options) {
-  if (options.resolution <= 0) {
+StatusOr<raster::Viewport> MakeValidatedCanvas(const data::RegionSet& regions,
+                                               int resolution) {
+  if (resolution <= 0) {
     return Status::InvalidArgument("canvas resolution must be positive");
   }
-  const geometry::BoundingBox world =
-      options.world.value_or(ComputeCanvasWorld(points, regions));
-  const geometry::BoundingBox point_bounds = points.Bounds();
-  const geometry::BoundingBox region_bounds = regions.Bounds();
-  if ((!point_bounds.IsEmpty() && !world.Contains(point_bounds)) ||
-      (!region_bounds.IsEmpty() && !world.Contains(region_bounds))) {
-    return Status::InvalidArgument(
-        "canvas world window must cover all points and regions");
-  }
-  return MakeCanvas(world, options.resolution);
+  return MakeCanvas(CanvasWorld(regions), resolution);
 }
 
 StatusOr<std::shared_ptr<const RasterRegionState>> RasterRegionState::Build(
@@ -113,21 +92,16 @@ std::size_t GallopLowerBound(const std::vector<std::uint32_t>& keys,
 
 }  // namespace
 
-StatusOr<std::shared_ptr<const RasterPointSource>> RasterPointSource::Build(
+std::shared_ptr<const RasterPointSource> RasterPointSource::Build(
     const RasterRegionState& region, const data::PointTable& points) {
   const raster::Viewport& canvas = region.viewport;
-  const geometry::BoundingBox bounds = points.Bounds();
-  if (!bounds.IsEmpty() && !canvas.world().Contains(bounds)) {
-    return Status::InvalidArgument(
-        "canvas world window must cover all points and regions");
-  }
   auto source = std::make_shared<RasterPointSource>();
   source->table = &points;
   source->morton = raster::MortonSplatOrder::Build(canvas, points.xs(),
                                                    points.ys(), points.size());
   const std::vector<std::uint32_t>& keys = region.sweep.boundary_keys;
   if (keys.empty()) {  // bounded mode, or no boundary pixel to refine
-    return std::shared_ptr<const RasterPointSource>(std::move(source));
+    return source;
   }
   // The Morton key is pixel-granular and its sort stable, so one pixel's
   // points form one contiguous run of the order, in row order, and the
@@ -154,7 +128,7 @@ StatusOr<std::shared_ptr<const RasterPointSource>> RasterPointSource::Build(
     }
     k = end;
   }
-  return std::shared_ptr<const RasterPointSource>(std::move(source));
+  return source;
 }
 
 namespace internal {
@@ -210,14 +184,12 @@ StatusOr<std::unique_ptr<BoundedRasterJoin>> BoundedRasterJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const RasterJoinOptions& options) {
   URBANE_ASSIGN_OR_RETURN(raster::Viewport viewport,
-                          MakeValidatedCanvas(points, regions, options));
+                          MakeValidatedCanvas(regions, options.resolution));
   URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const RasterRegionState> region,
                           BuildRegionState(regions, viewport, options));
-  URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const RasterPointSource> source,
-                          RasterPointSource::Build(*region, points));
+  RasterSources sources{RasterPointSource::Build(*region, points)};
   return std::make_unique<BoundedRasterJoin>(
-      points, regions, options, std::move(region),
-      RasterSources{std::move(source)});
+      points, regions, options, std::move(region), std::move(sources));
 }
 
 StatusOr<std::shared_ptr<const RasterRegionState>>

@@ -2,7 +2,6 @@
 #define URBANE_CORE_RASTER_JOIN_H_
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -24,39 +23,35 @@ struct RasterJoinOptions {
   /// (bounded variant) / fewer exact boundary tests (accurate variant) but
   /// more pixels to sweep. 1024 reproduces the paper's interactive setting.
   int resolution = 1024;
-  /// Canvas world window. Default: union of point and region bounds — the
-  /// correctness of both variants requires the canvas to cover every point
-  /// and every region.
-  std::optional<geometry::BoundingBox> world;
   /// Bounded variant: also compute per-region error bounds (costs one
   /// boundary rasterization per region).
   bool compute_error_bounds = true;
 };
 
+/// The world every raster canvas over `regions` covers: the regions'
+/// bounding box, padded by a hair on every side so no region edge lies on
+/// the canvas edge (the unit box when there are no regions). A point counts
+/// only inside a region (`P.loc INSIDE R.geometry`), so a point outside
+/// this box counts nowhere, and the splat maps it — NaN and infinite
+/// coordinates included — to no pixel. The raster joins, the facade's
+/// planner and the temporal canvas index all derive their world here, so
+/// region-side state depends only on (region set, resolution, mode), never
+/// on the points.
+geometry::BoundingBox CanvasWorld(const data::RegionSet& regions);
+
 /// Canvas construction shared by the executors and the resolution planner.
 raster::Viewport MakeCanvas(const geometry::BoundingBox& world,
                             int resolution);
-
-/// The finishing step of default canvas-world derivation: empty worlds
-/// fall back to the unit box and the edges are padded so points sitting
-/// exactly on the max edge stay inside after float32 -> double round
-/// trips. Exposed so a live data set (ingest::LiveEngine), which pins an
-/// explicit world from a union of component bounds, produces a canvas
-/// BIT-identical to the one a stop-the-world engine would derive from the
-/// concatenated rows.
-geometry::BoundingBox PadCanvasWorld(geometry::BoundingBox world);
 
 /// Smallest resolution whose pixel diagonal is <= `epsilon_world` (meters in
 /// the Mercator plane), i.e. the cheapest canvas honoring the error bound.
 int ResolutionForEpsilon(const geometry::BoundingBox& world,
                          double epsilon_world);
 
-/// Validates `options` against the data and builds the canvas — the checks
-/// both raster executors share (the world window must cover every point and
-/// region).
-StatusOr<raster::Viewport> MakeValidatedCanvas(
-    const data::PointTable& points, const data::RegionSet& regions,
-    const RasterJoinOptions& options);
+/// The canvas of `regions` at `resolution`: MakeCanvas over
+/// CanvasWorld(regions). InvalidArgument for a resolution below 1.
+StatusOr<raster::Viewport> MakeValidatedCanvas(const data::RegionSet& regions,
+                                               int resolution);
 
 /// The region-side state of a raster join: everything that depends only on
 /// the region set and the canvas. Built once per (region set, canvas, sweep
@@ -102,9 +97,9 @@ struct RasterPointSource {
   raster::MortonSplatOrder morton;
   std::vector<MortonRun> boundary_runs;
 
-  /// InvalidArgument when the canvas world does not cover `points`.
-  /// `points` must outlive the source.
-  static StatusOr<std::shared_ptr<const RasterPointSource>> Build(
+  /// Rows off the region state's canvas (outside every region) take no
+  /// pixel and sort last. `points` must outlive the source.
+  static std::shared_ptr<const RasterPointSource> Build(
       const RasterRegionState& region, const data::PointTable& points);
 
   std::size_t MemoryBytes() const {
@@ -151,7 +146,8 @@ StatusOr<std::vector<SourcePass>> FilterAndSplat(
 /// A pixel straddling a region boundary is attributed by its center, so a
 /// point can only be misassigned if it lies within one pixel diagonal ε of
 /// the boundary; per-region error bounds are computed from the points in
-/// boundary pixels.
+/// boundary pixels. The canvas covers the regions alone (CanvasWorld): a
+/// point off it lies in no region and lands in no pixel.
 ///
 /// The executor composes an ordered list of point sources on one canvas:
 /// every source splats into the query's one leased target set, and the

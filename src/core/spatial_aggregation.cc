@@ -23,6 +23,7 @@ SpatialAggregation::SpatialAggregation(const data::PointTable& points,
     : points_(points),
       regions_(regions),
       index_options_(index_options),
+      canvas_world_(CanvasWorld(regions)),
       raster_options_(raster_options) {
   components_.emplace_back();
   components_.front().rows.table = &points;
@@ -33,23 +34,12 @@ void SpatialAggregation::AttachZoneMaps(const ZoneMapIndex* zone_maps) {
   components_.front().rows.zone_maps = zone_maps;
 }
 
-void SpatialAggregation::SetComponents(std::vector<Component> components,
-                                       const geometry::BoundingBox& world) {
+void SpatialAggregation::SetComponents(std::vector<Component> components) {
   const auto name = [](const Component& c) -> const void* {
     return c.owner != nullptr ? c.owner.get() : c.table;
   };
   std::scoped_lock lock(method_mu_[0], method_mu_[1], method_mu_[2],
                         method_mu_[3], state_mu_);
-  if (!(raster_options_.world == world)) {
-    // Every raster canvas changes, so nothing built under the old world —
-    // region- or point-side state, executors or cached answers — is
-    // reusable.
-    raster_options_.world = world;
-    components_.clear();
-    raster_ = {};
-    cache_.Clear();
-    config_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
   bool changed = components.size() != components_.size();
   std::vector<ComponentState> next(components.size());
   for (std::size_t i = 0; i < components.size(); ++i) {
@@ -71,7 +61,6 @@ void SpatialAggregation::SetComponents(std::vector<Component> components,
     // The composed raster executors list the old components; the region-
     // side state they share stays.
     for (RasterJoinState& join : raster_) join.executor.reset();
-    plan_world_.reset();
   }
 }
 
@@ -156,13 +145,9 @@ SpatialAggregation::RasterExecutorLocked(ExecutionMethod method,
   WallTimer timer;
   const bool accurate = method == ExecutionMethod::kAccurateRaster;
   if (!join.region) {
-    // A static facade derives the canvas from its one component; several
-    // components come only with a pinned world (SetComponents), and each
-    // point source checks that it covers its own rows.
     URBANE_ASSIGN_OR_RETURN(
         const raster::Viewport canvas,
-        MakeValidatedCanvas(*components_.front().rows.table, regions_,
-                            raster_options_));
+        MakeValidatedCanvas(regions_, raster_options_.resolution));
     if (accurate) {
       URBANE_ASSIGN_OR_RETURN(
           join.region, AccurateRasterJoin::BuildRegionState(regions_, canvas));
@@ -179,8 +164,7 @@ SpatialAggregation::RasterExecutorLocked(ExecutionMethod method,
     std::shared_ptr<const RasterPointSource>& source =
         component.raster[RasterIndex(method)];
     if (!source) {
-      URBANE_ASSIGN_OR_RETURN(
-          source, RasterPointSource::Build(*join.region, *component.rows.table));
+      source = RasterPointSource::Build(*join.region, *component.rows.table);
       ++tally->point_states;
     }
     sources.push_back(source);
@@ -428,17 +412,7 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   QueryPlan chosen;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    // The components are immutable, so their joint extent — an O(n) scan
-    // of an in-memory table — is computed once per component list.
-    if (!plan_world_.has_value()) {
-      geometry::BoundingBox world;
-      for (const ComponentState& component : components_) {
-        world.Extend(component.rows.table->Bounds());
-      }
-      world.Extend(regions_.Bounds());
-      plan_world_ = world;
-    }
-    profile.world = *plan_world_;
+    profile.world = canvas_world_;
     const std::size_t index = MethodIndex(ExecutionMethod::kIndexJoin);
     profile.has_point_index = !components_.empty();
     for (const ComponentState& component : components_) {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/accurate_join.h"
@@ -105,15 +104,12 @@ class SpatialAggregation {
   /// ZoneMapIndex), only the rows visited.
   void AttachZoneMaps(const ZoneMapIndex* zone_maps);
 
-  /// Replaces the row components, in row order, and pins the raster canvas
-  /// to `world` (the canvas then aligns with the one an engine over the
-  /// concatenated rows derives; see PadCanvasWorld). Components already
-  /// held keep their point-side state and executors, and the raster region-
-  /// side state stays. A new world rebuilds all of it, clears the result
-  /// cache and bumps the config epoch. Takes every method mutex, so no
-  /// query is in flight meanwhile.
-  void SetComponents(std::vector<Component> components,
-                     const geometry::BoundingBox& world);
+  /// Replaces the row components, in row order. Components already held
+  /// keep their point-side state and executors, and the raster region-side
+  /// state stays: the canvas covers the regions alone (CanvasWorld), so no
+  /// component, wherever its rows lie, moves it. Takes every method mutex,
+  /// so no query is in flight meanwhile.
+  void SetComponents(std::vector<Component> components);
 
   /// Result cache (core::QueryCache): interactive sessions revisit query
   /// states (brushing back to a previous window), so Execute memoizes
@@ -171,10 +167,10 @@ class SpatialAggregation {
                                 ExecutionMethod method);
 
   /// Plans by cost model over every component (rows summed, selectivity
-  /// weighted by rows, the regions' and components' joint bounds), journals
-  /// the choice as `planner.choose`, then executes. `plan` (optional)
-  /// receives this call's choice, and the query's profile (the armed
-  /// recorder's, if it attaches one) records it.
+  /// weighted by rows, the regions' canvas world), journals the choice as
+  /// `planner.choose`, then executes. `plan` (optional) receives this
+  /// call's choice, and the query's profile (the armed recorder's, if it
+  /// attaches one) records it.
   /// A plan that tightens the bounded-raster resolution rebuilds the bounded
   /// join's region-side state and every component's point-side state on the
   /// finer canvas, and bumps the config epoch (invalidating stale-ε
@@ -218,10 +214,10 @@ class SpatialAggregation {
   };
 
   /// One raster method's join over every component, built lazily under
-  /// state_mu_: the region-side state, built once and dropped only by a new
-  /// pinned world or a finer bounded resolution, and the executor composing
-  /// every component's point-side state on it (inside a sharded wrapper
-  /// when `num_shards() > 1`), rebuilt after the components or the fan-out
+  /// state_mu_: the region-side state, built once and dropped only by a
+  /// finer bounded resolution, and the executor composing every
+  /// component's point-side state on it (inside a sharded wrapper when
+  /// `num_shards() > 1`), rebuilt after the components or the fan-out
   /// change.
   struct RasterJoinState {
     std::shared_ptr<const RasterRegionState> region;
@@ -275,22 +271,22 @@ class SpatialAggregation {
   const data::RegionSet& regions_;
   const IndexJoinOptions index_options_;
 
-  /// Guards the components and their state, raster_, raster_options_ and
-  /// plan_world_.
+  /// Guards the components and their state, raster_ and raster_options_.
   mutable std::mutex state_mu_;
   /// Serializes Execute per method: protects in-flight executions against
   /// a concurrent rebuild and caps render-target memory (see the class
   /// comment).
   std::array<std::mutex, kNumMethods> method_mu_;
 
-  /// The resolution ratchets in ExecuteAuto; SetComponents pins the world.
+  /// CanvasWorld(regions_), the world the planner sizes canvases for;
+  /// computed once, since the regions are immutable.
+  const geometry::BoundingBox canvas_world_;
+
+  /// The resolution ratchets in ExecuteAuto.
   RasterJoinOptions raster_options_;
   std::vector<ComponentState> components_;
   /// By RasterIndex.
   std::array<RasterJoinState, 2> raster_;
-  /// The planner's world (component bounds ∪ region bounds), computed by
-  /// the first ExecuteAuto after the components last changed.
-  std::optional<geometry::BoundingBox> plan_world_;
 
   std::atomic<std::size_t> num_shards_{1};
   std::atomic<std::uint64_t> config_epoch_{0};

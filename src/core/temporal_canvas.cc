@@ -16,13 +16,10 @@ StatusOr<std::unique_ptr<TemporalCanvasIndex>> TemporalCanvasIndex::Build(
         "temporal canvas needs positive resolution and time_bins");
   }
   WallTimer timer;
-  // The raster joins' canvas derivation and validation.
-  RasterJoinOptions raster_options;
-  raster_options.resolution = options.resolution;
-  raster_options.world = options.world;
-  URBANE_ASSIGN_OR_RETURN(
-      const raster::Viewport canvas,
-      MakeValidatedCanvas(points, regions, raster_options));
+  // The raster joins' canvas: it covers the regions, so a point outside
+  // their box is binned nowhere.
+  URBANE_ASSIGN_OR_RETURN(const raster::Viewport canvas,
+                          MakeValidatedCanvas(regions, options.resolution));
 
   auto index = std::unique_ptr<TemporalCanvasIndex>(
       new TemporalCanvasIndex(points, regions, canvas, options.time_bins));

@@ -20,7 +20,6 @@ struct TemporalCanvasOptions {
   int resolution = 256;
   /// Number of equal-width time bins over the data's time span.
   int time_bins = 64;
-  std::optional<geometry::BoundingBox> world;
 };
 
 /// Time-brushing accelerator: a stack of per-time-bin COUNT canvases stored
@@ -31,7 +30,8 @@ struct TemporalCanvasOptions {
 ///
 /// The answer is approximate on two axes, both explicit:
 ///  * spatially, like BoundedRasterJoin (pixel-ownership, ε = pixel
-///    diagonal);
+///    diagonal, on the canvas over the regions' box that CanvasWorld
+///    derives, so a point outside that box is binned nowhere);
 ///  * temporally, the query window is snapped OUTWARD to bin edges; the
 ///    report includes the snapped window so callers can display it (Urbane
 ///    snaps its slider to the same bins).

@@ -52,12 +52,6 @@ std::vector<geometry::BoundingBox> RegionSet::RegionBounds() const {
   return boxes;
 }
 
-void RegionSet::NormalizeAll() {
-  for (Region& region : regions_) {
-    region.geometry.Normalize();
-  }
-}
-
 std::size_t RegionSet::MemoryBytes() const {
   std::size_t bytes = regions_.capacity() * sizeof(Region);
   for (const Region& region : regions_) {

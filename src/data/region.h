@@ -46,9 +46,6 @@ class RegionSet {
   /// One bounding box per region, in order (feeds the R-tree).
   std::vector<geometry::BoundingBox> RegionBounds() const;
 
-  /// Normalizes every polygon's ring orientation.
-  void NormalizeAll();
-
   std::size_t MemoryBytes() const;
 
  private:

@@ -22,13 +22,6 @@ struct BoundingBox {
               double max_y_in)
       : min_x(min_x_in), min_y(min_y_in), max_x(max_x_in), max_y(max_y_in) {}
 
-  static BoundingBox FromPoints(const Vec2& a, const Vec2& b) {
-    BoundingBox box;
-    box.Extend(a);
-    box.Extend(b);
-    return box;
-  }
-
   bool IsEmpty() const { return min_x > max_x || min_y > max_y; }
 
   double Width() const { return IsEmpty() ? 0.0 : max_x - min_x; }

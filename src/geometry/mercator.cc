@@ -26,10 +26,6 @@ LonLat MercatorToLonLat(const Vec2& xy) {
   return ll;
 }
 
-double MercatorScaleFactor(double lat_degrees) {
-  return 1.0 / std::cos(lat_degrees * kDegToRad);
-}
-
 BoundingBox ProjectBounds(const LonLat& min_corner, const LonLat& max_corner) {
   BoundingBox box;
   box.Extend(LonLatToMercator(min_corner));

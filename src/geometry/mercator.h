@@ -20,10 +20,6 @@ struct LonLat {
 Vec2 LonLatToMercator(const LonLat& ll);
 LonLat MercatorToLonLat(const Vec2& xy);
 
-/// Projected meters per real meter at the given latitude (Mercator scale
-/// distortion) — used to convert error bounds back to ground distance.
-double MercatorScaleFactor(double lat_degrees);
-
 /// Projects a lon/lat bounding box (min/max in degrees) to Mercator meters.
 BoundingBox ProjectBounds(const LonLat& min_corner, const LonLat& max_corner);
 

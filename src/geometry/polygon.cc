@@ -289,14 +289,6 @@ void MultiPolygon::Normalize() {
   }
 }
 
-Polygon MakeRectanglePolygon(const BoundingBox& box) {
-  Ring ring = {{box.min_x, box.min_y},
-               {box.max_x, box.min_y},
-               {box.max_x, box.max_y},
-               {box.min_x, box.max_y}};
-  return Polygon(std::move(ring));
-}
-
 Polygon MakeRegularPolygon(const Vec2& center, double radius,
                            std::size_t vertex_count, double phase) {
   Ring ring;

@@ -110,8 +110,7 @@ class MultiPolygon {
   std::vector<Polygon> parts_;
 };
 
-/// Convenience constructors used pervasively in tests and generators.
-Polygon MakeRectanglePolygon(const BoundingBox& box);
+/// Regular polygon with `vertex_count` vertices on a circle of `radius`.
 Polygon MakeRegularPolygon(const Vec2& center, double radius,
                            std::size_t vertex_count, double phase = 0.0);
 

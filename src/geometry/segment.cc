@@ -30,23 +30,6 @@ bool SegmentsIntersect(const Segment& s1, const Segment& s2) {
   return false;
 }
 
-std::optional<Vec2> SegmentIntersectionPoint(const Segment& s1,
-                                             const Segment& s2) {
-  const Vec2 r = s1.b - s1.a;
-  const Vec2 s = s2.b - s2.a;
-  const double denom = r.Cross(s);
-  if (denom == 0.0) {
-    return std::nullopt;  // parallel or collinear
-  }
-  const Vec2 qp = s2.a - s1.a;
-  const double t = qp.Cross(s) / denom;
-  const double u = qp.Cross(r) / denom;
-  if (t < 0.0 || t > 1.0 || u < 0.0 || u > 1.0) {
-    return std::nullopt;
-  }
-  return s1.a + r * t;
-}
-
 double SquaredDistancePointToSegment(const Vec2& p, const Segment& s) {
   const Vec2 d = s.b - s.a;
   const double len2 = d.SquaredNorm();
@@ -56,10 +39,6 @@ double SquaredDistancePointToSegment(const Vec2& p, const Segment& s) {
   const double t = std::clamp((p - s.a).Dot(d) / len2, 0.0, 1.0);
   const Vec2 projection = s.a + d * t;
   return p.SquaredDistanceTo(projection);
-}
-
-double DistancePointToSegment(const Vec2& p, const Segment& s) {
-  return std::sqrt(SquaredDistancePointToSegment(p, s));
 }
 
 }  // namespace urbane::geometry

@@ -1,8 +1,6 @@
 #ifndef URBANE_GEOMETRY_SEGMENT_H_
 #define URBANE_GEOMETRY_SEGMENT_H_
 
-#include <optional>
-
 #include "geometry/point.h"
 
 namespace urbane::geometry {
@@ -23,15 +21,7 @@ bool PointOnSegment(const Vec2& p, const Segment& s);
 /// collinear overlap).
 bool SegmentsIntersect(const Segment& s1, const Segment& s2);
 
-/// Proper intersection point of two segments if they cross at a single
-/// point (excluding collinear overlap, where no single point exists).
-std::optional<Vec2> SegmentIntersectionPoint(const Segment& s1,
-                                             const Segment& s2);
-
-/// Euclidean distance from `p` to the closed segment `s`.
-double DistancePointToSegment(const Vec2& p, const Segment& s);
-
-/// Squared version (avoids the sqrt in hot loops).
+/// Squared Euclidean distance from `p` to the closed segment `s`.
 double SquaredDistancePointToSegment(const Vec2& p, const Segment& s);
 
 }  // namespace urbane::geometry

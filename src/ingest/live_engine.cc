@@ -9,7 +9,6 @@ namespace urbane::ingest {
 LiveEngine::LiveEngine(LiveTable* table, const data::RegionSet* regions,
                        const LiveEngineOptions& options)
     : table_(table),
-      regions_(regions),
       schema_rows_(table->schema()),
       engine_(schema_rows_, *regions, options.raster_options,
               options.index_options) {
@@ -24,25 +23,18 @@ void LiveEngine::RefreshLocked(std::uint64_t* watermark) {
   if (watermark != nullptr) {
     *watermark = snapshot.watermark;
   }
-  // The shared canvas world: union of the region bounds and every non-empty
-  // component's exact bounds — identical to what a stop-the-world engine
-  // over the concatenated rows would derive (min/max folds associate).
-  geometry::BoundingBox world = regions_->Bounds();
   std::vector<core::SpatialAggregation::Component> components;
   if (snapshot.base != nullptr && !snapshot.base->empty()) {
-    world.Extend(snapshot.base_bounds);
     components.push_back({snapshot.base, snapshot.base_zone_maps, nullptr});
   }
   for (const auto& run : snapshot.runs) {
     if (run->rows > 0) {
-      world.Extend(run->bounds);
       components.push_back({&run->table, run->zone_maps(), run});
     }
   }
   if (snapshot.hot_rows == 0) {
     hot_.reset();
   } else {
-    world.Extend(snapshot.hot_bounds);
     // The facade keeps point-side state and executors per component owner,
     // so an unchanged hot prefix (same generation, same rows) keeps its
     // view.
@@ -58,10 +50,7 @@ void LiveEngine::RefreshLocked(std::uint64_t* watermark) {
     }
     components.push_back({&hot_->table, nullptr, hot_});
   }
-  // PadCanvasWorld makes the pinned window bit-identical to the one a
-  // stop-the-world engine derives from the concatenated rows (the raw
-  // union alone differs by the derivation's edge padding).
-  engine_.SetComponents(std::move(components), core::PadCanvasWorld(world));
+  engine_.SetComponents(std::move(components));
 
   // Catch up the append log: each appended batch invalidates exactly the
   // cached answers its time interval can affect; flush/compact entries do

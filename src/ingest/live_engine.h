@@ -21,10 +21,10 @@
 // configured shard fan-out splits the composed rows (raster) or each
 // component (scan, index). The facade also observes, caches and plans the
 // query as it does for a static data set, ε ratchet and `planner.choose`
-// event included. All components pin one shared canvas world (the union
-// of every component's bounds and the region bounds), so the raster canvas
-// aligns bit-for-bit with a stop-the-world engine over the concatenated
-// rows: the ingest-equivalence oracle in tests/ingest/live_engine_test.cc
+// event included. The raster canvas covers the regions alone
+// (core::CanvasWorld), so it is the canvas a stop-the-world engine over the
+// concatenated rows uses, and no append moves it, wherever its rows lie:
+// the ingest-equivalence oracle in tests/ingest/live_engine_test.cc
 // checks bit-identity per executor, aggregate, filter and shard fan-out on
 // dyadic data, and for the raster methods at one shard on arbitrary
 // floats (each pixel accumulates in concatenated-row order).
@@ -53,7 +53,7 @@
 namespace urbane::ingest {
 
 struct LiveEngineOptions {
-  core::RasterJoinOptions raster_options;  // world is pinned internally
+  core::RasterJoinOptions raster_options;
   core::IndexJoinOptions index_options;
   /// Shard fan-out (1 = unsharded): the engine's only parallelism setting.
   /// A raster query shards the components' concatenated rows, a scan or
@@ -115,14 +115,13 @@ class LiveEngine {
     std::uint64_t generation = 0;
   };
 
-  /// Hands the facade the current snapshot's components and pinned world,
-  /// then catches up the append log (scoped cache invalidation).
+  /// Hands the facade the current snapshot's components, then catches up
+  /// the append log (scoped cache invalidation).
   /// `watermark` (nullable) receives the snapshot's row count. Requires
   /// mu_ held.
   void RefreshLocked(std::uint64_t* watermark);
 
   LiveTable* const table_;
-  const data::RegionSet* const regions_;
   /// Zero rows under the live table's schema: the table the facade
   /// validates every query against, also while the live table is empty.
   const data::PointTable schema_rows_;

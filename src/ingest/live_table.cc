@@ -70,7 +70,6 @@ StatusOr<std::shared_ptr<const LiveRun>> OpenStoreRun(
   run->wal_hi = wal_hi;
   run->reader = std::make_unique<store::StoreReader>(std::move(opened));
   run->rows = run->reader->row_count();
-  run->bounds = run->reader->zone_maps().Bounds();
   run->time_range = run->reader->zone_maps().TimeRange();
   auto mapped = run->reader->MappedTable();
   if (mapped.ok()) {
@@ -91,10 +90,9 @@ StatusOr<std::shared_ptr<const LiveRun>> MakeMemRun(
   run->wal_lo = wal_lo;
   run->wal_hi = wal_hi;
   run->rows = mem->size();
-  run->bounds = mem->bounds();
   run->time_range = mem->time_range();
   URBANE_ASSIGN_OR_RETURN(run->table, mem->View(mem->size()));
-  run->table.SetCachedExtents(run->bounds, run->time_range);
+  run->table.SetCachedExtents(mem->bounds(), run->time_range);
   run->mem = std::move(mem);
   return std::shared_ptr<const LiveRun>(std::move(run));
 }
@@ -110,9 +108,7 @@ LiveTable::LiveTable(std::string directory, data::Schema schema,
       base_(base),
       base_zone_maps_(base_zone_maps),
       options_(options),
-      base_rows_(base == nullptr ? 0 : base->size()),
-      base_bounds_(base == nullptr ? geometry::BoundingBox()
-                                   : base->Bounds()) {}
+      base_rows_(base == nullptr ? 0 : base->size()) {}
 
 LiveTable::~LiveTable() {
   // Make the active segment durable, but deliberately do NOT flush runs:
@@ -571,7 +567,6 @@ LiveSnapshot LiveTable::Snapshot() const {
   LiveSnapshot snapshot;
   snapshot.base = base_;
   snapshot.base_zone_maps = base_zone_maps_;
-  snapshot.base_bounds = base_bounds_;
   snapshot.runs = runs_;
   snapshot.hot_owner = hot_;
   snapshot.hot_rows = hot_->size();

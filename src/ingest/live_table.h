@@ -87,9 +87,6 @@ struct LiveRun {
   std::string path;
   /// View over the run's rows (into `mem` or the reader's mapping).
   data::PointTable table;
-  /// Exact extents (memtable fold or zone-map union — both bit-identical
-  /// to a scan).
-  geometry::BoundingBox bounds;
   std::pair<std::int64_t, std::int64_t> time_range{0, 0};
 
   bool store_backed() const { return reader != nullptr; }
@@ -105,9 +102,6 @@ struct LiveRun {
 struct LiveSnapshot {
   const data::PointTable* base = nullptr;  // null when the table has none
   const core::ZoneMapIndex* base_zone_maps = nullptr;
-  /// Exact extents of the base (empty box when none). The base is borrowed
-  /// and immutable, so LiveTable computes them once, at Open.
-  geometry::BoundingBox base_bounds;
   std::vector<std::shared_ptr<const LiveRun>> runs;  // generation order
   /// Hot prefix: owner + a view over its first `hot_rows` rows.
   std::shared_ptr<Memtable> hot_owner;
@@ -117,7 +111,8 @@ struct LiveSnapshot {
   /// engines know when to rebuild their hot-run state.
   std::uint64_t hot_generation = 0;
   std::uint64_t hot_sequence = 0;
-  /// Exact extents of the hot prefix (empty box / {0,0} when no rows).
+  /// Exact extents of the hot prefix (empty box / {0,0} when no rows):
+  /// the hot view's cached extents, which its grid index is sized by.
   geometry::BoundingBox hot_bounds;
   std::pair<std::int64_t, std::int64_t> hot_time_range{0, 0};
   /// Total visible rows: base + runs + hot.
@@ -226,7 +221,6 @@ class LiveTable {
   const core::ZoneMapIndex* const base_zone_maps_;
   const IngestOptions options_;
   const std::uint64_t base_rows_;
-  const geometry::BoundingBox base_bounds_;
 
   /// Guards the component stack, the WAL writer, and the counters.
   mutable std::mutex mu_;

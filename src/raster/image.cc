@@ -28,21 +28,6 @@ Status WritePpm(const Image& image, const std::string& path) {
   return Status::OK();
 }
 
-Status WritePgm(const Buffer2D<std::uint8_t>& gray, const std::string& path) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return Status::IoError("cannot open image file for writing: " + path);
-  }
-  file << "P5\n" << gray.width() << " " << gray.height() << "\n255\n";
-  for (int y = gray.height() - 1; y >= 0; --y) {
-    file.write(reinterpret_cast<const char*>(gray.Row(y)), gray.width());
-  }
-  if (!file) {
-    return Status::IoError("write failure on image file: " + path);
-  }
-  return Status::OK();
-}
-
 Image ColormapBuffer(const Buffer2D<float>& values, const Colormap& colormap,
                      double lo, double hi) {
   if (lo == hi) {

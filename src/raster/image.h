@@ -17,9 +17,6 @@ using Image = Buffer2D<Rgb>;
 /// growing downward as image viewers expect.
 Status WritePpm(const Image& image, const std::string& path);
 
-/// Writes a binary PGM (P5) of an 8-bit grayscale buffer.
-Status WritePgm(const Buffer2D<std::uint8_t>& gray, const std::string& path);
-
 /// Maps a scalar buffer through a colormap into an image. Values are scaled
 /// by [lo, hi]; pass lo == hi to auto-scale to the buffer's min/max.
 Image ColormapBuffer(const Buffer2D<float>& values, const Colormap& colormap,

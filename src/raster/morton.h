@@ -16,10 +16,11 @@
 //
 // Lifecycle: a raster join builds one order per (point source, canvas) —
 // part of the source's point-side state (core::RasterPointSource) — and
-// reuses it across queries. Point sources are rebuilt whenever their
-// canvas changes, and the facade bumps its config epoch then, which is
-// what keeps the cache consistent with QueryCache invalidation — there is
-// no cross-epoch reuse to guard against.
+// reuses it across queries. The canvas covers the regions alone, so it
+// changes only when the facade's ε ratchet picks a finer resolution; the
+// facade then rebuilds the bounded join's point sources and bumps its
+// config epoch, which is what keeps the cache consistent with QueryCache
+// invalidation — there is no cross-epoch reuse to guard against.
 
 #include <cstddef>
 #include <cstdint>

@@ -66,25 +66,6 @@ inline std::size_t ComputeSplatIndices(const Viewport& vp, const float* xs,
                                                ys, count, out);
 }
 
-/// Scatters points with precomputed pixel indices into `target`, in input
-/// order; `weight(k)` supplies the blended value of position k. Equivalent
-/// to SplatPoints over the same coordinate sequence — the index computation
-/// is merely hoisted out so it runs vectorized and is shared across the
-/// aggregate targets of one query.
-template <typename T, typename WeightFn>
-std::size_t SplatIndexed(const std::uint32_t* indices, std::size_t count,
-                         BlendOp op, WeightFn&& weight, Buffer2D<T>& target) {
-  T* data = target.data().data();
-  std::size_t hits = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t idx = indices[k];
-    if (idx == kInvalidPixel) continue;
-    ApplyBlend(op, data[idx], static_cast<T>(weight(k)));
-    ++hits;
-  }
-  return hits;
-}
-
 }  // namespace urbane::raster
 
 #endif  // URBANE_RASTER_POINT_SPLAT_H_

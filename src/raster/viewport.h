@@ -87,18 +87,6 @@ class Viewport {
     return PixelInBounds(ix, iy);
   }
 
-  /// Clamps continuous pixel x to a valid column index.
-  int ClampPixelX(double px) const {
-    if (px < 0) return 0;
-    if (px >= width_) return width_ - 1;
-    return static_cast<int>(px);
-  }
-  int ClampPixelY(double py) const {
-    if (py < 0) return 0;
-    if (py >= height_) return height_ - 1;
-    return static_cast<int>(py);
-  }
-
  private:
   geometry::BoundingBox world_;
   int width_;

@@ -1,7 +1,10 @@
 #include "server/json_api.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
+
+#include "util/string_util.h"
 
 namespace urbane::server {
 
@@ -57,6 +60,13 @@ StatusOr<ApiRequest> ParseApiRequest(const std::string& body) {
   return request;
 }
 
+namespace {
+
+constexpr double kTwoTo63 = 9223372036854775808.0;
+constexpr double kFloatMax = std::numeric_limits<float>::max();
+
+}  // namespace
+
 StatusOr<IngestRequest> ParseIngestRequest(const std::string& body) {
   URBANE_ASSIGN_OR_RETURN(data::JsonValue doc, data::ParseJson(body));
   if (!doc.is_object()) {
@@ -104,10 +114,23 @@ StatusOr<IngestRequest> ParseIngestRequest(const std::string& body) {
           "arity of " + std::to_string(arity));
     }
     const data::JsonValue::Array& row = array[r].AsArray();
-    for (const data::JsonValue& cell : row) {
-      if (!cell.is_number() || !std::isfinite(cell.AsNumber())) {
+    for (std::size_t c = 0; c < arity; ++c) {
+      if (!row[c].is_number() || !std::isfinite(row[c].AsNumber())) {
         return Status::InvalidArgument(
             "row " + std::to_string(r) + " holds a non-numeric cell");
+      }
+      // x, y and the attributes are float32 columns and t an int64 one: a
+      // cell beyond its column's range would be stored as ±inf, or make the
+      // cast to int64 undefined.
+      const double value = row[c].AsNumber();
+      const bool fits = c == 2 ? value >= -kTwoTo63 && value < kTwoTo63
+                               : std::fabs(value) <= kFloatMax;
+      if (!fits) {
+        const std::string column =
+            c < 3 ? std::string(1, "xyt"[c]) : "a" + std::to_string(c - 3);
+        return Status::InvalidArgument(StringPrintf(
+            "row %zu, column %s: %g is outside the column's %s range", r,
+            column.c_str(), value, c == 2 ? "int64" : "float32"));
       }
     }
     for (std::size_t i = 3; i < arity; ++i) {

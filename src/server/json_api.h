@@ -62,9 +62,11 @@ StatusOr<std::optional<core::ExecutionMethod>> ParseMethodName(
     const std::string& name);
 
 /// Parses a POST /v1/ingest body into a batch. InvalidArgument on
-/// malformed JSON, a missing dataset, no rows, ragged rows, arity < 3, or
-/// non-numeric cells. The batch's schema names attributes positionally
-/// ("a0", "a1", ...) — live tables validate arity, not names.
+/// malformed JSON, a missing dataset, no rows, ragged rows, arity < 3,
+/// non-numeric cells, or a cell outside its column's range (x, y and the
+/// attributes are float32, t is int64), naming the row and column. The
+/// batch's schema names attributes positionally ("a0", "a1", ...) — live
+/// tables validate arity, not names.
 StatusOr<IngestRequest> ParseIngestRequest(const std::string& body);
 
 /// Renders an IngestResponse as the urbane.ingest.v1 document.

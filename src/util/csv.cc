@@ -125,11 +125,6 @@ StatusOr<CsvDocument> ParseCsv(const std::string& content, char delimiter) {
   return doc;
 }
 
-StatusOr<CsvDocument> ReadCsvFile(const std::string& path, char delimiter) {
-  URBANE_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return ParseCsv(content, delimiter);
-}
-
 std::string WriteCsv(const CsvDocument& doc, char delimiter) {
   std::string out;
   for (std::size_t i = 0; i < doc.header.size(); ++i) {

@@ -24,10 +24,6 @@ struct CsvDocument {
 StatusOr<CsvDocument> ParseCsv(const std::string& content,
                                char delimiter = ',');
 
-/// Reads and parses a whole file.
-StatusOr<CsvDocument> ReadCsvFile(const std::string& path,
-                                  char delimiter = ',');
-
 /// Serializes (quoting fields that contain the delimiter, quotes or
 /// newlines).
 std::string WriteCsv(const CsvDocument& doc, char delimiter = ',');

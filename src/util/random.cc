@@ -105,6 +105,4 @@ std::int64_t Rng::NextInt(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(NextUint64(span));
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace urbane

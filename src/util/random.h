@@ -43,10 +43,6 @@ class Rng {
   /// Integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t NextInt(std::int64_t lo, std::int64_t hi);
 
-  /// Forks an independent, deterministic child stream. Used so parallel
-  /// generators stay reproducible regardless of interleaving.
-  Rng Fork();
-
  private:
   std::uint64_t state_[4];
   double cached_gaussian_ = 0.0;

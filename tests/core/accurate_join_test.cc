@@ -266,11 +266,10 @@ TEST(AccurateRasterJoinTest, RejectsCanvasBeyondMortonRange) {
   data::RegionSet regions;
   data::Region strip;
   strip.id = 1;
-  strip.geometry = geometry::MultiPolygon(geometry::MakeRectanglePolygon(
-      geometry::BoundingBox(100.3, 0.2, 41000.7, 0.8)));
+  strip.geometry = geometry::MultiPolygon(geometry::Polygon(geometry::Ring{
+      {100.3, 0.2}, {41000.7, 0.2}, {41000.7, 0.8}, {100.3, 0.8}}));
   ASSERT_TRUE(regions.Add(strip).ok());
   RasterJoinOptions options;
-  options.world = geometry::BoundingBox(0, 0, 70000, 1);
 
   options.resolution = 70000;  // a 70000x1 canvas
   const auto too_wide = AccurateRasterJoin::Create(points, regions, options);

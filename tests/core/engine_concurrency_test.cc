@@ -138,10 +138,8 @@ TEST(EngineConcurrencyTest, ConcurrentAutoRebuildIsSafe) {
   // The resolution only ratchets up, so after the dust settles the engine
   // answers at the finest requested ε — bit-identical to a fresh engine
   // built directly at that resolution.
-  geometry::BoundingBox world = points.Bounds();
-  world.Extend(regions.Bounds());
   RasterJoinOptions fine = options;
-  fine.resolution = ResolutionForEpsilon(world, 0.5);
+  fine.resolution = ResolutionForEpsilon(CanvasWorld(regions), 0.5);
   ASSERT_GT(fine.resolution, 32);
   SpatialAggregation settled_oracle(points, regions, fine);
   const auto want =

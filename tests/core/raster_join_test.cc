@@ -191,7 +191,7 @@ TEST(RasterJoinCompositionTest, SourcesMatchConcatenatedTable) {
                                     TakeRows(all, 1701, 3000)};
   RasterJoinOptions options;
   options.resolution = 96;
-  const auto canvas = MakeValidatedCanvas(all, regions, options);
+  const auto canvas = MakeValidatedCanvas(regions, options.resolution);
   ASSERT_TRUE(canvas.ok());
   const RowRangeSet straddling({{100, 1700}, {1700, 1702}, {2900, 3000}});
   std::vector<FilterSpec> filters(2);
@@ -205,9 +205,7 @@ TEST(RasterJoinCompositionTest, SourcesMatchConcatenatedTable) {
     ASSERT_TRUE(region.ok()) << region.status().ToString();
     RasterSources sources;
     for (const data::PointTable& part : parts) {
-      auto source = RasterPointSource::Build(**region, part);
-      ASSERT_TRUE(source.ok()) << source.status().ToString();
-      sources.push_back(*source);
+      sources.push_back(RasterPointSource::Build(**region, part));
     }
     std::unique_ptr<SpatialAggregationExecutor> composed;
     std::unique_ptr<SpatialAggregationExecutor> whole;
@@ -261,9 +259,8 @@ TEST(BoundedRasterJoinTest, RejectsBadOptions) {
   RasterJoinOptions bad;
   bad.resolution = 0;
   EXPECT_FALSE(BoundedRasterJoin::Create(points, regions, bad).ok());
-  RasterJoinOptions tiny_world;
-  tiny_world.world = geometry::BoundingBox(0, 0, 1, 1);  // doesn't cover
-  EXPECT_FALSE(BoundedRasterJoin::Create(points, regions, tiny_world).ok());
+  bad.resolution = -3;
+  EXPECT_FALSE(BoundedRasterJoin::Create(points, regions, bad).ok());
 }
 
 TEST(BoundedRasterJoinTest, SpatialWindowFilterApplied) {

@@ -56,19 +56,6 @@ TEST(RegionSetTest, VertexCountAndRegionBounds) {
   EXPECT_EQ(boxes[1], geometry::BoundingBox(5, 5, 7, 7));
 }
 
-TEST(RegionSetTest, NormalizeAllFixesOrientation) {
-  RegionSet set;
-  Region region;
-  region.id = 1;
-  region.name = "cw";
-  geometry::Ring cw = {{0, 0}, {0, 1}, {1, 1}, {1, 0}};  // clockwise
-  region.geometry = geometry::MultiPolygon(geometry::Polygon(cw));
-  ASSERT_TRUE(set.Add(std::move(region)).ok());
-  set.NormalizeAll();
-  EXPECT_TRUE(geometry::RingIsCounterClockwise(
-      set[0].geometry.parts()[0].outer()));
-}
-
 TEST(RegionSetTest, MemoryBytesGrowsWithGeometry) {
   RegionSet small;
   ASSERT_TRUE(small.Add(MakeSquare(1, 0, 0, 1)).ok());

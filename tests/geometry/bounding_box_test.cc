@@ -74,8 +74,10 @@ TEST(BoundingBoxTest, ExpandedGrowsEachSide) {
   EXPECT_TRUE(BoundingBox().Expanded(5.0).IsEmpty());
 }
 
-TEST(BoundingBoxTest, CenterAndFromPoints) {
-  const BoundingBox box = BoundingBox::FromPoints({4, 6}, {0, 2});
+TEST(BoundingBoxTest, Center) {
+  BoundingBox box;
+  box.Extend({4, 6});
+  box.Extend({0, 2});
   EXPECT_EQ(box, BoundingBox(0, 2, 4, 6));
   EXPECT_EQ(box.Center(), Vec2(2.0, 4.0));
 }

@@ -33,12 +33,6 @@ TEST(MercatorTest, MonotoneInLatitude) {
   }
 }
 
-TEST(MercatorTest, ScaleFactorGrowsWithLatitude) {
-  EXPECT_NEAR(MercatorScaleFactor(0.0), 1.0, 1e-12);
-  EXPECT_GT(MercatorScaleFactor(60.0), MercatorScaleFactor(40.0));
-  EXPECT_NEAR(MercatorScaleFactor(60.0), 2.0, 1e-9);
-}
-
 TEST(MercatorTest, ProjectBoundsOrientsCorrectly) {
   const BoundingBox box = ProjectBounds({-74.0, 40.0}, {-73.0, 41.0});
   EXPECT_LT(box.min_x, box.max_x);

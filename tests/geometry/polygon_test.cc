@@ -188,12 +188,5 @@ TEST(MakeRegularPolygonTest, HasRequestedVerticesAndArea) {
   EXPECT_TRUE(RingIsCounterClockwise(hex.outer()));
 }
 
-TEST(MakeRectanglePolygonTest, MatchesBox) {
-  const BoundingBox box(1, 2, 4, 6);
-  const Polygon rect = MakeRectanglePolygon(box);
-  EXPECT_DOUBLE_EQ(rect.Area(), 12.0);
-  EXPECT_EQ(rect.Bounds(), box);
-}
-
 }  // namespace
 }  // namespace urbane::geometry

@@ -33,48 +33,26 @@ TEST(SegmentsIntersectTest, CollinearOverlapCounts) {
   EXPECT_FALSE(SegmentsIntersect({{0, 0}, {1, 0}}, {{2, 0}, {3, 0}}));
 }
 
-TEST(SegmentIntersectionPointTest, ComputesCrossing) {
-  const auto p = SegmentIntersectionPoint({{0, 0}, {4, 4}}, {{0, 4}, {4, 0}});
-  ASSERT_TRUE(p.has_value());
-  EXPECT_DOUBLE_EQ(p->x, 2.0);
-  EXPECT_DOUBLE_EQ(p->y, 2.0);
-}
-
-TEST(SegmentIntersectionPointTest, ParallelReturnsNullopt) {
-  EXPECT_FALSE(
-      SegmentIntersectionPoint({{0, 0}, {1, 0}}, {{0, 1}, {1, 1}}).has_value());
-  // Collinear overlap also yields nullopt (no unique point).
-  EXPECT_FALSE(
-      SegmentIntersectionPoint({{0, 0}, {3, 0}}, {{1, 0}, {2, 0}}).has_value());
-}
-
-TEST(SegmentIntersectionPointTest, NonOverlappingLinesReturnsNullopt) {
-  EXPECT_FALSE(
-      SegmentIntersectionPoint({{0, 0}, {1, 1}}, {{3, 0}, {4, 1}}).has_value());
-}
-
 TEST(DistancePointToSegmentTest, PerpendicularProjection) {
   const Segment s{{0, 0}, {10, 0}};
-  EXPECT_DOUBLE_EQ(DistancePointToSegment({5, 3}, s), 3.0);
+  EXPECT_DOUBLE_EQ(SquaredDistancePointToSegment({5, 3}, s), 9.0);
 }
 
 TEST(DistancePointToSegmentTest, ClampsToEndpoints) {
   const Segment s{{0, 0}, {10, 0}};
-  EXPECT_DOUBLE_EQ(DistancePointToSegment({-3, 4}, s), 5.0);
-  EXPECT_DOUBLE_EQ(DistancePointToSegment({13, 4}, s), 5.0);
+  EXPECT_DOUBLE_EQ(SquaredDistancePointToSegment({-3, 4}, s), 25.0);
+  EXPECT_DOUBLE_EQ(SquaredDistancePointToSegment({13, 4}, s), 25.0);
 }
 
 TEST(DistancePointToSegmentTest, DegenerateSegmentIsPointDistance) {
   const Segment s{{1, 1}, {1, 1}};
-  EXPECT_DOUBLE_EQ(DistancePointToSegment({4, 5}, s), 5.0);
+  EXPECT_DOUBLE_EQ(SquaredDistancePointToSegment({4, 5}, s), 25.0);
 }
 
 TEST(SquaredDistanceTest, MatchesSquareOfDistance) {
+  // (3, 0) projects onto (1.5, 1.5): the distance is 3 / sqrt(2).
   const Segment s{{0, 0}, {2, 2}};
-  const Vec2 p{3, 0};
-  EXPECT_NEAR(SquaredDistancePointToSegment(p, s),
-              DistancePointToSegment(p, s) * DistancePointToSegment(p, s),
-              1e-12);
+  EXPECT_DOUBLE_EQ(SquaredDistancePointToSegment({3, 0}, s), 4.5);
 }
 
 }  // namespace

@@ -51,8 +51,8 @@ TEST(SimplifyPolylineTest, ErrorWithinTolerance) {
   for (const Vec2& p : line) {
     double best = 1e300;
     for (std::size_t k = 0; k + 1 < out.size(); ++k) {
-      best = std::min(best,
-                      DistancePointToSegment(p, Segment{out[k], out[k + 1]}));
+      best = std::min(best, std::sqrt(SquaredDistancePointToSegment(
+                                p, Segment{out[k], out[k + 1]})));
     }
     EXPECT_LE(best, tolerance + 1e-9);
   }

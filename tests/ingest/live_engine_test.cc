@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -59,17 +60,18 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// Dyadic batch with every timestamp inside [t_lo, t_hi] — the cache
-// regression needs batches confined to known time intervals.
+// Dyadic batch in [lo, hi]^2 with every timestamp inside [t_lo, t_hi] —
+// the cache regressions need batches confined to known time intervals.
 data::PointTable MakeBatchInTime(std::size_t count, std::uint64_t seed,
-                                 std::int64_t t_lo, std::int64_t t_hi) {
+                                 std::int64_t t_lo, std::int64_t t_hi,
+                                 double lo = 0.0, double hi = 100.0) {
   data::PointTable table(VSchema());
   table.Reserve(count);
   Rng rng(seed);
   std::vector<float>& v = table.mutable_attribute_column(0);
   for (std::size_t i = 0; i < count; ++i) {
-    table.AppendXyt(static_cast<float>(rng.NextDouble(0.0, 100.0)),
-                    static_cast<float>(rng.NextDouble(0.0, 100.0)),
+    table.AppendXyt(static_cast<float>(rng.NextDouble(lo, hi)),
+                    static_cast<float>(rng.NextDouble(lo, hi)),
                     rng.NextInt(t_lo, t_hi));
     v.push_back(static_cast<float>(rng.NextInt(-2560, 2560)) / 256.0f);
   }
@@ -195,30 +197,31 @@ void ExpectMatchesRebuild(LiveTable& table, LiveEngine& live,
 
 // The stages every oracle walks a live table through, calling `check`
 // after each: hot rows, a sealed run beside hot rows, a flushed store run,
-// store run + hot, a compaction and hot rows on top. `batch(count, seed)`
-// makes each appended batch. The table must seal at 600 rows.
+// store run + hot, a compaction, hot rows on top, and last rows appended
+// outside the region box [0, 100]^2 of the oracles' tessellation, which
+// count nowhere and move no canvas. `batch(count, seed, lo, hi)` makes each
+// appended batch in [lo, hi]^2. The table must seal at 600 rows.
 void WalkLifecycle(
     LiveTable& table,
-    const std::function<data::PointTable(std::size_t, std::uint64_t)>& batch,
+    const std::function<data::PointTable(std::size_t, std::uint64_t, double,
+                                         double)>& batch,
     const std::function<void(const std::string&)>& check) {
   check("base-only");
-  ASSERT_TRUE(table.Append(batch(500, 0xA1)).ok());
+  ASSERT_TRUE(table.Append(batch(500, 0xA1, 0.0, 100.0)).ok());
   check("hot");
-  ASSERT_TRUE(table.Append(batch(400, 0xA2)).ok());
+  ASSERT_TRUE(table.Append(batch(400, 0xA2, 0.0, 100.0)).ok());
   check("sealed+hot");
   ASSERT_TRUE(table.Flush().ok());
   check("one-store-run");
-  ASSERT_TRUE(table.Append(batch(450, 0xA3)).ok());
+  ASSERT_TRUE(table.Append(batch(450, 0xA3, 0.0, 100.0)).ok());
   check("store+hot");
   ASSERT_TRUE(table.Flush().ok());
   ASSERT_TRUE(table.Compact().ok());
   check("compacted");
-  ASSERT_TRUE(table.Append(batch(300, 0xA4)).ok());
+  ASSERT_TRUE(table.Append(batch(300, 0xA4, 0.0, 100.0)).ok());
   check("compacted+hot");
-}
-
-data::PointTable DyadicBatch(std::size_t count, std::uint64_t seed) {
-  return testing::MakeDyadicPoints(count, seed);
+  ASSERT_TRUE(table.Append(batch(200, 0xA5, 100.0, 130.0)).ok());
+  check("outside-region-box+hot");
 }
 
 struct OracleConfig {
@@ -277,9 +280,10 @@ TEST_P(LiveEngineOracleTest, MatchesStopTheWorldRebuildAtEveryStage) {
 
   const std::vector<core::ExecutionMethod> methods(std::begin(kAllMethods),
                                                    std::end(kAllMethods));
-  WalkLifecycle(**table, DyadicBatch, [&](const std::string& stage) {
-    ExpectMatchesRebuild(**table, live, regions, methods, stage);
-  });
+  WalkLifecycle(**table, testing::MakeDyadicPoints,
+                [&](const std::string& stage) {
+                  ExpectMatchesRebuild(**table, live, regions, methods, stage);
+                });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -315,8 +319,7 @@ data::PointTable WideRangeBatch(std::size_t count, std::uint64_t seed,
 // shard each pixel accumulates in concatenated-row order and each boundary
 // pixel's points are refined in that order: live raster answers equal the
 // stop-the-world rebuild bit for bit on arbitrary floats too, where a
-// reordered double sum shows, at every lifecycle stage and after an append
-// outside the current world, which moves the canvas.
+// reordered double sum shows, at every lifecycle stage.
 TEST(LiveEngineTest, RasterMatchesStopTheWorldOnArbitraryFloats) {
   const std::string dir = FreshDir("oracle_arbitrary_floats");
   const data::RegionSet regions = testing::MakeTessellationRegions(4, 0xBEEF);
@@ -334,17 +337,9 @@ TEST(LiveEngineTest, RasterMatchesStopTheWorldOnArbitraryFloats) {
   const std::vector<core::ExecutionMethod> raster = {
       core::ExecutionMethod::kBoundedRaster,
       core::ExecutionMethod::kAccurateRaster};
-  const auto check = [&](const std::string& stage) {
+  WalkLifecycle(**table, WideRangeBatch, [&](const std::string& stage) {
     ExpectMatchesRebuild(**table, live, regions, raster, stage);
-  };
-  WalkLifecycle(
-      **table,
-      [](std::size_t count, std::uint64_t seed) {
-        return WideRangeBatch(count, seed);
-      },
-      check);
-  ASSERT_TRUE((*table)->Append(WideRangeBatch(200, 0xA5, 100.0, 130.0)).ok());
-  check("outside-world+hot");
+  });
 }
 
 TEST(LiveEngineTest, EmptyLiveTableExecutes) {
@@ -435,7 +430,9 @@ TEST(LiveEngineTest, ExecuteAutoHonorsPlannedEpsilonResolution) {
 // A raster method's region-side state is built once per facade: twenty
 // append + query cycles build it once per raster method and each new hot
 // view only its own point-side state. A finer planned ε rebuilds the
-// bounded one, and an append outside the current world both.
+// bounded one. An append outside the region box moves no canvas: it builds
+// no region-side state, only the new hot view's point-side state, and a
+// cached answer over a closed time range stays a hit across it.
 TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
   const data::PointTable points = testing::MakeUniformPoints(20000, 0xE1);
   const data::RegionSet regions = testing::MakeRandomRegions(16, 0xE2);
@@ -469,7 +466,6 @@ TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
   };
 
   for (int cycle = 0; cycle < 20; ++cycle) {
-    // Inside the base's extent, so the pinned world never moves.
     ASSERT_TRUE((*table)
                     ->Append(testing::MakeUniformPoints(
                         50, 0x100 + static_cast<std::uint64_t>(cycle), 10.0,
@@ -505,13 +501,112 @@ TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
   query_both("after the ratchet");
   EXPECT_EQ(builds("query.region_state_builds") - region_before, 3u);
 
-  // An append outside the world moves every canvas.
+  // A cached answer over [0, 40000) ...
+  live.set_result_cache_capacity(64);
+  core::AggregationQuery closed;
+  closed.aggregate = core::AggregateSpec::Count();
+  closed.filter.WithTime(0, 40000);
   ASSERT_TRUE(
-      (*table)->Append(testing::MakeUniformPoints(10, 0x200, 120.0, 130.0))
-          .ok());
-  query_both("after the world moved");
-  EXPECT_EQ(builds("query.region_state_builds") - region_before, 5u);
+      live.Execute(closed, core::ExecutionMethod::kAccurateRaster).ok());
+  const std::uint64_t hits = live.result_cache_stats().hits;
+
+  // ... then an append outside the region box, later in time.
+  const std::uint64_t point_outside = builds("query.point_state_builds");
+  ASSERT_TRUE((*table)
+                  ->Append(MakeBatchInTime(10, 0x200, 50000, 59999, 120.0,
+                                           130.0))
+                  .ok());
+  query_both("after an append outside the region box");
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 3u);
+  EXPECT_EQ(builds("query.point_state_builds") - point_outside, 2u);
+  ASSERT_TRUE(
+      live.Execute(closed, core::ExecutionMethod::kAccurateRaster).ok());
+  EXPECT_EQ(live.result_cache_stats().hits, hits + 1);
   obs::SetMetricsEnabled(metrics_were_enabled);
+}
+
+// Rows at (0, 0), ±inf, NaN and 1e30 lie outside the region box, here
+// [1000, 1100]^2. Appended to a live table they change no raster answer of
+// the same table without them, hot or flushed into a store run, and the
+// accurate join still equals the scan. Dyadic values keep every sum exact,
+// so the compares are bit for bit even where a flush orders rows apart.
+TEST(LiveEngineTest, OutlierRowsChangeNoRasterAnswer) {
+  data::TessellationOptions cells;
+  cells.cells_x = 4;
+  cells.cells_y = 4;
+  cells.seed = 0xBEEF;
+  cells.bounds = geometry::BoundingBox(1000.0, 1000.0, 1100.0, 1100.0);
+  cells.edge_subdivisions = 3;
+  cells.edge_wiggle = 0.05;
+  const data::RegionSet regions = data::GenerateTessellation(cells);
+  const data::PointTable base =
+      testing::MakeDyadicPoints(1500, 0x5EED, 1000.0, 1100.0);
+  const data::PointTable batch =
+      testing::MakeDyadicPoints(500, 0xA1, 1000.0, 1100.0);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  data::PointTable outliers(VSchema());
+  for (const auto& [x, y] : std::vector<std::pair<float, float>>{
+           {0.0f, 0.0f},
+           {kInf, 1050.0f},
+           {-kInf, 1050.0f},
+           {std::numeric_limits<float>::quiet_NaN(), 1050.0f},
+           {1e30f, 1050.0f}}) {
+    ASSERT_TRUE(outliers.AppendRow(x, y, 20000, {1.0f}).ok());
+  }
+
+  LiveEngineOptions options;
+  options.raster_options = SmallCanvas();
+  StatusOr<std::unique_ptr<LiveTable>> clean_table =
+      LiveTable::Open(FreshDir("outliers_clean"), VSchema(), &base, nullptr);
+  StatusOr<std::unique_ptr<LiveTable>> dirty_table =
+      LiveTable::Open(FreshDir("outliers_dirty"), VSchema(), &base, nullptr);
+  ASSERT_TRUE(clean_table.ok()) << clean_table.status().ToString();
+  ASSERT_TRUE(dirty_table.ok()) << dirty_table.status().ToString();
+  LiveEngine clean(clean_table->get(), &regions, options);
+  LiveEngine dirty(dirty_table->get(), &regions, options);
+  ASSERT_TRUE((*clean_table)->Append(batch).ok());
+  ASSERT_TRUE((*dirty_table)->Append(batch).ok());
+  ASSERT_TRUE((*dirty_table)->Append(outliers).ok());
+
+  std::vector<core::FilterSpec> filters(3);
+  filters[1].WithTime(10000, 50000);
+  filters[2]
+      .WithWindow(geometry::BoundingBox(1010.0, 1010.0, 1060.0, 1060.0))
+      .WithRange("v", -5.0, 5.0);
+  const auto check = [&](const std::string& stage) {
+    for (const core::AggregateSpec& aggregate : AllAggregates()) {
+      for (std::size_t f = 0; f < filters.size(); ++f) {
+        core::AggregationQuery query;
+        query.aggregate = aggregate;
+        query.filter = filters[f];
+        const std::string what =
+            stage + "/agg" + std::to_string(static_cast<int>(aggregate.kind)) +
+            "/filter" + std::to_string(f);
+        const StatusOr<core::QueryResult> scan =
+            dirty.Execute(query, core::ExecutionMethod::kScan);
+        ASSERT_TRUE(scan.ok()) << what << ": " << scan.status().ToString();
+        for (const core::ExecutionMethod method :
+             {core::ExecutionMethod::kBoundedRaster,
+              core::ExecutionMethod::kAccurateRaster}) {
+          const StatusOr<core::QueryResult> got = dirty.Execute(query, method);
+          const StatusOr<core::QueryResult> want =
+              clean.Execute(query, method);
+          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+          ASSERT_TRUE(want.ok()) << what << ": " << want.status().ToString();
+          ExpectBitIdentical(*got, *want,
+                             what + "/" +
+                                 core::ExecutionMethodToString(method));
+          if (method == core::ExecutionMethod::kAccurateRaster) {
+            ExpectBitIdentical(*got, *scan, what + "/accurate=scan");
+          }
+        }
+      }
+    }
+  };
+  check("hot");
+  ASSERT_TRUE((*clean_table)->Flush().ok());
+  ASSERT_TRUE((*dirty_table)->Flush().ok());
+  check("flushed");
 }
 
 // The planner's choice over a live table is journaled like a static

@@ -36,16 +36,6 @@ TEST(WritePpmTest, RowsAreFlipped) {
   std::remove(path.c_str());
 }
 
-TEST(WritePgmTest, WritesGrayscale) {
-  Buffer2D<std::uint8_t> gray(3, 3, 128);
-  const std::string path = ::testing::TempDir() + "/image_test.pgm";
-  ASSERT_TRUE(WritePgm(gray, path).ok());
-  const auto content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(content->substr(0, 2), "P5");
-  std::remove(path.c_str());
-}
-
 TEST(WritePpmTest, BadPathFails) {
   Image image(1, 1);
   EXPECT_FALSE(WritePpm(image, "/nonexistent_dir_xyz/out.ppm").ok());

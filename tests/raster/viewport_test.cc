@@ -72,14 +72,6 @@ TEST(ViewportTest, WorldToPixelContinuous) {
   EXPECT_DOUBLE_EQ(vp.WorldToPixelY(5.0), 10.0);
 }
 
-TEST(ViewportTest, ClampPixel) {
-  const Viewport vp(BoundingBox(0, 0, 10, 10), 10, 10);
-  EXPECT_EQ(vp.ClampPixelX(-2.5), 0);
-  EXPECT_EQ(vp.ClampPixelX(4.7), 4);
-  EXPECT_EQ(vp.ClampPixelX(99.0), 9);
-  EXPECT_EQ(vp.ClampPixelY(10.0), 9);
-}
-
 TEST(ViewportTest, EpsilonShrinksWithResolution) {
   const BoundingBox world(0, 0, 100, 100);
   const Viewport coarse(world, 64, 64);

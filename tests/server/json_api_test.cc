@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/json.h"
@@ -61,6 +64,38 @@ TEST(ParseApiRequestTest, RejectsMalformedBodies) {
     EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << body;
     EXPECT_EQ(HttpStatusForError(request.status()), 400) << body;
   }
+}
+
+// x, y and the attributes are float32 columns, t an int64 one: a cell
+// beyond its column's range would be stored as ±inf or make the int64 cast
+// undefined, so it is a 400 naming the row and column.
+TEST(ParseIngestRequestTest, RejectsCellsOutsideTheirColumnRange) {
+  const std::vector<std::pair<std::string, std::string>> corpus = {
+      {"[1e39, 2, 3, 4]", "row 1, column x"},
+      {"[1, -1e39, 3, 4]", "row 1, column y"},
+      {"[1, 2, 3, 3.5e38]", "row 1, column a0"},
+      {"[1, 2, 1e19, 4]", "row 1, column t"},
+      {"[1, 2, -1e300, 4]", "row 1, column t"},
+  };
+  for (const auto& [bad_row, where] : corpus) {
+    const std::string body =
+        R"({"dataset": "live", "rows": [[1, 2, 3, 4], )" + bad_row + "]}";
+    const StatusOr<IngestRequest> request = ParseIngestRequest(body);
+    ASSERT_FALSE(request.ok()) << body;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << body;
+    EXPECT_EQ(HttpStatusForError(request.status()), 400) << body;
+    EXPECT_NE(request.status().message().find(where), std::string::npos)
+        << request.status().message();
+  }
+  // The range edges themselves fit.
+  const StatusOr<IngestRequest> edges = ParseIngestRequest(
+      R"({"dataset": "live", "rows": [[3.4028234663852886e38, )"
+      R"(-3.4028234663852886e38, -9223372036854775808, 1],)"
+      R"( [0, 0, 9223372036854774784, -3.4028234663852886e38]]})");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges->batch.size(), 2u);
+  EXPECT_EQ(edges->batch.t(0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(edges->batch.t(1), 9223372036854774784);
 }
 
 TEST(ParseMethodNameTest, MapsEveryName) {

@@ -169,6 +169,18 @@ TEST_F(ServerIngestTest, MalformedIngestRequestsAreRejected) {
                 .status,
             400)
       << "ragged batch";
+  // Cells beyond their column's range: x, y and attributes are float32,
+  // t is int64.
+  for (const char* row : {"[1e39, 2, 3, 4]", "[1, -1e39, 3, 4]",
+                          "[1, 2, 3, 3.5e38]", "[1, 2, 1e19, 4]",
+                          "[1, 2, -1e300, 4]"}) {
+    EXPECT_EQ(Post(port, "/v1/ingest",
+                   std::string("{\"dataset\": \"live\", \"rows\": [") + row +
+                       "]}")
+                  .status,
+              400)
+        << row;
+  }
   // Well-formed request against a data set that is not live: not found.
   EXPECT_EQ(Post(port, "/v1/ingest",
                  "{\"dataset\": \"nope\", \"rows\": [[1,2,3,4]]}")
@@ -177,6 +189,16 @@ TEST_F(ServerIngestTest, MalformedIngestRequestsAreRejected) {
   // GET on the ingest endpoint is a method error.
   EXPECT_EQ(
       Fetch(port, "GET /v1/ingest HTTP/1.1\r\nHost: x\r\n\r\n").status, 405);
+
+  // No rejected request appended a row.
+  const HttpReply query = Post(
+      port, "/v1/query",
+      "{\"sql\": \"SELECT COUNT(*) FROM live, cells\", \"method\": \"scan\"}");
+  ASSERT_EQ(query.status, 200) << query.body;
+  StatusOr<data::JsonValue> query_json = data::ParseJson(query.body);
+  ASSERT_TRUE(query_json.ok());
+  ASSERT_NE(query_json->Find("watermark"), nullptr);
+  EXPECT_EQ(query_json->Find("watermark")->AsNumber(), 0.0);
 }
 
 TEST_F(ServerIngestTest, SaturatedWritePathMapsOnto429WithRetryAfter) {

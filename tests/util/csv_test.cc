@@ -81,7 +81,9 @@ TEST(CsvFileTest, WriteAndReadBack) {
   doc.header = {"a"};
   doc.rows = {{"1"}, {"2"}};
   ASSERT_TRUE(WriteCsvFile(doc, path).ok());
-  const auto loaded = ReadCsvFile(path);
+  const auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  const auto loaded = ParseCsv(*content);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->rows.size(), 2u);
   std::remove(path.c_str());

@@ -26,7 +26,6 @@ TEST(WallTimerTest, UnitConversions) {
   WallTimer timer;
   const double s = timer.ElapsedSeconds();
   EXPECT_GE(timer.ElapsedMillis(), s * 1e3);
-  EXPECT_GE(timer.ElapsedMicros(), s * 1e6);
 }
 
 TEST(FormatDurationTest, PicksAdaptiveUnits) {

@@ -49,7 +49,9 @@
 # inner-loop gate. It also builds every bench/ binary and examples/
 # walkthrough, so a change that breaks one fails here rather than in the
 # full build. The fast gate then re-runs the `simd` label (kernel tables,
-# Morton splat order, raster-executor bit-identity) once per
+# Morton splat order, raster-executor bit-identity, the region-derived
+# canvas's outlier-row and box-edge tests, and the replay golden that pins
+# answers, plans and work totals across commits) once per
 # URBANE_SIMD level — off, sse2 and, when the CPU has it, avx2 — so every
 # dispatchable code path is exercised even though `auto` would pick only
 # the widest one. Levels the CPU lacks clamp down, so the loop is safe on
