@@ -1,26 +1,42 @@
 #include "core/index_join.h"
 
+#include <algorithm>
+
 #include "core/observe.h"
+#include "core/raster_join.h"
 #include "util/timer.h"
 
 namespace urbane::core {
 
+geometry::BoundingBox PointIndexBounds(const data::PointTable& points,
+                                       const data::RegionSet& regions) {
+  // The region box first: a NaN in the rows' box then loses every min/max.
+  const geometry::BoundingBox region_box = CanvasWorld(regions);
+  geometry::BoundingBox bounds = region_box.Intersection(points.Bounds());
+  if (bounds.IsEmpty()) {
+    bounds = region_box;
+  }
+  return bounds.Expanded(1e-6 * std::max(1.0, bounds.Width()));
+}
+
 StatusOr<std::unique_ptr<IndexJoin>> IndexJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const IndexJoinOptions& options) {
-  // Index bounds must cover all points; pad slightly so max-edge points
-  // land in the last cell row/column.
-  geometry::BoundingBox bounds = points.Bounds();
-  if (bounds.IsEmpty()) {
-    bounds = geometry::BoundingBox(0, 0, 1, 1);
-  }
-  bounds = bounds.Expanded(1e-6 * std::max(1.0, bounds.Width()));
+  URBANE_ASSIGN_OR_RETURN(std::shared_ptr<const index::GridIndex> grid,
+                          BuildGrid(points, regions, options));
+  return std::make_unique<IndexJoin>(
+      points, regions, std::vector<IndexSource>{{&points, std::move(grid)}});
+}
+
+StatusOr<std::shared_ptr<const index::GridIndex>> IndexJoin::BuildGrid(
+    const data::PointTable& points, const data::RegionSet& regions,
+    const IndexJoinOptions& options) {
   URBANE_ASSIGN_OR_RETURN(
       index::GridIndex grid,
       index::GridIndex::BuildAuto(points.xs(), points.ys(), points.size(),
-                                  bounds, options.target_points_per_cell));
-  return std::unique_ptr<IndexJoin>(
-      new IndexJoin(points, regions, std::move(grid), options));
+                                  PointIndexBounds(points, regions),
+                                  options.target_points_per_cell));
+  return std::make_shared<const index::GridIndex>(std::move(grid));
 }
 
 StatusOr<PartialResult> IndexJoin::ExecutePartial(
@@ -33,59 +49,53 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
   obs::ProfilePassCosts costs;
   WallTimer timer;
 
-  WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(query.filter, points_, query.candidate_ranges));
-  costs.filter_seconds = filter_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(query.CheckControl());
-  costs.points_scanned = selection.ids.size();
-
-  const float* attr = nullptr;
-  if (query.aggregate.NeedsAttribute()) {
-    attr = points_.AttributeByName(query.aggregate.attribute);
-  }
-  auto value_of = [&](std::uint32_t id) {
-    return attr ? static_cast<double>(attr[id]) : 1.0;
-  };
+  URBANE_ASSIGN_OR_RETURN(const std::vector<internal::SourcePass> passes,
+                          internal::FilterSources(sources_, query, costs));
 
   const std::size_t num_regions = regions_.size();
   PartialResult result;
   result.regions.resize(num_regions);
 
   WallTimer reduce_timer;
-  for (std::size_t r = 0; r < num_regions; ++r) {
-    Accumulator& acc = result.regions[r];
-    for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
-      grid_.ClassifyCells(
-          part,
-          /*interior=*/
-          [&](int cx, int cy) {
-            const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
-            const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
-            for (const std::uint32_t* it = cell_begin; it != cell_end; ++it) {
-              if (selection.bitmap[*it] == 0) {
-                continue;
-              }
-              acc.Add(value_of(*it));
-              ++costs.points_bulk;
-            }
-          },
-          /*boundary=*/
-          [&](int cx, int cy) {
-            const std::uint32_t* cell_begin = grid_.CellBegin(cx, cy);
-            const std::uint32_t* cell_end = grid_.CellEnd(cx, cy);
-            for (const std::uint32_t* it = cell_begin; it != cell_end; ++it) {
-              if (selection.bitmap[*it] == 0) {
-                continue;
-              }
-              ++costs.pip_tests;
-              const geometry::Vec2 p{points_.x(*it), points_.y(*it)};
-              if (part.Contains(p)) {
+  for (std::size_t s = 0; s < sources_.size(); ++s) {
+    // A source nothing selected adds nothing (and has no bitmap to probe).
+    if (passes[s].selection.ids.empty()) continue;
+    const data::PointTable& table = *sources_[s].table;
+    const index::GridIndex& grid = *sources_[s].grid;
+    const std::uint8_t* bitmap = passes[s].selection.bitmap.data();
+    const float* attr = passes[s].attr;
+    auto value_of = [attr](std::uint32_t id) {
+      return attr ? static_cast<double>(attr[id]) : 1.0;
+    };
+    for (std::size_t r = 0; r < num_regions; ++r) {
+      Accumulator& acc = result.regions[r];
+      for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
+        grid.ClassifyCells(
+            part,
+            /*interior=*/
+            [&](int cx, int cy) {
+              const std::uint32_t* cell_end = grid.CellEnd(cx, cy);
+              for (const std::uint32_t* it = grid.CellBegin(cx, cy);
+                   it != cell_end; ++it) {
+                if (bitmap[*it] == 0) continue;
                 acc.Add(value_of(*it));
+                ++costs.points_bulk;
               }
-            }
-          });
+            },
+            /*boundary=*/
+            [&](int cx, int cy) {
+              const std::uint32_t* cell_end = grid.CellEnd(cx, cy);
+              for (const std::uint32_t* it = grid.CellBegin(cx, cy);
+                   it != cell_end; ++it) {
+                if (bitmap[*it] == 0) continue;
+                ++costs.pip_tests;
+                const geometry::Vec2 p{table.x(*it), table.y(*it)};
+                if (part.Contains(p)) {
+                  acc.Add(value_of(*it));
+                }
+              }
+            });
+      }
     }
   }
   costs.reduce_seconds = reduce_timer.ElapsedSeconds();
@@ -93,6 +103,14 @@ StatusOr<PartialResult> IndexJoin::ExecutePartial(
   costs.query_seconds = timer.ElapsedSeconds();
   PublishExecution(*this, "index", 1, costs, query.profile);
   return result;
+}
+
+std::size_t IndexJoin::MemoryBytes() const {
+  std::size_t total = 0;
+  for (const IndexSource& source : sources_) {
+    total += source.grid->MemoryBytes();
+  }
+  return total;
 }
 
 }  // namespace urbane::core

@@ -1,6 +1,11 @@
 #include "core/quadtree_join.h"
 
+#include <array>
+#include <vector>
+
+#include "core/index_join.h"
 #include "core/observe.h"
+#include "core/raster_join.h"
 #include "util/timer.h"
 
 namespace urbane::core {
@@ -8,17 +13,13 @@ namespace urbane::core {
 StatusOr<std::unique_ptr<QuadtreeJoin>> QuadtreeJoin::Create(
     const data::PointTable& points, const data::RegionSet& regions,
     const QuadtreeJoinOptions& options) {
-  geometry::BoundingBox bounds = points.Bounds();
-  if (bounds.IsEmpty()) {
-    bounds = geometry::BoundingBox(0, 0, 1, 1);
-  }
-  bounds = bounds.Expanded(1e-6 * std::max(1.0, bounds.Width()));
   index::QuadtreeOptions tree_options;
   tree_options.max_points_per_leaf = options.max_points_per_leaf;
   tree_options.max_depth = options.max_depth;
   URBANE_ASSIGN_OR_RETURN(
       index::Quadtree tree,
-      index::Quadtree::Build(points.xs(), points.ys(), points.size(), bounds,
+      index::Quadtree::Build(points.xs(), points.ys(), points.size(),
+                             PointIndexBounds(points, regions),
                              tree_options));
   return std::unique_ptr<QuadtreeJoin>(
       new QuadtreeJoin(points, regions, std::move(tree)));
@@ -34,18 +35,11 @@ StatusOr<PartialResult> QuadtreeJoin::ExecutePartial(
   obs::ProfilePassCosts costs;
   WallTimer timer;
 
-  WallTimer filter_timer;
-  URBANE_ASSIGN_OR_RETURN(
-      FilterSelection selection,
-      EvaluateFilter(query.filter, points_, query.candidate_ranges));
-  costs.filter_seconds = filter_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(query.CheckControl());
-  costs.points_scanned = selection.ids.size();
-
-  const float* attr = nullptr;
-  if (query.aggregate.NeedsAttribute()) {
-    attr = points_.AttributeByName(query.aggregate.attribute);
-  }
+  const std::array<const data::PointTable*, 1> sources = {&points_};
+  URBANE_ASSIGN_OR_RETURN(const std::vector<internal::SourcePass> passes,
+                          internal::FilterSources(sources, query, costs));
+  const FilterSelection& selection = passes.front().selection;
+  const float* attr = passes.front().attr;
   auto value_of = [&](std::uint32_t id) {
     return attr ? static_cast<double>(attr[id]) : 1.0;
   };
@@ -53,7 +47,10 @@ StatusOr<PartialResult> QuadtreeJoin::ExecutePartial(
   PartialResult result;
   result.regions.resize(regions_.size());
   WallTimer reduce_timer;
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
+  // An empty selection adds nothing, and one with no candidate row has no
+  // bitmap to probe.
+  const std::size_t num_regions = selection.ids.empty() ? 0 : regions_.size();
+  for (std::size_t r = 0; r < num_regions; ++r) {
     Accumulator& acc = result.regions[r];
     for (const geometry::Polygon& part : regions_[r].geometry.parts()) {
       tree_.Query(

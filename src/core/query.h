@@ -87,12 +87,11 @@ struct AggregationQuery {
   /// query's filter): rows outside these ranges are known not to match the
   /// filter, so EvaluateFilter's predicate kernels never read them.
   /// Null — the in-memory common case — means all rows are candidates.
-  /// The facade sets it per component (for a composed raster join, over
-  /// the components' concatenated rows, which the join splits back per
-  /// component) and the sharded executor per shard; the facade ignores a
-  /// caller's. Borrowed for the duration of the
-  /// executor call; not part of the query's identity, since pruning never
-  /// changes results (see ZoneMapIndex).
+  /// The facade sets it over the components' concatenated rows, which a
+  /// composed executor splits back per component, and the sharded executor
+  /// per shard; the facade ignores a caller's. Borrowed for the duration of
+  /// the executor call; not part of the query's identity, since pruning
+  /// never changes results (see ZoneMapIndex).
   const RowRangeSet* candidate_ranges = nullptr;
 
   /// Pass-boundary deadline poll (see QueryControl).
@@ -120,8 +119,7 @@ class SpatialAggregationExecutor {
   /// Executes the query over the rows it selects (all rows, or
   /// `query.candidate_ranges`), producing one unfinalized accumulator per
   /// region (region order). Partials over disjoint rows merge with
-  /// PartialResult::Merge — the sharded executor composes shards and the
-  /// facade composes scan and index components that way.
+  /// PartialResult::Merge — the sharded executor composes shards that way.
   virtual StatusOr<PartialResult> ExecutePartial(
       const AggregationQuery& query) const = 0;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "core/observe.h"
 #include "core/raster_targets.h"
@@ -137,29 +136,8 @@ StatusOr<std::vector<SourcePass>> FilterAndSplat(
     const RasterRegionState& region, const RasterSources& sources,
     const AggregationQuery& query, bool need_abs_sum,
     AggregateTargets& targets, obs::ProfilePassCosts& costs) {
-  // --- filter: each source over its slice of the candidate rows ---
-  WallTimer filter_timer;
-  std::vector<SourcePass> passes(sources.size());
-  std::uint64_t first = 0;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    const data::PointTable& table = *sources[s]->table;
-    const std::uint64_t end = first + table.size();
-    std::optional<RowRangeSet> slice;
-    if (query.candidate_ranges != nullptr) {
-      slice = SliceRowRanges(*query.candidate_ranges, first, end);
-    }
-    first = end;
-    if (slice.has_value() && slice->empty()) continue;
-    URBANE_ASSIGN_OR_RETURN(
-        passes[s].selection,
-        EvaluateFilter(query.filter, table, slice ? &*slice : nullptr));
-    if (query.aggregate.NeedsAttribute()) {
-      passes[s].attr = table.AttributeByName(query.aggregate.attribute);
-    }
-    costs.points_scanned += passes[s].selection.ids.size();
-  }
-  costs.filter_seconds += filter_timer.ElapsedSeconds();
-  URBANE_RETURN_IF_ERROR(query.CheckControl());
+  URBANE_ASSIGN_OR_RETURN(std::vector<SourcePass> passes,
+                          FilterSources(sources, query, costs));
 
   // --- pass 1: splat every source onto the one canvas (pixel indices
   //     computed once per source, SIMD, and shared by every target) ---

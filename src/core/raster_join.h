@@ -2,6 +2,7 @@
 #define URBANE_CORE_RASTER_JOIN_H_
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -9,10 +10,12 @@
 #include "core/query.h"
 #include "core/raster_targets.h"
 #include "core/region_spans.h"
+#include "core/row_range.h"
 #include "obs/profile.h"
 #include "raster/buffer.h"
 #include "raster/morton.h"
 #include "raster/viewport.h"
+#include "util/timer.h"
 
 namespace urbane::core {
 
@@ -112,21 +115,66 @@ struct RasterPointSource {
 /// `candidate_ranges` address.
 using RasterSources = std::vector<std::shared_ptr<const RasterPointSource>>;
 
+/// The table a point source reads, for internal::FilterSources: a plain
+/// table (the scan and quadtree joins) or a raster source's.
+inline const data::PointTable& SourceTable(const data::PointTable* table) {
+  return *table;
+}
+inline const data::PointTable& SourceTable(
+    const std::shared_ptr<const RasterPointSource>& source) {
+  return *source->table;
+}
+
 namespace internal {
 
-/// One source's share of a raster query: its filter selection (source-local
-/// row ids) and the aggregate's attribute column (null for COUNT).
+/// One source's share of a query: its filter selection (source-local row
+/// ids; empty, bitmap included, for a source with no candidate row) and
+/// the aggregate's attribute column (null for COUNT).
 struct SourcePass {
   FilterSelection selection;
   const float* attr = nullptr;
 };
 
-/// Pass 1 of both raster joins. Filters every source over its slice of
-/// `query.candidate_ranges` (a source with no candidate row is skipped),
-/// then splats the selected rows into `targets` — prepared for the query's
-/// aggregate — source after source, so each pixel accumulates its points
-/// in concatenated-row order. Adds the filter and splat times and
-/// `points_scanned` to `costs`; polls the query's deadline after each pass.
+/// The filter half of every executor over an ordered list of point
+/// sources, each naming its table through a SourceTable overload; their
+/// rows concatenated in this order form the row space
+/// `query.candidate_ranges` addresses. Filters each source over its slice
+/// of those ranges, skipping a source with no candidate row, and looks up
+/// the aggregate's attribute column. Adds the filter time and
+/// `points_scanned` to `costs`, then polls the query's deadline once.
+template <typename Sources>
+StatusOr<std::vector<SourcePass>> FilterSources(const Sources& sources,
+                                                const AggregationQuery& query,
+                                                obs::ProfilePassCosts& costs) {
+  WallTimer timer;
+  std::vector<SourcePass> passes(sources.size());
+  std::uint64_t first = 0;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const data::PointTable& table = SourceTable(sources[s]);
+    const std::uint64_t end = first + table.size();
+    std::optional<RowRangeSet> slice;
+    if (query.candidate_ranges != nullptr) {
+      slice = SliceRowRanges(*query.candidate_ranges, first, end);
+    }
+    first = end;
+    if (slice.has_value() && slice->empty()) continue;
+    URBANE_ASSIGN_OR_RETURN(
+        passes[s].selection,
+        EvaluateFilter(query.filter, table, slice ? &*slice : nullptr));
+    if (query.aggregate.NeedsAttribute()) {
+      passes[s].attr = table.AttributeByName(query.aggregate.attribute);
+    }
+    costs.points_scanned += passes[s].selection.ids.size();
+  }
+  costs.filter_seconds += timer.ElapsedSeconds();
+  URBANE_RETURN_IF_ERROR(query.CheckControl());
+  return passes;
+}
+
+/// Pass 1 of both raster joins: FilterSources, then splats the selected
+/// rows into `targets` — prepared for the query's aggregate — source after
+/// source, so each pixel accumulates its points in concatenated-row order.
+/// Adds the splat time to `costs` and polls the query's deadline again.
 StatusOr<std::vector<SourcePass>> FilterAndSplat(
     const RasterRegionState& region, const RasterSources& sources,
     const AggregationQuery& query, bool need_abs_sum,

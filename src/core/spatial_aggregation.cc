@@ -12,6 +12,7 @@
 #include "obs/obs.h"
 #include "obs/profile.h"
 #include "obs/slow_query_log.h"
+#include "shard/sharded_executor.h"
 #include "util/timer.h"
 
 namespace urbane::core {
@@ -58,9 +59,9 @@ void SpatialAggregation::SetComponents(std::vector<Component> components) {
   }
   components_ = std::move(next);
   if (changed) {
-    // The composed raster executors list the old components; the region-
-    // side state they share stays.
-    for (RasterJoinState& join : raster_) join.executor.reset();
+    // The composed executors list the old components; the region- and
+    // point-side state they share stays.
+    for (auto& executor : executors_) executor.reset();
   }
 }
 
@@ -80,11 +81,12 @@ shard::ShardedExecutorOptions ShardOptions(
 }
 
 // Zone-map pruning of a store-backed component: the blocks `filter` rules
-// out, booked into `part` and the store.* counters. Empty for an in-memory
-// component or a trivial filter, which prune nothing.
+// out, booked into `profile` (when attached) and the store.* counters.
+// Empty for an in-memory component or a trivial filter, which prune
+// nothing.
 std::optional<PruneResult> PruneComponent(
     const SpatialAggregation::Component& rows, const FilterSpec& filter,
-    obs::QueryProfile& part) {
+    obs::QueryProfile* profile) {
   if (rows.zone_maps == nullptr || filter.IsTrivial()) {
     return std::nullopt;
   }
@@ -94,89 +96,89 @@ std::optional<PruneResult> PruneComponent(
     registry.GetCounter("store.blocks_pruned").Add(prune.blocks_pruned);
     registry.GetCounter("store.rows_pruned").Add(prune.rows_pruned);
   }
-  part.blocks_total += prune.blocks_total;
-  part.blocks_pruned += prune.blocks_pruned;
-  part.rows_pruned += prune.rows_pruned;
+  if (profile != nullptr) {
+    profile->blocks_total += prune.blocks_total;
+    profile->blocks_pruned += prune.blocks_pruned;
+    profile->rows_pruned += prune.rows_pruned;
+  }
   return prune;
 }
 
 }  // namespace
 
 StatusOr<const SpatialAggregationExecutor*> SpatialAggregation::ExecutorLocked(
-    ComponentState& component, ExecutionMethod method, PrepareTally* tally) {
-  const data::PointTable& table = *component.rows.table;
-  const std::size_t n = num_shards_.load(std::memory_order_relaxed);
-  if (n > 1) {
-    std::unique_ptr<shard::ShardedExecutor>& slot =
-        component.sharded[MethodIndex(method)];
-    if (!slot) {
-      WallTimer timer;
-      URBANE_ASSIGN_OR_RETURN(
-          slot, shard::ShardedExecutor::Create(
-                    table, regions_, method, ShardOptions(component.rows, n),
-                    raster_options_, index_options_));
-      tally->seconds += timer.ElapsedSeconds();
-    }
+    ExecutionMethod method, PrepareTally* tally) {
+  std::unique_ptr<SpatialAggregationExecutor>& slot =
+      executors_[MethodIndex(method)];
+  if (slot) {
     return static_cast<const SpatialAggregationExecutor*>(slot.get());
   }
-  std::unique_ptr<SpatialAggregationExecutor>& slot =
-      component.plain[MethodIndex(method)];
-  if (!slot) {
-    WallTimer timer;
-    if (method == ExecutionMethod::kScan) {
-      URBANE_ASSIGN_OR_RETURN(slot, ScanJoin::Create(table, regions_));
-    } else {
-      URBANE_ASSIGN_OR_RETURN(
-          slot, IndexJoin::Create(table, regions_, index_options_));
-    }
-    tally->seconds += timer.ElapsedSeconds();
-  }
-  return static_cast<const SpatialAggregationExecutor*>(slot.get());
-}
-
-StatusOr<const SpatialAggregationExecutor*>
-SpatialAggregation::RasterExecutorLocked(ExecutionMethod method,
-                                         PrepareTally* tally) {
-  RasterJoinState& join = raster_[RasterIndex(method)];
-  if (join.executor) {
-    return static_cast<const SpatialAggregationExecutor*>(
-        join.executor.get());
-  }
   WallTimer timer;
-  const bool accurate = method == ExecutionMethod::kAccurateRaster;
-  if (!join.region) {
-    URBANE_ASSIGN_OR_RETURN(
-        const raster::Viewport canvas,
-        MakeValidatedCanvas(regions_, raster_options_.resolution));
-    if (accurate) {
-      URBANE_ASSIGN_OR_RETURN(
-          join.region, AccurateRasterJoin::BuildRegionState(regions_, canvas));
-    } else {
-      URBANE_ASSIGN_OR_RETURN(join.region,
-                              BoundedRasterJoin::BuildRegionState(
-                                  regions_, canvas, raster_options_));
-    }
-    ++tally->region_states;
-  }
-  RasterSources sources;
   std::uint64_t rows = 0;
-  for (ComponentState& component : components_) {
-    std::shared_ptr<const RasterPointSource>& source =
-        component.raster[RasterIndex(method)];
-    if (!source) {
-      source = RasterPointSource::Build(*join.region, *component.rows.table);
-      ++tally->point_states;
-    }
-    sources.push_back(source);
+  for (const ComponentState& component : components_) {
     rows += component.rows.table->size();
   }
   std::unique_ptr<SpatialAggregationExecutor> executor;
-  if (accurate) {
-    executor = std::make_unique<AccurateRasterJoin>(
-        points_, regions_, join.region, std::move(sources));
+  if (method == ExecutionMethod::kScan) {
+    if (!rtree_) {
+      URBANE_ASSIGN_OR_RETURN(rtree_, ScanJoin::BuildRegionIndex(regions_));
+      ++tally->region_states;
+    }
+    std::vector<const data::PointTable*> sources;
+    for (const ComponentState& component : components_) {
+      sources.push_back(component.rows.table);
+    }
+    executor = std::make_unique<ScanJoin>(points_, regions_, rtree_,
+                                          std::move(sources));
+  } else if (method == ExecutionMethod::kIndexJoin) {
+    std::vector<IndexSource> sources;
+    for (ComponentState& component : components_) {
+      if (!component.grid) {
+        URBANE_ASSIGN_OR_RETURN(
+            component.grid,
+            IndexJoin::BuildGrid(*component.rows.table, regions_,
+                                 index_options_));
+        ++tally->point_states;
+      }
+      sources.push_back({component.rows.table, component.grid});
+    }
+    executor =
+        std::make_unique<IndexJoin>(points_, regions_, std::move(sources));
   } else {
-    executor = std::make_unique<BoundedRasterJoin>(
-        points_, regions_, raster_options_, join.region, std::move(sources));
+    const bool accurate = method == ExecutionMethod::kAccurateRaster;
+    std::shared_ptr<const RasterRegionState>& region =
+        raster_regions_[RasterIndex(method)];
+    if (!region) {
+      URBANE_ASSIGN_OR_RETURN(
+          const raster::Viewport canvas,
+          MakeValidatedCanvas(regions_, raster_options_.resolution));
+      if (accurate) {
+        URBANE_ASSIGN_OR_RETURN(
+            region, AccurateRasterJoin::BuildRegionState(regions_, canvas));
+      } else {
+        URBANE_ASSIGN_OR_RETURN(region,
+                                BoundedRasterJoin::BuildRegionState(
+                                    regions_, canvas, raster_options_));
+      }
+      ++tally->region_states;
+    }
+    RasterSources sources;
+    for (ComponentState& component : components_) {
+      std::shared_ptr<const RasterPointSource>& source =
+          component.raster[RasterIndex(method)];
+      if (!source) {
+        source = RasterPointSource::Build(*region, *component.rows.table);
+        ++tally->point_states;
+      }
+      sources.push_back(source);
+    }
+    if (accurate) {
+      executor = std::make_unique<AccurateRasterJoin>(points_, regions_, region,
+                                                      std::move(sources));
+    } else {
+      executor = std::make_unique<BoundedRasterJoin>(
+          points_, regions_, raster_options_, region, std::move(sources));
+    }
   }
   const std::size_t n = num_shards_.load(std::memory_order_relaxed);
   if (n > 1) {
@@ -184,9 +186,9 @@ SpatialAggregation::RasterExecutorLocked(ExecutionMethod method,
         std::move(executor), rows, method,
         ShardOptions(components_.front().rows, n));
   }
-  join.executor = std::move(executor);
+  slot = std::move(executor);
   tally->seconds += timer.ElapsedSeconds();
-  return static_cast<const SpatialAggregationExecutor*>(join.executor.get());
+  return static_cast<const SpatialAggregationExecutor*>(slot.get());
 }
 
 void SpatialAggregation::set_num_shards(std::size_t num_shards) {
@@ -201,12 +203,7 @@ void SpatialAggregation::set_num_shards(std::size_t num_shards) {
     return;
   }
   num_shards_.store(num_shards, std::memory_order_release);
-  for (ComponentState& component : components_) {
-    for (std::unique_ptr<shard::ShardedExecutor>& slot : component.sharded) {
-      slot.reset();
-    }
-  }
-  for (RasterJoinState& join : raster_) join.executor.reset();
+  for (auto& executor : executors_) executor.reset();
   config_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -232,99 +229,54 @@ StatusOr<PartialResult> SpatialAggregation::ExecuteComponentsLocked(
   // lock) aborts here instead of paying for a doomed execution. Cache hits
   // are deliberately exempt: they are cheaper than the check is useful.
   URBANE_RETURN_IF_ERROR(query.CheckControl());
-  PartialResult merged;
   if (components_.empty()) {
     // No rows: the answer of an engine over zero rows.
-    merged.regions.resize(regions_.size());
+    PartialResult empty;
+    empty.regions.resize(regions_.size());
     if (method == ExecutionMethod::kBoundedRaster &&
         raster_options_.compute_error_bounds) {
-      merged.error_bounds.assign(regions_.size(), 0.0);
+      empty.error_bounds.assign(regions_.size(), 0.0);
     }
-    return merged;
+    return empty;
   }
   obs::QueryProfile* const profile = query.profile;
   PrepareTally tally;
-  // One executor pass over the rows of `points` — a component's table, or
-  // for a raster method every component's rows, concatenated — into a
-  // profile part of its own, folded into the caller's: one shared profile
-  // would keep only the last component's costs.
-  const auto run = [&](const SpatialAggregationExecutor& executor,
-                       const data::PointTable* points,
-                       const RowRangeSet* candidates,
-                       obs::QueryProfile& part) -> StatusOr<PartialResult> {
-    AggregationQuery pass = query;
-    pass.points = points;
-    pass.profile = profile != nullptr ? &part : nullptr;
-    pass.candidate_ranges = candidates;
-    // Thread-CPU attribution for the dispatch: exact for an unsharded
-    // executor; for a sharded pass it is the coordinator's share, and each
-    // shard row carries its own worker's CPU (DESIGN.md §12).
-    const double cpu_begin =
-        profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
-    URBANE_ASSIGN_OR_RETURN(PartialResult partial,
-                            executor.ExecutePartial(pass));
-    if (profile != nullptr) {
-      part.cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
-      if (!part.method.empty()) profile->method = part.method;
-      profile->AddComponent(part);
-    }
-    return partial;
-  };
-
-  if (Composes(method)) {
-    const SpatialAggregationExecutor* executor = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      URBANE_ASSIGN_OR_RETURN(executor, RasterExecutorLocked(method, &tally));
-    }
-    // Zone-map pruning per store-backed component, its candidate blocks
-    // offset by the component's first row in the concatenated row space.
-    // Computed after the cache probes (hits never pay for it).
-    obs::QueryProfile part;
-    std::vector<RowRange> candidates;
-    bool pruned = false;
-    std::uint64_t first = 0;
-    for (const ComponentState& component : components_) {
-      const std::uint64_t rows = component.rows.table->size();
-      if (std::optional<PruneResult> prune =
-              PruneComponent(component.rows, query.filter, part)) {
-        pruned = true;
-        for (const RowRange& range : prune->candidates.ranges()) {
-          candidates.push_back({first + range.begin, first + range.end});
-        }
-      } else {
-        candidates.push_back({first, first + rows});
-      }
-      first += rows;
-    }
-    const RowRangeSet candidate_set(std::move(candidates));
-    URBANE_ASSIGN_OR_RETURN(
-        merged, run(*executor, query.points,
-                    pruned ? &candidate_set : nullptr, part));
-  } else {
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-      const SpatialAggregationExecutor* executor = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        URBANE_ASSIGN_OR_RETURN(
-            executor, ExecutorLocked(components_[i], method, &tally));
-      }
-      obs::QueryProfile part;
-      const std::optional<PruneResult> prune =
-          PruneComponent(components_[i].rows, query.filter, part);
-      URBANE_ASSIGN_OR_RETURN(
-          PartialResult partial,
-          run(*executor, components_[i].rows.table,
-              prune ? &prune->candidates : nullptr, part));
-      if (i == 0) {
-        merged = std::move(partial);
-      } else {
-        URBANE_RETURN_IF_ERROR(merged.Merge(partial));
-      }
-    }
+  const SpatialAggregationExecutor* executor = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    URBANE_ASSIGN_OR_RETURN(executor, ExecutorLocked(method, &tally));
   }
+  // Zone-map pruning per store-backed component, its candidate blocks
+  // offset by the component's first row in the concatenated row space.
+  // Computed after the cache probes (hits never pay for it).
+  std::vector<RowRange> candidates;
+  bool pruned = false;
+  std::uint64_t first = 0;
+  for (const ComponentState& component : components_) {
+    const std::uint64_t rows = component.rows.table->size();
+    if (std::optional<PruneResult> prune =
+            PruneComponent(component.rows, query.filter, profile)) {
+      pruned = true;
+      for (const RowRange& range : prune->candidates.ranges()) {
+        candidates.push_back({first + range.begin, first + range.end});
+      }
+    } else {
+      candidates.push_back({first, first + rows});
+    }
+    first += rows;
+  }
+  const RowRangeSet candidate_set(std::move(candidates));
+  AggregationQuery pass = query;
+  pass.candidate_ranges = pruned ? &candidate_set : nullptr;
+  // Thread-CPU attribution for the dispatch: exact for an unsharded
+  // executor; for a sharded pass it is the coordinator's share, and each
+  // shard row carries its own worker's CPU (DESIGN.md §12).
+  const double cpu_begin = profile != nullptr ? obs::ThreadCpuSeconds() : 0.0;
+  URBANE_ASSIGN_OR_RETURN(PartialResult partial,
+                          executor->ExecutePartial(pass));
 
   if (profile != nullptr) {
+    profile->cpu_seconds += obs::ThreadCpuSeconds() - cpu_begin;
     profile->prepare_seconds += tally.seconds;
   }
   if (tally.seconds > 0.0 && obs::MetricsEnabled()) {
@@ -333,7 +285,7 @@ StatusOr<PartialResult> SpatialAggregation::ExecuteComponentsLocked(
     registry.GetCounter("query.region_state_builds").Add(tally.region_states);
     registry.GetCounter("query.point_state_builds").Add(tally.point_states);
   }
-  return merged;
+  return partial;
 }
 
 StatusOr<QueryResult> SpatialAggregation::ExecuteCached(
@@ -413,13 +365,11 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     profile.world = canvas_world_;
-    const std::size_t index = MethodIndex(ExecutionMethod::kIndexJoin);
     profile.has_point_index = !components_.empty();
     for (const ComponentState& component : components_) {
       profile.num_points += component.rows.table->size();
-      profile.has_point_index = profile.has_point_index &&
-                                (component.plain[index] != nullptr ||
-                                 component.sharded[index] != nullptr);
+      profile.has_point_index =
+          profile.has_point_index && component.grid != nullptr;
     }
     chosen = PlanQuery(profile, accuracy, raster_options_.resolution);
   }
@@ -447,16 +397,17 @@ StatusOr<QueryResult> SpatialAggregation::ExecuteAuto(
   // session can be mid-query on the old state) and bumps the config epoch,
   // which retires every cache entry computed at the old, coarser ε.
   if (chosen.method == ExecutionMethod::kBoundedRaster) {
-    std::scoped_lock rebuild(
-        method_mu_[MethodIndex(ExecutionMethod::kBoundedRaster)], state_mu_);
+    const std::size_t method = MethodIndex(ExecutionMethod::kBoundedRaster);
+    std::scoped_lock rebuild(method_mu_[method], state_mu_);
     if (chosen.resolution > raster_options_.resolution) {
       raster_options_.resolution = chosen.resolution;
       const std::size_t bounded =
           RasterIndex(ExecutionMethod::kBoundedRaster);
-      raster_[bounded] = RasterJoinState();
+      raster_regions_[bounded].reset();
       for (ComponentState& component : components_) {
         component.raster[bounded].reset();
       }
+      executors_[method].reset();
       config_epoch_.fetch_add(1, std::memory_order_acq_rel);
     }
   }

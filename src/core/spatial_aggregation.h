@@ -16,7 +16,8 @@
 #include "core/raster_join.h"
 #include "core/scan_join.h"
 #include "core/zone_map.h"
-#include "shard/sharded_executor.h"
+#include "index/grid_index.h"
+#include "index/rtree.h"
 
 namespace urbane::core {
 
@@ -27,21 +28,20 @@ namespace urbane::core {
 /// is one component (the constructor's `points`), and a live data set's
 /// snapshot is its base, then its runs, then its hot rows
 /// (ingest::LiveEngine hands them over with SetComponents). Each
-/// store-backed component is pruned by its own zone maps. The raster
-/// methods compose the components on one canvas: one executor splats every
-/// component into the query's one leased target set, in component order,
-/// and sweeps the regions once, so the answer is bit-identical to one table
-/// holding the concatenated rows. Scan and index run each component's own
-/// executor; their partials merge with PartialResult::Merge in component
-/// order and finalize once, exactly the merge a sharded pass applies to
-/// row-range shards.
+/// store-backed component is pruned by its own zone maps. Every method
+/// composes the components in one pass: one executor per method walks the
+/// components' rows in component order into one partial — the raster
+/// joins splat them into the query's one leased target set and sweep the
+/// regions once, the scan and index joins add source after source into
+/// one accumulator per region — so at one shard a raster or scan answer is
+/// bit-identical to one table holding the concatenated rows.
 ///
 /// Owns nothing heavy until first use; all of it is query-independent and
-/// reused. A raster method's region-side state (canvas, sweep geometry,
-/// render-target pool) is built once, on its first query, and each
-/// component's point-side state (its Morton order and boundary runs) on the
-/// first query that reaches it; scan and index build one executor per
-/// component. Typical use:
+/// reused. Each method's region-side state (the scan's R-tree; a raster
+/// method's canvas, sweep geometry and render-target pool) is built once,
+/// on its first query, and each component's point-side state (its index
+/// grid; its Morton order and boundary runs) on the first query that
+/// reaches it. Typical use:
 ///
 ///   SpatialAggregation engine(taxis, neighborhoods);
 ///   AggregationQuery q;
@@ -78,8 +78,8 @@ class SpatialAggregation {
     const ZoneMapIndex* zone_maps = nullptr;
     /// Keeps `table` alive while the engine holds the component, and names
     /// it: a component whose owner the engine already holds keeps the
-    /// executors built for it. Null for a table borrowed for the engine's
-    /// lifetime, which its address names.
+    /// point-side state built for it. Null for a table borrowed for the
+    /// engine's lifetime, which its address names.
     std::shared_ptr<const void> owner;
   };
 
@@ -105,10 +105,11 @@ class SpatialAggregation {
   void AttachZoneMaps(const ZoneMapIndex* zone_maps);
 
   /// Replaces the row components, in row order. Components already held
-  /// keep their point-side state and executors, and the raster region-side
-  /// state stays: the canvas covers the regions alone (CanvasWorld), so no
-  /// component, wherever its rows lie, moves it. Takes every method mutex,
-  /// so no query is in flight meanwhile.
+  /// keep their point-side state, and the region-side state stays: the
+  /// canvas covers the regions alone (CanvasWorld), so no component,
+  /// wherever its rows lie, moves it. A changed list drops only the
+  /// composed executors. Takes every method mutex, so no query is in flight
+  /// meanwhile.
   void SetComponents(std::vector<Component> components);
 
   /// Result cache (core::QueryCache): interactive sessions revisit query
@@ -132,14 +133,14 @@ class SpatialAggregation {
   void ClearResultCache() { cache_.Clear(); }
 
   /// Scatter-gather fan-out: with `num_shards > 1` a query runs as a
-  /// sharded pass — a raster method over the components' concatenated
-  /// rows, scan and index over each component — whose row space splits
-  /// into that many contiguous shards (block-aligned when the first
-  /// component has zone maps), each shard executes the chosen method
-  /// serially on the shared pool, and the partials merge per the
+  /// sharded pass over the components' concatenated rows, whose row space
+  /// splits into that many contiguous shards (block-aligned when the first
+  /// component has zone maps); each shard runs the method's composed
+  /// executor serially on the shared pool, and the partials merge per the
   /// shard-merge contract (PartialResult::Merge).
   /// 0 and 1 both mean unsharded. Takes every method mutex (no query can
-  /// be in flight on the old configuration) and bumps the config epoch, so
+  /// be in flight on the old configuration), drops the composed executors
+  /// — region- and point-side state stay — and bumps the config epoch, so
   /// cached results from a different fan-out can never hit.
   void set_num_shards(std::size_t num_shards);
   std::size_t num_shards() const {
@@ -153,9 +154,8 @@ class SpatialAggregation {
   }
 
   /// Fills in the query's points/regions and runs it with the given method:
-  /// a result-cache probe, then on a miss the dispatch loop (one composed
-  /// pass for a raster method, one pass per component merged in component
-  /// order for scan and index), finalized once.
+  /// a result-cache probe, then on a miss the method's one composed pass
+  /// over every component, finalized once.
   ///
   /// Telemetry: the query is observed once through core::ObserveQuery —
   /// journal `query.start` / `query.finish` (and `error`) events, the
@@ -190,71 +190,47 @@ class SpatialAggregation {
   static std::size_t MethodIndex(ExecutionMethod method) {
     return static_cast<std::size_t>(method);
   }
-  /// The raster methods compose every component on one canvas; scan and
-  /// index run once per component and merge.
-  static bool Composes(ExecutionMethod method) {
-    return method == ExecutionMethod::kBoundedRaster ||
-           method == ExecutionMethod::kAccurateRaster;
-  }
-  /// Slot of a raster method in `raster_` and ComponentState::raster.
+  /// Slot of a raster method in `raster_regions_` and
+  /// ComponentState::raster.
   static std::size_t RasterIndex(ExecutionMethod method) {
     return method == ExecutionMethod::kAccurateRaster ? 1 : 0;
   }
 
-  /// A component and the state built over its rows, lazily under
-  /// state_mu_: the scan and index executors by MethodIndex — the plain one
-  /// and the sharded wrapper used when `num_shards() > 1` (each owns the
-  /// one inner executor its shards share) — and each raster method's
-  /// point-side state by RasterIndex.
+  /// A component and the point-side state built over its rows, lazily
+  /// under state_mu_: the index join's grid and each raster method's
+  /// point source by RasterIndex.
   struct ComponentState {
     Component rows;
-    std::array<std::unique_ptr<SpatialAggregationExecutor>, 2> plain;
-    std::array<std::unique_ptr<shard::ShardedExecutor>, 2> sharded;
+    std::shared_ptr<const index::GridIndex> grid;
     std::array<std::shared_ptr<const RasterPointSource>, 2> raster;
   };
 
-  /// One raster method's join over every component, built lazily under
-  /// state_mu_: the region-side state, built once and dropped only by a
-  /// finer bounded resolution, and the executor composing every
-  /// component's point-side state on it (inside a sharded wrapper when
-  /// `num_shards() > 1`), rebuilt after the components or the fan-out
-  /// change.
-  struct RasterJoinState {
-    std::shared_ptr<const RasterRegionState> region;
-    std::unique_ptr<SpatialAggregationExecutor> executor;
-  };
-
-  /// What one query's executor lookups built: the time it took (the
-  /// profile's `prepare_seconds`) and the raster region- and point-side
-  /// states among it.
+  /// What one query's executor lookup built: the time it took (the
+  /// profile's `prepare_seconds`) and the region- and point-side states
+  /// among it.
   struct PrepareTally {
     double seconds = 0.0;
     std::uint64_t region_states = 0;
     std::uint64_t point_states = 0;
   };
 
-  /// The executor a scan or index query runs on `component` at the current
-  /// fan-out, built on first use. Requires state_mu_ held.
+  /// The composed executor a query of `method` runs over every component
+  /// at the current fan-out, building whatever it lacks, in order: the
+  /// method's region-side state, each component's point-side state, then
+  /// the executor (inside a sharded wrapper when `num_shards() > 1`).
+  /// Requires state_mu_ held.
   StatusOr<const SpatialAggregationExecutor*> ExecutorLocked(
-      ComponentState& component, ExecutionMethod method,
-      PrepareTally* tally);
-
-  /// The composed executor a raster query of `method` runs over every
-  /// component, building whatever state it lacks. Requires state_mu_ held.
-  StatusOr<const SpatialAggregationExecutor*> RasterExecutorLocked(
       ExecutionMethod method, PrepareTally* tally);
 
-  /// The dispatch loop: validates, polls the deadline, then runs the
-  /// query. A raster method runs its composed executor once, over the
-  /// components' concatenated rows, each store-backed component pruned by
-  /// its own zone maps; scan and index run every component (zone-map
-  /// pruning, its executor, its own profile part folded in with
-  /// QueryProfile::AddComponent) and merge the partials in component
-  /// order. Requires the method's mutex held.
+  /// The dispatch: validates, polls the deadline, prunes each store-backed
+  /// component by its own zone maps into candidate ranges over the
+  /// components' concatenated rows, then runs the method's composed
+  /// executor once on the caller's profile. Requires the method's mutex
+  /// held.
   StatusOr<PartialResult> ExecuteComponentsLocked(
       const AggregationQuery& query, ExecutionMethod method);
 
-  /// The baseline query path (cache probe + the dispatch loop on a miss),
+  /// The baseline query path (cache probe + the dispatch on a miss),
   /// free of per-query observation. `cache_hit`, when non-null, reports
   /// whether the result came from the cache.
   StatusOr<QueryResult> ExecuteCached(const AggregationQuery& query,
@@ -271,7 +247,8 @@ class SpatialAggregation {
   const data::RegionSet& regions_;
   const IndexJoinOptions index_options_;
 
-  /// Guards the components and their state, raster_ and raster_options_.
+  /// Guards the components and their state, the region-side state, the
+  /// executors and raster_options_.
   mutable std::mutex state_mu_;
   /// Serializes Execute per method: protects in-flight executions against
   /// a concurrent rebuild and caps render-target memory (see the class
@@ -285,8 +262,15 @@ class SpatialAggregation {
   /// The resolution ratchets in ExecuteAuto.
   RasterJoinOptions raster_options_;
   std::vector<ComponentState> components_;
-  /// By RasterIndex.
-  std::array<RasterJoinState, 2> raster_;
+  /// Region-side state, built once per facade: the scan's R-tree and each
+  /// raster method's region state by RasterIndex (a finer bounded
+  /// resolution drops the bounded one).
+  std::shared_ptr<const index::RTree> rtree_;
+  std::array<std::shared_ptr<const RasterRegionState>, 2> raster_regions_;
+  /// Each method's composed executor by MethodIndex; rebuilt after the
+  /// components or the fan-out change.
+  std::array<std::unique_ptr<SpatialAggregationExecutor>, kNumMethods>
+      executors_;
 
   std::atomic<std::size_t> num_shards_{1};
   std::atomic<std::uint64_t> config_epoch_{0};

@@ -35,9 +35,8 @@ void LiveEngine::RefreshLocked(std::uint64_t* watermark) {
   if (snapshot.hot_rows == 0) {
     hot_.reset();
   } else {
-    // The facade keeps point-side state and executors per component owner,
-    // so an unchanged hot prefix (same generation, same rows) keeps its
-    // view.
+    // The facade keeps point-side state per component owner, so an
+    // unchanged hot prefix (same generation, same rows) keeps its view.
     if (hot_ == nullptr || hot_->generation != snapshot.hot_generation ||
         hot_->table.size() != snapshot.hot_rows) {
       auto hot = std::make_shared<HotView>();

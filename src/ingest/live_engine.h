@@ -9,25 +9,24 @@
 // the watermark it reports is exactly the row count it executed over.
 // Under its mutex the engine hands the snapshot's components (base, runs in
 // generation order, hot) to its one facade (SpatialAggregation::
-// SetComponents) and asks that facade for the answer. A raster query
-// composes the components on one canvas: each splats into the query's one
-// leased target set, in component order, and the regions sweep once, so
-// an append costs only the new hot rows' point-side state (Morton order,
-// boundary runs) while the region-side state stays built. Scan and index
-// run each component's executor and merge the partials in component order
-// with PartialResult::Merge — exactly the merge a sharded engine applies to
-// row-range shards: a component is just a shard whose boundary is a run
-// boundary. Zone maps prune the store-backed components, and the
-// configured shard fan-out splits the composed rows (raster) or each
-// component (scan, index). The facade also observes, caches and plans the
-// query as it does for a static data set, ε ratchet and `planner.choose`
-// event included. The raster canvas covers the regions alone
-// (core::CanvasWorld), so it is the canvas a stop-the-world engine over the
-// concatenated rows uses, and no append moves it, wherever its rows lie:
-// the ingest-equivalence oracle in tests/ingest/live_engine_test.cc
-// checks bit-identity per executor, aggregate, filter and shard fan-out on
-// dyadic data, and for the raster methods at one shard on arbitrary
-// floats (each pixel accumulates in concatenated-row order).
+// SetComponents) and asks that facade for the answer. Every method
+// composes the components in one pass, in component order: a raster query
+// splats each into the query's one leased target set and sweeps the
+// regions once, a scan or index query adds each into one accumulator per
+// region. So an append costs only the new hot rows' point-side state
+// (index grid, Morton order, boundary runs) while the region-side state
+// (R-tree, canvas, sweep geometry) stays built. Zone maps prune the
+// store-backed components, and the configured shard fan-out splits the
+// composed rows. The facade also observes, caches and plans the query as
+// it does for a static data set, ε ratchet and `planner.choose` event
+// included. The raster canvas covers the regions alone (core::CanvasWorld),
+// so it is the canvas a stop-the-world engine over the concatenated rows
+// uses, and no append moves it, wherever its rows lie: the
+// ingest-equivalence oracle in tests/ingest/live_engine_test.cc checks
+// bit-identity per executor, aggregate, filter and shard fan-out on dyadic
+// data, and for the raster methods and the scan at one shard on arbitrary
+// floats (each pixel and each region accumulates in concatenated-row
+// order; the index join adds each component along its own grid).
 //
 // Result caching & watermark semantics: the facade's QueryCache keys
 // deliberately exclude the watermark. Appends invalidate by *time overlap*
@@ -56,8 +55,7 @@ struct LiveEngineOptions {
   core::RasterJoinOptions raster_options;
   core::IndexJoinOptions index_options;
   /// Shard fan-out (1 = unsharded): the engine's only parallelism setting.
-  /// A raster query shards the components' concatenated rows, a scan or
-  /// index query each component.
+  /// A query of any method shards the components' concatenated rows.
   std::size_t num_shards = 1;
   /// Result cache bound (0 disables, like the facade's default).
   std::size_t cache_entries = 0;
@@ -79,8 +77,7 @@ class LiveEngine {
   /// flushes; concurrent Execute calls serialize on the engine mutex. The
   /// facade observes the query once, after the snapshot refresh, and a
   /// query profile describes the whole composed run: the cache outcome, the
-  /// one composed raster pass or the scan/index components' costs summed
-  /// (obs::QueryProfile::AddComponent), and the state the query built
+  /// one pass over every component, and the state the query built
   /// (`prepare_seconds`).
   StatusOr<core::QueryResult> Execute(core::AggregationQuery query,
                                       core::ExecutionMethod method,

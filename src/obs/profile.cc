@@ -1,6 +1,5 @@
 #include "obs/profile.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <ctime>
@@ -130,16 +129,6 @@ double ThreadCpuSeconds() {
 #else
   return 0.0;
 #endif
-}
-
-void ProfilePassCosts::Add(const ProfilePassCosts& other) {
-  AddCounters(other);
-  filter_seconds += other.filter_seconds;
-  splat_seconds += other.splat_seconds;
-  sweep_seconds += other.sweep_seconds;
-  reduce_seconds += other.reduce_seconds;
-  refine_seconds += other.refine_seconds;
-  query_seconds += other.query_seconds;
 }
 
 void ProfilePassCosts::AddCounters(const ProfilePassCosts& other) {
@@ -287,21 +276,6 @@ std::string QueryProfile::ToTable() const {
     }
   }
   return out;
-}
-
-void QueryProfile::AddComponent(const QueryProfile& component) {
-  cpu_seconds += component.cpu_seconds;
-  blocks_total += component.blocks_total;
-  blocks_pruned += component.blocks_pruned;
-  rows_pruned += component.rows_pruned;
-  threads_used = std::max(threads_used, component.threads_used);
-  totals.Add(component.totals);
-  scatter_seconds += component.scatter_seconds;
-  merge_seconds += component.merge_seconds;
-  for (ShardProfileEntry shard : component.shards) {
-    shard.index = shards.size();
-    shards.push_back(shard);
-  }
 }
 
 void CanonicalizeProfileJson(data::JsonValue* doc) {

@@ -24,12 +24,12 @@
 // site, preserving the obs-off == baseline contract. All mutation happens
 // on the coordinator thread; each shard task writes its own slot profile
 // on a pool worker, and the slots are folded in after the gather fence
-// (see shard/sharded_executor.cc). The facade runs one executor pass for a
-// raster query, composed over every row component (one for a static data
-// set; base, runs and hot rows for a live one), and one pass per component
-// for scan and index; it folds each pass's profile part into the caller's
-// with QueryProfile::AddComponent, and adds the time the query spent
-// building executor state as `prepare_seconds`.
+// (see shard/sharded_executor.cc). The facade runs one executor pass per
+// query, whatever the method, composed over every row component (one for a
+// static data set; base, runs and hot rows for a live one), and hands that
+// pass this profile; it books zone-map pruning and the coordinator's
+// thread-CPU time here itself, and adds the time the query spent building
+// executor state as `prepare_seconds`.
 //
 // Determinism contract (DESIGN.md §12): for a fixed shard count every
 // structural and counter field of the profile is bit-stable
@@ -109,10 +109,7 @@ struct ProfilePassCosts {
                                       // is attached)
   double query_seconds = 0.0;         // the whole ExecutePartial call
 
-  /// Adds another execution's counters and seconds to this one.
-  void Add(const ProfilePassCosts& other);
-
-  /// Adds only another execution's counters. Shards run concurrently, so
+  /// Adds another execution's counters. Shards run concurrently, so
   /// their pass times overlap and are not summed; the coordinator clocks
   /// its own.
   void AddCounters(const ProfilePassCosts& other);
@@ -148,9 +145,9 @@ struct QueryProfile {
   double wall_seconds = 0.0;        // facade Execute wall time
   double cpu_seconds = 0.0;         // coordinator thread-CPU inside Execute
   double prepare_seconds = 0.0;     // building the executor state the
-                                    // query needed (raster region- and
-                                    // point-side state, scan and index
-                                    // executors); 0 when all was built
+                                    // query needed (any method's region-
+                                    // and point-side state and composed
+                                    // executor); 0 when all was built
 
   /// Store layer (zone-map pruning; zero when no store is attached).
   std::uint64_t blocks_total = 0;
@@ -175,17 +172,6 @@ struct QueryProfile {
   /// Aligned text rendering for `explain analyze` — same structure as the
   /// JSON: header lines, a totals row, then one row per shard.
   std::string ToTable() const;
-
-  /// Folds one executor pass's part of an execution (the facade runs one
-  /// composed pass for a raster query, and for scan and index one pass per
-  /// component, in order: one for a static data set; base, runs and hot
-  /// rows for a live one) into this profile: CPU time,
-  /// pruning, pass costs, and scatter/merge times add up, `threads_used`
-  /// is the maximum, and per-shard rows append with their indexes
-  /// continued (row ranges stay relative to the pass's rows). Request,
-  /// method, planner, cache, wall and prepare fields are the facade's to
-  /// set.
-  void AddComponent(const QueryProfile& component);
 };
 
 /// Zeroes every measured (`*_seconds`) field of an urbane.profile.v1

@@ -7,6 +7,17 @@
 
 namespace urbane::raster {
 
+std::vector<std::uint32_t> StableKeyOrder(
+    const std::vector<std::uint32_t>& keys) {
+  std::vector<std::uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&keys](std::uint32_t a, std::uint32_t b) {
+                     return keys[a] < keys[b];
+                   });
+  return order;
+}
+
 MortonSplatOrder MortonSplatOrder::Build(const Viewport& vp, const float* xs,
                                          const float* ys, std::size_t count) {
   MortonSplatOrder order;
@@ -32,12 +43,7 @@ MortonSplatOrder MortonSplatOrder::Build(const Viewport& vp, const float* xs,
                   : MortonPixelKey(idx % width, idx / width);
   }
 
-  order.ids_.resize(count);
-  std::iota(order.ids_.begin(), order.ids_.end(), 0u);
-  std::stable_sort(order.ids_.begin(), order.ids_.end(),
-                   [&keys](std::uint32_t a, std::uint32_t b) {
-                     return keys[a] < keys[b];
-                   });
+  order.ids_ = StableKeyOrder(keys);
 
   order.xs_.resize(count);
   order.ys_.resize(count);

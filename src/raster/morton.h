@@ -45,6 +45,12 @@ inline std::uint32_t MortonPixelKey(std::uint32_t x, std::uint32_t y) {
   return MortonSpread16(x) | (MortonSpread16(y) << 1);
 }
 
+/// The stable ascending order of `keys`: a permutation of 0..keys.size()-1
+/// sorted by key, equal keys keeping their index order. The splat order and
+/// the store writer's batch sort both order rows by a Morton key through it.
+std::vector<std::uint32_t> StableKeyOrder(
+    const std::vector<std::uint32_t>& keys);
+
 /// A dataset's points re-ordered along the canvas Z-order curve, with
 /// coordinates gathered into contiguous arrays so the splat kernels read
 /// them with unit stride. Points outside the canvas sort to the end (they

@@ -62,14 +62,14 @@ struct ShardedExecutorOptions {
 ///
 /// Scatter: the row space is split by ShardPlan; every shard runs the one
 /// shared inner executor (scan/index/bounded/accurate, built once at
-/// Create, or a composed raster join handed to Wrap) with
-/// `candidate_ranges` restricted to its rows ∩ the query's pruned ranges,
-/// serially within the shard, concurrently across shards on the pool.
-/// Executors are immutable after Create, so the shards share the inner
-/// executor's R-tree / grid / splat orders / region spans and differ only
-/// in their candidate ranges; a raster inner leases one render-target set
-/// per concurrently running shard and splits a shard's ranges per point
-/// source by offset. Every shard runs the query's own aggregate, AVG
+/// Create, or a composed join handed to Wrap) with `candidate_ranges`
+/// restricted to its rows ∩ the query's pruned ranges, serially within the
+/// shard, concurrently across shards on the pool. Executors are immutable
+/// after Create, so the shards share the inner executor's R-tree / grid /
+/// splat orders / region spans and differ only in their candidate ranges;
+/// a composed inner splits a shard's ranges per point source by offset,
+/// and a raster inner leases one render-target set per concurrently
+/// running shard. Every shard runs the query's own aggregate, AVG
 /// included, through the inner ExecutePartial.
 /// Gather: partials are published into per-shard slots; after all shards
 /// finish, PartialResult::Merge folds the slots in ascending shard index —
@@ -102,9 +102,9 @@ class ShardedExecutor : public core::SpatialAggregationExecutor {
 
   /// Shards the `rows`-row space of an inner executor already built for
   /// `method`: one table's rows, or the concatenated rows of a composed
-  /// raster join's sources (SpatialAggregation wraps its live raster joins
-  /// this way, so a live query sweeps one canvas per shard, not one per
-  /// shard and component).
+  /// join's sources. SpatialAggregation wraps its composed executor of
+  /// every method this way, so a live query runs M shard tasks over all
+  /// its components, not M per component.
   static std::unique_ptr<ShardedExecutor> Wrap(
       std::unique_ptr<core::SpatialAggregationExecutor> inner,
       std::uint64_t rows, core::ExecutionMethod method,

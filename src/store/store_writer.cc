@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "raster/morton.h"
@@ -191,12 +190,7 @@ Status StoreWriter::FlushBatch() {
         static_cast<std::uint32_t>(std::clamp(fy, 0.0f, kGrid));
     keys[i] = raster::MortonPixelKey(qx, qy);
   }
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return keys[a] < keys[b];
-                   });
+  const std::vector<std::uint32_t> order = raster::StableKeyOrder(keys);
 
   // Gather each column in Morton order and append to its spill file.
   std::vector<const float*> attr_data(batch_attrs_.size());

@@ -2,6 +2,8 @@
 // the regions' box lies in no region, so rows there — dirty coordinates a
 // real feed holds: (0, 0), ±inf, NaN, 1e30 — must change neither the canvas
 // nor any raster answer, and the accurate join must still equal the scan.
+// The index and quadtree joins size their index by the rows clipped to that
+// box (PointIndexBounds), so the same rows neither widen nor enter it.
 // Points exactly on the region box's edges and corners sit in boundary
 // pixels, where the accurate join's exact test must agree with the scan's.
 //
@@ -9,6 +11,7 @@
 // no pixel at every URBANE_SIMD level, and the gates run it at each.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,6 +20,8 @@
 #include <vector>
 
 #include "core/accurate_join.h"
+#include "core/index_join.h"
+#include "core/quadtree_join.h"
 #include "core/raster_join.h"
 #include "core/scan_join.h"
 #include "data/region_generator.h"
@@ -98,20 +103,20 @@ void ExpectSameBits(const QueryResult& got, const QueryResult& want,
 }
 
 // Exact per region: counts and MIN/MAX bit for bit; SUM/AVG to rounding,
-// since the scan adds a region's points in row order and the accurate join
-// pixel by pixel.
-void ExpectMatchesScan(const QueryResult& accurate, const QueryResult& scan,
+// since the scan adds a region's points in row order and the other exact
+// joins pixel by pixel or cell by cell.
+void ExpectMatchesScan(const QueryResult& exact, const QueryResult& scan,
                        AggregateKind kind, const std::string& what) {
-  ASSERT_EQ(accurate.size(), scan.size()) << what;
+  ASSERT_EQ(exact.size(), scan.size()) << what;
   for (std::size_t r = 0; r < scan.size(); ++r) {
-    EXPECT_EQ(accurate.counts[r], scan.counts[r]) << what << " region " << r;
+    EXPECT_EQ(exact.counts[r], scan.counts[r]) << what << " region " << r;
     if ((kind == AggregateKind::kSum || kind == AggregateKind::kAvg) &&
         !std::isnan(scan.values[r])) {
-      EXPECT_NEAR(accurate.values[r], scan.values[r],
+      EXPECT_NEAR(exact.values[r], scan.values[r],
                   1e-9 * std::max(1.0, std::fabs(scan.values[r])))
           << what << " region " << r;
     } else {
-      EXPECT_EQ(Bits(accurate.values[r]), Bits(scan.values[r]))
+      EXPECT_EQ(Bits(exact.values[r]), Bits(scan.values[r]))
           << what << " region " << r;
     }
   }
@@ -210,6 +215,67 @@ TEST(AccurateRasterJoinTest, OutlierRowsChangeNeitherCanvasNorAnswers) {
             aggregate.kind, what);
       }
     }
+  }
+}
+
+// Every aggregate and filter of `join` over `dirty` against the scan.
+void ExpectJoinMatchesScan(const SpatialAggregationExecutor& join,
+                           const data::PointTable& dirty,
+                           const data::RegionSet& hoods) {
+  const auto scan = ScanJoin::Create(dirty, hoods);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  for (const AggregateSpec& aggregate : AllAggregates()) {
+    for (const FilterSpec& filter : Filters(dirty)) {
+      ExpectMatchesScan(RunQuery(join, dirty, hoods, aggregate, filter),
+                        RunQuery(**scan, dirty, hoods, aggregate, filter),
+                        aggregate.kind, AggregateKindToString(aggregate.kind));
+    }
+  }
+}
+
+// The index covers the rows inside the region box and nothing else: over
+// the clean trips, which all lie inside it, the rows' own padded bounding
+// box; with outliers appended, a box inside the padded region box whose
+// grid still has more than one cell and holds exactly the clean rows.
+TEST(IndexJoinTest, OutlierRowsKeepTheGridInsideTheRegionBox) {
+  const data::PointTable& clean = Trips();
+  const data::RegionSet& hoods = Hoods();
+  const geometry::BoundingBox rows = clean.Bounds();
+  const geometry::BoundingBox padded_rows =
+      rows.Expanded(1e-6 * std::max(1.0, rows.Width()));
+  const geometry::BoundingBox clean_bounds = PointIndexBounds(clean, hoods);
+  EXPECT_EQ(Bits(clean_bounds.min_x), Bits(padded_rows.min_x));
+  EXPECT_EQ(Bits(clean_bounds.min_y), Bits(padded_rows.min_y));
+  EXPECT_EQ(Bits(clean_bounds.max_x), Bits(padded_rows.max_x));
+  EXPECT_EQ(Bits(clean_bounds.max_y), Bits(padded_rows.max_y));
+  const geometry::BoundingBox box = CanvasWorld(hoods);
+  const geometry::BoundingBox padded_box =
+      box.Expanded(1e-6 * std::max(1.0, box.Width()));
+  for (const std::vector<Outlier>& outliers : OutlierSets()) {
+    SCOPED_TRACE(Describe(outliers));
+    const data::PointTable dirty = WithOutliers(clean, outliers);
+    const auto join = IndexJoin::Create(dirty, hoods);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    const index::GridIndex& grid = (*join)->grid();
+    EXPECT_TRUE(padded_box.Contains(grid.bounds())) << grid.bounds();
+    EXPECT_GT(grid.cells_x() * grid.cells_y(), 1);
+    EXPECT_EQ(grid.point_count(), clean.size());
+    ExpectJoinMatchesScan(**join, dirty, hoods);
+  }
+}
+
+// The quadtree shares the index's bounds: with outliers appended it holds
+// exactly the clean rows and still equals the scan.
+TEST(QuadtreeJoinTest, OutlierRowsStayOutOfTheTree) {
+  const data::PointTable& clean = Trips();
+  const data::RegionSet& hoods = Hoods();
+  for (const std::vector<Outlier>& outliers : OutlierSets()) {
+    SCOPED_TRACE(Describe(outliers));
+    const data::PointTable dirty = WithOutliers(clean, outliers);
+    const auto join = QuadtreeJoin::Create(dirty, hoods);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    EXPECT_EQ((*join)->tree().point_count(), clean.size());
+    ExpectJoinMatchesScan(**join, dirty, hoods);
   }
 }
 

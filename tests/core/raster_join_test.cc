@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/accurate_join.h"
+#include "core/index_join.h"
+#include "core/planner.h"
 #include "core/scan_join.h"
 #include "obs/profile.h"
 #include "testing/test_worlds.h"
@@ -179,10 +183,13 @@ data::PointTable TakeRows(const data::PointTable& table, std::size_t begin,
 }
 
 // A join composed of point sources answers like the one-table join over
-// their rows concatenated, bit for bit on arbitrary floats: each pixel
-// accumulates across sources in source order. Candidate ranges address the
-// concatenated rows and are split per source, so ranges that straddle a
-// source boundary select the same rows either way.
+// their rows concatenated. The raster joins and the scan accumulate across
+// sources in source order — each pixel, each region — so they answer bit
+// for bit on arbitrary floats; the index join adds each source along its
+// own grid's cells, so its SUM and AVG agree to rounding and the rest
+// exactly. Candidate ranges address the concatenated rows and are split per
+// source, so ranges that straddle a source boundary select the same rows
+// either way.
 TEST(RasterJoinCompositionTest, SourcesMatchConcatenatedTable) {
   const auto all = testing::MakeUniformPoints(3000, 81);
   const auto regions = testing::MakeRandomRegions(5, 82);
@@ -197,33 +204,58 @@ TEST(RasterJoinCompositionTest, SourcesMatchConcatenatedTable) {
   std::vector<FilterSpec> filters(2);
   filters[1].WithTime(20000, 60000).WithRange("v", -4.0, 6.0);
 
-  for (const bool accurate : {false, true}) {
-    const auto region =
-        accurate ? AccurateRasterJoin::BuildRegionState(regions, *canvas)
-                 : BoundedRasterJoin::BuildRegionState(regions, *canvas,
-                                                       options);
-    ASSERT_TRUE(region.ok()) << region.status().ToString();
-    RasterSources sources;
-    for (const data::PointTable& part : parts) {
-      sources.push_back(RasterPointSource::Build(**region, part));
-    }
+  for (const ExecutionMethod method :
+       {ExecutionMethod::kScan, ExecutionMethod::kIndexJoin,
+        ExecutionMethod::kBoundedRaster, ExecutionMethod::kAccurateRaster}) {
+    const std::string name = ExecutionMethodToString(method);
     std::unique_ptr<SpatialAggregationExecutor> composed;
     std::unique_ptr<SpatialAggregationExecutor> whole;
-    if (accurate) {
-      composed = std::make_unique<AccurateRasterJoin>(all, regions, *region,
-                                                      sources);
-      whole = std::move(AccurateRasterJoin::Create(all, regions, options))
-                  .value();
+    if (method == ExecutionMethod::kScan) {
+      const auto rtree = ScanJoin::BuildRegionIndex(regions);
+      ASSERT_TRUE(rtree.ok()) << rtree.status().ToString();
+      std::vector<const data::PointTable*> sources;
+      for (const data::PointTable& part : parts) sources.push_back(&part);
+      composed = std::make_unique<ScanJoin>(all, regions, *rtree, sources);
+      whole = std::move(ScanJoin::Create(all, regions)).value();
+    } else if (method == ExecutionMethod::kIndexJoin) {
+      std::vector<IndexSource> sources;
+      for (const data::PointTable& part : parts) {
+        auto grid = IndexJoin::BuildGrid(part, regions, IndexJoinOptions());
+        ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+        sources.push_back({&part, *grid});
+      }
+      composed = std::make_unique<IndexJoin>(all, regions, sources);
+      whole = std::move(IndexJoin::Create(all, regions)).value();
     } else {
-      composed = std::make_unique<BoundedRasterJoin>(all, regions, options,
-                                                     *region, sources);
-      whole = std::move(BoundedRasterJoin::Create(all, regions, options))
-                  .value();
+      const bool accurate = method == ExecutionMethod::kAccurateRaster;
+      const auto region =
+          accurate ? AccurateRasterJoin::BuildRegionState(regions, *canvas)
+                   : BoundedRasterJoin::BuildRegionState(regions, *canvas,
+                                                         options);
+      ASSERT_TRUE(region.ok()) << region.status().ToString();
+      RasterSources sources;
+      for (const data::PointTable& part : parts) {
+        sources.push_back(RasterPointSource::Build(**region, part));
+      }
+      if (accurate) {
+        composed = std::make_unique<AccurateRasterJoin>(all, regions,
+                                                        *region, sources);
+        whole = std::move(AccurateRasterJoin::Create(all, regions, options))
+                    .value();
+      } else {
+        composed = std::make_unique<BoundedRasterJoin>(all, regions, options,
+                                                       *region, sources);
+        whole = std::move(BoundedRasterJoin::Create(all, regions, options))
+                    .value();
+      }
     }
     for (const AggregateSpec& aggregate :
          {AggregateSpec::Count(), AggregateSpec::Sum("v"),
           AggregateSpec::Avg("v"), AggregateSpec::Min("v"),
           AggregateSpec::Max("v")}) {
+      const bool rounds = method == ExecutionMethod::kIndexJoin &&
+                          (aggregate.kind == AggregateKind::kSum ||
+                           aggregate.kind == AggregateKind::kAvg);
       for (const FilterSpec& filter : filters) {
         for (const RowRangeSet* candidates :
              {static_cast<const RowRangeSet*>(nullptr), &straddling}) {
@@ -237,15 +269,23 @@ TEST(RasterJoinCompositionTest, SourcesMatchConcatenatedTable) {
           const auto want = whole->Execute(query);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           ASSERT_TRUE(want.ok()) << want.status().ToString();
-          EXPECT_EQ(got->counts, want->counts);
-          EXPECT_EQ(got->error_bounds, want->error_bounds);
+          EXPECT_EQ(got->counts, want->counts) << name;
+          EXPECT_EQ(got->error_bounds, want->error_bounds) << name;
           for (std::size_t r = 0; r < regions.size(); ++r) {
+            const std::string what = name + " " +
+                                     AggregateKindToString(aggregate.kind) +
+                                     " region " + std::to_string(r);
+            if (rounds && !std::isnan(want->values[r])) {
+              EXPECT_NEAR(got->values[r], want->values[r],
+                          1e-9 * std::max(1.0, std::fabs(want->values[r])))
+                  << what;
+              continue;
+            }
             EXPECT_TRUE((std::isnan(got->values[r]) &&
                          std::isnan(want->values[r])) ||
                         std::bit_cast<std::uint64_t>(got->values[r]) ==
                             std::bit_cast<std::uint64_t>(want->values[r]))
-                << (accurate ? "accurate " : "bounded ")
-                << AggregateKindToString(aggregate.kind) << " region " << r;
+                << what;
           }
         }
       }

@@ -319,7 +319,12 @@ data::PointTable WideRangeBatch(std::size_t count, std::uint64_t seed,
 // shard each pixel accumulates in concatenated-row order and each boundary
 // pixel's points are refined in that order: live raster answers equal the
 // stop-the-world rebuild bit for bit on arbitrary floats too, where a
-// reordered double sum shows, at every lifecycle stage.
+// reordered double sum shows, at every lifecycle stage. The scan joins
+// because it composes the components the same way: one accumulator per
+// region takes each component's selected rows in ascending order,
+// component after component, so it too adds in concatenated-row order.
+// (The index join adds each component along its own grid's cells, so only
+// the dyadic oracle holds it bit for bit.)
 TEST(LiveEngineTest, RasterMatchesStopTheWorldOnArbitraryFloats) {
   const std::string dir = FreshDir("oracle_arbitrary_floats");
   const data::RegionSet regions = testing::MakeTessellationRegions(4, 0xBEEF);
@@ -334,11 +339,11 @@ TEST(LiveEngineTest, RasterMatchesStopTheWorldOnArbitraryFloats) {
   options.raster_options = SmallCanvas();
   LiveEngine live(table->get(), &regions, options);
 
-  const std::vector<core::ExecutionMethod> raster = {
-      core::ExecutionMethod::kBoundedRaster,
+  const std::vector<core::ExecutionMethod> in_row_order = {
+      core::ExecutionMethod::kScan, core::ExecutionMethod::kBoundedRaster,
       core::ExecutionMethod::kAccurateRaster};
   WalkLifecycle(**table, WideRangeBatch, [&](const std::string& stage) {
-    ExpectMatchesRebuild(**table, live, regions, raster, stage);
+    ExpectMatchesRebuild(**table, live, regions, in_row_order, stage);
   });
 }
 
@@ -427,12 +432,14 @@ TEST(LiveEngineTest, ExecuteAutoHonorsPlannedEpsilonResolution) {
   ExpectBitIdentical(*from_live, *want, "live at the planned resolution");
 }
 
-// A raster method's region-side state is built once per facade: twenty
-// append + query cycles build it once per raster method and each new hot
-// view only its own point-side state. A finer planned ε rebuilds the
-// bounded one. An append outside the region box moves no canvas: it builds
-// no region-side state, only the new hot view's point-side state, and a
-// cached answer over a closed time range stays a hit across it.
+// A method's region-side state is built once per facade: twenty append +
+// query cycles build the scan's R-tree once and each raster method's
+// region state once, and each new hot view only its own point-side state
+// — its index grid and each raster method's Morton order. A finer planned
+// ε rebuilds the bounded region state. An append outside the region box
+// moves no canvas: it builds no region-side state, only the new hot view's
+// point-side state, and a cached answer over a closed time range stays a
+// hit across it. A new shard fan-out builds no state at all.
 TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
   const data::PointTable points = testing::MakeUniformPoints(20000, 0xE1);
   const data::RegionSet regions = testing::MakeRandomRegions(16, 0xE2);
@@ -454,10 +461,8 @@ TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
   };
   const std::uint64_t region_before = builds("query.region_state_builds");
   const std::uint64_t point_before = builds("query.point_state_builds");
-  const auto query_both = [&](const std::string& what) {
-    for (const core::ExecutionMethod method :
-         {core::ExecutionMethod::kBoundedRaster,
-          core::ExecutionMethod::kAccurateRaster}) {
+  const auto query_all = [&](const std::string& what) {
+    for (const core::ExecutionMethod method : kAllMethods) {
       core::AggregationQuery query;
       query.aggregate = core::AggregateSpec::Sum("v");
       const StatusOr<core::QueryResult> result = live.Execute(query, method);
@@ -471,11 +476,12 @@ TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
                         50, 0x100 + static_cast<std::uint64_t>(cycle), 10.0,
                         90.0))
                     .ok());
-    query_both("cycle " + std::to_string(cycle));
+    query_all("cycle " + std::to_string(cycle));
   }
-  EXPECT_EQ(builds("query.region_state_builds") - region_before, 2u);
-  // The base once per method, then one hot view per append.
-  EXPECT_EQ(builds("query.point_state_builds") - point_before, 2u + 2u * 20u);
+  // The R-tree and the bounded and accurate region states.
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 3u);
+  // The base's grid and two Morton orders, then the same per hot view.
+  EXPECT_EQ(builds("query.point_state_builds") - point_before, 3u + 3u * 20u);
 
   // Nothing new to build: the profile reports no preparation.
   obs::QueryProfile warm;
@@ -498,8 +504,8 @@ TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
   ASSERT_EQ(plan.method, core::ExecutionMethod::kBoundedRaster);
   ASSERT_GT(plan.resolution, coarse.resolution);
   EXPECT_GT(ratchet.prepare_seconds, 0.0);
-  query_both("after the ratchet");
-  EXPECT_EQ(builds("query.region_state_builds") - region_before, 3u);
+  query_all("after the ratchet");
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 4u);
 
   // A cached answer over [0, 40000) ...
   live.set_result_cache_capacity(64);
@@ -516,12 +522,19 @@ TEST(LiveEngineTest, RegionStateBuiltOncePerRasterMethod) {
                   ->Append(MakeBatchInTime(10, 0x200, 50000, 59999, 120.0,
                                            130.0))
                   .ok());
-  query_both("after an append outside the region box");
-  EXPECT_EQ(builds("query.region_state_builds") - region_before, 3u);
-  EXPECT_EQ(builds("query.point_state_builds") - point_outside, 2u);
+  query_all("after an append outside the region box");
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 4u);
+  EXPECT_EQ(builds("query.point_state_builds") - point_outside, 3u);
   ASSERT_TRUE(
       live.Execute(closed, core::ExecutionMethod::kAccurateRaster).ok());
   EXPECT_EQ(live.result_cache_stats().hits, hits + 1);
+
+  // Four shards wrap new composed executors around the same state.
+  const std::uint64_t point_sharded = builds("query.point_state_builds");
+  live.set_num_shards(4);
+  query_all("at four shards");
+  EXPECT_EQ(builds("query.region_state_builds") - region_before, 4u);
+  EXPECT_EQ(builds("query.point_state_builds"), point_sharded);
   obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
@@ -860,9 +873,12 @@ TEST(LiveEngineTest, ProfileSumsComponentsAndReportsCacheHits) {
 
 // A live query is observed once, by the live engine — never once per
 // component: over a base, one flushed run and hot rows, each query adds
-// exactly one `query.wall_seconds` sample, and an armed recorder commits
-// exactly one record, naming the query as asked (AVG, not a per-component
-// rewrite) with every component's scan summed into its profile.
+// exactly one `query.wall_seconds` sample and one `exec.<method>.queries`
+// execution, and an armed recorder commits exactly one record, naming the
+// query as asked (AVG, not a per-component rewrite) with every component's
+// rows scanned in its profile. At four shards a scan or index query is one
+// sharded pass over the components' concatenated rows: four shard rows in
+// its profile and one `shard.queries`.
 TEST(LiveEngineTest, ObservedOncePerQuery) {
   const std::string dir = FreshDir("observed_once");
   const data::RegionSet regions = testing::MakeTessellationRegions(3, 0xA1);
@@ -883,22 +899,48 @@ TEST(LiveEngineTest, ObservedOncePerQuery) {
 
   const bool metrics_were_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
-  const auto samples = [] {
-    return obs::MetricsRegistry::Global()
-        .SnapshotHistogram("query.wall_seconds")
-        .count;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto samples = [&registry] {
+    return registry.SnapshotHistogram("query.wall_seconds").count;
   };
   const std::pair<core::AggregateSpec, core::ExecutionMethod> cases[] = {
       {core::AggregateSpec::Count(), core::ExecutionMethod::kScan},
+      {core::AggregateSpec::Sum("v"), core::ExecutionMethod::kIndexJoin},
       {core::AggregateSpec::Avg("v"), core::ExecutionMethod::kBoundedRaster}};
   for (const auto& [aggregate, method] : cases) {
     core::AggregationQuery query;
     query.aggregate = aggregate;
+    const std::string what =
+        std::string(core::ExecutionMethodToString(method)) + " " +
+        query.ToString();
+    obs::Counter& executions = registry.GetCounter(
+        std::string("exec.") + core::ExecutionMethodToString(method) +
+        ".queries");
     const std::uint64_t before = samples();
+    const std::uint64_t executed = executions.Value();
     const StatusOr<core::QueryResult> result = live.Execute(query, method);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(samples() - before, 1u)
-        << core::ExecutionMethodToString(method) << " " << query.ToString();
+    EXPECT_EQ(samples() - before, 1u) << what;
+    EXPECT_EQ(executions.Value() - executed, 1u) << what;
+  }
+
+  LiveEngineOptions sharded_options = options;
+  sharded_options.num_shards = 4;
+  LiveEngine sharded(table->get(), &regions, sharded_options);
+  for (const core::ExecutionMethod method :
+       {core::ExecutionMethod::kScan, core::ExecutionMethod::kIndexJoin}) {
+    obs::QueryProfile profile;
+    core::AggregationQuery query;
+    query.aggregate = core::AggregateSpec::Count();
+    query.profile = &profile;
+    const std::uint64_t shard_queries =
+        registry.GetCounter("shard.queries").Value();
+    const StatusOr<core::QueryResult> result = sharded.Execute(query, method);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(profile.shards.size(), 4u)
+        << core::ExecutionMethodToString(method);
+    EXPECT_EQ(registry.GetCounter("shard.queries").Value() - shard_queries, 1u)
+        << core::ExecutionMethodToString(method);
   }
   obs::SetMetricsEnabled(metrics_were_enabled);
 

@@ -32,17 +32,18 @@
 #     exactly the kind of contract TSan can falsify.
 # Any data race aborts the run: TSAN_OPTIONS makes warnings fatal.
 #
-# The default gate then builds simd_test, core_test and ingest_test under
-# AddressSanitizer (-DURBANE_SANITIZE=address, in ${ASAN_BUILD_DIR}) and
-# runs the `simd` label once per URBANE_SIMD level, then the filter unit
-# tests once, then the live-engine and raster-join suites once. The vector
-# kernels load whole vectors up to the last full block of a column or mask
-# and finish with scalar tails, so a load past a column end is a heap
-# overflow this step reports. The raster joins compose several point
-# sources on one leased target set, each source's rows offset into one
-# concatenated row space and its boundary runs indexed by the region
-# state's sorted keys, so an off-by-one there reads past a buffer too. Any
-# report aborts.
+# The default gate then builds simd_test, core_test, ingest_test and
+# shard_test under AddressSanitizer (-DURBANE_SANITIZE=address, in
+# ${ASAN_BUILD_DIR}) and runs the `simd` label once per URBANE_SIMD level,
+# then the filter unit tests once, then the live-engine, executor and
+# sharded-oracle suites once. The vector kernels load whole vectors up to
+# the last full block of a column or mask and finish with scalar tails, so
+# a load past a column end is a heap overflow this step reports. Every
+# executor composes several point sources, each source's rows offset into
+# one concatenated row space (and, for the raster joins, its boundary runs
+# indexed by the region state's sorted keys), and a sharded pass splits
+# that row space into ranges, so an off-by-one there reads past a buffer
+# too. Any report aborts.
 #
 # `--fast` instead builds a plain (unsanitized) tree and runs only the
 # suites labeled `fast` in tests/CMakeLists.txt — the seconds-scale
@@ -182,7 +183,7 @@ cmake -B "${ASAN_BUILD_DIR}" -S . \
   -DURBANE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" \
-  --target simd_test core_test ingest_test
+  --target simd_test core_test ingest_test shard_test
 for level in ${SIMD_LEVELS}; do
   echo "== asan simd suite @ URBANE_SIMD=${level} =="
   URBANE_SIMD="${level}" \
@@ -194,10 +195,10 @@ ASAN_OPTIONS="halt_on_error=1 abort_on_error=1${ASAN_OPTIONS:+ ${ASAN_OPTIONS}}"
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
   -R '^(FilterSpecTest|TimeRangeTest|CompiledFilterTest|EvaluateFilterTest)\.' \
   "$@"
-echo "== asan live-engine and raster-join suites =="
+echo "== asan live-engine, executor and sharded-oracle suites =="
 ASAN_OPTIONS="halt_on_error=1 abort_on_error=1${ASAN_OPTIONS:+ ${ASAN_OPTIONS}}" \
 ctest --test-dir "${ASAN_BUILD_DIR}" --output-on-failure \
-  -R 'LiveEngine|AccurateRasterJoin|BoundedRasterJoin|RasterJoinComposition|SpatialAggregation' \
+  -R 'LiveEngine|AccurateRasterJoin|BoundedRasterJoin|RasterJoinComposition|SpatialAggregation|ScanJoin|IndexJoin|QuadtreeJoin|ExecutorEquivalence|ShardedOracle' \
   "$@"
 
 echo "asan check OK"
